@@ -18,11 +18,15 @@ import math
 
 import numpy as np
 
-from .coeffring import CoeffRing, sqrt_one_mod_p
+from .coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
 from .rootdata import phi_alpha
 
 
 class ChevGroupError(ValueError):
+    pass
+
+
+class GroupParameterError(ChevGroupError, ParameterError):
     pass
 
 
@@ -36,9 +40,9 @@ class LieAlgebra:
 
     def __init__(self, datum, basis, ring):
         if ring.p < 5:
-            raise ChevGroupError("p >= 5 required (very good prime)")
+            raise GroupParameterError("p >= 5 required (very good prime)")
         if datum.family == "A" and (datum.rank + 1) % ring.p == 0:
-            raise ChevGroupError("p | n+1 is not very good for A_n")
+            raise GroupParameterError("p | n+1 is not very good for A_n")
         self.datum = datum
         self.basis = basis
         self.ring = ring
@@ -53,22 +57,10 @@ class LieAlgebra:
     def zero_vec(self):
         return np.zeros((self.dim, self.ring.r), dtype=np.int64)
 
-    def vec_from_int(self, v):
-        out = self.zero_vec()
-        out[:, 0] = np.asarray(v, dtype=np.int64) % self.ring.q
-        return out
-
     def root_vector(self, alpha):
         """X_alpha as a coordinate vector."""
         out = self.zero_vec()
         out[self.basis.root_basis_index(alpha), 0] = 1
-        return out
-
-    def coroot_vector(self, alpha):
-        """h_alpha = alpha^vee in the Cartan."""
-        out = self.zero_vec()
-        for i, c in enumerate(self.datum.coroot_coords(alpha)):
-            out[i, 0] = c % self.ring.q
         return out
 
     def random_vec(self, rng):
@@ -176,14 +168,6 @@ class GroupElement:
                           CoeffRing(self.alg.ring.p, m2, self.alg.ring.r))
         return GroupElement(alg2, self.mat % alg2.ring.q, self.tag)
 
-    def serialize(self):
-        """Provenance tag plus matrix rows of ring elements."""
-        R = self.alg.ring
-        return {"tag": self.tag,
-                "rows": [[R.format_el(self.mat[i, j])
-                          for j in range(self.alg.dim)]
-                         for i in range(self.alg.dim)]}
-
 
 def identity(alg):
     return GroupElement(alg, alg.ring.mat_id(alg.dim), "identity")
@@ -287,7 +271,7 @@ def matrix_identity_check(p, m, n, samples, rng):
     a failure would falsify the ring arithmetic).
     """
     if m < 3:
-        raise ChevGroupError("identity requires m >= 3")
+        raise GroupParameterError("identity requires m >= 3")
     q = p ** m
     fails = 0
     for _ in range(samples):

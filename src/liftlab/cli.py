@@ -20,6 +20,7 @@ from . import localconds as lc
 from . import oddness as od
 from . import selmer as sm
 from .chevgroup import levi_certificate_check, matrix_identity_check
+from .coeffring import ParameterError
 from .galoismod import GroupPresentation, MatrixModule, cohomology, decompose
 from .liftdriver import lifting_driver
 from .rootdata import levi_bound, phi_alpha, root_datum
@@ -397,7 +398,7 @@ def main(argv=None):
                  config)
     try:
         fn(args, run)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # assertion-style failure inside a suite

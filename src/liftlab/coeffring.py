@@ -13,14 +13,30 @@ lexicographically smallest monic irreducible of degree r over F_p,
 coefficients lifted to [0, p).  Reduction GR(p^m, r) -> GR(p^m', r)
 for m' <= m is coefficientwise reduction mod p^m' and is a ring
 homomorphism because the modulus does not depend on m.
+
+Inverses are Newton (Hensel) lifts of an inverse mod p taken from the
+shared kernels: the F_p polynomial helpers of modp for scalars,
+modp.inverse (r = 1) or fieldlinalg.rref_f (r > 1) for matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import fieldlinalg, modp
+
 
 class CoeffRingError(ValueError):
+    pass
+
+
+class ParameterError(ValueError):
+    """A refused parameter choice, as opposed to a failure during the
+    computation; the command line reports it as an invalid
+    configuration."""
+
+
+class RingParameterError(CoeffRingError, ParameterError):
     pass
 
 
@@ -35,59 +51,6 @@ def _is_prime(n):
     return True
 
 
-# --- polynomial helpers over F_p (dense coefficient lists, low degree first)
-
-
-def _poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_mul_modp(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod_modp(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a = a[:-1]
-            continue
-        c = (a[-1] * inv_lb) % p
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-def _poly_powmod(a, e, mod, p):
-    result = [1]
-    base = _poly_divmod_modp(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod_modp(_poly_mul_modp(result, base, p), mod, p)[1]
-        base = _poly_divmod_modp(_poly_mul_modp(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _poly_gcd_modp(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b != [0]:
-        a, b = b, _poly_divmod_modp(a, b, p)[1]
-    return a
-
-
 def _is_irreducible_modp(f, p):
     """Rabin test: f irreducible iff x^(p^r) = x mod f and
     gcd(x^(p^(r/l)) - x, f) = 1 for each prime l | r."""
@@ -95,11 +58,11 @@ def _is_irreducible_modp(f, p):
     if r == 1:
         return True
     x = [0, 1]
-    xq = _poly_powmod(x, p ** r, f, p)
+    xq = modp.poly_powmod(x, p ** r, f, p)
     # xq - x
     diff = list(xq) + [0] * (2 - len(xq))
     diff[1] = (diff[1] - 1) % p
-    if _poly_trim(diff) != [0]:
+    if modp.poly_trim(diff) != [0]:
         return False
     ell = 2
     rr = r
@@ -109,11 +72,11 @@ def _is_irreducible_modp(f, p):
             ell += 1
         if ell not in checked:
             checked.add(ell)
-            xe = _poly_powmod(x, p ** (r // ell), f, p)
+            xe = modp.poly_powmod(x, p ** (r // ell), f, p)
             d = list(xe) + [0] * (2 - len(xe))
             d[1] = (d[1] - 1) % p
-            d = _poly_trim(d)
-            g = _poly_gcd_modp(d, f, p) if d != [0] else list(f)
+            d = modp.poly_trim(d)
+            g = modp.poly_gcd(d, f, p) if d != [0] else list(f)
             if len(g) > 1:
                 return False
         rr //= ell
@@ -148,13 +111,13 @@ class CoeffRing:
 
     def __init__(self, p, m, r=1):
         if not _is_prime(p):
-            raise CoeffRingError("p must be prime, got %r" % (p,))
+            raise RingParameterError("p must be prime, got %r" % (p,))
         if p == 2:
-            raise CoeffRingError("p = 2 is not supported (odd p required)")
+            raise RingParameterError("p = 2 is not supported (odd p required)")
         if m < 1:
-            raise CoeffRingError("precision m must be >= 1")
+            raise RingParameterError("precision m must be >= 1")
         if r < 1:
-            raise CoeffRingError("residue degree r must be >= 1")
+            raise RingParameterError("residue degree r must be >= 1")
         self.p = p
         self.m = m
         self.r = r
@@ -286,17 +249,16 @@ class CoeffRing:
     def _invert_modp(self, f):
         # extended euclid: find g with f g = 1 mod (modulus, p)
         p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(f)
+        r0, r1 = list(self.modulus), modp.poly_trim(f)
         s0, s1 = [0], [1]
         while r1 != [0]:
-            qq, rr = _poly_divmod_modp(r0, r1, p)
+            qq, rr = modp.poly_divmod(r0, r1, p)
             r0, r1 = r1, rr
-            s2 = [(c) % p for c in s0]
-            t = _poly_mul_modp(qq, s1, p)
-            ln = max(len(s2), len(t))
-            s2 = s2 + [0] * (ln - len(s2))
-            t = list(t) + [0] * (ln - len(t))
-            s0, s1 = s1, _poly_trim([(x - y) % p for x, y in zip(s2, t)])
+            t = modp.poly_mul(qq, s1, p)
+            ln = max(len(s0), len(t))
+            s2 = s0 + [0] * (ln - len(s0))
+            t = t + [0] * (ln - len(t))
+            s0, s1 = s1, modp.poly_trim([(x - y) % p for x, y in zip(s2, t)])
         if len(r0) != 1:
             raise CoeffRingError("element not invertible mod p")
         c = pow(r0[0], p - 2, p)
@@ -312,12 +274,6 @@ class CoeffRing:
         return not np.any(np.asarray(a) % self.q)
 
     # -- precision change
-
-    def reduce_ring(self, m2):
-        if m2 > self.m:
-            raise CoeffRingError("cannot increase precision by reduction")
-        R2 = CoeffRing(self.p, m2, self.r)
-        return R2
 
     def reduce_el(self, a, m2):
         return np.asarray(a, dtype=np.int64) % (self.p ** m2)
@@ -384,26 +340,19 @@ class CoeffRing:
         return X
 
     def _mat_inv_modp(self, A):
-        # Gauss-Jordan over the residue field F_{p^r}
+        # inverse over the residue field F_{p^r}, entries in [0, p)
         n = A.shape[0]
-        Rp = self if self.m == 1 else CoeffRing(self.p, 1, self.r)
-        M = np.concatenate([A % self.p, Rp.mat_id(n)], axis=1).astype(np.int64)
-        for col in range(n):
-            piv = None
-            for row in range(col, n):
-                if Rp.is_unit(M[row, col]):
-                    piv = row
-                    break
-            if piv is None:
-                raise CoeffRingError("matrix not invertible mod p")
-            if piv != col:
-                M[[col, piv]] = M[[piv, col]]
-            inv = Rp.inv(M[col, col])
-            M[col] = Rp.mul(M[col], inv[None, :])
-            for row in range(n):
-                if row != col and np.any(M[row, col] % self.p):
-                    M[row] = Rp.sub(M[row], Rp.mul(M[row, col][None, :], M[col]))
-        return M[:, n:] % self.q
+        if self.r == 1:
+            X = modp.inverse(A[..., 0], self.p)
+            if X is not None:
+                return X[..., None]
+        else:
+            K = self if self.m == 1 else CoeffRing(self.p, 1, self.r)
+            R, piv = fieldlinalg.rref_f(
+                K, np.concatenate([A % self.p, K.mat_id(n)], axis=1))
+            if piv == list(range(n)):
+                return R[:, n:]
+        raise CoeffRingError("matrix not invertible mod p")
 
     def mat_eq(self, A, B):
         return bool(np.all((A - B) % self.q == 0))

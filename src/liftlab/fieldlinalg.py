@@ -1,15 +1,21 @@
 """Row reduction over a residue field GF(p^r) given as CoeffRing(p,1,r).
 
 Vectors carry ring coordinates in trailing axes: a matrix has shape
-(rows, cols, r).  Desk-scale sizes; plain loops with numpy rows.
+(rows, cols, r).  At r = 1 elimination is modp.rref on the single
+coordinate; the scalar loop below, with numpy rows, serves r > 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import modp
+
 
 def rref_f(K, A):
+    if K.r == 1:
+        R, pivots = modp.rref(np.asarray(A)[..., 0], K.q)
+        return R[..., None], pivots
     A = np.array(A, dtype=np.int64) % K.q
     rows, cols = A.shape[0], A.shape[1]
     pivots = []
@@ -59,18 +65,6 @@ def kernel_f(K, A):
         for i, pc in enumerate(piv):
             out[k, pc] = K.neg(R[i, fc])
     return out
-
-
-def solve_f(K, A, b):
-    aug = np.concatenate([A % K.q, b.reshape(A.shape[0], 1, K.r) % K.q], axis=1)
-    R, piv = rref_f(K, aug)
-    cols = A.shape[1]
-    if cols in piv:
-        return None
-    x = np.zeros((cols, K.r), dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = R[i, cols]
-    return x
 
 
 def contains_f(K, B, v):

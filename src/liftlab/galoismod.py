@@ -109,18 +109,11 @@ def word_matrix(module, word):
     for s in word:
         g = module.gens[abs(s) - 1]
         if s < 0:
-            g = inv_mat(g, p)
+            g = modp.inverse(g, p)
+            if g is None:
+                raise GaloisModError("generator not invertible")
         M = M @ g % p
     return M
-
-
-def inv_mat(g, p):
-    n = g.shape[0]
-    aug = np.concatenate([g % p, np.eye(n, dtype=np.int64)], axis=1)
-    R, piv = modp.rref(aug, p)
-    if piv != list(range(n)):
-        raise GaloisModError("generator not invertible")
-    return R[:, n:]
 
 
 def spin(module, vectors, p=None):
@@ -394,7 +387,9 @@ def _relation_block(module, rel):
                                            + prefix) % p
             prefix = prefix @ module.gens[i] % p
         else:
-            gi = inv_mat(module.gens[i], p)
+            gi = modp.inverse(module.gens[i], p)
+            if gi is None:
+                raise GaloisModError("generator not invertible")
             block[:, i * d:(i + 1) * d] = (block[:, i * d:(i + 1) * d]
                                            - prefix @ gi) % p
             prefix = prefix @ gi % p

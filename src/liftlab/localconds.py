@@ -100,17 +100,9 @@ class Cocycle:
         self.sigma = np.asarray(sigma, dtype=np.int64)
         self.tau = np.asarray(tau, dtype=np.int64)
 
-    def stacked(self):
-        return np.concatenate([self.sigma, self.tau], axis=0)
-
     @property
     def ramified(self):
         return bool(np.any(self.tau))
-
-    @classmethod
-    def from_stacked(cls, vec):
-        n = vec.shape[0] // 2
-        return cls(vec[:n], vec[n:])
 
 
 class ConditionSpace:

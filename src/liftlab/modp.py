@@ -75,6 +75,15 @@ def solve(A, b, p):
     return x
 
 
+def inverse(A, p):
+    """Inverse of a square matrix (row reduction of [A | I]), or None."""
+    n = A.shape[0]
+    R, piv = rref(np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1), p)
+    if piv != list(range(n)):
+        return None
+    return R[:, n:]
+
+
 def row_space_contains(B, v, p):
     """True iff v lies in the row span of B."""
     if B.shape[0] == 0:

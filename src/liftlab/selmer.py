@@ -364,22 +364,15 @@ def eta_build(module, decomposition, scalars):
         row += dd
     # row convention: v = coords . T, so eta(v) = (coords diag) . T and
     # the matrix acting on column vectors is T^t diag (T^t)^-1
-    Tt_inv = _inv_modp(T.T % p, p)
+    Tt_inv = modp.inverse(T.T % p, p)
+    if Tt_inv is None:
+        raise SelmerError("matrix not invertible mod p")
     M = (T.T % p) @ diag % p @ Tt_inv % p
     eta = EtaMap(p, M, scalars, support)
     for g in module.gens:
         if np.any((g @ M - M @ g) % p):
             raise SelmerError("eta not equivariant (bug)")
     return eta
-
-
-def _inv_modp(M, p):
-    n = M.shape[0]
-    aug = np.concatenate([M % p, np.eye(n, dtype=np.int64)], axis=1)
-    R, piv = modp.rref(aug, p)
-    if piv != list(range(n)):
-        raise SelmerError("matrix not invertible mod p")
-    return R[:, n:]
 
 
 def random_group_element(alg, rng, nfactors=4):
@@ -409,7 +402,9 @@ def larsen_search(eta, alg1, rng, budget=200):
     for trial in range(budget):
         g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
         gm = g.mat[..., 0] % p
-        gi = _inv_modp(gm, p)
+        gi = modp.inverse(gm, p)
+        if gi is None:
+            raise SelmerError("matrix not invertible mod p")
         eta_g = gi @ eta.matrix @ gm % p
         # quadratic form Q(x) = B(x, eta_g x) on the Cartan block
         S = (Bform @ eta_g) % p
@@ -464,9 +459,6 @@ class ChebotarevSampler:
                                        dtype=np.int64),
         }
 
-    def class_count(self):
-        return self.p - 1, self.p ** self.dim_g
-
 
 def sampler_uniformity_histogram(sampler, rng, n):
     """Histogram of the c-coordinate over n draws (for the chi-square
@@ -517,7 +509,9 @@ def splitcase_search(model, phi, psi, rng, budget=200):
     for trial in range(budget):
         g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
         gm = g.mat[..., 0] % p
-        gi = _inv_modp(gm, p)
+        gi = modp.inverse(gm, p)
+        if gi is None:
+            raise SelmerError("matrix not invertible mod p")
         eta_g = gi @ eta.matrix @ gm % p
         for alpha in d.roots:
             # functional t |-> alpha(p_t(eta_g t)) on the Cartan block
@@ -838,12 +832,6 @@ class DoublingModel:
         gens = np.array([f["X"] for f in families], dtype=np.int64)
         if families and modp.rank(gens, p) != w:
             raise SelmerError("family inertia values do not span W")
-
-    def coker_rank(self):
-        extra = np.array([f["Y"] for f in self.families], dtype=np.int64)
-        full = np.vstack([self.im, extra]) if self.im.size else extra
-        return self.t_total - modp.rank(self.im, self.p), \
-            self.t_total - modp.rank(full, self.p)
 
 
 def doubling_solve(dmodel, z_t, rng, cap=100000, targets=None,

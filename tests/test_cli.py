@@ -1,7 +1,11 @@
 import json
 import os
 
-from liftlab.cli import EXIT_ASSERT, EXIT_OK, EXIT_UNKNOWN, main
+import pytest
+
+from liftlab import cli
+from liftlab.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_UNKNOWN, main
+from liftlab.coeffring import CoeffRingError
 
 
 def run(args, tmp_path, name="r.json"):
@@ -31,11 +35,44 @@ def test_unknown_subcommand():
 
 
 def test_exit_code_on_failure(tmp_path):
-    # an invalid combination drives the run-completed assertion to fail
+    # a composite p is refused as an invalid configuration, with no report
     code, rep = run(["selmer", "lift", "--types", "A1", "--p", "4"],
                     str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert rep is None
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "stability", "--types", "A1", "--p", "9", "--m", "3"],
+    ["spaces", "--types", "A2", "--p", "2"],
+    ["spaces", "--types", "A2", "--p", "3"],
+    ["check", "matrix-identity", "--p", "5", "--m", "2"],
+    ["check", "stability", "--types", "A1", "--p", "5", "--m", "0"],
+])
+def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
+    code, rep = run(args, str(tmp_path))
+    assert code == EXIT_CONFIG and rep is None
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_failed_assertion_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "matrix_identity_check", lambda *a: 1)
+    code, rep = run(["check", "matrix-identity", "--p", "5", "--m", "3",
+                     "--samples", "5"], str(tmp_path))
     assert code == EXIT_ASSERT
-    assert rep["failures"] >= 1
+    assert rep["failures"] == 1
+
+
+def test_computation_error_exits_4(tmp_path, monkeypatch):
+    # an error raised during the computation is a failed run, not a
+    # configuration problem
+    def fail(*args):
+        raise CoeffRingError("division by non-unit")
+    monkeypatch.setattr(cli, "matrix_identity_check", fail)
+    code, rep = run(["check", "matrix-identity", "--p", "5", "--m", "3"],
+                    str(tmp_path))
+    assert code == EXIT_ASSERT
+    assert "division by non-unit" in rep["assertions"][-1]["detail"]["error"]
 
 
 def test_report_determinism(tmp_path):
