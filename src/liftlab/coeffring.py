@@ -14,16 +14,17 @@ coefficients lifted to [0, p).  Reduction GR(p^m, r) -> GR(p^m', r)
 for m' <= m is coefficientwise reduction mod p^m' and is a ring
 homomorphism because the modulus does not depend on m.
 
-Inverses are Newton (Hensel) lifts of an inverse mod p taken from the
-shared kernels: the F_p polynomial helpers of modp for scalars,
-modp.inverse (r = 1) or fieldlinalg.rref_f (r > 1) for matrices.
+Inverses are Newton (Hensel) lifts of an inverse mod p.  The inverse
+mod p of a matrix, and at r > 1 of a scalar, is modp.inverse applied to
+its regular representation (CoeffRing.regular), the F_p matrix of
+multiplication by it; at r = 1 a scalar is inverted by Fermat.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import fieldlinalg, modp
+from . import modp
 
 
 class CoeffRingError(ValueError):
@@ -136,6 +137,9 @@ class CoeffRing:
                 red[k] = nxt
                 cur = nxt
         self._red = red
+        # x^(k+l) mod (modulus, p) for k, l < r, rows of regular()
+        powers = np.concatenate([np.eye(r, dtype=np.int64), red[: r - 1]]) % p
+        self._xtab = powers[np.add.outer(np.arange(r), np.arange(r))]
 
     # -- element constructors
 
@@ -231,13 +235,13 @@ class CoeffRing:
         """
         if not self.is_unit(a):
             raise CoeffRingError("division by non-unit")
-        # inverse mod p by extended euclid over F_p[x]
+        # inverse mod p: Fermat at r = 1, row 0 of the inverse of the
+        # regular representation (multiplication by a) at r > 1
         if self.r == 1:
             x = np.array([pow(int(a[0]) % self.p, self.p - 2, self.p)],
                          dtype=np.int64)
         else:
-            g = self._invert_modp([int(c) % self.p for c in a])
-            x = np.array(g + [0] * (self.r - len(g)), dtype=np.int64)
+            x = modp.inverse(self.regular(np.asarray(a)[None, None]), self.p)[0]
         # Newton: x <- x (2 - a x), doubles p-adic precision each step
         prec = 1
         while prec < self.m:
@@ -245,24 +249,6 @@ class CoeffRing:
             x = self.mul(x, (2 * np.eye(1, self.r, 0, dtype=np.int64)[0] - ax) % self.q)
             prec *= 2
         return x
-
-    def _invert_modp(self, f):
-        # extended euclid: find g with f g = 1 mod (modulus, p)
-        p = self.p
-        r0, r1 = list(self.modulus), modp.poly_trim(f)
-        s0, s1 = [0], [1]
-        while r1 != [0]:
-            qq, rr = modp.poly_divmod(r0, r1, p)
-            r0, r1 = r1, rr
-            t = modp.poly_mul(qq, s1, p)
-            ln = max(len(s0), len(t))
-            s2 = s0 + [0] * (ln - len(s0))
-            t = t + [0] * (ln - len(t))
-            s0, s1 = s1, modp.poly_trim([(x - y) % p for x, y in zip(s2, t)])
-        if len(r0) != 1:
-            raise CoeffRingError("element not invertible mod p")
-        c = pow(r0[0], p - 2, p)
-        return [(c * x) % p for x in s0]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -340,19 +326,26 @@ class CoeffRing:
         return X
 
     def _mat_inv_modp(self, A):
-        # inverse over the residue field F_{p^r}, entries in [0, p)
-        n = A.shape[0]
-        if self.r == 1:
-            X = modp.inverse(A[..., 0], self.p)
-            if X is not None:
-                return X[..., None]
-        else:
-            K = self if self.m == 1 else CoeffRing(self.p, 1, self.r)
-            R, piv = fieldlinalg.rref_f(
-                K, np.concatenate([A % self.p, K.mat_id(n)], axis=1))
-            if piv == list(range(n)):
-                return R[:, n:]
-        raise CoeffRingError("matrix not invertible mod p")
+        # inverse over the residue field F_{p^r}, entries in [0, p):
+        # regular() is an injective ring map, so the inverse of
+        # regular(A) is regular(A^-1), whose rows (i, 0) are A^-1
+        X = modp.inverse(self.regular(A), self.p)
+        if X is None:
+            raise CoeffRingError("matrix not invertible mod p")
+        return X[:: self.r].reshape(A.shape)
+
+    def regular(self, A):
+        """The F_p matrix of v -> vA on row vectors over F_{p^r}.
+
+        For A of shape (rows, cols, r) the result is (rows r) x (cols r);
+        row (i, k) holds x^k A[i] mod p in coordinates (column c, power
+        j of x).  It is a ring homomorphism: regular(AB) = regular(A)
+        regular(B) mod p.  The result is a new array with entries in
+        [0, p) for every r.
+        """
+        rows, cols, r = A.shape
+        M = np.einsum("icl,klj->ikcj", A % self.p, self._xtab) % self.p
+        return M.reshape(rows * r, cols * r)
 
     def mat_eq(self, A, B):
         return bool(np.all((A - B) % self.q == 0))

@@ -1,8 +1,8 @@
-"""Row reduction over a residue field GF(p^r) given as CoeffRing(p,1,r).
+"""Row reduction over the residue field GF(p^r) of a CoeffRing.
 
 Vectors carry ring coordinates in trailing axes: a matrix has shape
-(rows, cols, r).  At r = 1 elimination is modp.rref on the single
-coordinate; the scalar loop below, with numpy rows, serves r > 1.
+(rows, cols, r).  Every r takes one path: modp.rref on the regular
+representation K.regular(A), the F_p matrix of v -> vA.
 """
 
 from __future__ import annotations
@@ -13,32 +13,21 @@ from . import modp
 
 
 def rref_f(K, A):
-    if K.r == 1:
-        R, pivots = modp.rref(np.asarray(A)[..., 0], K.q)
-        return R[..., None], pivots
-    A = np.array(A, dtype=np.int64) % K.q
-    rows, cols = A.shape[0], A.shape[1]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if K.is_unit(A[i, c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = K.mul(A[r], K.inv(A[r, c])[None, :])
-        for i in range(rows):
-            if i != r and np.any(A[i, c]):
-                A[i] = K.sub(A[i], K.mul(A[i, c][None, :], A[r]))
-        pivots.append(c)
-        r += 1
-    return A, pivots
+    """Reduced row echelon form over K's residue field F_{p^r} (entries
+    mod K.p, whatever K.m); returns (R, pivot_columns), R padded with
+    zero rows to A's shape.
+
+    The row space V of A is an F_{p^r}-space, so the F_p pivots of its
+    regular representation come in whole column blocks (c, 0..r-1), and
+    the F_p row with pivot (c, 0) is the F_{p^r} row with pivot c.
+    """
+    A = np.asarray(A)
+    rows, cols, r = A.shape
+    R, piv = modp.rref(K.regular(A), K.p)
+    keep = [i for i, c in enumerate(piv) if c % r == 0]
+    out = np.zeros((rows, cols, r), dtype=np.int64)
+    out[: len(keep)] = R[keep].reshape(len(keep), cols, r)
+    return out, [piv[i] // r for i in keep]
 
 
 def rank_f(K, A):
@@ -65,12 +54,6 @@ def kernel_f(K, A):
         for i, pc in enumerate(piv):
             out[k, pc] = K.neg(R[i, fc])
     return out
-
-
-def contains_f(K, B, v):
-    if B.shape[0] == 0:
-        return not np.any(v % K.q)
-    return rank_f(K, np.concatenate([B, v[None, :]], axis=0)) == rank_f(K, B)
 
 
 def same_space_f(K, B1, B2):

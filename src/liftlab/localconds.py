@@ -124,9 +124,6 @@ class ConditionSpace:
     def dim(self):
         return self.basis.shape[0]
 
-    def contains(self, vec):
-        return fl.contains_f(self.K, self.basis, vec % self.K.q)
-
     def same_space(self, other_basis):
         return fl.same_space_f(self.K, self.basis,
                                np.asarray(other_basis) % self.K.q)

@@ -85,10 +85,8 @@ def inverse(A, p):
 
 
 def row_space_contains(B, v, p):
-    """True iff v lies in the row span of B."""
-    if B.shape[0] == 0:
-        return not np.any(np.asarray(v) % p)
-    return rank(np.vstack([B, v]), p) == rank(B, p)
+    """True iff v lies in the row span of B (one elimination of [B^T | v])."""
+    return solve(B.T, v, p) is not None
 
 
 def intersect_row_spaces(B1, B2, p):

@@ -1,5 +1,6 @@
 """The shared residue-field kernels against the scalar Gauss-Jordan
-inverse that CoeffRing used before they were merged."""
+loops and the extended Euclid inverse that CoeffRing and fieldlinalg
+used before every residue field went through modp.rref."""
 
 from functools import lru_cache
 
@@ -11,6 +12,69 @@ from hypothesis import strategies as st
 from liftlab import fieldlinalg as fl
 from liftlab import modp
 from liftlab.coeffring import CoeffRing, CoeffRingError
+
+
+def _invert_modp(self, f):
+    # extended euclid: find g with f g = 1 mod (modulus, p)
+    p = self.p
+    r0, r1 = list(self.modulus), modp.poly_trim(f)
+    s0, s1 = [0], [1]
+    while r1 != [0]:
+        qq, rr = modp.poly_divmod(r0, r1, p)
+        r0, r1 = r1, rr
+        t = modp.poly_mul(qq, s1, p)
+        ln = max(len(s0), len(t))
+        s2 = s0 + [0] * (ln - len(s0))
+        t = t + [0] * (ln - len(t))
+        s0, s1 = s1, modp.poly_trim([(x - y) % p for x, y in zip(s2, t)])
+    if len(r0) != 1:
+        raise CoeffRingError("element not invertible mod p")
+    c = pow(r0[0], p - 2, p)
+    return [(c * x) % p for x in s0]
+
+
+def reference_inv_modp(R, a):
+    """Inverse mod p of a unit of R by the extended Euclid above."""
+    g = _invert_modp(R, [int(c) % R.p for c in a])
+    return np.array(g + [0] * (R.r - len(g)), dtype=np.int64)
+
+
+def reference_inv(R, a):
+    """The reference scalar inverse, Newton-lifted as in CoeffRing.inv."""
+    x = reference_inv_modp(R, a)
+    prec = 1
+    while prec < R.m:
+        ax = R.mul(a, x)
+        x = R.mul(x, (2 * np.eye(1, R.r, 0, dtype=np.int64)[0] - ax) % R.q)
+        prec *= 2
+    return x
+
+
+def reference_rref_f(K, A):
+    """The scalar Gauss-Jordan loop of fieldlinalg.rref_f for r > 1."""
+    A = np.array(A, dtype=np.int64) % K.q
+    rows, cols = A.shape[0], A.shape[1]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = None
+        for i in range(r, rows):
+            if K.is_unit(A[i, c]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = K.mul(A[r], reference_inv_modp(K, A[r, c])[None, :])
+        for i in range(rows):
+            if i != r and np.any(A[i, c]):
+                A[i] = K.sub(A[i], K.mul(A[i, c][None, :], A[r]))
+        pivots.append(c)
+        r += 1
+    return A, pivots
 
 
 def _mat_inv_modp(self, A):
@@ -28,7 +92,7 @@ def _mat_inv_modp(self, A):
             raise CoeffRingError("matrix not invertible mod p")
         if piv != col:
             M[[col, piv]] = M[[piv, col]]
-        inv = Rp.inv(M[col, col])
+        inv = reference_inv_modp(Rp, M[col, col])
         M[col] = Rp.mul(M[col], inv[None, :])
         for row in range(n):
             if row != col and np.any(M[row, col] % self.p):
@@ -50,6 +114,8 @@ def reference_mat_inv(R, A):
 
 ring = lru_cache(maxsize=None)(CoeffRing)
 
+ext_rings = st.tuples(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
+                      st.sampled_from([2, 3]))
 rings = st.tuples(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
                   st.sampled_from([1, 2, 3]))
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -98,3 +164,52 @@ def test_rref_f_at_r1_is_modp_rref(p, rows, cols, k, seed):
     Rf, pivf = fl.rref_f(ring(p, 1, 1), A[..., None])
     assert pivf == piv
     assert Rf.shape == R.shape + (1,) and np.array_equal(Rf[..., 0], R)
+
+
+def _low_rank(K, rng, rows, cols, k):
+    """A rows x cols matrix over K of rank at most k, with one zero
+    column, so zero rows and pivot-free columns occur."""
+    L = rng.integers(0, K.p, size=(rows, k, K.r), dtype=np.int64)
+    M = rng.integers(0, K.p, size=(k, cols, K.r), dtype=np.int64)
+    A = K.mat_mul(L, M) if k else np.zeros((rows, cols, K.r), dtype=np.int64)
+    A[:, rng.integers(0, cols)] = 0
+    return A
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.sampled_from([2, 3]), st.integers(0, 6),
+       st.integers(1, 8), st.integers(0, 4), seeds)
+def test_rref_f_matches_reference(p, r, rows, cols, k, seed):
+    K = ring(p, 1, r)
+    A = _low_rank(K, np.random.default_rng(seed), rows, cols, k)
+    want, wpiv = reference_rref_f(K, A)
+    R, piv = fl.rref_f(K, A)
+    assert piv == wpiv
+    assert R.shape == want.shape == A.shape and R.dtype == want.dtype
+    assert np.array_equal(R, want)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ext_rings, seeds)
+def test_inv_matches_reference(prm, seed):
+    R = ring(*prm)
+    a = R.random_unit(np.random.default_rng(seed))
+    x = R.inv(a)
+    assert x.dtype == np.int64 and np.array_equal(x, reference_inv(R, a))
+    assert R.eq(R.mul(a, x), R.one())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rings, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), seeds)
+def test_regular_is_ring_homomorphism(prm, n, k, cols, seed):
+    R = ring(*prm)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, R.q, size=(n, k, R.r), dtype=np.int64)
+    B = rng.integers(0, R.q, size=(k, cols, R.r), dtype=np.int64)
+    M = R.regular(A)
+    assert M.shape == (n * R.r, k * R.r)
+    assert M.min() >= 0 and M.max() < R.p
+    assert not np.shares_memory(M, A)
+    assert np.array_equal(R.regular(R.mat_mul(A, B)),
+                          M @ R.regular(B) % R.p)
+    assert np.array_equal(R.regular(R.mat_id(n)), np.eye(n * R.r, dtype=np.int64))

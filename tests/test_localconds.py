@@ -349,3 +349,24 @@ def test_stability_m5():
         lift, _ = lc.frobenius_member(model, al, variant, seed=1)
         for beta in phi_alpha(model.basis, al):
             lc.stability_check(lift, al, vv, {tuple(beta): 1})
+
+
+def test_conditions_over_unramified_extension():
+    # r = 2: the residue field is F_25, so every condition space,
+    # annihilator and Gram rank runs F_{p^r} elimination
+    d, b = root_datum("A2")
+    model = lc.TameLocalModel(d, b, 5, 3, 6, r=2)
+    K = model.residue
+    n = d.dim
+    assert K.r == 2
+    for al in d.roots:
+        sp = lc.condition_spaces(model, al, "unr")
+        assert sp["l"].dim == n and sp["l_perp"].dim == n
+    full = lc.full_h1_basis(K, n)
+    gram = lc.pairing_gram(K, full, full).reshape(2 * n, 2 * n, K.r)
+    assert fl.rank_f(K, gram) == 2 * n
+    al = d.positive_roots[0]
+    lift, _ = lc.frobenius_member(model, al, "ram2", seed=0)
+    beta = tuple(phi_alpha(b, al)[0])
+    g, c = lc.stability_check(lift, al, "ram", {beta: 1})
+    assert c.ramified and g.mat.shape == (n, n, 2)

@@ -17,6 +17,20 @@ def test_rref_kernel_solve():
         assert x is not None and not np.any((A @ x - b) % p)
 
 
+def test_row_space_contains_matches_rank():
+    rng = np.random.default_rng(3)
+    for p in (5, 7, 13):
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(0, 5))    # k = 0: empty B
+            B = rng.integers(0, p, size=(k, 3)) @ rng.integers(0, p, size=(3, n)) % p
+            inside = rng.integers(0, p, size=k) @ B % p
+            for v in (inside, rng.integers(0, p, size=n), np.zeros(n, dtype=np.int64)):
+                want = modp.rank(np.vstack([B, v]), p) == modp.rank(B, p)
+                assert modp.row_space_contains(B, v, p) == want
+            assert modp.row_space_contains(B, inside, p)
+
+
 def test_intersection():
     p = 7
     B1 = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
