@@ -10,11 +10,25 @@ All constructors are exact: root elements are exponentials with
 integral divided powers ad(X_alpha)^k / k! computed over Z, so no ring
 division occurs there; exp of a general p-divisible element divides by
 k! for k < m and therefore requires m <= p.
+
+The integral tables of a Chevalley basis (ad matrices of the basis
+vectors, the invariant form, the divided powers of each root vector)
+are computed once per basis and shared, read-only and never reduced
+mod q, by every LieAlgebra on it, whatever its ring.
+
+Inverses: u_alpha(x)^-1 = u_alpha(-x) exactly, so root_product builds
+a product of root elements together with its inverse, the reversed
+product of negated factors, and GroupElement.inv returns it; other
+elements are inverted by the Hensel-lifted CoeffRing.mat_inv.  The
+local verification identities are checked without inverses (sigma tau
+= tau^q sigma, lhs g = g rho), which is equivalent for invertible
+elements; GroupElement.check_invertible decides invertibility mod p.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -28,6 +42,75 @@ class ChevGroupError(ValueError):
 
 class GroupParameterError(ChevGroupError, ParameterError):
     pass
+
+
+def _trace_form_matrix(basis):
+    """Normalized invariant form: B(X_b, X_-b) = (long,long)/(b,b),
+    B(g_a, g_b) = 0 otherwise, B on the Cartan induced by
+    invariance: B(h_ai, h) = l_i <a_i, h>."""
+    d = basis.datum
+    dim = d.dim
+    B = np.zeros((dim, dim), dtype=np.int64)
+    dmax = max(d.norms)
+    for r in d.roots:
+        lr = dmax // d.norm2(r)
+        i = basis.root_basis_index(r)
+        j = basis.root_basis_index(d.neg(r))
+        B[i, j] = lr
+    for i in range(d.rank):
+        li = dmax // d.norms[i]
+        for j in range(d.rank):
+            # B(h_i, h_j) = l_i <alpha_i, alpha_j^vee>
+            B[i, j] = li * d.cartan[j][i]
+    if (B != B.T).any():
+        raise ChevGroupError("trace form asymmetric (bug)")
+    return B
+
+
+class _BasisTables:
+    """The integral tables of one ChevalleyBasis: ad matrices of the
+    basis vectors, (dim, dim, dim) with ad[i] = ad of basis vector i,
+    the invariant form, and per root basis index the divided powers
+    ad(X_alpha)^k / k! for k >= 1 up to the last non-zero one, stacked
+    as (K, dim, dim).  All are int64 over Z and read-only."""
+
+    def __init__(self, basis):
+        self.ad = np.stack([basis.ad_int(i) for i in range(basis.dim)])
+        self.trace_form = _trace_form_matrix(basis)
+        for table in (self.ad, self.trace_form):
+            table.flags.writeable = False
+        self._divided = {}
+
+    def divided_powers(self, i):
+        D = self._divided.get(i)
+        if D is None:
+            A = self.ad[i]
+            Ak = np.eye(A.shape[0], dtype=np.int64)
+            terms = []
+            k = 0
+            while True:
+                k += 1
+                Ak = Ak @ A
+                if not Ak.any():
+                    break
+                if np.any(Ak % math.factorial(k)):
+                    raise ChevGroupError("divided power not integral (bug)")
+                terms.append(Ak // math.factorial(k))
+            D = np.stack(terms)      # ad(X_alpha) != 0, so k = 1 occurs
+            D.flags.writeable = False
+            self._divided[i] = D
+        return D
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(basis):
+    """The shared integral tables of a ChevalleyBasis, built on first use."""
+    tables = _TABLES.get(basis)
+    if tables is None:
+        tables = _TABLES[basis] = _BasisTables(basis)
+    return tables
 
 
 class LieAlgebra:
@@ -48,9 +131,10 @@ class LieAlgebra:
         self.ring = ring
         self.dim = datum.dim
         self.rank = datum.rank
-        # dense integer ad matrices per basis element (dim <= 8+240 fine)
-        self._ad_int = [basis.ad_int(i) for i in range(self.dim)]
-        self._trace_form = self._build_trace_form()
+        # integer ad matrices and invariant form, shared per basis
+        tables = _tables(basis)
+        self._ad_int = tables.ad
+        self._trace_form = tables.trace_form
 
     # -- elements
 
@@ -83,38 +167,14 @@ class LieAlgebra:
         return out
 
     def ad(self, x):
-        """ad(x) as a ring matrix."""
-        R = self.ring
-        M = np.zeros((self.dim, self.dim, R.r), dtype=np.int64)
-        for i in range(self.dim):
-            if np.any(x[i] % R.q):
-                Mi = R.mat_from_int(self._ad_int[i])
-                M = R.add(M, R.mul(np.broadcast_to(x[i], (self.dim, self.dim, R.r)), Mi))
-        return M
+        """ad(x) = sum_i x_i ad(basis vector i) as a ring matrix; an
+        integer matrix scales every coordinate of x_i alike."""
+        q = self.ring.q
+        x = x % q
+        nz = np.flatnonzero(np.any(x, axis=-1))
+        return np.einsum("ijk,il->jkl", self._ad_int[nz], x[nz]) % q
 
     # -- trace form
-
-    def _build_trace_form(self):
-        """Normalized invariant form: B(X_b, X_-b) = (long,long)/(b,b),
-        B(g_a, g_b) = 0 otherwise, B on the Cartan induced by
-        invariance: B(h_ai, h) = l_i <a_i, h>."""
-        d = self.datum
-        dim = d.dim
-        B = np.zeros((dim, dim), dtype=np.int64)
-        dmax = max(d.norms)
-        for r in d.roots:
-            lr = dmax // d.norm2(r)
-            i = self.basis.root_basis_index(r)
-            j = self.basis.root_basis_index(d.neg(r))
-            B[i, j] = lr
-        for i in range(d.rank):
-            li = dmax // d.norms[i]
-            for j in range(d.rank):
-                # B(h_i, h_j) = l_i <alpha_i, alpha_j^vee>
-                B[i, j] = li * d.cartan[j][i]
-        if (B != B.T).any():
-            raise ChevGroupError("trace form asymmetric (bug)")
-        return B
 
     def trace_form(self, x, y):
         """B(x, y) in the ring."""
@@ -130,22 +190,42 @@ class LieAlgebra:
 
 
 class GroupElement:
-    """Adjoint operator with constructor provenance."""
+    """Adjoint operator with constructor provenance.
 
-    __slots__ = ("alg", "mat", "tag")
+    inverse_mat is the inverse matrix when the constructor knows it in
+    closed form (root_product), else None."""
 
-    def __init__(self, alg, mat, tag="product"):
+    __slots__ = ("alg", "mat", "tag", "inverse_mat")
+
+    def __init__(self, alg, mat, tag="product", inverse_mat=None):
         self.alg = alg
         self.mat = mat % alg.ring.q
         self.tag = tag
+        self.inverse_mat = None if inverse_mat is None \
+            else inverse_mat % alg.ring.q
 
     def __matmul__(self, other):
         return GroupElement(self.alg, self.alg.ring.mat_mul(self.mat, other.mat),
                             "product")
 
     def inv(self):
+        """The inverse: the closed form when known, else the
+        Hensel-lifted matrix inverse."""
+        if self.inverse_mat is not None:
+            return GroupElement(self.alg, self.inverse_mat,
+                                "inverse:" + self.tag, self.mat)
         return GroupElement(self.alg, self.alg.ring.mat_inv(self.mat),
                             "inverse:" + self.tag)
+
+    def check_invertible(self):
+        """Raise CoeffRingError unless the operator is invertible.
+
+        Over O/p^m that is decided mod p.  An operator = 1 mod p (every
+        lift of the trivial representation) is invertible; any other
+        takes one elimination mod p and no Hensel lift."""
+        R = self.alg.ring
+        if np.any((self.mat - R.mat_id(self.alg.dim)) % R.p):
+            R.mat_inv_modp(self.mat)
 
     def pow(self, e):
         return GroupElement(self.alg, self.alg.ring.mat_pow(self.mat, e),
@@ -154,19 +234,13 @@ class GroupElement:
     def apply(self, vec):
         return self.alg.ring.mat_vec(self.mat, vec)
 
-    def conjugate(self, other):
-        """self other self^-1."""
-        R = self.alg.ring
-        return GroupElement(self.alg, R.mat_mul(self.mat,
-                            R.mat_mul(other.mat, R.mat_inv(self.mat))), "product")
-
     def eq(self, other):
         return self.alg.ring.mat_eq(self.mat, other.mat)
 
     def reduce(self, m2):
         alg2 = LieAlgebra(self.alg.datum, self.alg.basis,
                           CoeffRing(self.alg.ring.p, m2, self.alg.ring.r))
-        return GroupElement(alg2, self.mat % alg2.ring.q, self.tag)
+        return GroupElement(alg2, self.mat, self.tag, self.inverse_mat)
 
 
 def identity(alg):
@@ -174,32 +248,35 @@ def identity(alg):
 
 
 def u_alpha(alg, alpha, x):
-    """Root group element exp(ad(x X_alpha)).
+    """Root group element exp(ad(x X_alpha)) = sum_k x^k D_k.
 
-    The divided powers ad(X_alpha)^k / k! are computed exactly over Z,
-    so this is defined at every p and u_alpha(x) u_alpha(y) =
-    u_alpha(x+y) holds exactly.
+    The divided powers D_k = ad(X_alpha)^k / k! are integer matrices,
+    computed and checked integral over Z once per Chevalley basis, so
+    this is defined at every p, no ring division occurs, and
+    u_alpha(x) u_alpha(y) = u_alpha(x+y) holds exactly; in particular
+    u_alpha(x)^-1 = u_alpha(-x).
     """
     R = alg.ring
     alpha = tuple(alpha)
-    i = alg.basis.root_basis_index(alpha)
-    A = alg._ad_int[i]
-    term = np.eye(alg.dim, dtype=np.int64)
-    M = R.mat_from_int(term)
-    xk = R.el(1)
-    k = 0
-    Ak = term
-    while True:
-        k += 1
-        Ak = Ak @ A
-        if not Ak.any():
-            break
-        if np.any(Ak % math.factorial(k)):
-            raise ChevGroupError("divided power not integral (bug)")
-        xk = R.mul(xk, x if not np.isscalar(x) else R.el(x))
-        Mk = R.mat_from_int(Ak // math.factorial(k))
-        M = R.add(M, R.mul(np.broadcast_to(xk, (alg.dim, alg.dim, R.r)), Mk))
+    D = _tables(alg.basis).divided_powers(alg.basis.root_basis_index(alpha))
+    x = R.el(x) if np.isscalar(x) else np.asarray(x, dtype=np.int64) % R.q
+    xk = [x]                          # x^k for k = 1 .. len(D)
+    while len(xk) < len(D):
+        xk.append(R.mul(xk[-1], x))
+    M = R.mat_id(alg.dim) + np.einsum("kij,kl->ijl", D, np.array(xk))
     return GroupElement(alg, M, "root:%s" % (alpha,))
+
+
+def root_product(alg, factors):
+    """prod u_beta(x) over (beta, x) in factors, in order, carrying its
+    inverse prod u_beta(-x) in reverse order (exact over Z, since
+    u_beta(x) u_beta(-x) = 1)."""
+    R = alg.ring
+    g = ginv = R.mat_id(alg.dim)
+    for beta, x in factors:
+        g = R.mat_mul(g, u_alpha(alg, beta, x).mat)
+        ginv = R.mat_mul(u_alpha(alg, beta, R.neg(x)).mat, ginv)
+    return GroupElement(alg, g, "product", ginv)
 
 
 def torus_elt(alg, values):

@@ -317,7 +317,7 @@ class CoeffRing:
     def mat_inv(self, A):
         """Inverse of a matrix invertible mod p, by Hensel lifting."""
         n = A.shape[0]
-        X = self._mat_inv_modp(A)
+        X = self.mat_inv_modp(A)
         prec = 1
         while prec < self.m:
             AX = self.mat_mul(A, X)
@@ -325,8 +325,9 @@ class CoeffRing:
             prec *= 2
         return X
 
-    def _mat_inv_modp(self, A):
-        # inverse over the residue field F_{p^r}, entries in [0, p):
+    def mat_inv_modp(self, A):
+        """The inverse of A over the residue field F_{p^r}, entries in
+        [0, p); raises CoeffRingError when A is singular mod p."""
         # regular() is an injective ring map, so the inverse of
         # regular(A) is regular(A^-1), whose rows (i, 0) are A^-1
         X = modp.inverse(self.regular(A), self.p)
@@ -389,9 +390,12 @@ def sqrt_one_mod_p(R, q):
         raise CoeffRingError("q must be = 1 mod p")
     s = R.one()
     inv2 = R.inv(R.el(2))
-    # Newton for s^2 = q: s <- (s + q/s)/2
-    for _ in range(R.m + 1):
+    # Newton for s^2 = q: s <- (s + q/s)/2 doubles the p-adic precision
+    # of s = 1 mod p per step, so ceil(log2 m) steps reach p^m
+    prec = 1
+    while prec < R.m:
         s = R.mul(inv2, R.add(s, R.mul(q, R.inv(s))))
+        prec *= 2
     if not R.eq(R.mul(s, s), q):
         raise CoeffRingError("square root iteration failed")
     return s

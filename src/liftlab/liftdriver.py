@@ -28,7 +28,7 @@ from . import localconds as lc
 from . import modp
 from . import selmer as sm
 from .coeffring import CoeffRing
-from .chevgroup import GroupElement, LieAlgebra, identity, one_plus, u_alpha
+from .chevgroup import GroupElement, LieAlgebra, one_plus, root_product
 from .rootdata import root_datum
 
 
@@ -39,11 +39,7 @@ class DriverError(ValueError):
 def _ad_solve_matrix(alg1):
     """Matrix of x -> vec(ad x) over F_p, for recovering x from 1 + p^m ad(x)."""
     n = alg1.dim
-    cols = []
-    for i in range(n):
-        e = np.zeros((n, 1), dtype=np.int64)
-        cols.append(alg1._ad_int[i].reshape(-1) % alg1.ring.p)
-    return np.array(cols, dtype=np.int64).T % alg1.ring.p
+    return alg1._ad_int.reshape(n, n * n).T % alg1.ring.p
 
 
 class TamePlaceState:
@@ -66,10 +62,10 @@ class TamePlaceState:
         return lc._assemble_member(model, self.alpha, self.coords), model
 
     def conjugator(self, model):
-        g = identity(model.alg)
-        for beta, val in self.conj_factors:
-            g = g @ u_alpha(model.alg, beta, model.ring.el(val % model.ring.q))
-        return g
+        """prod u_beta(val) over conj_factors, carrying its inverse."""
+        R = model.ring
+        return root_product(model.alg, [(beta, R.el(val % R.q))
+                                        for beta, val in self.conj_factors])
 
     def current_lift(self, m=None):
         member, model = self.member(m)
@@ -152,10 +148,10 @@ class OrdinaryPlaceState:
         return lc.ordinary_spaces(self.model)
 
     def conjugator(self, model):
-        g = identity(model.alg)
-        for beta, val in self.conj_factors:
-            g = g @ u_alpha(model.alg, beta, model.ring.el(val % model.ring.q))
-        return g
+        """prod u_beta(val) over conj_factors, carrying its inverse."""
+        R = model.ring
+        return root_product(model.alg, [(beta, R.el(val % R.q))
+                                        for beta, val in self.conj_factors])
 
     def lift_normal_form(self):
         """Canonical-entry lift to precision m+1, with the inertia
@@ -362,11 +358,13 @@ class EndToEndModel:
             pairs = [(tampered.values[g], ref.values[g])
                      for g in model.generators]
         for t, r in pairs:
-            D = (t @ r.inv()).mat[..., 0]
-            D = (D - np.eye(D.shape[0], dtype=np.int64)) % (scale * p)
+            # t r^-1 - 1 = (t - r) r^-1 with t - r divisible by scale, so
+            # its top digit needs r^-1 only mod p
+            D = (t.mat - r.mat)[..., 0] % (scale * p)
             if np.any(D % scale):
                 raise DriverError("discrepancy not at top order (bug)")
-            Dv = (D // scale % p).reshape(-1)
+            rinv = model.ring.mat_inv_modp(r.mat)[..., 0]
+            Dv = (D // scale @ rinv % p).reshape(-1)
             x = modp.solve(admat, Dv, p)
             if x is None:
                 raise DriverError("discrepancy not an ad image (bug)")
@@ -409,10 +407,10 @@ class EndToEndModel:
         newmember, _ = st.member()
         if not lc.membership(newmember, st.alpha, st.variant):
             raise DriverError("new normal form failed membership")
+        # corrected = G newmember G^-1, checked as G newmember = corrected G
         G = st.conjugator(model)
-        lhs_sigma = G.conjugate(newmember.sigma)
-        lhs_tau = G.conjugate(newmember.tau)
-        if not (lhs_sigma.eq(corrected.sigma) and lhs_tau.eq(corrected.tau)):
+        if not ((G @ newmember.sigma).eq(corrected.sigma @ G)
+                and (G @ newmember.tau).eq(corrected.tau @ G)):
             raise DriverError("corrected lift does not match the conjugated "
                               "normal form (falsified)")
         if not lc.membership(corrected, st.alpha, st.variant,
@@ -458,9 +456,8 @@ class EndToEndModel:
         if not lc.membership_ordinary(st.lift):
             raise DriverError("ordinary normal form failed membership")
         G = st.conjugator(model)
-        lhs = st.lift.conjugate(G)
         for gname in model.generators:
-            if not lhs.values[gname].eq(corrected.values[gname]):
+            if not (G @ st.lift.values[gname]).eq(corrected.values[gname] @ G):
                 raise DriverError("ordinary corrected lift does not match "
                                   "the conjugated normal form (falsified)")
         if not lc.membership_ordinary(corrected, conjugator=G.inv()):

@@ -76,17 +76,27 @@ class LocalLift:
             raise InvalidLiftError("tame relation violated")
 
     def relation_holds(self):
-        lhs = (self.sigma @ self.tau) @ self.sigma.inv()
-        rhs = self.tau.pow(self.model.q)
-        return lhs.eq(rhs)
+        """The tame relation sigma tau sigma^-1 = tau^q, checked as
+        sigma tau = tau^q sigma.
+
+        The two are equivalent for invertible sigma, so sigma is checked
+        first: a sigma = 1 mod p (every residually trivial lift) is
+        invertible, any other takes one elimination mod p, and a sigma
+        singular mod p is refused with CoeffRingError (the inverse in
+        the relation does not exist).
+        """
+        self.sigma.check_invertible()
+        return (self.sigma @ self.tau).eq(
+            self.tau.pow(self.model.q) @ self.sigma)
 
     def reduce(self, m2):
         return LocalLift(self.model.at_precision(m2), self.sigma.reduce(m2),
                          self.tau.reduce(m2), check=False)
 
     def conjugate(self, g):
-        return LocalLift(self.model, g.conjugate(self.sigma),
-                         g.conjugate(self.tau), check=False)
+        ginv = g.inv()
+        return LocalLift(self.model, g @ self.sigma @ ginv,
+                         g @ self.tau @ ginv, check=False)
 
 
 class Cocycle:
@@ -170,7 +180,8 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     inertia in U_alpha), unr2 (additionally unramified mod p^2 with
     regular torus value on Phi^alpha), ram2 (inertia u_alpha(p y) with
     y a unit, same torus constraints).  A known conjugator may be
-    supplied and is applied before testing (the sets are G-hat-stable).
+    supplied and is applied before testing (the sets are G-hat-stable);
+    its inverse is the closed form when it was built by root_product.
     """
     model = lift.model
     R, alg = model.ring, model.alg
@@ -441,6 +452,11 @@ def stability_check(lift, alpha, variant, coeffs, spaces=None, chi=None):
     c = sum_beta lambda_beta c_beta of the basis of S^alpha (or the
     ordinary extra cocycles).  Returns (g, cocycle); mismatch raises,
     since this is a falsifiable theorem check.
+
+    The identity is checked as lhs g = g rho for rho(sigma) and
+    rho(tau), with lhs = (1 + p^{m-1} ad c) rho: the conjugator g is a
+    product of u_beta(p^{m-2} ...) with m >= 3, hence = 1 mod p and
+    invertible, so the two forms are equivalent.
     """
     model = lift.model
     R = model.ring
@@ -483,9 +499,8 @@ def stability_check(lift, alpha, variant, coeffs, spaces=None, chi=None):
     scale = R.p ** (m - 1)
     lhs_sigma = one_plus(alg, scale, _lift_vec(R, csig)) @ lift.sigma
     lhs_tau = one_plus(alg, scale, _lift_vec(R, ctau)) @ lift.tau
-    rhs_sigma = g.conjugate(lift.sigma)
-    rhs_tau = g.conjugate(lift.tau)
-    if not (lhs_sigma.eq(rhs_sigma) and lhs_tau.eq(rhs_tau)):
+    if not ((lhs_sigma @ g).eq(g @ lift.sigma)
+            and (lhs_tau @ g).eq(g @ lift.tau)):
         raise LocalCondError("stability identity failed (falsified)")
     return g, Cocycle(csig, ctau)
 
@@ -565,8 +580,9 @@ class OrdinaryLift:
                             check=False)
 
     def conjugate(self, g):
+        ginv = g.inv()
         return OrdinaryLift(self.model,
-                            {k: g.conjugate(v) for k, v in self.values.items()},
+                            {k: g @ v @ ginv for k, v in self.values.items()},
                             check=False)
 
 
@@ -712,7 +728,10 @@ def ordinary_cocycle_homomorphism_check(model):
 
 def ordinary_stability_check(lift, beta, lam=1):
     """exp(p^{m-1} lambda c_beta) rho = u_beta(lambda p^{m-2}) rho
-    u_beta(...)^{-1}, componentwise over every generator."""
+    u_beta(...)^{-1}, componentwise over every generator.
+
+    Checked as lhs g = g rho(gen) with g = u_beta(lambda p^{m-2}): for
+    m >= 3 that is = 1 mod p and invertible, so the forms agree."""
     model = lift.model
     R = model.ring
     if R.m < 3:
@@ -731,8 +750,7 @@ def ordinary_stability_check(lift, beta, lam=1):
         cb = np.zeros((n, R.r), dtype=np.int64)
         cb[alg.basis.root_basis_index(beta), 0] = cK * lam % model.p
         lhs = one_plus(alg, scale, cb) @ lift.values[gname]
-        rhs = g.conjugate(lift.values[gname])
-        if not lhs.eq(rhs):
+        if not (lhs @ g).eq(g @ lift.values[gname]):
             raise LocalCondError("ordinary stability failed (falsified)")
     return g
 

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from liftlab.coeffring import CoeffRing
-from liftlab.chevgroup import (ChevGroupError, LieAlgebra,
-                               ad_eigenvalues_on_roots, exp_hat, identity,
-                               image_growth_check, levi_certificate_check,
-                               matrix_identity_check, principal_sl2,
+from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
+                               _tables, ad_eigenvalues_on_roots, exp_hat,
+                               identity, image_growth_check,
+                               levi_certificate_check, matrix_identity_check,
+                               principal_sl2, root_product,
                                root_value_of_torus, torus_elt,
                                trivial_frobenius_search, u_alpha)
 from liftlab.rootdata import levi_bound, phi_alpha, root_datum
@@ -233,3 +236,72 @@ def test_very_good_prime_guard():
     d, b = root_datum("A4")
     with pytest.raises(ChevGroupError):
         LieAlgebra(d, b, CoeffRing(5, 1, 1))  # p | n+1
+
+
+# -- root-group tables shared per Chevalley basis
+
+
+RING_ORDER = [(5, 3, 1), (5, 4, 2), (7, 3, 1)] * 2
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_root_groups_over_rings_sharing_one_basis(name):
+    # rings of different p, m and r read the same tables, built by the
+    # first of them; the group laws must hold on every one
+    d, b = root_datum(name)
+    rng = np.random.default_rng(7)
+    algs = []
+    for p, m, r in RING_ORDER:
+        alg = LieAlgebra(d, b, CoeffRing(p, m, r))
+        algs.append(alg)
+        R = alg.ring
+        one = identity(alg)
+        factors = []
+        for al in d.roots:
+            x, y = R.random(rng), R.random(rng)
+            ux = u_alpha(alg, al, x)
+            assert (ux @ u_alpha(alg, al, y)).eq(
+                u_alpha(alg, al, R.add(x, y)))
+            assert (ux @ u_alpha(alg, al, R.neg(x))).eq(one)
+            factors.append((al, x))
+        k = len(factors)
+        for sub in (factors[: k // 2], factors[k // 2:][::-1], factors):
+            g = root_product(alg, sub)
+            want = GroupElement(alg, g.mat).inv()     # Hensel-lifted
+            assert np.array_equal(g.inv().mat, want.mat)
+            assert (g @ g.inv()).eq(one) and g.inv().inv().eq(g)
+    assert all(a._ad_int is algs[0]._ad_int for a in algs)
+
+
+def test_basis_tables_are_integral_and_read_only():
+    d, b = root_datum("G2")
+    for p, m, r in RING_ORDER:
+        alg = LieAlgebra(d, b, CoeffRing(p, m, r))
+        u_alpha(alg, d.roots[0], alg.ring.el(1))
+    t = _tables(b)
+    assert not t.ad.flags.writeable and not t.trace_form.flags.writeable
+    assert np.array_equal(t.ad, np.stack([b.ad_int(i) for i in range(d.dim)]))
+    assert (t.ad < 0).any()      # kept over Z: entries not reduced mod q
+    with pytest.raises(ValueError):
+        t.ad[0, 0, 0] = 1
+    negative = False
+    for al in d.roots:
+        i = b.root_basis_index(al)
+        D = t.divided_powers(i)
+        negative |= bool((D < 0).any())
+        assert not D.flags.writeable
+        assert D is t.divided_powers(i)
+        # ad(X_alpha)^k / k! over the integers, k = 1 .. nilpotency - 1
+        A = [[int(c) for c in row] for row in b.ad_int(i)]
+        Ak = [[int(j == k) for k in range(d.dim)] for j in range(d.dim)]
+        for k in range(1, len(D) + 2):
+            Ak = [[sum(Ak[j][l] * A[l][c] for l in range(d.dim))
+                   for c in range(d.dim)] for j in range(d.dim)]
+            if k <= len(D):
+                fk = math.factorial(k)
+                assert all(v % fk == 0 for row in Ak for v in row)
+                assert D[k - 1].tolist() == [[v // fk for v in row]
+                                             for row in Ak]
+            else:
+                assert not any(v for row in Ak for v in row)
+    assert negative

@@ -57,6 +57,35 @@ def test_sqrt_minus_one_has_positive_valuation():
     assert R.valuation(R.sub(s, R.one())) >= 1
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_sqrt_newton_stops_at_precision(monkeypatch, p):
+    # the root = 1 mod p is unique, so the short iteration must give
+    # what m + 1 steps gave; it takes one inverse for 1/2 and one per
+    # step, ceil(log2 m) steps
+    inv = CoeffRing.inv
+    calls = []
+
+    def counted(self, a):
+        calls.append(1)
+        return inv(self, a)
+
+    for m in range(1, 9):          # 2 q^2 < 2^63: exact products
+        for r in (1, 2):
+            R = ring_make(p, m, r)
+            for c in range(p):
+                q = R.add(R.one(), R.scalar_mul(p, R.el([c, 1][:r])))
+                s = R.one()
+                half = R.inv(R.el(2))
+                for _ in range(m + 1):
+                    s = R.mul(half, R.add(s, R.mul(q, R.inv(s))))
+                monkeypatch.setattr(CoeffRing, "inv", counted)
+                calls.clear()
+                got = sqrt_one_mod_p(R, q)
+                monkeypatch.setattr(CoeffRing, "inv", inv)
+                assert np.array_equal(got, s)
+                assert len(calls) == 1 + (m - 1).bit_length()
+
+
 def test_reduction_is_ring_homomorphism():
     rng = np.random.default_rng(0)
     G = ring_make(7, 3, 2)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from liftlab.chevgroup import u_alpha
+from liftlab.coeffring import CoeffRing
 from liftlab.liftdriver import DriverError, EndToEndModel, lifting_driver
 
 
@@ -36,3 +38,41 @@ def test_sabotaged_condition_dimension_detected():
     e2e.local_bases[0] = e2e.local_bases[0][:-1]
     with pytest.raises(DriverError):
         e2e._setup_correction_solver()
+
+
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_wrong_conjugator_in_correction_is_caught(monkeypatch, place):
+    # one correction step compares G newmember with corrected G; a
+    # conjugator off by u_beta(p^{m-2}) on a negative root must fail it
+    e2e = EndToEndModel("A1", 5, seed=0)
+    target = e2e.places[place]
+    method = "_correct_tame" if place < 2 else "_correct_ordinary"
+    right = getattr(EndToEndModel, method)
+    beta = e2e.datum.neg(e2e.datum.positive_roots[0])
+
+    def patched(self, st, *args):
+        if st is target:
+            good = st.conjugator
+            st.conjugator = lambda model: good(model) @ u_alpha(
+                model.alg, beta, model.ring.el(model.ring.p ** (model.ring.m - 2)))
+        try:
+            return right(self, st, *args)
+        finally:
+            vars(st).pop("conjugator", None)
+
+    monkeypatch.setattr(EndToEndModel, method, patched)
+    with pytest.raises(DriverError, match="does not match"):
+        e2e.step(np.random.default_rng(5))
+
+
+def test_driver_uses_no_hensel_inverse(monkeypatch):
+    # conjugators carry closed-form inverses and the discrepancy needs
+    # only the inverse mod p
+    want, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
+
+    def no_inverse(self, A):
+        raise AssertionError("Hensel-lifted inverse called")
+
+    monkeypatch.setattr(CoeffRing, "mat_inv", no_inverse)
+    got, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
+    assert got == want

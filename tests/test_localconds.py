@@ -1,9 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftlab import fieldlinalg as fl
 from liftlab import localconds as lc
-from liftlab.chevgroup import GroupElement, u_alpha
+from liftlab import modp
+from liftlab.chevgroup import GroupElement, identity, torus_elt, u_alpha
+from liftlab.coeffring import CoeffRing, CoeffRingError
 from liftlab.rootdata import phi_alpha, root_datum
 
 
@@ -370,3 +376,154 @@ def test_conditions_over_unramified_extension():
     beta = tuple(phi_alpha(b, al)[0])
     g, c = lc.stability_check(lift, al, "ram", {beta: 1})
     assert c.ramified and g.mat.shape == (n, n, 2)
+
+
+# -- the inverse-free relation check and its invertibility guard
+
+
+def reference_relation_holds(lift):
+    """The tame relation as sigma tau sigma^-1 = tau^q, with the
+    Hensel-lifted inverse of sigma."""
+    R = lift.model.ring
+    sigma, tau = lift.sigma.mat, lift.tau.mat
+    lhs = R.mat_mul(R.mat_mul(sigma, tau), R.mat_inv(sigma))
+    return R.mat_eq(lhs, R.mat_pow(tau, lift.model.q))
+
+
+@lru_cache(maxsize=None)
+def cached_tame(name, p, m):
+    return tame(name, p, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["A1", "A2", "B2"]), st.sampled_from([5, 7, 13]),
+       st.sampled_from([3, 4]), st.sampled_from(["plain", "unr2", "ram2"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_relation_holds_matches_reference(name, p, m, variant, seed):
+    model = cached_tame(name, p, m)
+    rng = np.random.default_rng(seed)
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.sample_member(model, al, variant, rng)
+    R, alg = model.ring, model.alg
+    neg = model.datum.neg(al)
+    cases = [lift]
+    # a u_{-alpha}(kp) factor on tau, or on sigma, breaks the relation
+    # for some k and keeps it for others
+    for k in range(1, p):
+        bad = u_alpha(alg, neg, R.el(k * p))
+        cases.append(lc.LocalLift(model, lift.sigma, lift.tau @ bad,
+                                  check=False))
+        cases.append(lc.LocalLift(model, lift.sigma @ bad, lift.tau,
+                                  check=False))
+    # sigma not = 1 mod p: a torus element with unit values
+    t = torus_elt(alg, [R.random_unit(rng) for _ in range(model.datum.rank)])
+    cases.append(lc.LocalLift(model, t, identity(alg), check=False))
+    cases.append(lc.LocalLift(model, t, lift.tau, check=False))
+    verdicts = [c.relation_holds() for c in cases]
+    assert verdicts == [reference_relation_holds(c) for c in cases]
+    assert verdicts[0] and verdicts[-2]
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("name", ["A1", "B2"])
+def test_sigma_singular_mod_p_is_refused(name):
+    model = tame(name, 5, 3)
+    R, alg = model.ring, model.alg
+    n = alg.dim
+    al = model.datum.positive_roots[0]
+    tau = u_alpha(alg, al, R.el(5))
+    zero = GroupElement(alg, np.zeros((n, n, 1), dtype=np.int64))
+    # a unit everywhere except one diagonal entry divisible by p
+    almost = R.mat_id(n)
+    almost[0, 0, 0] = 5
+    for sigma in (zero, GroupElement(alg, almost)):
+        with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
+            lc.LocalLift(model, sigma, tau)
+        with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
+            lc.LocalLift(model, sigma, identity(alg), check=False) \
+                .relation_holds()
+
+
+def test_invertibility_guard_paths(monkeypatch):
+    # sigma = 1 mod p needs no elimination; any other sigma takes one
+    # elimination mod p and no Hensel-lifted inverse
+    model = tame("A2", 7, 4, 8)
+    R, alg = model.ring, model.alg
+    calls = []
+    inverse = modp.inverse
+
+    def counted(A, p):
+        calls.append(A.shape)
+        return inverse(A, p)
+
+    def no_lift(self, A):
+        raise AssertionError("Hensel-lifted inverse called")
+
+    monkeypatch.setattr(modp, "inverse", counted)
+    monkeypatch.setattr(CoeffRing, "mat_inv", no_lift)
+    lift, _ = lc.frobenius_member(model, model.datum.positive_roots[0],
+                                  "ram2", seed=0)
+    assert lift.relation_holds() and calls == []
+    t = torus_elt(alg, [R.el(2), R.el(3)])
+    assert lc.LocalLift(model, t, identity(alg), check=False) \
+        .relation_holds()
+    assert calls == [(alg.dim, alg.dim)]
+
+
+# -- falsification of the rewritten stability comparisons
+
+
+def test_stability_check_catches_wrong_conjugator(monkeypatch):
+    model = tame("A2", 5, 3, 6)
+    al = model.datum.positive_roots[0]
+    pa = [tuple(b) for b in phi_alpha(model.basis, al)]
+    assert len(pa) >= 2
+    for variant, vv in (("unr2", "unr"), ("ram2", "ram")):
+        lift, _ = lc.frobenius_member(model, al, variant, seed=0)
+        lc.stability_check(lift, al, vv, {pa[0]: 1})
+    right = lc.stability_conjugator
+    wrongs = [
+        # another lambda
+        lambda model, alpha, variant, coeffs, sig2, chi=None: right(
+            model, alpha, variant, {b: 2 * c for b, c in coeffs.items()},
+            sig2),
+        # another root
+        lambda model, alpha, variant, coeffs, sig2, chi=None: right(
+            model, alpha, variant, {pa[1]: c for c in coeffs.values()},
+            sig2),
+    ]
+    for wrong in wrongs:
+        monkeypatch.setattr(lc, "stability_conjugator", wrong)
+        for variant, vv in (("unr2", "unr"), ("ram2", "ram")):
+            lift, _ = lc.frobenius_member(model, al, variant, seed=0)
+            with pytest.raises(lc.LocalCondError, match="falsified"):
+                lc.stability_check(lift, al, vv, {pa[0]: 1})
+
+
+def test_ordinary_stability_check_catches_wrong_conjugator(monkeypatch):
+    om = ordinary("A2", 5, 3, 1)
+    ol = chi_lift(om)
+    beta = om.datum.neg(om.datum.positive_roots[0])
+    lc.ordinary_stability_check(ol, beta, lam=2)
+    right = u_alpha
+    # g = u_beta(lambda' p^{m-2}) for a lambda' != lambda
+    monkeypatch.setattr(lc, "u_alpha", lambda alg, b, x: right(
+        alg, b, alg.ring.scalar_mul(3, x)))
+    with pytest.raises(lc.LocalCondError, match="falsified"):
+        lc.ordinary_stability_check(ol, beta, lam=2)
+    # g on another negative root
+    other = om.datum.neg(om.datum.positive_roots[1])
+    monkeypatch.setattr(lc, "u_alpha", lambda alg, b, x: right(
+        alg, other, x))
+    with pytest.raises(lc.LocalCondError, match="falsified"):
+        lc.ordinary_stability_check(ol, beta, lam=2)
+
+
+def test_local_checks_use_no_hensel_inverse(monkeypatch):
+    def no_inverse(self, A):
+        raise AssertionError("Hensel-lifted inverse called")
+
+    monkeypatch.setattr(CoeffRing, "mat_inv", no_inverse)
+    test_stability_all_small_types()
+    test_ordinary_stability()
+    test_smoothness_probes()
