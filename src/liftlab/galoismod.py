@@ -69,14 +69,12 @@ class MatrixModule:
         B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
         sub = []
         for g in self.gens:
-            img = B @ g.T % p
-            coords = []
-            for row in img:
-                x = modp.solve(B.T, row, p)
-                if x is None:
-                    raise GaloisModError("basis does not span a submodule")
-                coords.append(x)
-            sub.append(np.array(coords, dtype=np.int64).T % p)
+            # column i of g B^t is the image of basis vector i; its
+            # coordinates in B are column i of the solution
+            X = modp.solve(B.T, g @ B.T % p, p)
+            if X is None:
+                raise GaloisModError("basis does not span a submodule")
+            sub.append(X)
         M = MatrixModule(p, sub, check=False)
         M.embedding = B
         return M
@@ -121,14 +119,12 @@ def spin(module, vectors, p=None):
     p = module.p if p is None else p
     B = modp.echelon_basis(np.atleast_2d(np.asarray(vectors)) % p, p)
     while True:
-        grew = False
+        dim = B.shape[0]
         for g in module.gens:
-            img = B @ g.T % p
-            for row in img:
-                if not modp.row_space_contains(B, row, p):
-                    B = modp.echelon_basis(np.vstack([B, row]), p)
-                    grew = True
-        if not grew:
+            B = modp.echelon_basis(np.vstack([B, B @ g.T % p]), p)
+        # the RREF basis of a row space is unique, so the result does not
+        # depend on the order in which images were added
+        if B.shape[0] == dim:
             return B
 
 
@@ -433,15 +429,12 @@ def cohomology(pres, module, degree):
     Z = cocycle_space(pres, module)
     B = coboundary_space(pres, module)
     dimh1 = Z.shape[0] - B.shape[0]
-    # choose Z-vectors extending a basis of B
-    basis = []
-    cur = B
-    for z in Z:
-        if not modp.row_space_contains(cur, z, p):
-            basis.append(z)
-            cur = modp.echelon_basis(np.vstack([cur, z]), p)
-        if len(basis) == dimh1:
-            break
+    # choose Z-vectors extending a basis of B: a pivot column of
+    # [B^t | Z^t] is independent of every column to its left, so the
+    # Z-part pivots are the rows a greedy left-to-right extension picks
+    _, piv = modp.rref(np.concatenate([B.T, Z.T], axis=1), p)
+    nb = B.shape[0]
+    basis = [Z[c - nb] for c in piv if c >= nb][:dimh1]
     for z in basis:
         for rel in pres.relations:
             val = _relation_block(module, rel) @ z % p

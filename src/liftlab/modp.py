@@ -61,18 +61,25 @@ def kernel_basis(A, p):
 
 
 def solve(A, b, p):
-    """One solution x of A x = b, or None."""
+    """One solution of A x = b, or None.
+
+    A 1-D b gives a 1-D x.  A 2-D b holds one right-hand side per
+    column; all of them are solved by one elimination of [A | b] and the
+    result X (cols x k) has the solution of column j as its column j, or
+    is None if any column has no solution.  The left block is reduced
+    first, so each column's solution equals the one a 1-D call returns.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     b = np.asarray(b, dtype=np.int64) % p
-    aug = np.concatenate([A % p, b.reshape(-1, 1)], axis=1)
+    aug = np.concatenate([A % p, b if b.ndim == 2 else b.reshape(-1, 1)],
+                         axis=1)
     R, piv = rref(aug, p)
     cols = A.shape[1]
-    if cols in piv:
+    if piv and piv[-1] >= cols:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = R[i, cols]
-    return x
+    X = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    X[piv] = R[: len(piv), cols:]
+    return X if b.ndim == 2 else X[:, 0]
 
 
 def inverse(A, p):

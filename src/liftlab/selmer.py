@@ -139,14 +139,12 @@ class SyntheticGlobalModel:
     def check_consistency(self):
         p = self.p
         J = self.big_pairing()
-        if self.A.shape[0]:
-            M = self.A @ J % p
-            ann = modp.kernel_basis(M, p)
-        else:
-            ann = np.eye(self.total_dim, dtype=np.int64)
-        if self.B.shape[0] != ann.shape[0] or \
-                (self.B.shape[0] and not all(
-                    modp.row_space_contains(ann, row, p) for row in self.B)):
+        # ann is the full right kernel of M = A J, so a row of B lies in
+        # its span exactly when M row = 0: one product tests all of B
+        M = self.A @ J % p
+        ann = modp.kernel_basis(M, p) if self.A.shape[0] else \
+            np.eye(self.total_dim, dtype=np.int64)
+        if self.B.shape[0] != ann.shape[0] or np.any(M @ self.B.T % p):
             raise ModelInconsistencyError(
                 "B is not the exact annihilator of A")
         # maximal isotropic: dim A + dim B = total
@@ -223,11 +221,13 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
             continue
         if A.shape[0] == 0 or not modp.row_space_contains(A, v, p):
             A = np.vstack([A, v]) if A.shape[0] else v.reshape(1, -1)
-    B = modp.kernel_basis(A @ J % p, p) if A.shape[0] else \
+    AJ = A @ J % p
+    B = modp.kernel_basis(AJ, p) if A.shape[0] else \
         np.eye(total, dtype=np.int64)
-    for row in B0:
-        if not modp.row_space_contains(B, row, p):
-            raise SelmerError("prescribed dual class lost (infeasible spec)")
+    # B is the full right kernel of A J, so B0 lies in it exactly when
+    # A J B0^t = 0
+    if np.any(AJ @ B0.T % p):
+        raise SelmerError("prescribed dual class lost (infeasible spec)")
     return SyntheticGlobalModel(p, list(places), A, B, list(arch_h0),
                                 h0_glob, h0_glob_star, seed=seed, **extra)
 
@@ -681,17 +681,14 @@ def extend_model_at_witness(model, system, witness, rng):
     # reciprocity constraint <y, b>_old = -x . b(sigma_q) for all b in B;
     # row b of M is the functional y -> <y, b>_old
     M = (model.B @ Jold.T) % p
-    new_rows = []
-    for k in range(w):
-        x = np.zeros(w, dtype=np.int64)
-        x[k] = 1
-        rhs = (-(evalB @ x)) % p
-        y = modp.solve(M, rhs, p)
-        if y is None:
-            raise ModelInconsistencyError("reciprocity solve failed (bug)")
-        row = np.concatenate([y, np.zeros(w, dtype=np.int64), x])
-        new_rows.append(row)
-    A2 = np.vstack([A_embed, np.array(new_rows, dtype=np.int64)]) % p
+    # x runs over the unit vectors e_k, so column k of the right-hand
+    # side is -evalB e_k and column k of Y is the old part of class k
+    Y = modp.solve(M, -evalB % p, p)
+    if Y is None:
+        raise ModelInconsistencyError("reciprocity solve failed (bug)")
+    new_rows = np.concatenate([Y.T, np.zeros((w, w), dtype=np.int64),
+                               np.eye(w, dtype=np.int64)], axis=1)
+    A2 = np.vstack([A_embed, new_rows]) % p
     place = TrivialPlace(w, frame={"g_mat": witness["g_mat"],
                                    "alpha": witness["alpha"],
                                    "t": witness["t"], "c": witness["c"]})
@@ -699,10 +696,12 @@ def extend_model_at_witness(model, system, witness, rng):
     J2 = np.zeros((total + 2 * w, total + 2 * w), dtype=np.int64)
     J2[:total, :total] = Jold
     J2[total:, total:] = place.pairing_matrix(p)
-    B2 = modp.kernel_basis(A2 @ J2 % p, p)
-    for row in B_embed:
-        if not modp.row_space_contains(B2, row, p):
-            raise ModelInconsistencyError("embedded dual classes lost (bug)")
+    M2 = A2 @ J2 % p
+    B2 = modp.kernel_basis(M2, p)
+    # B2 is the full right kernel of M2 = A2 J2, so the embedded classes
+    # lie in it exactly when M2 B_embed^t = 0
+    if np.any(M2 @ B_embed.T % p):
+        raise ModelInconsistencyError("embedded dual classes lost (bug)")
     model2 = SyntheticGlobalModel(p, places2, A2, B2, model.arch_h0,
                                   model.h0_glob, model.h0_glob_star,
                                   module=model.module, eta=model.eta,

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from liftlab import modp
 from liftlab.coeffring import CoeffRing
 from liftlab.chevgroup import LieAlgebra, torus_elt, u_alpha
 from liftlab.galoismod import (GaloisModError, GroupPresentation,
-                               MatrixModule, abelianization, cohomology,
+                               MatrixModule, abelianization,
+                               coboundary_space, cocycle_space, cohomology,
                                common_subquotient, coset_enumeration,
                                decompose, extension_splitting_probe,
                                free_presentation, hom_space,
-                               modules_isomorphic)
+                               modules_isomorphic, spin)
 from liftlab.rootdata import root_datum
 
 # A6 on standard generators a (order 2), b (order 4), with the verified
@@ -169,3 +171,146 @@ def test_hom_space_schur():
     W = dec.isotypic[0]["module"]
     H = hom_space(W, W)
     assert len(H) == 1  # endo field F_p
+
+
+# -- per-vector reference loops for spin, restrict and the H^1 basis
+
+
+def reference_spin(module, vectors):
+    p = module.p
+    B = modp.echelon_basis(np.atleast_2d(np.asarray(vectors)) % p, p)
+    while True:
+        grew = False
+        for g in module.gens:
+            for row in B @ g.T % p:
+                if not modp.row_space_contains(B, row, p):
+                    B = modp.echelon_basis(np.vstack([B, row]), p)
+                    grew = True
+        if not grew:
+            return B
+
+
+def reference_restrict_gens(module, basis):
+    p = module.p
+    B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
+    out = []
+    for g in module.gens:
+        coords = []
+        for row in B @ g.T % p:
+            x = modp.solve(B.T, row, p)
+            if x is None:
+                raise GaloisModError("basis does not span a submodule")
+            coords.append(x)
+        # k x k also for k = 0 (the loop's np.array([]) would be 1-D)
+        k = B.shape[0]
+        out.append(np.array(coords, dtype=np.int64).reshape(k, k).T % p)
+    return B, out
+
+
+def reference_h1_basis(pres, module):
+    p = module.p
+    Z = cocycle_space(pres, module)
+    B = coboundary_space(pres, module)
+    dimh1 = Z.shape[0] - B.shape[0]
+    basis, cur = [], B
+    for z in Z:
+        if not modp.row_space_contains(cur, z, p):
+            basis.append(z)
+            cur = modp.echelon_basis(np.vstack([cur, z]), p)
+        if len(basis) == dimh1:
+            break
+    return dimh1, basis
+
+
+def random_sum_module(blocks, p, rng, pres=None):
+    """Direct sum of modules with equal generator counts, in a random
+    basis (conjugated by a random invertible matrix P).  Returns the
+    module and, per block, the rows spanning that summand."""
+    n = sum(b.dim for b in blocks)
+    while True:
+        P = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        Pinv = modp.inverse(P, p)
+        if Pinv is not None:
+            break
+    gens = []
+    for k in range(len(blocks[0].gens)):
+        D = np.zeros((n, n), dtype=np.int64)
+        pos = 0
+        for b in blocks:
+            D[pos:pos + b.dim, pos:pos + b.dim] = b.gens[k]
+            pos += b.dim
+        gens.append(P @ D @ Pinv % p)
+    cuts = np.cumsum([0] + [b.dim for b in blocks])
+    return MatrixModule(p, gens, pres), [P.T[a:b] for a, b in
+                                         zip(cuts, cuts[1:])]
+
+
+def random_modules_at_7(rng):
+    p = 7
+    sl2 = sl2_adjoint_module(p)
+    # the trivial line, with as many generators as sl2
+    triv = MatrixModule(p, [np.eye(1, dtype=np.int64)] * len(sl2.gens))
+    a6 = MatrixModule(p, [perm_matrix(A6_PERM_A, p),
+                          perm_matrix(A6_PERM_B, p)], A6_PRES)
+    return [random_sum_module([sl2, sl2], p, rng),
+            random_sum_module([sl2, triv, triv], p, rng),
+            random_sum_module([a6], p, rng, A6_PRES),
+            random_sum_module([a6, a6], p, rng, A6_PRES)]
+
+
+def test_spin_and_restrict_match_reference_loops():
+    rng = np.random.default_rng(5)
+    p = 7
+    dims = set()
+    for M, summands in random_modules_at_7(rng):
+        for _ in range(8):
+            # vectors inside a random sum of summands, so that proper
+            # submodules of several dimensions are spun
+            pick = [S for S in summands if rng.integers(0, 2)] or summands
+            span = np.vstack(pick)
+            nvec = int(rng.integers(1, 4))
+            vecs = rng.integers(0, p, size=(nvec, span.shape[0])) @ span % p
+            S = spin(M, vecs)
+            dims.add((M.dim, S.shape[0]))
+            assert np.array_equal(S, reference_spin(M, vecs))
+            B, gens = reference_restrict_gens(M, S)
+            sub = M.restrict(S)
+            assert np.array_equal(sub.embedding, B)
+            assert len(sub.gens) == len(gens)
+            for got, want in zip(sub.gens, gens):
+                assert np.array_equal(got, want)
+        assert spin(M, np.zeros(M.dim, dtype=np.int64)).shape == (0, M.dim)
+    assert any(k < n for n, k in dims) and len(dims) > 4
+
+
+def test_restrict_rejects_unstable_basis():
+    rng = np.random.default_rng(6)
+    p = 7
+    for M, _ in random_modules_at_7(rng):
+        v = rng.integers(0, p, size=(1, M.dim), dtype=np.int64)
+        assert spin(M, v).shape[0] > 1       # the line is not stable
+        with pytest.raises(GaloisModError, match="does not span"):
+            M.restrict(v)
+        with pytest.raises(GaloisModError):
+            reference_restrict_gens(M, v)
+
+
+def test_h1_basis_matches_greedy_reference():
+    rng = np.random.default_rng(7)
+    p = 7
+    U = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    zp = GroupPresentation(1, (tuple([1] * p),))
+    unipotent = MatrixModule(p, [U], zp)
+    triv = MatrixModule(p, [np.eye(1, dtype=np.int64)], zp)
+    modules = [M for M, _ in random_modules_at_7(rng)]
+    cases = [(zp, random_sum_module([unipotent, triv, unipotent], p, rng,
+                                    zp)[0]),
+             (A6_PRES, modules[3])]
+    cases += [(free_presentation(len(M.gens)), M) for M in modules[:2]]
+    for pres, M in cases:
+        dimh1, want = reference_h1_basis(pres, M)
+        got_dim, got = cohomology(pres, M, 1)
+        assert got_dim == dimh1
+        assert got.shape == (dimh1, pres.ngens * M.dim)
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(
+            dimh1, pres.ngens * M.dim))

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftlab import modp
 
@@ -15,6 +17,44 @@ def test_rref_kernel_solve():
         b = A @ x0 % p
         x = modp.solve(A, b, p)
         assert x is not None and not np.any((A @ x - b) % p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.integers(0, 6), st.integers(1, 7),
+       st.integers(0, 4), st.integers(0, 3), st.integers(0, 2),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_solve_columns_match_single_solves(p, rows, cols, k, ngood, nrand,
+                                           dup_last, seed):
+    # rank at most k: random columns are mostly inconsistent
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+    b = np.concatenate([A @ rng.integers(0, p, size=(cols, ngood)) % p,
+                        rng.integers(0, p, size=(rows, nrand))], axis=1)
+    b = b[:, rng.permutation(b.shape[1])]
+    if dup_last and b.shape[1]:
+        b = np.concatenate([b, b[:, -1:]], axis=1)
+    singles = [modp.solve(A, b[:, j], p) for j in range(b.shape[1])]
+    X = modp.solve(A, b, p)
+    if any(x is None for x in singles):
+        assert X is None
+    else:
+        assert X.shape == (cols, b.shape[1])
+        for j, x in enumerate(singles):
+            assert x.shape == (cols,) and np.array_equal(X[:, j], x)
+
+
+def test_solve_matrix_rhs_edges():
+    p = 7
+    A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)   # rank 1
+    good = A @ np.array([1, 0, 2]) % p
+    bad = np.array([1, 0], dtype=np.int64)   # not a multiple of (1, 2)
+    x = modp.solve(A, good, p)
+    assert x.shape == (3,) and not np.any((A @ x - good) % p)
+    assert modp.solve(A, bad, p) is None
+    assert np.array_equal(modp.solve(A, good.reshape(2, 1), p), x.reshape(3, 1))
+    assert modp.solve(A, np.stack([good, good, bad], axis=1), p) is None
+    assert modp.solve(A, np.stack([good, bad, bad], axis=1), p) is None
+    assert modp.solve(A, np.zeros((2, 0), dtype=np.int64), p).shape == (3, 0)
 
 
 def test_row_space_contains_matches_rank():

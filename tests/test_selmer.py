@@ -40,6 +40,71 @@ def test_model_consistency_guard():
                                 np.zeros((0, 2), dtype=np.int64), [])
 
 
+def test_model_guard_rejects_row_outside_annihilator():
+    d, b = root_datum("A1")
+    model = sm.build_balanced_model(d, b, 7, seed=4)
+    p = model.p
+    M = model.A @ model.big_pairing() % p
+    # a unit vector that A does not annihilate, in place of one row of B
+    bad = next(e for e in np.eye(model.total_dim, dtype=np.int64)
+               if np.any(M @ e % p))
+    B = model.B.copy()
+    B[-1] = bad
+    ledger = (model.arch_h0, model.h0_glob, model.h0_glob_star)
+    sm.SyntheticGlobalModel(p, model.places, model.A, model.B, *ledger)
+    with pytest.raises(sm.ModelInconsistencyError, match="annihilator"):
+        sm.SyntheticGlobalModel(p, model.places, model.A, B, *ledger)
+
+
+def test_prescribed_dual_class_loss_detected(monkeypatch):
+    # an ambient for A that ignores the prescribed W*-class (identity in
+    # place of its annihilator) makes the completion lose that class
+    real = modp.kernel_basis
+    calls = []
+
+    def first_call_identity(A, p):
+        calls.append(1)
+        if len(calls) == 1:
+            return np.eye(np.shape(A)[1], dtype=np.int64)
+        return real(A, p)
+
+    psi = np.array([1, 0, 0, 0], dtype=np.int64)
+    places = [sm.TrivialPlace(1), sm.TrivialPlace(1)]
+    sm.build_synthetic_model(5, places, prescribed_wstar=[psi], seed=3)
+    monkeypatch.setattr(modp, "kernel_basis", first_call_identity)
+    with pytest.raises(sm.SelmerError, match="prescribed dual class lost"):
+        sm.build_synthetic_model(5, places, prescribed_wstar=[psi], seed=3)
+
+
+def test_embedded_dual_class_loss_detected(monkeypatch):
+    d, b = root_datum("A1")
+    model = sm.attach_adjoint_eta(
+        sm.build_balanced_model(d, b, 7, selmer_rank=1, seed=20))
+    system = sm.standard_balanced_system(model)
+    rng = np.random.default_rng(10)
+    sel, dual, _ = sm.selmer_compute(model, system)
+    witness = sm.splitcase_search(model, sel[0], dual[0], rng)
+    witness["phi_coeffs"] = sm._coeffs_of(model.A, sel[0], model.p)
+    witness["psi_coeffs"] = sm._coeffs_of(model.B, dual[0], model.p)
+    state = rng.bit_generator.state
+    sm.extend_model_at_witness(model, system, witness, rng)
+    # the reciprocity solve (the only one with a matrix right-hand side)
+    # answers a shifted right-hand side, so the new classes no longer
+    # pair to zero with the embedded dual classes
+    real = modp.solve
+
+    def shifted(A, rhs, p):
+        if np.ndim(rhs) == 2:
+            rhs = np.asarray(rhs) + 1
+        return real(A, rhs, p)
+
+    monkeypatch.setattr(modp, "solve", shifted)
+    rng.bit_generator.state = state
+    with pytest.raises(sm.ModelInconsistencyError,
+                       match="embedded dual classes lost"):
+        sm.extend_model_at_witness(model, system, witness, rng)
+
+
 def test_selmer_extremes():
     d, b = root_datum("A1")
     model = sm.build_balanced_model(d, b, 7, seed=4)
