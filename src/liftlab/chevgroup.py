@@ -14,7 +14,8 @@ k! for k < m and therefore requires m <= p.
 The integral tables of a Chevalley basis (ad matrices of the basis
 vectors, the invariant form, the divided powers of each root vector)
 are computed once per basis and shared, read-only and never reduced
-mod q, by every LieAlgebra on it, whatever its ring.
+mod q, by every LieAlgebra on it, whatever its ring.  The bracket is
+[x, y] = ad(x) y, one ring matrix-vector product on those tables.
 
 Inverses: u_alpha(x)^-1 = u_alpha(-x) exactly, so root_product builds
 a product of root elements together with its inverse, the reversed
@@ -152,19 +153,8 @@ class LieAlgebra:
                             dtype=np.int64)
 
     def bracket(self, x, y):
-        """[x, y] over the ring, via the sparse integral table."""
-        R = self.ring
-        out = np.zeros((self.dim, R.r), dtype=np.int64)
-        xi = np.nonzero(np.any(x % R.q, axis=-1))[0]
-        yi = np.nonzero(np.any(y % R.q, axis=-1))[0]
-        for i in xi:
-            for j in yi:
-                vec = self.basis.table.get((int(i), int(j)))
-                if vec:
-                    c = R.mul(x[i], y[j])
-                    for k, n in vec:
-                        out[k] = R.add(out[k], R.scalar_mul(n, c))
-        return out
+        """[x, y] = ad(x) y over the ring."""
+        return self.ring.mat_vec(self.ad(x), y)
 
     def ad(self, x):
         """ad(x) = sum_i x_i ad(basis vector i) as a ring matrix; an
@@ -180,10 +170,7 @@ class LieAlgebra:
         """B(x, y) in the ring."""
         R = self.ring
         Bx = R.mat_vec(R.mat_from_int(self._trace_form), x)
-        acc = R.zero()
-        for i in range(self.dim):
-            acc = R.add(acc, R.mul(Bx[i], y[i]))
-        return acc
+        return R.mul(Bx, y).sum(axis=0) % R.q
 
     def trace_form_matrix(self):
         return self._trace_form.copy()

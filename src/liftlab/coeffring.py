@@ -14,6 +14,14 @@ coefficients lifted to [0, p).  Reduction GR(p^m, r) -> GR(p^m', r)
 for m' <= m is coefficientwise reduction mod p^m' and is a ring
 homomorphism because the modulus does not depend on m.
 
+Products take one of two paths, chosen by r.  At r = 1 an element is
+an integer mod q and a product is the integer product.  At r > 1 the
+r x r block of coefficient products a_k b_l is folded through one table
+T[k, l] = x^(k+l) mod (modulus, q), the same table that regular() reads
+mod p; mat_mul forms the block with one matmul per coefficient pair.
+int64 keeps every product exact while max(n, r^2) (q - 1)^2 < 2^63 for
+inner dimension n: a matmul sums n products below q^2, the fold r^2.
+
 Inverses are Newton (Hensel) lifts of an inverse mod p.  The inverse
 mod p of a matrix, and at r > 1 of a scalar, is modp.inverse applied to
 its regular representation (CoeffRing.regular), the F_p matrix of
@@ -21,6 +29,8 @@ multiplication by it; at r = 1 a scalar is inverted by Fermat.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -84,10 +94,13 @@ def _is_irreducible_modp(f, p):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def _find_modulus(p, r):
-    """Lexicographically smallest monic irreducible of degree r over F_p."""
+    """Lexicographically smallest monic irreducible of degree r over F_p,
+    as a coefficient tuple, lowest degree first; cached, since every
+    change of precision builds a new ring on the same (p, r)."""
     if r == 1:
-        return [0, 1]
+        return (0, 1)
     # iterate over coefficient tuples (c_0, ..., c_{r-1}) in lex order
     total = p ** r
     for k in range(total):
@@ -98,7 +111,7 @@ def _find_modulus(p, r):
             kk //= p
         f = coeffs + [1]
         if _is_irreducible_modp(f, p):
-            return f
+            return tuple(f)
     raise CoeffRingError("no irreducible modulus found (unreachable)")
 
 
@@ -123,22 +136,14 @@ class CoeffRing:
         self.m = m
         self.r = r
         self.q = p ** m
-        self.modulus = _find_modulus(p, r)
-        # reduction rows: x^k = _red[k - r] (degree < r) for k = r .. 2r-2
-        red = np.zeros((max(r - 1, 1), r), dtype=np.int64)
-        if r > 1:
-            top = [(-c) % self.q for c in self.modulus[:r]]
-            cur = np.array(top, dtype=np.int64)  # x^r
-            red[0] = cur
-            for k in range(1, r - 1):
-                nxt = np.zeros(r, dtype=np.int64)
-                nxt[1:] = cur[:-1]
-                nxt = (nxt + cur[-1] * red[0]) % self.q
-                red[k] = nxt
-                cur = nxt
-        self._red = red
-        # x^(k+l) mod (modulus, p) for k, l < r, rows of regular()
-        powers = np.concatenate([np.eye(r, dtype=np.int64), red[: r - 1]]) % p
+        self.modulus = list(_find_modulus(p, r))
+        # x^j mod (modulus, q) for j <= 2r - 2, then T[k, l] = x^(k+l)
+        powers = np.zeros((2 * r - 1, r), dtype=np.int64)
+        powers[0, 0] = 1
+        top = -np.array(self.modulus[:r], dtype=np.int64) % self.q   # x^r
+        for j in range(1, 2 * r - 1):
+            powers[j, 1:] = powers[j - 1, :-1]
+            powers[j] = (powers[j] + powers[j - 1, -1] * top) % self.q
         self._xtab = powers[np.add.outer(np.arange(r), np.arange(r))]
 
     # -- element constructors
@@ -185,19 +190,15 @@ class CoeffRing:
         b = np.asarray(b, dtype=np.int64)
         if self.r == 1:
             return (a * b) % self.q
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        conv = np.zeros(shape + (2 * self.r - 1,), dtype=np.int64)
-        for i in range(self.r):
-            for j in range(self.r):
-                conv[..., i + j] = (conv[..., i + j] + a[..., i] * b[..., j]) % self.q
-        return self._reduce_poly(conv)
+        return self._fold(a[..., :, None] * b[..., None, :])
 
-    def _reduce_poly(self, conv):
-        out = conv[..., : self.r] % self.q
-        for k in range(self.r, conv.shape[-1]):
-            c = conv[..., k]
-            out = (out + c[..., None] * self._red[k - self.r]) % self.q
-        return out
+    def _fold(self, P):
+        """The ring element sum_{k,l} P[..., k, l] x^(k+l) for a block P
+        of coefficient products, shape (..., r, r)."""
+        r = self.r
+        P = P % self.q
+        return (P.reshape(P.shape[:-2] + (r * r,))
+                @ self._xtab.reshape(r * r, r)) % self.q
 
     def scalar_mul(self, c, a):
         return (int(c) * np.asarray(a, dtype=np.int64)) % self.q
@@ -280,24 +281,12 @@ class CoeffRing:
     def mat_mul(self, A, B):
         if self.r == 1:
             return (A[..., 0] @ B[..., 0])[..., None] % self.q
-        n, k = A.shape[0], A.shape[1]
-        mcols = B.shape[1]
-        conv = np.zeros((n, mcols, 2 * self.r - 1), dtype=np.int64)
-        for a in range(self.r):
-            for b in range(self.r):
-                conv[:, :, a + b] = (conv[:, :, a + b]
-                                     + A[:, :, a] @ B[:, :, b]) % self.q
-        return self._reduce_poly(conv)
+        # P[k, l] = A_k B_l for the coefficient matrices A_k, B_l
+        P = np.moveaxis(A, -1, 0)[:, None] @ np.moveaxis(B, -1, 0)[None]
+        return self._fold(np.moveaxis(P, (0, 1), (-2, -1)))
 
     def mat_vec(self, A, v):
-        if self.r == 1:
-            return (A[..., 0] @ v[..., 0])[..., None] % self.q
-        n = A.shape[0]
-        conv = np.zeros((n, 2 * self.r - 1), dtype=np.int64)
-        for a in range(self.r):
-            for b in range(self.r):
-                conv[:, a + b] = (conv[:, a + b] + A[:, :, a] @ v[:, b]) % self.q
-        return self._reduce_poly(conv)
+        return self.mat_mul(A, v[..., None, :])[..., 0, :]
 
     def mat_pow(self, A, e):
         n = A.shape[0]
@@ -345,7 +334,7 @@ class CoeffRing:
         [0, p) for every r.
         """
         rows, cols, r = A.shape
-        M = np.einsum("icl,klj->ikcj", A % self.p, self._xtab) % self.p
+        M = np.einsum("icl,klj->ikcj", A % self.p, self._xtab % self.p) % self.p
         return M.reshape(rows * r, cols * r)
 
     def mat_eq(self, A, B):

@@ -264,7 +264,6 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
     alg1 = model.alg1
     d = model.datum
     alpha = tuple(alpha)
-    n = alg1.dim
     pa = phi_alpha(model.basis, alpha)
 
     def stack(sig, tau):
@@ -297,11 +296,7 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
             w = K.mul(y, K.inv(u))
             y_u[tuple(beta)] = (u, w)
             Xb = alg1.root_vector(beta)
-            ctau = np.zeros_like(Xb)
-            br = alg1.bracket(alg1.root_vector(beta), Xa)
-            for k in range(n):
-                ctau[k] = K.mul(w, br[k])
-            s_rows.append(stack(Xb, ctau))
+            s_rows.append(stack(Xb, K.mul(w, alg1.bracket(Xb, Xa))))
         label = "S^alpha_ram"
     else:
         raise LocalCondError("unknown variant %r" % variant)
@@ -318,24 +313,24 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
     return {"tan": tan, "s": s_space, "l": L, "l_perp": perp}
 
 
+def _dual_rows(basis):
+    """(phi(tau), -phi(sigma)) for each row phi of a tame cocycle basis,
+    so that <phi, psi> is the plain dot product of _dual_rows(phi) with
+    psi."""
+    n = basis.shape[1] // 2
+    return np.concatenate([basis[:, n:], -basis[:, :n]], axis=1)
+
+
 def duality_pairing(K, phi, psi):
     """inv(phi cup psi) for the tame model with trivial coefficients:
     <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)>, the bilinear
     extension of the two unramified rules of local duality."""
-    n = phi.shape[0] // 2
-    acc = K.zero()
-    for i in range(n):
-        acc = K.add(acc, K.mul(phi[n + i], psi[i]))
-        acc = K.sub(acc, K.mul(phi[i], psi[n + i]))
-    return acc
+    return pairing_gram(K, phi[None], psi[None])[0, 0]
 
 
 def pairing_gram(K, basis1, basis2):
-    g = np.zeros((basis1.shape[0], basis2.shape[0], K.r), dtype=np.int64)
-    for i, a in enumerate(basis1):
-        for j, b in enumerate(basis2):
-            g[i, j] = duality_pairing(K, a, b)
-    return g
+    """The matrix of duality pairings <basis1[i], basis2[j]>."""
+    return K.mat_mul(_dual_rows(basis1), basis2.transpose(1, 0, 2))
 
 
 def full_h1_basis(K, n):
@@ -355,12 +350,9 @@ def perp_space(model, space, check_description=False):
     pairing on the ramified-ramified block)."""
     K = model.residue
     n = model.alg1.dim
-    # psi with  <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)> = 0
-    rows = []
-    for a in space.basis:
-        row = np.concatenate([a[n:], K.neg(a[:n])], axis=0)
-        rows.append(row)
-    A = np.stack(rows) if rows else np.zeros((0, 2 * n, K.r), dtype=np.int64)
+    # psi with  <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)> = 0; an
+    # empty space stores a (0, 0, r) basis, hence the reshape
+    A = _dual_rows(space.basis.reshape(-1, 2 * n, K.r))
     perp_basis = fl.kernel_f(K, A)
     out = ConditionSpace(space.label + "_perp", K, perp_basis, space.alpha)
     if check_description and space.alpha is not None:
@@ -493,8 +485,7 @@ def stability_check(lift, alpha, variant, coeffs, spaces=None, chi=None):
             w = K.mul(y, K.inv(u))
             br = model.alg1.bracket(model.alg1.root_vector(tuple(beta)),
                                     model.alg1.root_vector(alpha))
-            for k in range(n):
-                ctau[k] = K.add(ctau[k], K.mul(K.mul(lam_el, w), br[k]))
+            ctau = K.add(ctau, K.mul(K.mul(lam_el, w), br))
     g = stability_conjugator(model, alpha, variant, coeffs, sig2)
     scale = R.p ** (m - 1)
     lhs_sigma = one_plus(alg, scale, _lift_vec(R, csig)) @ lift.sigma

@@ -239,7 +239,9 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
 class SelmerSystem:
     """Per place a condition subspace of the W-block (rows in local
     coordinates); the dual system is derived as the pairing annihilator
-    place by place."""
+    place by place.  ann_L and ann_L_perp hold, per place, the
+    annihilators of L_v and L_v^perp that a Selmer computation tests
+    local blocks against."""
 
     def __init__(self, model, local_conditions):
         if len(local_conditions) != len(model.places):
@@ -250,27 +252,33 @@ class SelmerSystem:
                   np.zeros((0, pl.h1), dtype=np.int64)
                   for Lv, pl in zip(local_conditions, model.places)]
         self.L = [modp.echelon_basis(Lv, model.p) for Lv in self.L]
-        self.L_perp = []
-        for Lv, pl in zip(self.L, model.places):
-            J = pl.pairing_matrix(model.p)
-            if Lv.shape[0]:
-                self.L_perp.append(modp.kernel_basis(Lv @ J % model.p,
-                                                     model.p))
-            else:
-                self.L_perp.append(np.eye(pl.h1, dtype=np.int64))
+        p, places = model.p, model.places
+        self.L_perp = [_annihilator(Lv @ pl.pairing_matrix(p) % p, pl.h1, p)
+                       for Lv, pl in zip(self.L, places)]
+        self.ann_L = [_annihilator(Lv, pl.h1, p)
+                      for Lv, pl in zip(self.L, places)]
+        self.ann_L_perp = [_annihilator(Pv, pl.h1, p)
+                           for Pv, pl in zip(self.L_perp, places)]
 
     def dims(self):
         return [int(Lv.shape[0]) for Lv in self.L]
 
 
-def _selmer_of(model, image, conditions):
-    """Classes in the row space of `image` whose every local block lies
-    in the given condition subspace; returns a coefficient basis."""
+def _annihilator(cond, h1, p):
+    """Rows spanning the right kernel of a place's rows `cond` (all of
+    F_p^h1 when there are none): a local block lies in the row space of
+    `cond` exactly when these rows all kill it."""
+    return modp.kernel_basis(cond, p) if cond.shape[0] else \
+        np.eye(h1, dtype=np.int64)
+
+
+def _selmer_of(model, image, annihilators):
+    """Classes in the row space of `image` whose every local block is
+    killed by that place's annihilator (SelmerSystem.ann_L or
+    ann_L_perp); returns a coefficient basis."""
     p = model.p
     rows = []
-    for (a, b), cond, pl in zip(model.offsets(), conditions, model.places):
-        ann = modp.kernel_basis(cond, p) if cond.shape[0] else \
-            np.eye(pl.h1, dtype=np.int64)
+    for (a, b), ann in zip(model.offsets(), annihilators):
         if ann.shape[0] == 0:
             continue
         block = image[:, a:b]
@@ -289,8 +297,8 @@ def selmer_compute(model, system):
     and raises on mismatch (the synthetic model makes the identity a
     theorem, so a mismatch means corrupted data, never tolerance)."""
     p = model.p
-    sel_coeff = _selmer_of(model, model.A, system.L)
-    dual_coeff = _selmer_of(model, model.B, system.L_perp)
+    sel_coeff = _selmer_of(model, model.A, system.ann_L)
+    dual_coeff = _selmer_of(model, model.B, system.ann_L_perp)
     sel = sel_coeff @ model.A % p if sel_coeff.shape[0] else \
         np.zeros((0, model.total_dim), dtype=np.int64)
     dual = dual_coeff @ model.B % p if dual_coeff.shape[0] else \

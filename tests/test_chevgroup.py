@@ -85,6 +85,31 @@ def test_group_elements_preserve_bracket_and_form():
                         alg.trace_form(x, y))
 
 
+def test_bracket_and_form_match_integer_tables():
+    # a ring vector is sum_c x_c t^c over integer vectors x_c, so
+    # [x, y] = sum_{c,d} bracket_int(x_c, y_d) t^c t^d mod q, and B alike
+    rng = np.random.default_rng(5)
+    for name, p, m, r in [("A1", 5, 3, 1), ("A2", 7, 2, 2), ("B2", 5, 3, 3),
+                          ("G2", 7, 3, 2), ("G2", 13, 1, 3)]:
+        d, b, alg = alg_for(name, p, m, r)
+        R = alg.ring
+        B = alg.trace_form_matrix()
+        t = np.eye(r, dtype=np.int64)
+        for _ in range(4):
+            x, y = alg.random_vec(rng), alg.random_vec(rng)
+            x[rng.integers(alg.dim)] = 0
+            br = np.zeros((alg.dim, r), dtype=np.int64)
+            form = np.zeros(r, dtype=np.int64)
+            for c in range(r):
+                for e in range(r):
+                    tt = R.mul(t[c], t[e])
+                    br = (br + b.bracket_int(x[:, c], y[:, e])[:, None]
+                          % R.q * tt) % R.q
+                    form = (form + int(x[:, c] @ B @ y[:, e]) % R.q * tt) % R.q
+            assert np.array_equal(alg.bracket(x, y), br)
+            assert np.array_equal(alg.trace_form(x, y), form)
+
+
 def test_reduction_functoriality():
     rng = np.random.default_rng(2)
     d, b, alg = alg_for("A2", 5, 3)

@@ -1,6 +1,8 @@
-"""The shared residue-field kernels against the scalar Gauss-Jordan
-loops and the extended Euclid inverse that CoeffRing and fieldlinalg
-used before every residue field went through modp.rref."""
+"""The shared kernels against the loops they replaced: the scalar
+Gauss-Jordan loops and the extended Euclid inverse that CoeffRing and
+fieldlinalg used before every residue field went through modp.rref,
+and the r x r coefficient convolution with its reduction by the
+modulus that CoeffRing's products used before the x^(k+l) table."""
 
 from functools import lru_cache
 
@@ -112,6 +114,59 @@ def reference_mat_inv(R, A):
     return X
 
 
+def _reduction_rows(R):
+    """x^k mod (modulus, q) for k = r .. 2r - 2, one row each."""
+    r = R.r
+    red = np.zeros((max(r - 1, 1), r), dtype=np.int64)
+    if r > 1:
+        cur = np.array([(-c) % R.q for c in R.modulus[:r]], dtype=np.int64)
+        red[0] = cur
+        for k in range(1, r - 1):
+            nxt = np.zeros(r, dtype=np.int64)
+            nxt[1:] = cur[:-1]
+            nxt = (nxt + cur[-1] * red[0]) % R.q
+            red[k] = nxt
+            cur = nxt
+    return red
+
+
+def reference_reduce_poly(R, conv):
+    """A polynomial of degree <= 2r - 2 in x (coefficients in the last
+    axis) reduced mod (modulus, q)."""
+    red = _reduction_rows(R)
+    out = conv[..., : R.r] % R.q
+    for k in range(R.r, conv.shape[-1]):
+        c = conv[..., k]
+        out = (out + c[..., None] * red[k - R.r]) % R.q
+    return out
+
+
+def reference_mul(R, a, b):
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    conv = np.zeros(shape + (2 * R.r - 1,), dtype=np.int64)
+    for i in range(R.r):
+        for j in range(R.r):
+            conv[..., i + j] = (conv[..., i + j] + a[..., i] * b[..., j]) % R.q
+    return reference_reduce_poly(R, conv)
+
+
+def reference_mat_mul(R, A, B):
+    conv = np.zeros((A.shape[0], B.shape[1], 2 * R.r - 1), dtype=np.int64)
+    for a in range(R.r):
+        for b in range(R.r):
+            conv[:, :, a + b] = (conv[:, :, a + b]
+                                 + A[:, :, a] @ B[:, :, b]) % R.q
+    return reference_reduce_poly(R, conv)
+
+
+def reference_mat_vec(R, A, v):
+    conv = np.zeros((A.shape[0], 2 * R.r - 1), dtype=np.int64)
+    for a in range(R.r):
+        for b in range(R.r):
+            conv[:, a + b] = (conv[:, a + b] + A[:, :, a] @ v[:, b]) % R.q
+    return reference_reduce_poly(R, conv)
+
+
 ring = lru_cache(maxsize=None)(CoeffRing)
 
 ext_rings = st.tuples(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
@@ -213,3 +268,31 @@ def test_regular_is_ring_homomorphism(prm, n, k, cols, seed):
     assert np.array_equal(R.regular(R.mat_mul(A, B)),
                           M @ R.regular(B) % R.p)
     assert np.array_equal(R.regular(R.mat_id(n)), np.eye(n * R.r, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13, 101]), st.integers(1, 4),
+       st.sampled_from([1, 2, 3]), st.integers(1, 14), st.integers(1, 14),
+       st.integers(1, 14), st.booleans(), seeds)
+def test_products_match_reference_convolution(p, m, r, n, k, cols, top, seed):
+    # p = 101, m = 4 nears the int64 limit max(n, r^2) (q - 1)^2 < 2^63
+    R = ring(p, m, r)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        # top: every coefficient q - 1, the largest products int64 holds
+        if top:
+            return np.full(shape + (r,), R.q - 1, dtype=np.int64)
+        return rng.integers(0, R.q, size=shape + (r,), dtype=np.int64)
+
+    A, B, A2, v, c = draw(n, k), draw(k, cols), draw(n, k), draw(k), draw()
+    for got, want in [
+            (R.mat_mul(A, B), reference_mat_mul(R, A, B)),
+            (R.mat_vec(A, v), reference_mat_vec(R, A, v)),
+            (R.mul(A, A2), reference_mul(R, A, A2)),
+            (R.mul(v, v[0]), reference_mul(R, v, v[0])),
+            # the scalar x matrix product of exp_hat
+            (R.mul(np.broadcast_to(c, A.shape), A), reference_mul(R, c, A)),
+            (R.mul(c, A), reference_mul(R, c, A))]:
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)

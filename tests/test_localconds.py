@@ -141,6 +141,35 @@ def test_duality_pairing_rules():
     assert K.is_zero(lc.duality_pairing(K, np.zeros_like(phi), psi))
 
 
+def reference_duality_pairing(K, phi, psi):
+    """The scalar loop pairing_gram's ring product replaced:
+    <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)>."""
+    n = phi.shape[0] // 2
+    acc = K.zero()
+    for i in range(n):
+        acc = K.add(acc, K.mul(phi[n + i], psi[i]))
+        acc = K.sub(acc, K.mul(phi[i], psi[n + i]))
+    return acc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.integers(1, 3), st.sampled_from([1, 2, 3]),
+       st.integers(1, 8), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_pairing_gram_matches_scalar_loop(p, m, r, n, k1, k2, seed):
+    K = CoeffRing(p, m, r)
+    rng = np.random.default_rng(seed)
+    b1 = rng.integers(0, K.q, size=(k1, 2 * n, r), dtype=np.int64)
+    b2 = rng.integers(0, K.q, size=(k2, 2 * n, r), dtype=np.int64)
+    gram = lc.pairing_gram(K, b1, b2)
+    assert gram.shape == (k1, k2, r) and gram.dtype == np.int64
+    for i in range(k1):
+        for j in range(k2):
+            want = reference_duality_pairing(K, b1[i], b2[j])
+            assert np.array_equal(gram[i, j], want)
+            assert np.array_equal(lc.duality_pairing(K, b1[i], b2[j]), want)
+
+
 def test_duality_perfect():
     for name, p in [("A1", 5), ("A2", 7)]:
         model = tame(name, p)
@@ -157,6 +186,17 @@ def test_perp_of_full_h1_is_zero():
     n = model.datum.dim
     space = lc.ConditionSpace("full", K, lc.full_h1_basis(K, n))
     assert lc.perp_space(model, space).dim == 0
+
+
+def test_perp_of_empty_space_is_everything():
+    for r in (1, 2):
+        model = lc.TameLocalModel(*root_datum("A2"), 7, 2, 8, r=r)
+        K = model.residue
+        n = model.datum.dim
+        empty = lc.ConditionSpace("empty", K, np.zeros((0, 2 * n, r)))
+        perp = lc.perp_space(model, empty)
+        assert perp.dim == 2 * n
+        assert perp.same_space(lc.full_h1_basis(K, n))
 
 
 def test_perp_matches_corollary_description():
