@@ -11,6 +11,11 @@ for a singular algebra element z, the module is irreducible iff one
 nonzero kernel vector of z spins to the whole space and every vector in
 a basis of ker(z^T) spins to the whole space under the transposed
 action; each failure exhibits an explicit submodule.
+
+Homomorphism spaces are solved by spinning, not by the Kronecker
+system: a map out of a module is fixed by the images of the few seeds
+of a spun standard basis (one seed for an irreducible module), so the
+linear system has k * dim(target) unknowns instead of dim1 * dim2.
 """
 
 from __future__ import annotations
@@ -85,17 +90,10 @@ class MatrixModule:
         B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
         piv = [int(np.nonzero(row)[0][0]) for row in B]
         comp = [j for j in range(self.dim) if j not in piv]
-        # projection killing pivot coordinates along B
-        quots = []
-        for g in self.gens:
-            cols = []
-            for j in comp:
-                v = g[:, j].copy()
-                # reduce v modulo row space of B
-                for row, pv in zip(B, piv):
-                    v = (v - v[pv] * row) % p
-                cols.append(v[comp])
-            quots.append(np.array(cols, dtype=np.int64).T % p)
+        # column j of g reduced modulo the rows of B (RREF: subtract
+        # g[pv, j] times the row with pivot pv), read on the complement
+        quots = [(g[np.ix_(comp, comp)] - B[:, comp].T @ g[np.ix_(piv, comp)])
+                 % p for g in self.gens]
         M = MatrixModule(p, quots, check=False)
         M.lifted_coords = comp
         return M
@@ -182,33 +180,125 @@ def irreducible_submodule(module, rng):
         cur = module.restrict(B)
 
 
+def _standard_basis(module):
+    """A basis of the module spun from unit vectors, with its words.
+
+    Seeds are the unit vectors e_j outside the span so far, in order of
+    j, so an irreducible module needs one.  Each seed is spun level by
+    level: the generators are applied to the vectors of the last level
+    and each image outside the span of those before it is kept.
+    Returns (B, origin, k): the rows of B are the basis in spin order;
+    origin[i] is (-1, s) if row i is the s-th seed and (j, g) if it is
+    gens[g] applied to row j; k is the number of seeds.
+    """
+    p, d = module.p, module.dim
+    eye = np.eye(d, dtype=np.int64)
+    rows, origin = [], []
+    E = np.zeros((d, d), dtype=np.int64)   # rows :n are the span's RREF
+    piv = []
+    level = []
+    k = 0
+    while len(rows) < d:
+        if level:
+            cand = [(rows[i] @ g.T % p, (i, gi))
+                    for gi, g in enumerate(module.gens) for i in level]
+        else:
+            # the first unit vector with a nonzero residue mod the span
+            res = (eye - eye[:, piv] @ E[:len(piv)]) % p
+            j = int(np.flatnonzero(np.any(res, axis=1))[0])
+            cand = [(eye[j], (-1, k))]
+            k += 1
+        level = []
+        for v, o in cand:
+            n = len(piv)
+            r = (v - v[piv] @ E[:n]) % p
+            nz = np.flatnonzero(r)
+            if not nz.size:
+                continue
+            c = int(nz[0])
+            r = r * pow(int(r[c]), p - 2, p) % p
+            E[:n] = (E[:n] - np.outer(E[:n, c], r)) % p
+            E[n] = r
+            piv.append(c)
+            level.append(len(rows))
+            rows.append(v)
+            origin.append(o)
+    return np.array(rows, dtype=np.int64).reshape(d, d), origin, k
+
+
+def _hom_by_spin(src, spun, tgt):
+    """Basis of Hom(src, tgt) as an (h, dim tgt, dim src) array, from
+    the standard basis `spun` of src.
+
+    phi is fixed by the images X of the k seeds: phi(b_i) = Q_i X with
+    Q_i the word of b_i evaluated in tgt's generators.  Writing
+    g b_i = sum_l C_g[l, i] b_l, phi is equivariant iff
+    g Q_i X = sum_l C_g[l, i] Q_l X for every generator g and i, a
+    system in k * dim(tgt) unknowns; then phi = (Q X) (B^T)^-1.
+    """
+    p = src.p
+    B, origin, k = spun
+    d1, d2 = src.dim, tgt.dim
+    Q = np.zeros((d1, d2, k * d2), dtype=np.int64)
+    for i, (j, g) in enumerate(origin):
+        if j < 0:
+            Q[i, :, g * d2:(g + 1) * d2] = np.eye(d2, dtype=np.int64)
+        else:
+            Q[i] = tgt.gens[g] @ Q[j] % p
+    BT = B.T
+    BTinv = modp.inverse(BT, p)
+    blocks = []
+    for g1, g2 in zip(src.gens, tgt.gens):
+        C = BTinv @ (g1 @ BT % p) % p
+        blocks.append((g2 @ Q - np.einsum("li,lak->iak", C, Q)) % p)
+    A = np.concatenate(blocks).reshape(-1, k * d2)
+    # the relations g b_i = b_l met while spinning hold identically
+    X = modp.kernel_basis(A[np.any(A, axis=1)], p)
+    return np.einsum("iak,hk->hai", Q, X) % p @ BTinv % p
+
+
 def hom_space(m1, m2):
     """Basis of Hom_{F_p[G]}(V1, V2) as (dim2 x dim1) matrices; the
-    generator lists must be aligned."""
+    generator lists must be aligned.
+
+    Solved by spinning (Parker's MeatAxe; Lux-Szoke): a homomorphism is
+    fixed by the images of the seeds of a standard basis of V1, so the
+    system has k * dim2 unknowns for k seeds instead of the dim1 * dim2
+    of the Kronecker system.  If V1 needs many seeds, Hom(V2^T, V1^T)
+    is solved instead when its seeds give fewer unknowns: psi = phi^T
+    satisfies psi g2^T = g1^T psi.  The returned basis is the one the
+    Kronecker system's kernel_basis gives (identity on its free
+    coordinates of the flattened phi), so it does not depend on the
+    method: the free coordinates are determined by the space itself.
+    """
     p = m1.p
     d1, d2 = m1.dim, m2.dim
-    rows = []
-    for g1, g2 in zip(m1.gens, m2.gens):
-        # phi g1 = g2 phi, phi as flattened (d2*d1)
-        M = np.kron(np.eye(d2, dtype=np.int64), g1.T % p) - \
-            np.kron(g2 % p, np.eye(d1, dtype=np.int64))
-        rows.append(M % p)
-    A = np.vstack(rows) % p
-    K = modp.kernel_basis(A, p)
-    return [k.reshape(d2, d1) % p for k in K]
+    if d1 == 0 or d2 == 0:
+        return []
+    spun = _standard_basis(m1)
+    H = None
+    if spun[2] * d2 > d1:
+        # one seed of V2^T gives d1 unknowns: spin it and compare
+        t2 = m2.transpose_module()
+        spun_t = _standard_basis(t2)
+        if spun_t[2] * d1 < spun[2] * d2:
+            H = _hom_by_spin(t2, spun_t, m1.transpose_module())
+            H = H.transpose(0, 2, 1)
+    if H is None:
+        H = _hom_by_spin(m1, spun, m2)
+    if not len(H):
+        return []
+    # free coordinates = last nonzero positions of the space's vectors:
+    # the pivots of the column-reversed RREF
+    R, _ = modp.rref(H.reshape(len(H), d2 * d1)[:, ::-1], p)
+    return list(np.ascontiguousarray(R[::-1, ::-1]).reshape(-1, d2, d1))
 
 
-def modules_isomorphic(m1, m2, both_irreducible=True):
+def modules_isomorphic(m1, m2):
     """For irreducibles, isomorphic iff a nonzero equivariant map exists."""
     if m1.dim != m2.dim:
         return False
-    H = hom_space(m1, m2)
-    if not both_irreducible:
-        for h in H:
-            if modp.rank(h, m1.p) == m1.dim:
-                return True
-        return False
-    return len(H) > 0
+    return len(hom_space(m1, m2)) > 0
 
 
 @dataclass

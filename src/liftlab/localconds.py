@@ -19,6 +19,8 @@ search is out of scope by design.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import fieldlinalg as fl
@@ -58,6 +60,13 @@ class TameLocalModel:
         self.alg1 = LieAlgebra(datum, basis, self.residue)
         self.datum, self.basis = datum, basis
         self.zeta_normalized = zeta_normalized
+
+    @cached_property
+    def sqrt_q(self):
+        """The square root of q that is 1 mod p, in the model's ring."""
+        s = hensel_sqrt(self.ring, self.q)
+        s.flags.writeable = False
+        return s
 
     def at_precision(self, m2):
         return TameLocalModel(self.datum, self.basis, self.p, m2, self.q,
@@ -798,7 +807,7 @@ def _assemble_member(model, alpha, coords):
     factor of sigma fixes X_alpha up to the scalar q."""
     R = model.ring
     alg = model.alg
-    s = hensel_sqrt(R, model.q)
+    s = model.sqrt_q
     sigma = _alpha_covee(model, alpha, s) @ torus_elt(alg, coords["tvals"])
     for beta, x in coords["cent"]:
         sigma = sigma @ u_alpha(alg, beta, R.el(list(x)))
@@ -924,7 +933,7 @@ def frobenius_member(model, alpha, variant, seed=0, y=1):
     model2 = model.at_precision(2)
     _, b, rep = trivial_frobenius_search(model2.alg, alpha, model.q % (model.p ** 2),
                                          seed=seed)
-    s = hensel_sqrt(R, model.q)
+    s = model.sqrt_q
     sigma = torus_from_coroot_data(model.alg, alpha, s, b)
     if variant == "unr2":
         x = R.el(0)

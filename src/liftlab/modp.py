@@ -260,9 +260,11 @@ def _factor_squarefree(f, p, rng=None):
     out = []
     d = 1
     rest = f
-    x = [0, 1]
+    # h = x^(p^d) mod rest; each new rest divides the old one, so the
+    # previous h raised to the p-th power is x^(p^d) modulo it as well
+    h = [0, 1]
     while len(rest) - 1 >= 2 * d:
-        h = poly_powmod(x, p ** d, rest, p)
+        h = poly_powmod(h, p, rest, p)
         ln = max(len(h), 2)
         hm = poly_trim([((h[i] if i < len(h) else 0) - (1 if i == 1 else 0)) % p
                         for i in range(ln)])

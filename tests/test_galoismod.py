@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liftlab import modp
+from liftlab import galoismod, modp
 from liftlab.coeffring import CoeffRing
 from liftlab.chevgroup import LieAlgebra, torus_elt, u_alpha
 from liftlab.galoismod import (GaloisModError, GroupPresentation,
@@ -314,3 +316,170 @@ def test_h1_basis_matches_greedy_reference():
         assert got.shape == (dimh1, pres.ngens * M.dim)
         assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(
             dimh1, pres.ngens * M.dim))
+
+
+# -- Hom spaces: the Kronecker system as the reference for spinning
+
+
+def reference_hom_space(m1, m2):
+    """Kernel of the whole (ngens d1 d2) x (d1 d2) Kronecker system for
+    phi g1 = g2 phi, phi flattened row by row."""
+    p = m1.p
+    d1, d2 = m1.dim, m2.dim
+    rows = []
+    for g1, g2 in zip(m1.gens, m2.gens):
+        M = np.kron(np.eye(d2, dtype=np.int64), g1.T % p) - \
+            np.kron(g2 % p, np.eye(d1, dtype=np.int64))
+        rows.append(M % p)
+    A = np.vstack(rows) % p
+    K = modp.kernel_basis(A, p)
+    return [k.reshape(d2, d1) % p for k in K]
+
+
+def assert_hom_matches_reference(m1, m2):
+    got, want = hom_space(m1, m2), reference_hom_space(m1, m2)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == (m2.dim, m1.dim)
+        assert np.array_equal(a, b)
+    for h in got:
+        for g1, g2 in zip(m1.gens, m2.gens):
+            assert not np.any((h @ g1 - g2 @ h) % m1.p)
+    return got
+
+
+def trivial_action(p, dim, ngens):
+    return MatrixModule(p, [np.eye(dim, dtype=np.int64)] * ngens)
+
+
+def hom_families_at_7(rng):
+    """Two lists of modules with aligned generators (three for the SL2
+    adjoint family, two for A6), irreducible and reducible, in random
+    bases; the scalar twist of sl2 has no nonzero map to or from sl2."""
+    p = 7
+    sl2 = sl2_adjoint_module(p)
+    a6 = MatrixModule(p, [perm_matrix(A6_PERM_A, p),
+                          perm_matrix(A6_PERM_B, p)], A6_PRES)
+    sums = [M for M, _ in random_modules_at_7(rng)]
+    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens], check=False)
+    return ([sl2, twist, trivial_action(p, 1, 3), trivial_action(p, 4, 3),
+             sums[0], sums[1]],
+            [a6, trivial_action(p, 1, 2), trivial_action(p, 3, 2),
+             sums[2], sums[3]])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 1), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_hom_space_matches_kronecker_reference(family, i, j, seed):
+    mods = hom_families_at_7(np.random.default_rng(seed))[family]
+    assert_hom_matches_reference(mods[i % len(mods)], mods[j % len(mods)])
+
+
+def test_hom_space_edges():
+    p = 7
+    sl2 = sl2_adjoint_module(p)
+    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens], check=False)
+    # zero Hom, both ways
+    assert assert_hom_matches_reference(sl2, twist) == []
+    assert assert_hom_matches_reference(twist, sl2) == []
+    # dimension 1 on both sides: the scalars
+    line = trivial_action(p, 1, 3)
+    assert [h.tolist() for h in
+            assert_hom_matches_reference(line, line)] == [[[1]]]
+    # trivial action: every unit vector is a seed, Hom is all matrices
+    for d in (1, 3, 5):
+        T = trivial_action(p, d, 2)
+        B, origin, k = galoismod._standard_basis(T)
+        assert k == d and np.array_equal(B, np.eye(d, dtype=np.int64))
+        assert len(assert_hom_matches_reference(T, T)) == d * d
+    # a zero-dimensional side has no maps
+    empty = MatrixModule(p, [np.zeros((0, 0), dtype=np.int64)] * 3)
+    assert hom_space(empty, sl2) == [] and hom_space(sl2, empty) == []
+
+
+def test_standard_basis_words():
+    rng = np.random.default_rng(3)
+    for mods in hom_families_at_7(rng):
+        for M in mods:
+            B, origin, k = galoismod._standard_basis(M)
+            assert modp.rank(B, M.p) == M.dim
+            assert sum(j < 0 for j, _ in origin) == k
+            for i, (j, g) in enumerate(origin):
+                if j >= 0:
+                    assert j < i
+                    assert np.array_equal(B[i], M.gens[g] @ B[j] % M.p)
+                else:
+                    assert np.count_nonzero(B[i]) == 1
+    # an irreducible module is spun from e_0 alone
+    assert galoismod._standard_basis(sl2_adjoint_module(7))[2] == 1
+
+
+def test_hom_space_transposed_path(monkeypatch):
+    # sl2 + 2 trivial lines needs two seeds (10 unknowns into sl2); the
+    # transposed problem from sl2^T needs one (5 unknowns)
+    p = 7
+    rng = np.random.default_rng(11)
+    sl2 = sl2_adjoint_module(p)
+    sums = [M for M, _ in random_modules_at_7(rng)]
+    big = sums[1]
+    assert galoismod._standard_basis(big)[2] == 2
+    sources = []
+    spin_hom = galoismod._hom_by_spin
+
+    def spy(src, spun, tgt):
+        sources.append(src.dim)
+        return spin_hom(src, spun, tgt)
+
+    monkeypatch.setattr(galoismod, "_hom_by_spin", spy)
+    H = assert_hom_matches_reference(big, sl2)
+    assert sources == [sl2.dim] and len(H) == 1
+    # the direct path, for the other direction
+    sources.clear()
+    assert len(assert_hom_matches_reference(sl2, big)) == 1
+    assert sources == [sl2.dim]
+
+
+def reference_quotient_gens(module, basis):
+    p = module.p
+    B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
+    piv = [int(np.nonzero(row)[0][0]) for row in B]
+    comp = [j for j in range(module.dim) if j not in piv]
+    out = []
+    for g in module.gens:
+        cols = []
+        for j in comp:
+            v = g[:, j].copy()
+            for row, pv in zip(B, piv):
+                v = (v - v[pv] * row) % p
+            cols.append(v[comp])
+        out.append(np.array(cols, dtype=np.int64).reshape(
+            len(comp), len(comp)).T % p)
+    return comp, out
+
+
+def test_quotient_matches_reference_loop():
+    rng = np.random.default_rng(8)
+    p = 7
+    for M, summands in random_modules_at_7(rng):
+        for _ in range(6):
+            pick = [S for S in summands if rng.integers(0, 2)] or summands
+            span = np.vstack(pick)
+            nvec = int(rng.integers(1, 3))
+            S = spin(M, rng.integers(0, p, size=(nvec, span.shape[0]))
+                     @ span % p)
+            comp, want = reference_quotient_gens(M, S)
+            Q = M.quotient(S)
+            assert Q.lifted_coords == comp and Q.dim == len(comp)
+            for got, w in zip(Q.gens, want):
+                assert np.array_equal(got, w)
+
+
+def test_quotient_by_everything_is_zero_dimensional():
+    M = sl2_adjoint_module(7)
+    Q = M.quotient(np.eye(3, dtype=np.int64))
+    assert Q.dim == 0 and Q.lifted_coords == []
+    assert [g.shape for g in Q.gens] == [(0, 0)] * len(M.gens)
+    Q = M.quotient(np.zeros((0, 3), dtype=np.int64))
+    assert Q.dim == 3
+    assert all(np.array_equal(a, b) for a, b in zip(Q.gens, M.gens))

@@ -18,6 +18,23 @@ def tame(name, p=5, m=3, q=None):
     return lc.TameLocalModel(d, b, p, m, q if q is not None else 1 + p)
 
 
+
+def test_sqrt_q_is_computed_once_per_model(monkeypatch):
+    calls = []
+    sqrt = lc.hensel_sqrt
+    monkeypatch.setattr(lc, "hensel_sqrt",
+                        lambda R, q: calls.append(q) or sqrt(R, q))
+    d, b = root_datum("A2")
+    for r in (1, 2):
+        model = lc.TameLocalModel(d, b, 7, 3, 8, r=r)
+        al = model.datum.positive_roots[0]
+        for seed in range(3):
+            lc.frobenius_member(model, al, "ram2", seed=seed)
+        R, s = model.ring, model.sqrt_q
+        assert len(calls) == r
+        assert R.eq(R.mul(s, s), R.el(8)) and R.eq(s, sqrt(R, 8))
+        assert not s.flags.writeable
+
 def test_q_conditions_enforced():
     d, b = root_datum("A1")
     with pytest.raises(lc.LocalCondError):

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liftlab import modp
@@ -108,3 +108,43 @@ def test_min_poly_companion():
     Z[:3, :3] = M
     Z[3:, 3:] = M
     assert modp.min_poly(Z, p, rng) == mp
+
+
+def reference_factor_squarefree(f, p, rng):
+    """The distinct-degree loop computing x^(p^d) mod rest from x for
+    every degree d."""
+    f = modp.poly_trim(list(f))
+    if len(f) <= 1:
+        return []
+    out = []
+    d = 1
+    rest = f
+    while len(rest) - 1 >= 2 * d:
+        h = modp.poly_powmod([0, 1], p ** d, rest, p)
+        ln = max(len(h), 2)
+        hm = modp.poly_trim([((h[i] if i < len(h) else 0)
+                              - (1 if i == 1 else 0)) % p for i in range(ln)])
+        g = modp.poly_gcd(hm, rest, p)
+        if len(g) > 1:
+            out.extend(modp._equal_degree_split(g, d, p, rng))
+            rest = modp.poly_divmod(rest, g, p)[0]
+        d += 1
+    if len(rest) > 1:
+        out.append(modp.poly_monic(rest, p))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12),
+       st.integers(0, 2 ** 32 - 1))
+def test_factor_squarefree_matches_from_scratch_powers(p, deg, seed):
+    # the squarefree part f / gcd(f, f') of a random monic f, as
+    # factor_squarefree_part passes it
+    rng = np.random.default_rng(seed)
+    f = [int(c) for c in rng.integers(0, p, size=deg)] + [1]
+    df = modp.poly_trim([i * c % p for i, c in enumerate(f)][1:])
+    assume(df != [0])
+    sf = modp.poly_divmod(f, modp.poly_gcd(f, df, p), p)[0]
+    got = modp._factor_squarefree(sf, p, np.random.default_rng(seed))
+    want = reference_factor_squarefree(sf, p, np.random.default_rng(seed))
+    assert got == want
