@@ -17,6 +17,13 @@ are computed once per basis and shared, read-only and never reduced
 mod q, by every LieAlgebra on it, whatever its ring.  The bracket is
 [x, y] = ad(x) y, one ring matrix-vector product on those tables.
 
+Torus elements are built from their values on the root lines:
+torus_root_values evaluates prod_i t_i^(E[k, i]) for every root k from
+units t_i on a character basis and an integer exponent table E read from
+the root datum (root_matrix for values on the simple roots, a column of
+coroot pairings for alpha^vee(s)), inverting each unit at most once, and
+torus_from_root_values puts the values on the diagonal.
+
 Inverses: u_alpha(x)^-1 = u_alpha(-x) exactly, so root_product builds
 a product of root elements together with its inverse, the reversed
 product of negated factors, and GroupElement.inv returns it; other
@@ -266,6 +273,42 @@ def root_product(alg, factors):
     return GroupElement(alg, g, "product", ginv)
 
 
+def torus_root_values(R, units, exponents):
+    """The values on every root line of a torus element, as an
+    (nroots, r) array: row k is prod_i units[i]^exponents[k, i].
+
+    `units` are the element's values on a character basis and
+    `exponents` pairs each root with that basis, e.g. datum.root_matrix
+    for values on the simple roots, or datum.coroot_pairings(alpha)[:,
+    None] for alpha^vee(s).  Each unit's powers are built once by
+    repeated multiplication, so each unit with a negative exponent is
+    inverted once.
+    """
+    E = np.asarray(exponents, dtype=np.int64)
+    out = np.zeros((E.shape[0], R.r), dtype=np.int64)
+    out[:, 0] = 1
+    for u, col in zip(units, E.T.tolist()):
+        lo, hi = min(min(col), 0), max(max(col), 0)
+        powers = [R.one()]                     # u^lo .. u^hi
+        for _ in range(hi):
+            powers.append(R.mul(powers[-1], u))
+        if lo < 0:
+            v = R.inv(u)
+            for _ in range(-lo):
+                powers.insert(0, R.mul(powers[0], v))
+        out = R.mul(out, np.array([powers[e - lo] for e in col]))
+    return out
+
+
+def torus_from_root_values(alg, values):
+    """The diagonal group element acting on g_beta by values[k] for
+    beta = roots[k] and trivially on the Cartan."""
+    M = alg.ring.mat_id(alg.dim)
+    k = alg.rank + np.arange(len(alg.datum.roots))
+    M[k, k] = values
+    return GroupElement(alg, M, "torus")
+
+
 def torus_elt(alg, values):
     """Diagonal torus element from unit values on the simple roots.
 
@@ -277,14 +320,8 @@ def torus_elt(alg, values):
     for v in vals:
         if not R.is_unit(v):
             raise ChevGroupError("torus values must be units")
-    M = R.mat_id(alg.dim)
-    for r in alg.datum.roots:
-        c = R.one()
-        for i, e in enumerate(r):
-            if e:
-                c = R.mul(c, R.pow(vals[i], e))
-        M[alg.basis.root_basis_index(r), alg.basis.root_basis_index(r)] = c
-    return GroupElement(alg, M, "torus")
+    return torus_from_root_values(
+        alg, torus_root_values(R, vals, alg.datum.root_matrix))
 
 
 def root_value_of_torus(alg, t, beta):
@@ -412,14 +449,8 @@ def ad_eigenvalues_on_roots(alg, h):
     """Eigenvalues of ad(h) for h in the Cartan: <beta, h> per root,
     plus rank zeros."""
     d = alg.datum
-    R = alg.ring
-    out = []
-    for r in d.roots:
-        val = 0
-        for i in range(d.rank):
-            val += d.pair_simple_coroot(r, i) * int(h[i, 0])
-        out.append(val % R.q)
-    return sorted(out) + [0] * d.rank
+    vals = d.simple_pairings @ h[: d.rank, 0] % alg.ring.q
+    return sorted(vals.tolist()) + [0] * d.rank
 
 
 def trivial_frobenius_search(alg2, alpha, q, seed=0):
@@ -427,9 +458,11 @@ def trivial_frobenius_search(alg2, alpha, q, seed=0):
     alpha(t_b) = q and beta(t_b) != 1 mod p^2 for every beta in
     Phi^alpha.
 
-    b runs over ker(alpha) in the F_p-points of the Cartan; the search
-    is a deterministic scan in seed order and raises if the hyperplane
-    complement is empty (tiny p only).  Returns (element, b, report).
+    b runs over ker(alpha) in the F_p-points of the span of the simple
+    coroots, acting by beta(b) = sum_i b_i <beta, alpha_i^vee>; the
+    search is a deterministic scan in seed order and raises if the
+    hyperplane complement is empty (tiny p only).  Returns (element, b,
+    report).
     """
     R = alg2.ring
     if R.m != 2:
@@ -442,76 +475,33 @@ def trivial_frobenius_search(alg2, alpha, q, seed=0):
     if c % p == 0 or (int(q) - 1) % p != 0:
         raise ChevGroupError("q must be 1 mod p and not 1 mod p^2")
     s = sqrt_one_mod_p(R, qel)
-    pa = phi_alpha(alg2.basis, alpha)
-    # enumerate b in ker(alpha) subset t(F_p), seeded order
-    rank = d.rank
-    rng = np.random.default_rng(seed)
-    # parametrize kernel of <alpha, . > on coweight-ish coordinates:
-    # b as integer vector (b_1..b_rank) acting by beta(b) = sum beta_i' b_i
-    # where beta(b) uses the coroot-coordinate pairing of the Cartan.
-    # We take b in the span of simple coroots: beta(b) = sum_i b_i <beta, alpha_i^vee>.
-    def beta_of_b(beta, b):
-        return sum(int(b[i]) * d.pair_simple_coroot(beta, i) for i in range(rank)) % p
-
-    candidates = []
-    total = p ** rank
-    order = rng.permutation(total)
-    for k in order:
-        b = []
-        kk = int(k)
-        for _ in range(rank):
-            b.append(kk % p)
-            kk //= p
-        if beta_of_b(alpha, b) % p == 0:
-            candidates.append(b)
-    half = pow(2, p - 2, p)
-    for b in candidates:
-        ok = True
-        for beta in pa:
-            m = int(d.pair_root_coroot(beta, alpha))
-            # beta(t_b) = (1 + p beta(b)) q^{m/2}; != 1 mod p^2 iff
-            # beta(b) + c m / 2 != 0 mod p
-            if (beta_of_b(beta, b) + c * m % p * half) % p == 0:
-                ok = False
-                break
-        if ok:
-            t = torus_from_coroot_data(alg2, alpha, s, b)
-            report = {"seed": seed, "b": list(int(x) for x in b),
-                      "alpha": list(alpha), "q": int(q)}
-            return t, b, report
-    raise ChevGroupError("search space exhausted (p too small for %s)" %
-                         (alpha,))
+    rows = [d.root_index[beta] for beta in phi_alpha(alg2.basis, alpha)]
+    # every b in F_p^rank, in seeded order, then those in ker(alpha)
+    order = np.random.default_rng(seed).permutation(p ** d.rank)
+    B = order[:, None] // p ** np.arange(d.rank) % p
+    B = B[B @ d.simple_pairings[d.root_index[alpha]] % p == 0]
+    # beta(t_b) = (1 + p beta(b)) q^{m/2} with m = <beta, alpha^vee> is
+    # != 1 mod p^2 iff beta(b) + c m / 2 != 0 mod p
+    shift = c * d.coroot_pairings(alpha)[rows] % p * pow(2, p - 2, p)
+    hits = np.flatnonzero(
+        np.all((B @ d.simple_pairings[rows].T + shift) % p, axis=1))
+    if not len(hits):
+        raise ChevGroupError("search space exhausted (p too small for %s)" %
+                             (alpha,))
+    b = [int(x) for x in B[hits[0]]]
+    t = torus_from_coroot_data(alg2, alpha, s, b)
+    report = {"seed": seed, "b": list(b), "alpha": list(alpha), "q": int(q)}
+    return t, b, report
 
 
 def torus_from_coroot_data(alg2, alpha, s, b):
-    """(1 + p b) alpha^vee(s) as a diagonal group element over O/p^2."""
+    """(1 + p b) alpha^vee(s) as a diagonal group element over O/p^m."""
     R = alg2.ring
     d = alg2.datum
-    p = R.p
-    M = R.mat_id(alg2.dim)
-    for r in d.roots:
-        m = int(d.pair_root_coroot(r, alpha))
-        val = R.pow(s, m)
-        bb = sum(int(b[i]) * d.pair_simple_coroot(r, i) for i in range(d.rank)) % p
-        val = R.mul(val, R.el(1 + p * bb))
-        M[alg2.basis.root_basis_index(r), alg2.basis.root_basis_index(r)] = val
-    return GroupElement(alg2, M, "torus")
-
-
-def centralizer_roots_of_torus_power(datum, tvals, n, q):
-    """Roots beta with beta(t)^n = 1 in F_q^x, for a torus element given
-    by its unit values on the simple roots.  This is the root part of
-    the centralizer subalgebra of t^n at the Lie-algebra level; the
-    exponent is reduced mod q - 1."""
-    out = []
-    e = int(n) % (q - 1)
-    for r in datum.roots:
-        val = 1
-        for i, expo in enumerate(r):
-            val = val * pow(int(tvals[i]), expo % (q - 1), q) % q
-        if pow(val, e, q) == 1:
-            out.append(r)
-    return out
+    vals = torus_root_values(R, [s], d.coroot_pairings(tuple(alpha))[:, None])
+    bb = d.simple_pairings @ np.asarray(b, dtype=np.int64) % R.p
+    return torus_from_root_values(
+        alg2, vals * ((1 + R.p * bb) % R.q)[:, None] % R.q)
 
 
 def levi_certificate_check(datum, n_prime, m_g, q, samples, rng):
@@ -522,37 +512,32 @@ def levi_certificate_check(datum, n_prime, m_g, q, samples, rng):
     vanishing-root subsystem Psi = {beta : beta(s)^n = 1} is rationally
     closed (Psi = Phi intersect Q-span(Psi)) -- then the centralizer
     subalgebra of s^n, computed as the kernel of Ad(s^n) - 1 over F_q,
-    equals the Levi subalgebra of Psi; both are compared exactly.
-    Returns the number of successes (must equal samples)."""
+    equals the Levi subalgebra of Psi; both are compared exactly.  q
+    must be an odd prime (F_q = Z/q).  Returns the number of successes
+    (must equal samples)."""
     from . import modp
     from .intlinalg import in_rational_span
     ok = 0
     dim = datum.dim
     rank = datum.rank
+    Fq = CoeffRing(q, 1)
     for _ in range(samples):
         tvals = [int(rng.integers(1, q)) for _ in range(rank)]
+        svals = torus_root_values(Fq, [Fq.el(t) for t in tvals],
+                                  datum.root_matrix)[:, 0].tolist()
         found = False
         for j in range(m_g + 1):
             n = pow(n_prime, j, q - 1) if n_prime > 1 else 1
-            psi = centralizer_roots_of_torus_power(datum, tvals, n, q)
-            closed = all(
-                (r in psi) == in_rational_span([list(x) for x in psi] or
-                                               [[0] * rank], list(r))
-                for r in datum.roots) if psi else True
-            if psi and not closed:
+            # beta(s^n) on every root line; Psi is where it is 1
+            vals = [pow(v, n, q) for v in svals]
+            psi = [r for r, v in zip(datum.roots, vals) if v == 1]
+            if psi and not all(
+                    (r in psi) == in_rational_span([list(x) for x in psi],
+                                                   list(r))
+                    for r in datum.roots):
                 continue
-            if not psi:
-                closed = True
             # centralizer subalgebra of s^n via the kernel of Ad - 1
-            M = np.zeros((dim, dim), dtype=np.int64)
-            for i in range(rank):
-                M[i, i] = 1
-            for r in datum.roots:
-                val = 1
-                for i, e in enumerate(r):
-                    val = val * pow(tvals[i], (e * n) % (q - 1), q) % q
-                idx = rank + datum.root_index[r]
-                M[idx, idx] = val
+            M = np.diag(np.array([1] * rank + vals, dtype=np.int64))
             ker = modp.kernel_basis((M - np.eye(dim, dtype=np.int64)) % q, q)
             levi = np.zeros((rank + len(psi), dim), dtype=np.int64)
             for i in range(rank):

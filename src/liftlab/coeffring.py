@@ -25,7 +25,8 @@ inner dimension n: a matmul sums n products below q^2, the fold r^2.
 Inverses are Newton (Hensel) lifts of an inverse mod p.  The inverse
 mod p of a matrix, and at r > 1 of a scalar, is modp.inverse applied to
 its regular representation (CoeffRing.regular), the F_p matrix of
-multiplication by it; at r = 1 a scalar is inverted by Fermat.
+multiplication by it; at r = 1 a scalar is an integer unit mod q and is
+inverted directly by Python's modular inverse.
 """
 
 from __future__ import annotations
@@ -236,13 +237,11 @@ class CoeffRing:
         """
         if not self.is_unit(a):
             raise CoeffRingError("division by non-unit")
-        # inverse mod p: Fermat at r = 1, row 0 of the inverse of the
-        # regular representation (multiplication by a) at r > 1
         if self.r == 1:
-            x = np.array([pow(int(a[0]) % self.p, self.p - 2, self.p)],
-                         dtype=np.int64)
-        else:
-            x = modp.inverse(self.regular(np.asarray(a)[None, None]), self.p)[0]
+            return np.array([pow(int(a[0]), -1, self.q)], dtype=np.int64)
+        # inverse mod p: row 0 of the inverse of the regular
+        # representation (multiplication by a)
+        x = modp.inverse(self.regular(np.asarray(a)[None, None]), self.p)[0]
         # Newton: x <- x (2 - a x), doubles p-adic precision each step
         prec = 1
         while prec < self.m:

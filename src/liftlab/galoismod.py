@@ -72,14 +72,13 @@ class MatrixModule:
         """Module induced on the row space of `basis` (must be stable)."""
         p = self.p
         B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
-        sub = []
-        for g in self.gens:
-            # column i of g B^t is the image of basis vector i; its
-            # coordinates in B are column i of the solution
-            X = modp.solve(B.T, g @ B.T % p, p)
-            if X is None:
-                raise GaloisModError("basis does not span a submodule")
-            sub.append(X)
+        # column i of g B^t is the image of basis vector i; its
+        # coordinates in B are column i of the solution, and every
+        # generator's images are solved in one elimination
+        X = modp.solve(B.T, np.hstack([g @ B.T % p for g in self.gens]), p)
+        if X is None:
+            raise GaloisModError("basis does not span a submodule")
+        sub = np.hsplit(X, len(self.gens))
         M = MatrixModule(p, sub, check=False)
         M.embedding = B
         return M
@@ -149,22 +148,22 @@ def find_proper_submodule(module, rng, attempts=60):
     for _ in range(attempts):
         z = _random_algebra_element(module, rng)
         mp = modp.min_poly(z, p, rng)
-        for f in modp.factor_squarefree_part(mp, p):
-            zf = modp.poly_eval_matrix(f, z, p)
-            K = modp.kernel_basis(zf, p)
-            if K.shape[0] == 0:
-                continue
-            U = spin(module, K[0])
-            if U.shape[0] < n:
-                return U
-            KT = modp.kernel_basis(zf.T % p, p)
-            for w in KT:
-                W = spin(trans, w)
-                if W.shape[0] < n:
-                    # perp of a transposed submodule is a submodule
-                    return modp.kernel_basis(W, p)
-            # Norton: irreducible
-            return None
+        # f divides the minimal polynomial of z, so f(z) is singular and
+        # the first factor decides
+        f = next(modp.squarefree_factors(mp, p))
+        zf = modp.poly_eval_matrix(f, z, p)
+        K = modp.kernel_basis(zf, p)
+        U = spin(module, K[0])
+        if U.shape[0] < n:
+            return U
+        KT = modp.kernel_basis(zf.T % p, p)
+        for w in KT:
+            W = spin(trans, w)
+            if W.shape[0] < n:
+                # perp of a transposed submodule is a submodule
+                return modp.kernel_basis(W, p)
+        # Norton: irreducible
+        return None
     raise GaloisModError("could not certify (ir)reducibility in budget")
 
 

@@ -28,7 +28,8 @@ from . import localconds as lc
 from . import modp
 from . import selmer as sm
 from .coeffring import CoeffRing
-from .chevgroup import GroupElement, LieAlgebra, one_plus, root_product
+from .chevgroup import (GroupElement, LieAlgebra, one_plus, root_product,
+                        torus_elt)
 from .rootdata import root_datum
 
 
@@ -102,12 +103,11 @@ class TamePlaceState:
         coords = self.coords
         # Cartan part scales the torus values; root parts join the
         # centralizer factors; the g_alpha parts shift xa and xtau
-        tvals = list(coords["tvals"])
-        for j in range(d.rank):
-            pair = 0
-            for i in range(d.rank):
-                pair += int(tan_sigma[i]) * d.cartan[i][j]
-            tvals[j] = (np.asarray(tvals[j]) * (1 + scale * pair)) % R.q
+        # alpha_j(h) for the Cartan part h of the tangent
+        pairs = d.simple_pairings[d.simple_indices] @ np.asarray(
+            tan_sigma[: d.rank], dtype=np.int64)
+        tvals = [(np.asarray(v) * (1 + scale * int(pair))) % R.q
+                 for v, pair in zip(coords["tvals"], pairs)]
         cent = list(coords["cent"])
         alg_index = {r: self.basis.root_basis_index(r) for r in d.roots}
         xa = np.asarray(coords["xa"]) % R.q
@@ -159,20 +159,15 @@ class OrdinaryPlaceState:
         model2 = self.model.at_precision(self.m + 1)
         R2 = model2.ring
         out = {}
+        rows = self.datum.simple_indices
         for gname in self.model.generators:
             M = self.lift.values[gname].mat % self.model.ring.q
             el = GroupElement(model2.alg, M % R2.q, "lift")
             # torus correction on the diagonal: target chi mod p^(m+1)
-            tvals = []
-            for i in range(self.datum.rank):
-                simple = tuple(1 if k == i else 0
-                               for k in range(self.datum.rank))
-                ii = model2.alg.basis.root_basis_index(simple)
-                want = model2.beta_of_chi(gname, simple)
-                have = int(el.mat[ii, ii, 0]) % R2.q
-                ratio = want * pow(have, -1, R2.q) % R2.q
-                tvals.append(R2.el(ratio))
-            from .chevgroup import torus_elt
+            chi = model2.chi_table(gname)
+            have = el.mat[self.datum.rank + rows, self.datum.rank + rows, 0]
+            tvals = [R2.el(chi[k] * pow(int(h), -1, R2.q) % R2.q)
+                     for k, h in zip(rows.tolist(), have)]
             out[gname] = torus_elt(model2.alg, tvals) @ el
         self.model = model2
         self.m += 1

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import fieldlinalg as fl
 from .coeffring import CoeffRing, sqrt_one_mod_p
-from .chevgroup import (GroupElement, LieAlgebra, identity, one_plus,
-                        root_value_of_torus, torus_elt, u_alpha)
+from .chevgroup import (LieAlgebra, identity, one_plus, torus_elt,
+                        torus_from_root_values, torus_root_values, u_alpha)
 from .rootdata import phi_alpha
 
 
@@ -60,6 +60,7 @@ class TameLocalModel:
         self.alg1 = LieAlgebra(datum, basis, self.residue)
         self.datum, self.basis = datum, basis
         self.zeta_normalized = zeta_normalized
+        self._covee = {}
 
     @cached_property
     def sqrt_q(self):
@@ -67,6 +68,15 @@ class TameLocalModel:
         s = hensel_sqrt(self.ring, self.q)
         s.flags.writeable = False
         return s
+
+    def covee_sqrt_q(self, alpha):
+        """alpha^vee(sqrt q) as a diagonal element, built once per root."""
+        alpha = tuple(alpha)
+        t = self._covee.get(alpha)
+        if t is None:
+            t = self._covee[alpha] = _alpha_covee(self, alpha, self.sqrt_q)
+            t.mat.flags.writeable = False
+        return t
 
     def at_precision(self, m2):
         return TameLocalModel(self.datum, self.basis, self.p, m2, self.q,
@@ -176,10 +186,7 @@ def is_torus_matrix(model, M, upto=None):
     off[np.arange(n), np.arange(n)] = 0
     if np.any(off % q):
         return False
-    for i in range(rank):
-        if not R.eq(D[i, i] % q, R.one() % q):
-            return False
-    return True
+    return bool(np.all(D[np.arange(rank), np.arange(rank)] == R.one() % q))
 
 
 def membership(lift, alpha, variant="plain", conjugator=None):
@@ -220,13 +227,10 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     s2 = lift.sigma.mat % p2
     if not is_torus_matrix(model, s2, upto=2):
         return False
-    for beta in phi_alpha(model.basis, alpha):
-        i = alg.basis.root_basis_index(beta)
-        val = s2[i, i].copy()
-        one = np.zeros(R.r, dtype=np.int64)
-        one[0] = 1
-        if not np.any((val - one) % p2):
-            return False
+    # beta(sigma) != 1 mod p^2 for every beta in Phi^alpha
+    k = [alg.basis.root_basis_index(b) for b in phi_alpha(model.basis, alpha)]
+    if not np.all(np.any((s2[k, k] - R.one()) % p2, axis=-1)):
+        return False
     if variant == "unr2":
         return bool(np.all((lift.tau.mat - R.mat_id(alg.dim)) % p2 == 0))
     if variant == "ram2":
@@ -412,8 +416,7 @@ def _kernel_alpha_on_t(model, alpha):
     d = model.datum
     n = model.alg1.dim
     row = np.zeros((1, d.rank, K.r), dtype=np.int64)
-    for i in range(d.rank):
-        row[0, i] = K.el(d.pair_simple_coroot(alpha, i))
+    row[0, :, 0] = d.simple_pairings[d.root_index[tuple(alpha)]] % K.q
     ker = fl.kernel_f(K, row)
     out = []
     for v in ker:
@@ -526,30 +529,37 @@ class OrdinaryLocalModel:
         self.alg1 = LieAlgebra(datum, basis, self.residue)
         self.generators = ["s"] + ["u%d" % (i + 1) for i in range(f)]
         self.chi = {g: tuple(int(c) for c in chi[g]) for g in self.generators}
+        self._chi_tables = {}
 
     def at_precision(self, m2):
         return OrdinaryLocalModel(self.datum, self.basis, self.p, m2, self.f,
                                   self.chi, r=self.ring.r)
 
-    def beta_of_chi(self, gen, beta, modulus=None):
-        """beta(chi(gen)) as an integer mod p^m (or a given modulus)."""
+    def chi_table(self, gen, modulus=None):
+        """beta(chi(gen)) mod p^m (or a given modulus) for every root
+        beta, ordered like datum.roots, as Python ints; built once per
+        (generator, modulus)."""
         mod = modulus if modulus is not None else self.ring.q
-        val = 1
-        for i, e in enumerate(tuple(beta)):
-            val = val * pow(self.chi[gen][i] % mod, e, mod) % mod \
-                if e >= 0 else val * pow(pow(self.chi[gen][i], -1, mod), -e, mod) % mod
-        return val % mod
+        table = self._chi_tables.get((gen, mod))
+        if table is None:
+            units = [c % mod for c in self.chi[gen]]
+            invs = [pow(c, -1, mod) for c in units]
+            table = []
+            for row in self.datum.root_matrix.tolist():
+                val = 1
+                for c, ci, e in zip(units, invs, row):
+                    val = val * pow(c if e >= 0 else ci, abs(e), mod) % mod
+                table.append(val)
+            table = self._chi_tables[(gen, mod)] = tuple(table)
+        return table
 
     def check_regularity(self):
         """Every negative root must be nontrivial mod p^2 on inertia."""
-        bad = []
         p2 = self.p ** 2
-        for beta in self.datum.roots:
-            if self.datum._is_positive(beta):
-                continue
-            if all(self.beta_of_chi(g, beta, p2) == 1
-                   for g in self.generators[1:]):
-                bad.append(beta)
+        inertia = [self.chi_table(g, p2) for g in self.generators[1:]]
+        bad = [beta for k, beta in enumerate(self.datum.roots)
+               if not self.datum._is_positive(beta)
+               and all(t[k] == 1 for t in inertia)]
         if bad:
             raise LocalCondError("degenerate chi_T: beta(chi) = 1 mod p^2 "
                                  "on inertia for %s" % (bad,))
@@ -589,11 +599,8 @@ class OrdinaryLift:
 def _torus_matrix_from_chi(model, gen, modulus):
     n = model.alg.dim
     M = np.zeros((n, n, model.ring.r), dtype=np.int64)
-    for i in range(n):
-        M[i, i, 0] = 1
-    for rt in model.datum.roots:
-        i = model.alg.basis.root_basis_index(rt)
-        M[i, i, 0] = model.beta_of_chi(gen, rt, modulus)
+    M[np.arange(n), np.arange(n), 0] = \
+        (1,) * model.datum.rank + model.chi_table(gen, modulus)
     return M % modulus
 
 
@@ -617,22 +624,18 @@ def membership_ordinary(lift, conjugator=None):
     R = model.ring
     alg = model.alg
     bidx = borel_basis_indices(alg)
-    bset = set(bidx)
+    off = np.ones(alg.dim, dtype=bool)
+    off[bidx] = False
     for gname in model.generators:
-        M = lift.values[gname].mat
-        for j in bidx:
-            col = M[:, j]
-            for i in range(alg.dim):
-                if i not in bset and np.any(col[i] % R.q):
-                    return False
+        if np.any(lift.values[gname].mat[off][:, bidx] % R.q):
+            return False
+    rows = model.datum.simple_indices
+    ii = model.datum.rank + rows
     for gname in model.generators[1:]:
         M = lift.values[gname].mat
-        for i in range(model.datum.rank):
-            simple = tuple(1 if k == i else 0 for k in range(model.datum.rank))
-            ii = alg.basis.root_basis_index(simple)
-            want = model.beta_of_chi(gname, simple)
-            if int(M[ii, ii, 0]) % R.q != want or np.any(M[ii, ii, 1:] % R.q):
-                return False
+        want = np.array(model.chi_table(gname), dtype=np.int64)[rows]
+        if np.any(M[ii, ii, 0] % R.q != want) or np.any(M[ii, ii, 1:] % R.q):
+            return False
     return True
 
 
@@ -685,14 +688,14 @@ def ordinary_spaces(model, variant="trivial", h0=None):
 
     extra_rows = []
     p2 = model.p ** 2
-    for beta in d.roots:
+    tables = [model.chi_table(gname, p2) for gname in model.generators]
+    for k, beta in enumerate(d.roots):
         if d._is_positive(beta):
             continue
         row = np.zeros((nslots * n, K.r), dtype=np.int64)
         ib = alg1.basis.root_basis_index(beta)
-        for slot, gname in enumerate(model.generators):
-            val = model.beta_of_chi(gname, beta, p2)
-            u = ((1 - val) % p2)
+        for slot, table in enumerate(tables):
+            u = ((1 - table[k]) % p2)
             if u % model.p:
                 raise LocalCondError("beta(chi) not 1 mod p (bug)")
             row[slot * n + ib, 0] = (u // model.p) % model.p
@@ -712,13 +715,14 @@ def ordinary_cocycle_homomorphism_check(model):
     c(gh) - c(g) - c(h) = -(1-beta(chi(g)))(beta(chi(h))-1)/p must
     vanish mod p for all generator pairs; exact check."""
     p2 = model.p ** 2
-    for beta in model.datum.roots:
+    tables = [model.chi_table(gname, p2) for gname in model.generators]
+    for k, beta in enumerate(model.datum.roots):
         if model.datum._is_positive(beta):
             continue
-        for g in model.generators:
-            for h in model.generators:
-                a = (1 - model.beta_of_chi(g, beta, p2)) % p2
-                b = (model.beta_of_chi(h, beta, p2) - 1) % p2
+        for tg in tables:
+            for th in tables:
+                a = (1 - tg[k]) % p2
+                b = (th[k] - 1) % p2
                 if a % model.p or b % model.p:
                     return False
                 if ((a * b) // model.p) % model.p:
@@ -743,9 +747,9 @@ def ordinary_stability_check(lift, beta, lam=1):
     p2 = model.p ** 2
     g = u_alpha(alg, beta, R.el(lam * R.p ** (R.m - 2)))
     scale = R.p ** (R.m - 1)
+    k = model.datum.root_index[beta]
     for gname in model.generators:
-        val = model.beta_of_chi(gname, beta, p2)
-        c = ((1 - val) % p2)
+        c = ((1 - model.chi_table(gname, p2)[k]) % p2)
         cK = (c // model.p) % model.p
         cb = np.zeros((n, R.r), dtype=np.int64)
         cb[alg.basis.root_basis_index(beta), 0] = cK * lam % model.p
@@ -807,8 +811,7 @@ def _assemble_member(model, alpha, coords):
     factor of sigma fixes X_alpha up to the scalar q."""
     R = model.ring
     alg = model.alg
-    s = model.sqrt_q
-    sigma = _alpha_covee(model, alpha, s) @ torus_elt(alg, coords["tvals"])
+    sigma = model.covee_sqrt_q(alpha) @ torus_elt(alg, coords["tvals"])
     for beta, x in coords["cent"]:
         sigma = sigma @ u_alpha(alg, beta, R.el(list(x)))
     sigma = sigma @ u_alpha(alg, alpha, R.el(list(coords["xa"])))
@@ -855,15 +858,9 @@ def sample_member(model, alpha, variant, rng, max_tries=200):
 
 def _alpha_covee(model, alpha, s):
     """alpha^vee(s) as a diagonal element."""
-    R = model.ring
-    alg = model.alg
-    d = model.datum
-    M = R.mat_id(alg.dim)
-    for r in d.roots:
-        mpow = int(d.pair_root_coroot(r, alpha))
-        M[alg.basis.root_basis_index(r), alg.basis.root_basis_index(r)] = \
-            R.pow(s, mpow)
-    return GroupElement(alg, M, "torus")
+    pairings = model.datum.coroot_pairings(tuple(alpha))
+    return torus_from_root_values(
+        model.alg, torus_root_values(model.ring, [s], pairings[:, None]))
 
 
 def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
@@ -935,12 +932,7 @@ def frobenius_member(model, alpha, variant, seed=0, y=1):
                                          seed=seed)
     s = model.sqrt_q
     sigma = torus_from_coroot_data(model.alg, alpha, s, b)
-    if variant == "unr2":
-        x = R.el(0)
-    elif variant == "ram2":
-        x = R.scalar_mul(model.p, R.el(y))
-    else:
-        x = R.scalar_mul(model.p, R.el(y))
+    x = R.el(0) if variant == "unr2" else R.scalar_mul(model.p, R.el(y))
     tau = u_alpha(model.alg, alpha, x)
     lift = LocalLift(model, sigma, tau)
     want = variant if variant in ("unr2", "ram2") else "plain"
@@ -959,34 +951,22 @@ def find_regular_chi(datum, p, f, sigma_c=1):
     None when provably infeasible -- e.g. G2 at p = 5 with f = 1, where
     the six root directions are all six lines of F_5^2."""
     rank = datum.rank
-    neg = [r for r in datum.roots if not datum._is_positive(r)]
-
-    def covered(c, beta):
-        return sum(int(c[i]) * beta[i] for i in range(rank)) % p != 0
-
-    cands = []
-    for k in range(1, p ** rank):
-        c = []
-        kk = k
-        for _ in range(rank):
-            c.append(kk % p)
-            kk //= p
-        cands.append(tuple(c))
+    neg = [k for k, r in enumerate(datum.roots) if not datum._is_positive(r)]
+    # every nonzero c in F_p^rank; covers[j, l]: c_j pairs nontrivially
+    # with the l-th negative root, sum_i c_i beta_i != 0 mod p
+    cands = np.arange(1, p ** rank)[:, None] // p ** np.arange(rank) % p
+    covers = cands @ datum.root_matrix[neg].T % p != 0
     # greedy cover: each generator takes a candidate covering the most
     # of the still-uncovered negative roots
-    remaining = list(neg)
+    remaining = np.ones(len(neg), dtype=bool)
     chosen = []
     for _ in range(f):
-        best, bestcov = None, -1
-        for c in cands:
-            cov = sum(1 for b in remaining if covered(c, b))
-            if cov > bestcov:
-                best, bestcov = c, cov
-        chosen.append(best)
-        remaining = [b for b in remaining if not covered(best, b)]
-        if not remaining:
+        best = int(np.argmax(covers[:, remaining].sum(axis=1)))
+        chosen.append(cands[best].tolist())
+        remaining &= ~covers[best]
+        if not remaining.any():
             break
-    if remaining:
+    if remaining.any():
         return None
     while len(chosen) < f:
         chosen.append(chosen[0])

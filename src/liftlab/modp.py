@@ -230,34 +230,43 @@ def poly_lcm(f, g, p):
 
 def factor_squarefree_part(f, p):
     """Distinct irreducible factors of f (ignores multiplicities)."""
+    return list(squarefree_factors(f, p))
+
+
+def squarefree_factors(f, p):
+    """The distinct irreducible factors of f, generated lazily in the
+    order factor_squarefree_part lists them: a caller that takes only
+    the first one does no work for the rest."""
     f = poly_trim(list(f))
     inv = _inv(f[-1], p)
     f = [c * inv % p for c in f]
     # squarefree part: f / gcd(f, f')
     df = poly_trim([(i * c) % p for i, c in enumerate(f)][1:] or [0])
-    g = poly_gcd(f, df, p) if df != [0] else f
     if df == [0]:
-        # f is a p-th power: f(x) = h(x^p); recurse on h
-        h = [f[i] for i in range(0, len(f), p)]
-        return factor_squarefree_part(h, p)
-    sf = poly_divmod(f, g, p)[0]
-    out = _factor_squarefree(sf, p)
+        # f is a p-th power: f(x) = h(x^p) = h(x)^p; recurse on h
+        yield from squarefree_factors(f[::p], p)
+        return
+    g = poly_gcd(f, df, p)
+    out = []
+    for fac in _factor_squarefree(poly_divmod(f, g, p)[0], p):
+        out.append(fac)
+        yield fac
     # factors hidden in the non-squarefree part
     if len(g) > 1:
-        for extra in factor_squarefree_part(g, p):
+        for extra in squarefree_factors(g, p):
             if extra not in out:
                 out.append(extra)
-    return out
+                yield extra
 
 
 def _factor_squarefree(f, p, rng=None):
-    """Distinct-degree then Cantor-Zassenhaus equal-degree splitting."""
+    """Distinct-degree then Cantor-Zassenhaus equal-degree splitting,
+    generated lazily."""
     if rng is None:
         rng = np.random.default_rng(12345)
     f = poly_trim(list(f))
     if len(f) <= 1:
-        return []
-    out = []
+        return
     d = 1
     rest = f
     # h = x^(p^d) mod rest; each new rest divides the old one, so the
@@ -270,12 +279,11 @@ def _factor_squarefree(f, p, rng=None):
                         for i in range(ln)])
         g = poly_gcd(hm, rest, p)
         if len(g) > 1:
-            out.extend(_equal_degree_split(g, d, p, rng))
+            yield from _equal_degree_split(g, d, p, rng)
             rest = poly_divmod(rest, g, p)[0]
         d += 1
     if len(rest) > 1:
-        out.append(poly_monic(rest, p))
-    return out
+        yield poly_monic(rest, p)
 
 
 def poly_monic(f, p):
@@ -284,11 +292,14 @@ def poly_monic(f, p):
 
 
 def _equal_degree_split(f, d, p, rng):
-    """Cantor-Zassenhaus for a product of degree-d irreducibles, p odd."""
+    """Cantor-Zassenhaus for a product of degree-d irreducibles, p odd;
+    the factors are generated lazily, the factors of the first split
+    part before those of the second."""
     f = poly_monic(f, p)
     n = len(f) - 1
     if n == d:
-        return [f]
+        yield f
+        return
     while True:
         a = [int(rng.integers(0, p)) for _ in range(n)] or [1]
         a = poly_trim(a)
@@ -296,11 +307,13 @@ def _equal_degree_split(f, d, p, rng):
             continue
         g = poly_gcd(a, f, p)
         if len(g) > 1 and len(g) - 1 < n:
-            return _equal_degree_split(g, d, p, rng) + \
-                _equal_degree_split(poly_divmod(f, g, p)[0], d, p, rng)
+            yield from _equal_degree_split(g, d, p, rng)
+            yield from _equal_degree_split(poly_divmod(f, g, p)[0], d, p, rng)
+            return
         b = poly_powmod(a, (p ** d - 1) // 2, f, p)
         bm1 = poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(b)])
         g = poly_gcd(bm1, f, p)
         if len(g) > 1 and len(g) - 1 < n:
-            return _equal_degree_split(g, d, p, rng) + \
-                _equal_degree_split(poly_divmod(f, g, p)[0], d, p, rng)
+            yield from _equal_degree_split(g, d, p, rng)
+            yield from _equal_degree_split(poly_divmod(f, g, p)[0], d, p, rng)
+            return

@@ -5,6 +5,15 @@ The Cartan matrix convention is a[i][j] = <alpha_j, alpha_i^vee>, so
 the simple reflection acts by s_i(x) = x - <x, alpha_i^vee> alpha_i
 with <alpha_j, alpha_i^vee> = a[i][j].
 
+Every RootDatum also holds its roots as integer tables, ordered like
+`roots`, for the code that acts on all root lines at once:
+`root_matrix` (row k is roots[k] in simple-root coordinates),
+`simple_pairings` = root_matrix a^T (row k holds <roots[k], alpha_i^vee>)
+and `simple_indices` (the position of alpha_i in `roots`).  A torus
+element with values t_i on the simple roots acts on g_beta by
+prod t_i^(beta_i), read from root_matrix; the cocharacter alpha^vee(s)
+acts by s^<beta, alpha^vee>, read from coroot_pairings(alpha).
+
 Structure constant signs follow the extraspecial-pair convention: for
 each non-simple positive root g, the extraspecial pair (e, g - e) with
 e minimal in a fixed total order (height, then coordinate lex) gets
@@ -143,6 +152,15 @@ class RootDatum:
             self.root_index[r] = i
         self.weyl_order = _WEYL_ORDER[family](rank)
         self.dim = rank + self.nroots
+        self.root_matrix = np.array(ordered, dtype=np.int64)
+        self.simple_pairings = self.root_matrix @ np.array(
+            self.cartan, dtype=np.int64).T
+        self.simple_indices = np.array(
+            [self.root_index[tuple(int(i == j) for j in range(rank))]
+             for i in range(rank)], dtype=np.int64)
+        for table in (self.root_matrix, self.simple_pairings,
+                      self.simple_indices):
+            table.flags.writeable = False
 
     # -- basic combinatorics
 
@@ -190,6 +208,11 @@ class RootDatum:
                 raise RootDataError("non-integral coroot (bug)")
             out.append(num // n2)
         return tuple(out)
+
+    def coroot_pairings(self, g):
+        """<beta, gamma^vee> for every root beta, ordered like `roots`."""
+        return self.simple_pairings @ np.array(self.coroot_coords(g),
+                                               dtype=np.int64)
 
     def pair_root_coroot(self, x, g):
         """<x, gamma^vee> for a root gamma and any lattice vector x in

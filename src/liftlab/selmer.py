@@ -521,11 +521,9 @@ def splitcase_search(model, phi, psi, rng, budget=200):
         if gi is None:
             raise SelmerError("matrix not invertible mod p")
         eta_g = gi @ eta.matrix @ gm % p
-        for alpha in d.roots:
+        for alpha, arow in zip(d.roots, d.simple_pairings):
             # functional t |-> alpha(p_t(eta_g t)) on the Cartan block
             M_tt = eta_g[:rank, :rank]
-            arow = np.array([d.pair_simple_coroot(alpha, i)
-                             for i in range(rank)], dtype=np.int64)
             f_alpha = arow @ M_tt % p
             if not np.any(f_alpha):
                 continue
@@ -545,8 +543,7 @@ def _find_torus_witness(d, alpha, c, f_alpha, p, rng, tries=400):
     The Phi^alpha regularity conditions beta(t) != 0 are re-checked in
     _finish_splitcase, which retries on failure."""
     rank = d.rank
-    arow = np.array([d.pair_simple_coroot(alpha, i) for i in range(rank)],
-                    dtype=np.int64) % p
+    arow = d.simple_pairings[d.root_index[tuple(alpha)]] % p
     for _ in range(tries):
         t = rng.integers(0, p, size=rank, dtype=np.int64)
         if int(arow @ t % p) != c % p:
@@ -563,11 +560,9 @@ def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
     d = model.datum
     rank = d.rank
     # beta(t) != 0 for all beta in Phi^alpha
-    for beta in phi_alpha(model.basis, tuple(alpha)):
-        brow = np.array([d.pair_simple_coroot(beta, i) for i in range(rank)],
-                        dtype=np.int64)
-        if int(brow @ t % p) == 0:
-            return None
+    rows = [d.root_index[b] for b in phi_alpha(model.basis, tuple(alpha))]
+    if not np.all(d.simple_pairings[rows] @ t % p):
+        return None
     # t as a Lie vector in the standard frame, then moved to the g-frame
     tvec = np.zeros(d.dim, dtype=np.int64)
     tvec[:rank] = t
@@ -598,23 +593,16 @@ def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
     from .chevgroup import exp_hat
     rho2_frame = exp_hat(alg2, (p * tvec2) % R2.q)
     Mfr = rho2_frame.mat[..., 0]
-    diag_ok = True
     off = Mfr.copy()
     off[np.arange(d.dim), np.arange(d.dim)] = 0
-    if np.any(off % (p * p)):
-        diag_ok = False
-    for beta in phi_alpha(model.basis, tuple(alpha)):
-        i = alg1.basis.root_basis_index(tuple(beta))
-        if int(Mfr[i, i] % (p * p)) == 1:
-            diag_ok = False
-    if not diag_ok:
+    k = rank + np.array(rows, dtype=np.int64)
+    if np.any(off % (p * p)) or np.any(Mfr[k, k] % (p * p) == 1):
         return None
+    values = np.diagonal(Mfr)[rank:] % (p * p)     # ordered like d.roots
     return {
         "g": g, "g_mat": gm, "alpha": tuple(alpha), "t": t, "c": c,
         "phi_value": phival, "psi_value": psival,
-        "rho2_torus_values": {tuple(b): int(Mfr[alg1.basis.root_basis_index(tuple(b)),
-                                                alg1.basis.root_basis_index(tuple(b))] % (p * p))
-                              for b in d.roots},
+        "rho2_torus_values": {b: int(v) for b, v in zip(d.roots, values)},
     }
 
 
@@ -623,9 +611,7 @@ def _frame_subspace(alg1, gm, alpha, p):
     d = alg1.datum
     rank = d.rank
     rows = []
-    arow = np.array([d.pair_simple_coroot(alpha, i) for i in range(rank)],
-                    dtype=np.int64).reshape(1, -1)
-    ker = modp.kernel_basis(arow, p)
+    ker = modp.kernel_basis(d.simple_pairings[d.root_index[alpha]][None], p)
     for v in ker:
         e = np.zeros(d.dim, dtype=np.int64)
         e[:rank] = v

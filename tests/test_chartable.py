@@ -79,7 +79,8 @@ def test_inconsistent_class_function_rejected():
 def test_corrupted_table_fails_validation():
     import os
     path = os.path.join(default_data_dir(), "a6.tbl")
-    text = open(path).read().replace("10 -2 1 1 0 0 0", "10 -2 1 1 0 1 0")
+    with open(path) as fh:
+        text = fh.read().replace("10 -2 1 1 0 0 0", "10 -2 1 1 0 1 0")
     t = CharacterTable.parse(text)
     with pytest.raises(CharTableError):
         t.validate()

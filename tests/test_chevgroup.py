@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from liftlab.coeffring import CoeffRing
+from liftlab.coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
 from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
                                _tables, ad_eigenvalues_on_roots, exp_hat,
                                identity, image_growth_check,
                                levi_certificate_check, matrix_identity_check,
                                principal_sl2, root_product,
                                root_value_of_torus, torus_elt,
+                               torus_from_coroot_data, torus_root_values,
                                trivial_frobenius_search, u_alpha)
 from liftlab.rootdata import levi_bound, phi_alpha, root_datum
 
@@ -255,6 +256,9 @@ def test_levi_certificate_small_types():
         lb = levi_bound(d)
         assert levi_certificate_check(d, lb["n_prime"], lb["m_g"], 113, 25,
                                       rng) == 25
+    # the torus is T(F_q): a q that is not a prime is refused
+    with pytest.raises(ParameterError):
+        levi_certificate_check(d, lb["n_prime"], lb["m_g"], 9, 1, rng)
 
 
 def test_very_good_prime_guard():
@@ -330,3 +334,152 @@ def test_basis_tables_are_integral_and_read_only():
             else:
                 assert not any(v for row in Ak for v in row)
     assert negative
+
+
+# -- the torus on the root lines: whole-table constructions against the
+# scalar, root-by-root ones
+
+TORUS_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3")
+
+
+def reference_torus_elt(alg, vals):
+    """beta(t) = prod_i t_i^beta_i per root, one R.pow per coordinate."""
+    R = alg.ring
+    M = R.mat_id(alg.dim)
+    for r in alg.datum.roots:
+        c = R.one()
+        for i, e in enumerate(r):
+            if e:
+                c = R.mul(c, R.pow(vals[i], e))
+        k = alg.basis.root_basis_index(r)
+        M[k, k] = c
+    return M
+
+
+def reference_coroot_torus(alg, alpha, s, b):
+    """(1 + p b) alpha^vee(s) per root: s^<beta, alpha^vee> by R.pow
+    times 1 + p sum_i b_i <beta, alpha_i^vee>."""
+    R, d = alg.ring, alg.datum
+    M = R.mat_id(alg.dim)
+    for r in d.roots:
+        val = R.pow(s, d.pair_root_coroot(r, alpha))
+        bb = sum(int(b[i]) * d.pair_simple_coroot(r, i)
+                 for i in range(d.rank)) % R.p
+        k = alg.basis.root_basis_index(r)
+        M[k, k] = R.mul(val, R.el(1 + R.p * bb))
+    return M
+
+
+def reference_ad_eigenvalues(alg, h):
+    d = alg.datum
+    out = [sum(d.pair_simple_coroot(r, i) * int(h[i, 0])
+               for i in range(d.rank)) % alg.ring.q for r in d.roots]
+    return sorted(out) + [0] * d.rank
+
+
+def reference_frobenius_search(alg2, alpha, q, seed):
+    """The scan of seeded candidates b one at a time; returns (b,
+    report) or raises the exhaustion error."""
+    R, d = alg2.ring, alg2.datum
+    p = R.p
+    c = (q - 1) // p % p
+    half = pow(2, p - 2, p)
+
+    def beta_of_b(beta, b):
+        return sum(b[i] * d.pair_simple_coroot(beta, i)
+                   for i in range(d.rank)) % p
+
+    for k in np.random.default_rng(seed).permutation(p ** d.rank):
+        b = [int(k) // p ** i % p for i in range(d.rank)]
+        if beta_of_b(alpha, b):
+            continue
+        if all((beta_of_b(beta, b) + c * d.pair_root_coroot(beta, alpha)
+                % p * half) % p for beta in phi_alpha(alg2.basis, alpha)):
+            return b, {"seed": seed, "b": b, "alpha": list(alpha), "q": q}
+    raise ChevGroupError("search space exhausted (p too small for %s)" %
+                         (alpha,))
+
+
+def test_torus_constructions_match_scalar_references():
+    rng = np.random.default_rng(8)
+    for name in TORUS_TYPES:
+        for p in (5, 7, 13):
+            for m in (2, 3, 4):
+                for r in (1, 2, 3):
+                    d, b, alg = alg_for(name, p, m, r)
+                    R = alg.ring
+                    vals = [R.random_unit(rng) for _ in range(d.rank)]
+                    assert np.array_equal(torus_elt(alg, vals).mat,
+                                          reference_torus_elt(alg, vals))
+                    alpha = d.roots[int(rng.integers(len(d.roots)))]
+                    s = R.random_unit(rng)
+                    bvec = [int(x) for x in rng.integers(0, p, size=d.rank)]
+                    for bb in (bvec, [0] * d.rank):
+                        got = torus_from_coroot_data(alg, alpha, s, bb).mat
+                        assert np.array_equal(
+                            got, reference_coroot_torus(alg, alpha, s, bb))
+                    h = alg.random_vec(rng)
+                    assert ad_eigenvalues_on_roots(alg, h) == \
+                        reference_ad_eigenvalues(alg, h)
+
+
+def test_torus_root_values_negative_exponents_and_inverses(monkeypatch):
+    rng = np.random.default_rng(9)
+    for p, m, r in ((5, 2, 1), (7, 3, 2), (13, 4, 3), (5, 4, 3)):
+        R = CoeffRing(p, m, r)
+        calls = []
+        inv = R.inv
+        monkeypatch.setattr(R, "inv", lambda a: calls.append(1) or inv(a))
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            units = [R.random_unit(rng) for _ in range(k)]
+            E = rng.integers(-4, 5, size=(int(rng.integers(1, 9)), k))
+            calls.clear()
+            got = torus_root_values(R, units, E)
+            assert len(calls) == sum(bool((col < 0).any()) for col in E.T)
+            for row, v in zip(E, got):
+                want = R.one()
+                for u, e in zip(units, row):
+                    want = R.mul(want, R.pow(u, int(e)))
+                assert np.array_equal(v, want)
+
+
+def test_torus_constructors_invert_each_unit_once(monkeypatch):
+    for name in ("A2", "G2", "B3"):
+        d, b, alg = alg_for(name, 7, 3, 2)
+        R = alg.ring
+        calls = []
+        inv = R.inv
+        monkeypatch.setattr(R, "inv", lambda a: calls.append(1) or inv(a))
+        torus_elt(alg, [R.el(2 + i) for i in range(d.rank)])
+        assert len(calls) <= d.rank
+        calls.clear()
+        torus_from_coroot_data(alg, d.roots[0], R.el(3), [1] * d.rank)
+        assert len(calls) <= 1
+
+
+def test_frobenius_search_matches_scalar_scan():
+    # G2 at p = 5 finds a witness for every root and seed; F4 at p = 5
+    # exhausts the hyperplane complement
+    cases = [(name, p, seeds) for name in ("A1", "A2", "B2", "G2")
+             for p in (5, 7, 13) for seeds in [range(8)]]
+    exhausted = 0
+    for name, p, seeds in cases + [("F4", 5, range(2))]:
+        d, b, alg2 = alg_for(name, p, 2)
+        s = sqrt_one_mod_p(alg2.ring, alg2.ring.el(1 + p))
+        for alpha in d.roots[:12]:
+            for seed in seeds:
+                try:
+                    want = reference_frobenius_search(alg2, alpha, 1 + p, seed)
+                except ChevGroupError as exc:
+                    with pytest.raises(ChevGroupError) as got:
+                        trivial_frobenius_search(alg2, alpha, 1 + p, seed)
+                    assert str(got.value) == str(exc)
+                    exhausted += 1
+                    continue
+                t, bvec, rep = trivial_frobenius_search(alg2, alpha, 1 + p,
+                                                        seed)
+                assert (bvec, rep) == want
+                assert np.array_equal(
+                    t.mat, reference_coroot_torus(alg2, alpha, s, bvec))
+    assert exhausted

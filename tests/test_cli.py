@@ -11,8 +11,10 @@ from liftlab.coeffring import CoeffRingError
 def run(args, tmp_path, name="r.json"):
     out = os.path.join(tmp_path, name)
     code = main(args + ["--out", out])
-    report = json.load(open(out)) if os.path.exists(out) else None
-    return code, report
+    if not os.path.exists(out):
+        return code, None
+    with open(out) as fh:
+        return code, json.load(fh)
 
 
 def test_matrix_identity_subcommand(tmp_path):
@@ -82,7 +84,8 @@ def test_report_determinism(tmp_path):
           "--seed", "5", "--out", a1])
     main(["selmer", "kill", "--types", "A1", "--p", "7", "--rank", "1",
           "--seed", "5", "--out", a2])
-    assert open(a1).read() == open(a2).read()
+    with open(a1) as f1, open(a2) as f2:
+        assert f1.read() == f2.read()
 
 
 def test_config_file(tmp_path):

@@ -279,8 +279,10 @@ def test_spin_and_restrict_match_reference_loops():
             sub = M.restrict(S)
             assert np.array_equal(sub.embedding, B)
             assert len(sub.gens) == len(gens)
-            for got, want in zip(sub.gens, gens):
+            for g, got, want in zip(M.gens, sub.gens, gens):
                 assert np.array_equal(got, want)
+                # one solve per generator gives the same coordinates
+                assert np.array_equal(got, modp.solve(B.T, g @ B.T % p, p))
         assert spin(M, np.zeros(M.dim, dtype=np.int64)).shape == (0, M.dim)
     assert any(k < n for n, k in dims) and len(dims) > 4
 

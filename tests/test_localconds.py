@@ -584,3 +584,94 @@ def test_local_checks_use_no_hensel_inverse(monkeypatch):
     test_stability_all_small_types()
     test_ordinary_stability()
     test_smoothness_probes()
+
+
+# -- torus values from the per-datum tables against the scalar,
+# root-by-root constructions
+
+def reference_beta_of_chi(values, beta, mod):
+    val = 1
+    for c, e in zip(values, beta):
+        val = val * (pow(c % mod, e, mod) if e >= 0
+                     else pow(pow(c, -1, mod), -e, mod)) % mod
+    return val
+
+
+def reference_find_regular_chi(datum, p, f, sigma_c=1):
+    """The greedy cover, one candidate and one root at a time."""
+    rank = datum.rank
+    neg = [r for r in datum.roots if not datum._is_positive(r)]
+
+    def covered(c, beta):
+        return sum(c[i] * beta[i] for i in range(rank)) % p != 0
+
+    cands = [[k // p ** i % p for i in range(rank)]
+             for k in range(1, p ** rank)]
+    remaining, chosen = list(neg), []
+    for _ in range(f):
+        best, bestcov = None, -1
+        for c in cands:
+            cov = sum(1 for b in remaining if covered(c, b))
+            if cov > bestcov:
+                best, bestcov = c, cov
+        chosen.append(best)
+        remaining = [b for b in remaining if not covered(best, b)]
+        if not remaining:
+            break
+    if remaining:
+        return None
+    chosen += [chosen[0]] * (f - len(chosen))
+    chi = {"s": tuple(1 + sigma_c * p for _ in range(rank))}
+    for i, c in enumerate(chosen):
+        chi["u%d" % (i + 1)] = tuple(1 + x * p for x in c)
+    return chi
+
+
+def test_torus_tables_match_scalar_references():
+    rng = np.random.default_rng(11)
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3"):
+        d, b = root_datum(name)
+        for p in (5, 7, 13):
+            for m in (2, 3, 4):
+                for r in (1, 2, 3):
+                    model = lc.TameLocalModel(d, b, p, m, 1 + p, r=r)
+                    R = model.ring
+                    alpha = d.roots[int(rng.integers(len(d.roots)))]
+                    s = R.random_unit(rng)
+                    want = R.mat_id(d.dim)
+                    for rt in d.roots:
+                        k = b.root_basis_index(rt)
+                        want[k, k] = R.pow(s, d.pair_root_coroot(rt, alpha))
+                    assert np.array_equal(
+                        lc._alpha_covee(model, alpha, s).mat, want)
+                    chi = {g: tuple(1 + p * int(c) for c in
+                                    rng.integers(0, p ** m, size=d.rank))
+                           for g in ("s", "u1", "u2")}
+                    om = lc.OrdinaryLocalModel(d, b, p, m, 2, chi, r=r)
+                    for mod in (p * p, R.q):
+                        for g in om.generators:
+                            vals = [reference_beta_of_chi(chi[g], rt, mod)
+                                    for rt in d.roots]
+                            assert list(om.chi_table(g, mod)) == vals
+                            M = lc._torus_matrix_from_chi(om, g, mod)
+                            assert np.array_equal(
+                                M[..., 0], np.diag([1] * d.rank + vals))
+                            assert not M[..., 1:].any()
+
+
+def test_covee_sqrt_q_is_built_once_per_root():
+    model = tame("B2", 7, 3, 8)
+    for alpha in model.datum.roots:
+        t = model.covee_sqrt_q(alpha)
+        assert model.covee_sqrt_q(alpha) is t and not t.mat.flags.writeable
+        assert t.eq(lc._alpha_covee(model, alpha, model.sqrt_q))
+
+
+def test_find_regular_chi_matches_greedy_reference():
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3"):
+        d, _ = root_datum(name)
+        for p in (5, 7, 13):
+            for f in (1, 2, 3):
+                assert lc.find_regular_chi(d, p, f) == \
+                    reference_find_regular_chi(d, p, f)
+    assert lc.find_regular_chi(root_datum("G2")[0], 5, 1) is None

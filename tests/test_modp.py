@@ -145,6 +145,41 @@ def test_factor_squarefree_matches_from_scratch_powers(p, deg, seed):
     df = modp.poly_trim([i * c % p for i, c in enumerate(f)][1:])
     assume(df != [0])
     sf = modp.poly_divmod(f, modp.poly_gcd(f, df, p), p)[0]
-    got = modp._factor_squarefree(sf, p, np.random.default_rng(seed))
+    got = list(modp._factor_squarefree(sf, p, np.random.default_rng(seed)))
     want = reference_factor_squarefree(sf, p, np.random.default_rng(seed))
     assert got == want
+
+
+def reference_factor_squarefree_part(f, p):
+    """Every factor listed eagerly before any is used."""
+    f = modp.poly_monic(modp.poly_trim(list(f)), p)
+    df = modp.poly_trim([(i * c) % p for i, c in enumerate(f)][1:] or [0])
+    if df == [0]:
+        return reference_factor_squarefree_part(f[::p], p)
+    g = modp.poly_gcd(f, df, p)
+    sf = modp.poly_divmod(f, g, p)[0]
+    out = reference_factor_squarefree(sf, p, np.random.default_rng(12345))
+    if len(g) > 1:
+        for extra in reference_factor_squarefree_part(g, p):
+            if extra not in out:
+                out.append(extra)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 6),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_first_lazy_factor_is_the_first_listed(p, deg, power, seed):
+    # f = g^power h(x^p) covers repeated factors and p-th powers
+    rng = np.random.default_rng(seed)
+    g = [int(c) for c in rng.integers(0, p, size=deg)] + [1]
+    h = [int(c) for c in rng.integers(0, p, size=2)] + [1]
+    f = [1]
+    for _ in range(power):
+        f = modp.poly_mul(f, g, p)
+    hp = [0] * (2 * p + 1)
+    hp[::p] = h
+    for F in (f, modp.poly_mul(f, hp, p), hp):
+        want = reference_factor_squarefree_part(F, p)
+        assert next(modp.squarefree_factors(F, p)) == want[0]
+        assert modp.factor_squarefree_part(F, p) == want

@@ -36,7 +36,8 @@ REPORT_SHA256 = [
 
 
 def readme_commands():
-    text = open(os.path.join(ROOT, "README.md")).read()
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
     block = text.split("## Command line", 1)[1].split("```")[1]
     return [shlex.split(ln, comments=True)[1:] for ln in block.splitlines()
             if ln.startswith("liftlab ")]

@@ -171,7 +171,8 @@ def test_cache_roundtrip(tmp_path):
     d2, b2 = load_cache(path)
     assert d2.dim == d.dim
     # corrupting a constant is detected
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("CONSTANTS"):
             parts = lines[i + 1].split()
@@ -179,7 +180,8 @@ def test_cache_roundtrip(tmp_path):
             lines[i + 1] = " ".join(parts)
             break
     bad = os.path.join(tmp_path, "bad.rd")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     with pytest.raises(RootDataError):
         load_cache(bad)
 
@@ -189,3 +191,19 @@ def test_lattice_torsion_examples():
     assert lattice_torsion_op([[1, 0], [0, 1]]) == [1, 1]
     assert lattice_torsion_op([[2, 0], [0, 4]]) == [2, 4]
     assert lattice_torsion_op([[2, 1], [0, 3]]) == [1, 6]
+
+
+def test_root_tables_pin_the_scalar_pairings():
+    for name in TYPE_DATA:
+        d, _ = root_datum(name)
+        assert d.root_matrix.tolist() == [list(r) for r in d.roots]
+        for k, r in enumerate(d.roots):
+            for i in range(d.rank):
+                assert d.simple_pairings[k, i] == d.pair_simple_coroot(r, i)
+        for i, k in enumerate(d.simple_indices):
+            assert d.roots[k] == tuple(int(j == i) for j in range(d.rank))
+        for g in d.roots[:: max(1, len(d.roots) // 8)]:
+            assert d.coroot_pairings(g).tolist() == \
+                [d.pair_root_coroot(r, g) for r in d.roots]
+        for table in (d.root_matrix, d.simple_pairings, d.simple_indices):
+            assert not table.flags.writeable
