@@ -456,26 +456,30 @@ def ad_eigenvalues_on_roots(alg, h):
 def trivial_frobenius_search(alg2, alpha, q, seed=0):
     """Torus element t_b = (1 + p b) alpha^vee(q^(1/2)) over O/p^2 with
     alpha(t_b) = q and beta(t_b) != 1 mod p^2 for every beta in
-    Phi^alpha.
-
-    b runs over ker(alpha) in the F_p-points of the span of the simple
-    coroots, acting by beta(b) = sum_i b_i <beta, alpha_i^vee>; the
-    search is a deterministic scan in seed order and raises if the
-    hyperplane complement is empty (tiny p only).  Returns (element, b,
-    report).
+    Phi^alpha, b from frobenius_b_search.  Returns (element, b, report).
     """
     R = alg2.ring
     if R.m != 2:
         raise ChevGroupError("search works over precision m = 2")
-    p = R.p
-    d = alg2.datum
+    b, report = frobenius_b_search(alg2.datum, alg2.basis, alpha, R.p, q,
+                                   seed)
+    s = sqrt_one_mod_p(R, R.el(q))
+    return torus_from_coroot_data(alg2, alpha, s, b), b, report
+
+
+def frobenius_b_search(datum, basis, alpha, p, q, seed=0):
+    """The b of trivial_frobenius_search, from the datum's tables, p and
+    q alone: b runs over ker(alpha) in the F_p-points of the span of the
+    simple coroots, acting by beta(b) = sum_i b_i <beta, alpha_i^vee>;
+    the search is a deterministic scan in seed order and raises if the
+    hyperplane complement is empty (tiny p only).  Returns (b, report).
+    """
+    d = datum
     alpha = tuple(alpha)
-    qel = R.el(q)
     c = (int(q) - 1) // p % p
     if c % p == 0 or (int(q) - 1) % p != 0:
         raise ChevGroupError("q must be 1 mod p and not 1 mod p^2")
-    s = sqrt_one_mod_p(R, qel)
-    rows = [d.root_index[beta] for beta in phi_alpha(alg2.basis, alpha)]
+    rows = [d.root_index[beta] for beta in phi_alpha(basis, alpha)]
     # every b in F_p^rank, in seeded order, then those in ker(alpha)
     order = np.random.default_rng(seed).permutation(p ** d.rank)
     B = order[:, None] // p ** np.arange(d.rank) % p
@@ -489,9 +493,8 @@ def trivial_frobenius_search(alg2, alpha, q, seed=0):
         raise ChevGroupError("search space exhausted (p too small for %s)" %
                              (alpha,))
     b = [int(x) for x in B[hits[0]]]
-    t = torus_from_coroot_data(alg2, alpha, s, b)
     report = {"seed": seed, "b": list(b), "alpha": list(alpha), "q": int(q)}
-    return t, b, report
+    return b, report
 
 
 def torus_from_coroot_data(alg2, alpha, s, b):

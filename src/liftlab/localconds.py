@@ -924,14 +924,12 @@ def frobenius_member(model, alpha, variant, seed=0, y=1):
     element (1 + p b) alpha^vee(q^{1/2}) found by the hyperplane-
     avoiding Frobenius search (so every Phi^alpha denominator is a
     unit), tau = 1 mod p^2 (unr2) or u_alpha(p y) (ram2)."""
-    from .chevgroup import trivial_frobenius_search, torus_from_coroot_data
+    from .chevgroup import frobenius_b_search, torus_from_coroot_data
     R = model.ring
     alpha = tuple(alpha)
-    model2 = model.at_precision(2)
-    _, b, rep = trivial_frobenius_search(model2.alg, alpha, model.q % (model.p ** 2),
-                                         seed=seed)
-    s = model.sqrt_q
-    sigma = torus_from_coroot_data(model.alg, alpha, s, b)
+    b, rep = frobenius_b_search(model.datum, model.basis, alpha, model.p,
+                                model.q % (model.p ** 2), seed=seed)
+    sigma = torus_from_coroot_data(model.alg, alpha, model.sqrt_q, b)
     x = R.el(0) if variant == "unr2" else R.scalar_mul(model.p, R.el(y))
     tau = u_alpha(model.alg, alpha, x)
     lift = LocalLift(model, sigma, tau)

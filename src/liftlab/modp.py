@@ -12,7 +12,7 @@ import numpy as np
 
 
 def _inv(a, p):
-    return pow(int(a) % p, p - 2, p)
+    return pow(int(a), -1, p)
 
 
 def rref(A, p):
@@ -36,7 +36,7 @@ def rref(A, p):
         A[r] = A[r] * _inv(A[r, c], p) % p
         mask = A[:, c].copy()
         mask[r] = 0
-        A = (A - np.outer(mask, A[r])) % p
+        A = (A - mask[:, None] * A[r]) % p
         pivots.append(c)
         r += 1
     return A, pivots

@@ -21,6 +21,7 @@ invariant, not a tolerance.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -94,6 +95,9 @@ class SyntheticGlobalModel:
     and B (same for W*) satisfy: B is exactly the annihilator of A
     under the summed local pairing, so the combined image is a maximal
     isotropic subspace -- the Poitou-Tate consistency invariant.
+
+    B=None takes B = kernel_basis(A J) from the elimination that
+    check_consistency does anyway; an explicit B is checked against it.
     """
 
     def __init__(self, p, places, A, B, arch_h0, h0_glob=0, h0_glob_star=0,
@@ -101,7 +105,7 @@ class SyntheticGlobalModel:
         self.p = p
         self.places = places
         self.A = A % p
-        self.B = B % p
+        self.B = None if B is None else B % p
         self.arch_h0 = list(arch_h0)
         self.h0_glob = h0_glob
         self.h0_glob_star = h0_glob_star
@@ -144,7 +148,12 @@ class SyntheticGlobalModel:
         M = self.A @ J % p
         ann = modp.kernel_basis(M, p) if self.A.shape[0] else \
             np.eye(self.total_dim, dtype=np.int64)
-        if self.B.shape[0] != ann.shape[0] or np.any(M @ self.B.T % p):
+        if self.B is None:
+            self.B = ann
+        # rows of B inside the kernel span all of it exactly when there
+        # are dim-many independent ones
+        elif self.B.shape[0] != ann.shape[0] or np.any(M @ self.B.T % p) \
+                or modp.rank(self.B, p) != self.B.shape[0]:
             raise ModelInconsistencyError(
                 "B is not the exact annihilator of A")
         # maximal isotropic: dim A + dim B = total
@@ -221,14 +230,11 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
             continue
         if A.shape[0] == 0 or not modp.row_space_contains(A, v, p):
             A = np.vstack([A, v]) if A.shape[0] else v.reshape(1, -1)
-    AJ = A @ J % p
-    B = modp.kernel_basis(AJ, p) if A.shape[0] else \
-        np.eye(total, dtype=np.int64)
-    # B is the full right kernel of A J, so B0 lies in it exactly when
-    # A J B0^t = 0
-    if np.any(AJ @ B0.T % p):
+    # the model's B is the full right kernel of A J, so B0 lies in it
+    # exactly when A J B0^t = 0
+    if np.any(A @ J % p @ B0.T % p):
         raise SelmerError("prescribed dual class lost (infeasible spec)")
-    return SyntheticGlobalModel(p, list(places), A, B, list(arch_h0),
+    return SyntheticGlobalModel(p, list(places), A, None, list(arch_h0),
                                 h0_glob, h0_glob_star, seed=seed, **extra)
 
 
@@ -247,21 +253,41 @@ class SelmerSystem:
         if len(local_conditions) != len(model.places):
             raise SelmerError("one condition per place required")
         self.model = model
-        self.L = [np.atleast_2d(np.asarray(Lv, dtype=np.int64)) % model.p
-                  if np.asarray(Lv).size else
-                  np.zeros((0, pl.h1), dtype=np.int64)
+        tables = [_place_tables(Lv, pl, model.p)
                   for Lv, pl in zip(local_conditions, model.places)]
-        self.L = [modp.echelon_basis(Lv, model.p) for Lv in self.L]
-        p, places = model.p, model.places
-        self.L_perp = [_annihilator(Lv @ pl.pairing_matrix(p) % p, pl.h1, p)
-                       for Lv, pl in zip(self.L, places)]
-        self.ann_L = [_annihilator(Lv, pl.h1, p)
-                      for Lv, pl in zip(self.L, places)]
-        self.ann_L_perp = [_annihilator(Pv, pl.h1, p)
-                           for Pv, pl in zip(self.L_perp, places)]
+        self.L, self.L_perp, self.ann_L, self.ann_L_perp = \
+            [[t[k] for t in tables] for k in range(4)]
+
+    def with_place(self, model2, Lq):
+        """The system of model2, which is this system's model with one
+        place appended, with condition Lq there.  The old places, their
+        pairings and p are those of this system, so their tables are
+        carried over and only the new place is eliminated."""
+        model = self.model
+        if model2.p != model.p or \
+                list(model2.places[:-1]) != list(model.places):
+            raise SelmerError("model2 must extend the system's model "
+                              "by one place")
+        new = copy.copy(self)
+        new.model = model2
+        tables = _place_tables(Lq, model2.places[-1], model.p)
+        new.L, new.L_perp, new.ann_L, new.ann_L_perp = \
+            [old + [t] for old, t in zip(
+                (self.L, self.L_perp, self.ann_L, self.ann_L_perp), tables)]
+        return new
 
     def dims(self):
         return [int(Lv.shape[0]) for Lv in self.L]
+
+
+def _place_tables(Lv, pl, p):
+    """One place's (L_v echelon basis, L_v^perp, annihilator of L_v,
+    annihilator of L_v^perp) from condition rows Lv."""
+    Lv = np.atleast_2d(np.asarray(Lv, dtype=np.int64)) % p \
+        if np.asarray(Lv).size else np.zeros((0, pl.h1), dtype=np.int64)
+    Lv = modp.echelon_basis(Lv, p)
+    Pv = _annihilator(Lv @ pl.pairing_matrix(p) % p, pl.h1, p)
+    return Lv, Pv, _annihilator(Lv, pl.h1, p), _annihilator(Pv, pl.h1, p)
 
 
 def _annihilator(cond, h1, p):
@@ -296,6 +322,12 @@ def selmer_compute(model, system):
     h1_L - h1_{L*} = sum_v (dim L_v - h0_v) + h0 - h0* - sum_inf h0_v
     and raises on mismatch (the synthetic model makes the identity a
     theorem, so a mismatch means corrupted data, never tolerance)."""
+    return _selmer_with_coeffs(model, system)[:3]
+
+
+def _selmer_with_coeffs(model, system):
+    """selmer_compute's (sel, dual, report) followed by the coefficient
+    rows sel_coeff, dual_coeff with sel = sel_coeff A, dual = dual_coeff B."""
     p = model.p
     sel_coeff = _selmer_of(model, model.A, system.ann_L)
     dual_coeff = _selmer_of(model, model.B, system.ann_L_perp)
@@ -317,7 +349,7 @@ def selmer_compute(model, system):
         "dims_L": system.dims(),
         "balanced": h1l == h1ld,
     }
-    return sel, dual, report
+    return sel, dual, report, sel_coeff, dual_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +633,7 @@ def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
     values = np.diagonal(Mfr)[rank:] % (p * p)     # ordered like d.roots
     return {
         "g": g, "g_mat": gm, "alpha": tuple(alpha), "t": t, "c": c,
-        "phi_value": phival, "psi_value": psival,
+        "frame_subspace": bad, "phi_value": phival, "psi_value": psival,
         "rho2_torus_values": {b: int(v) for b, v in zip(d.roots, values)},
     }
 
@@ -624,15 +656,14 @@ def _frame_subspace(alg1, gm, alpha, p):
     return modp.echelon_basis(M @ gm.T % p, p)
 
 
-def l_alpha_in_frame(alg1, gm, alpha, p):
+def l_alpha_in_frame(alg1, gm, alpha, p, frame):
     """L^alpha at an installed place, in the g-frame: sigma-part
-    anywhere in Ad(g)(ker(alpha|t) + all root spaces), tau-part in
-    Ad(g) g_alpha."""
+    anywhere in `frame` = Ad(g)(ker(alpha|t) + all root spaces) (as
+    _frame_subspace builds it), tau-part in Ad(g) g_alpha."""
     d = alg1.datum
     n = d.dim
-    sig = _frame_subspace(alg1, gm, alpha, p)
     out = []
-    for v in sig:
+    for v in frame:
         row = np.zeros(2 * n, dtype=np.int64)
         row[:n] = v
         out.append(row)
@@ -656,7 +687,9 @@ def extend_model_at_witness(model, system, witness, rng):
     the witness draw / sampler); dim A grows by w with the new classes'
     tau-values spanning W, their old-block components solving the
     reciprocity constraints against B.  B' is recomputed as the exact
-    annihilator and must contain the embedded B (checked)."""
+    annihilator and must contain the embedded B (checked).  The witness
+    is a splitcase_search result with phi_coeffs and psi_coeffs added;
+    its frame subspace is reused for L^alpha and its cross-check."""
     p = model.p
     w = model.datum.dim
     nA, nB = model.A.shape[0], model.B.shape[0]
@@ -690,24 +723,24 @@ def extend_model_at_witness(model, system, witness, rng):
     J2 = np.zeros((total + 2 * w, total + 2 * w), dtype=np.int64)
     J2[:total, :total] = Jold
     J2[total:, total:] = place.pairing_matrix(p)
-    M2 = A2 @ J2 % p
-    B2 = modp.kernel_basis(M2, p)
-    # B2 is the full right kernel of M2 = A2 J2, so the embedded classes
-    # lie in it exactly when M2 B_embed^t = 0
-    if np.any(M2 @ B_embed.T % p):
+    # B2, the model's B, is the full right kernel of A2 J2, so the
+    # embedded classes lie in it exactly when A2 J2 B_embed^t = 0
+    if np.any(A2 @ J2 % p @ B_embed.T % p):
         raise ModelInconsistencyError("embedded dual classes lost (bug)")
-    model2 = SyntheticGlobalModel(p, places2, A2, B2, model.arch_h0,
+    model2 = SyntheticGlobalModel(p, places2, A2, None, model.arch_h0,
                                   model.h0_glob, model.h0_glob_star,
                                   module=model.module, eta=model.eta,
                                   datum=model.datum, basis=model.basis,
                                   seed=model.seed)
     alg1 = LieAlgebra(model.datum, model.basis, CoeffRing(p, 1, 1))
-    Lq = l_alpha_in_frame(alg1, witness["g_mat"], witness["alpha"], p)
-    system2 = SelmerSystem(model2, [Lv for Lv in system.L] + [Lq])
+    gm, alpha = witness["g_mat"], witness["alpha"]
+    frame = witness["frame_subspace"]
+    Lq = l_alpha_in_frame(alg1, gm, alpha, p, frame)
+    system2 = system.with_place(model2, Lq)
     # cross-check: the installed dual condition equals the corollary
     # description in the g-frame
     perp = system2.L_perp[-1]
-    desc = _corollary_in_frame(alg1, witness["g_mat"], witness["alpha"], p)
+    desc = _corollary_in_frame(alg1, gm, alpha, p, frame)
     if not (modp.rank(perp, p) == modp.rank(desc, p) ==
             modp.rank(np.vstack([perp, desc]), p)):
         raise ModelInconsistencyError("installed dual condition does not "
@@ -732,7 +765,9 @@ def _conditioned_eval(image, coeffs, value, w, p, rng):
     return E
 
 
-def _corollary_in_frame(alg1, gm, alpha, p):
+def _corollary_in_frame(alg1, gm, alpha, p, frame):
+    """The explicit L^alpha-perp: sigma-part killing Ad(g) g_alpha,
+    tau-part killing `frame` = _frame_subspace(alg1, gm, alpha, p)."""
     d = alg1.datum
     n = d.dim
     rows = []
@@ -743,8 +778,7 @@ def _corollary_in_frame(alg1, gm, alpha, p):
         row = np.zeros(2 * n, dtype=np.int64)
         row[:n] = v
         rows.append(row)
-    sub = _frame_subspace(alg1, gm, tuple(alpha), p)
-    for v in modp.kernel_basis(sub, p):
+    for v in modp.kernel_basis(frame, p):
         row = np.zeros(2 * n, dtype=np.int64)
         row[n:] = v
         rows.append(row)
@@ -762,7 +796,7 @@ def annihilation_loop(model, system, rng, max_steps=64):
     strictly decrease (the witness guarantees the (-1, -1) step); a
     non-decreasing step is a hard error.  Returns the trace of
     (h1_L, h1_L_perp) from the start to (0, 0)."""
-    sel, dual, rep = selmer_compute(model, system)
+    sel, dual, rep, sel_coeff, dual_coeff = _selmer_with_coeffs(model, system)
     trace = [(rep["h1_L"], rep["h1_L_perp"])]
     steps = 0
     while trace[-1][1] > 0:
@@ -772,13 +806,14 @@ def annihilation_loop(model, system, rng, max_steps=64):
         if trace[-1][0] == 0:
             raise ModelInconsistencyError(
                 "dual Selmer nonzero with zero Selmer in balanced model")
-        phi_coeffs = _coeffs_of(model.A, sel[0], model.p)
-        psi_coeffs = _coeffs_of(model.B, dual[0], model.p)
+        # check_consistency makes A and B bases, so these are the only
+        # coefficient rows of sel[0] and dual[0]
         witness = splitcase_search(model, sel[0], dual[0], rng)
-        witness["phi_coeffs"] = phi_coeffs
-        witness["psi_coeffs"] = psi_coeffs
+        witness["phi_coeffs"] = sel_coeff[0]
+        witness["psi_coeffs"] = dual_coeff[0]
         model, system = extend_model_at_witness(model, system, witness, rng)
-        sel, dual, rep = selmer_compute(model, system)
+        sel, dual, rep, sel_coeff, dual_coeff = \
+            _selmer_with_coeffs(model, system)
         prev = trace[-1]
         cur = (rep["h1_L"], rep["h1_L_perp"])
         if not (cur[0] - prev[0] == cur[1] - prev[1]):
@@ -791,6 +826,8 @@ def annihilation_loop(model, system, rng, max_steps=64):
 
 
 def _coeffs_of(image, vec, p):
+    """The coefficient row x with x image = vec (a reference for the
+    coefficient rows _selmer_with_coeffs returns)."""
     sol = modp.solve(image.T % p, vec % p, p)
     if sol is None:
         raise SelmerError("class not in the global image (bug)")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -101,3 +102,22 @@ def test_exit_zero_iff_no_failures(tmp_path):
     code, rep = run(["levi-bound", "--types", "A1", "--samples", "5"],
                     str(tmp_path))
     assert (code == EXIT_OK) == (rep["failures"] == 0)
+
+
+# SHA-256 of `selmer kill --p 7 --rank 2 --seed 3` reports for types the
+# README and the benchmark do not run; any change to their bytes must be
+# deliberate.
+KILL_SHA256 = {
+    "G2": "fc40d60edfe02e58cf4d6e81578e20ecec9e07ea506ea4bc647814e9baf24dd9",
+    "A3": "34e36e58c0221c272851d1bbfce03e7057dc48623afcf94a1ec7b37e9354a0f4",
+    "B3": "cde125cf896c08351d0bca99fd2931fbc3e4395cbbb7f40913de24c65bce2805",
+}
+
+
+@pytest.mark.parametrize("types", sorted(KILL_SHA256))
+def test_selmer_kill_reports_are_pinned(types, tmp_path):
+    out = str(tmp_path / "kill.json")
+    assert main(["selmer", "kill", "--types", types, "--p", "7", "--rank",
+                 "2", "--seed", "3", "--out", out]) == EXIT_OK
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == KILL_SHA256[types]

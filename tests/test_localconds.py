@@ -58,6 +58,27 @@ def test_membership_normal_forms():
     assert lc.membership(lift4, al, "ram2")
 
 
+@pytest.mark.parametrize("name,p,m,q,r", [
+    ("A1", 5, 3, 6, 1), ("A2", 7, 3, 8, 1), ("B2", 13, 4, 14, 1),
+    ("G2", 7, 2, 57, 1), ("A2", 5, 3, 31, 2)])
+def test_frobenius_member_matches_precision_two_search(name, p, m, q, r):
+    # the reference path: the whole t_b built at precision 2, its b then
+    # carried to the model's precision
+    from liftlab.chevgroup import (torus_from_coroot_data,
+                                   trivial_frobenius_search)
+    d, b = root_datum(name)
+    model = lc.TameLocalModel(d, b, p, m, q, r=r)
+    model2 = model.at_precision(2)
+    for al in d.roots:
+        for seed in range(2):
+            lift, rep = lc.frobenius_member(model, al, "unr2", seed=seed)
+            _, bb, want = trivial_frobenius_search(model2.alg, al, q % p ** 2,
+                                                   seed=seed)
+            assert rep == want and rep["b"] == bb
+            sigma = torus_from_coroot_data(model.alg, al, model.sqrt_q, bb)
+            assert np.array_equal(lift.sigma.mat, sigma.mat)
+
+
 def test_membership_rejects_wrong_root_direction():
     model = tame("A2", 5, 3, 6)
     d = model.datum

@@ -360,3 +360,101 @@ def test_trivial_primes_only_balance():
     assert rep["balanced"]
     assert all(Lv.shape[0] == pl.h0
                for Lv, pl in zip(system.L, model.places))
+
+
+# -- each subspace of an annihilation step computed once, checked against
+# the from-scratch computations it replaces
+
+STEP_CASES = [(name, p) for name in ("A1", "A2", "B2") for p in (5, 7, 13)]
+
+
+def _loop_model(name, p, seed):
+    d, b = root_datum(name)
+    model = sm.attach_adjoint_eta(sm.build_balanced_model(
+        d, b, p, n_trivial=1, selmer_rank=2, seed=seed))
+    return model, sm.standard_balanced_system(model)
+
+
+@pytest.mark.parametrize("name,p", STEP_CASES)
+def test_derived_b_is_the_kernel_of_a_j(name, p):
+    model, _ = _loop_model(name, p, seed=40)
+    M = model.A @ model.big_pairing() % p
+    assert np.array_equal(model.B, modp.kernel_basis(M, p))
+    # the same B given explicitly passes the guard and is kept as given
+    ledger = (model.arch_h0, model.h0_glob, model.h0_glob_star)
+    again = sm.SyntheticGlobalModel(p, model.places, model.A, model.B,
+                                    *ledger)
+    assert np.array_equal(again.B, model.B)
+    assert np.array_equal(
+        sm.SyntheticGlobalModel(p, model.places, model.A, None, *ledger).B,
+        model.B)
+
+
+def test_model_guard_rejects_dependent_b_rows():
+    # every row inside the annihilator and the right number of rows, but
+    # a repeated row: B no longer spans the annihilator
+    d, b = root_datum("A1")
+    model = sm.build_balanced_model(d, b, 7, seed=4)
+    B = model.B.copy()
+    B[-1] = B[0]
+    ledger = (model.arch_h0, model.h0_glob, model.h0_glob_star)
+    with pytest.raises(sm.ModelInconsistencyError, match="annihilator"):
+        sm.SyntheticGlobalModel(7, model.places, model.A, B, *ledger)
+
+
+@pytest.mark.parametrize("name,p", STEP_CASES)
+def test_loop_steps_match_from_scratch(name, p, monkeypatch):
+    # at every step of the loop: the reused coefficient rows are the
+    # solutions _coeffs_of finds, the carried-over system equals one
+    # eliminated from scratch, and the installed place's frame subspace
+    # is the one _frame_subspace builds
+    real = sm.extend_model_at_witness
+    steps = []
+
+    def checked(model, system, witness, rng):
+        sel, dual, _ = sm.selmer_compute(model, system)
+        assert np.array_equal(witness["phi_coeffs"],
+                              sm._coeffs_of(model.A, sel[0], p))
+        assert np.array_equal(witness["psi_coeffs"],
+                              sm._coeffs_of(model.B, dual[0], p))
+        alg1 = LieAlgebra(model.datum, model.basis, CoeffRing(p, 1, 1))
+        gm, alpha = witness["g_mat"], witness["alpha"]
+        assert np.array_equal(witness["frame_subspace"],
+                              sm._frame_subspace(alg1, gm, alpha, p))
+        model2, system2 = real(model, system, witness, rng)
+        Lq = sm.l_alpha_in_frame(alg1, gm, alpha, p,
+                                 sm._frame_subspace(alg1, gm, alpha, p))
+        scratch = sm.SelmerSystem(model2, system.L + [Lq])
+        for attr in ("L", "L_perp", "ann_L", "ann_L_perp"):
+            got, want = getattr(system2, attr), getattr(scratch, attr)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), attr
+        assert system2.model is model2
+        steps.append(1)
+        return model2, system2
+
+    monkeypatch.setattr(sm, "extend_model_at_witness", checked)
+    model, system = _loop_model(name, p, seed=41)
+    trace, _, _ = sm.annihilation_loop(model, system,
+                                       np.random.default_rng(42))
+    assert trace[-1] == (0, 0) and len(steps) == len(trace) - 1 >= 2
+
+
+def test_with_place_requires_an_extension():
+    model, system = _loop_model("A1", 7, seed=43)
+    other, _ = _loop_model("A1", 7, seed=44)
+    Lq = np.zeros((0, 6), dtype=np.int64)
+    ledger = {"arch_h0": model.arch_h0, "seed": 1}
+    ext = sm.build_synthetic_model(
+        7, model.places + [sm.TrivialPlace(3)], **ledger)
+    got = system.with_place(ext, Lq)
+    want = sm.SelmerSystem(ext, system.L + [Lq])
+    for attr in ("L", "L_perp", "ann_L", "ann_L_perp"):
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(getattr(got, attr), getattr(want, attr)))
+    not_ext = sm.build_synthetic_model(
+        7, other.places + [sm.TrivialPlace(3)], **ledger)
+    for model2 in (model, not_ext):
+        with pytest.raises(sm.SelmerError, match="extend"):
+            system.with_place(model2, Lq)
