@@ -280,9 +280,12 @@ class CoeffRing:
     def mat_mul(self, A, B):
         if self.r == 1:
             return (A[..., 0] @ B[..., 0])[..., None] % self.q
-        # P[k, l] = A_k B_l for the coefficient matrices A_k, B_l
-        P = np.moveaxis(A, -1, 0)[:, None] @ np.moveaxis(B, -1, 0)[None]
-        return self._fold(np.moveaxis(P, (0, 1), (-2, -1)))
+        # P[..., k, l, :, :] = A_k B_l for the coefficient matrices
+        # A_k, B_l; views with the coefficient axis before the matrix axes
+        Ak = A.swapaxes(-1, -2).swapaxes(-2, -3)
+        Bl = B.swapaxes(-1, -2).swapaxes(-2, -3)
+        P = Ak[..., :, None, :, :] @ Bl[..., None, :, :, :]
+        return self._fold(P.swapaxes(-4, -2).swapaxes(-3, -1))
 
     def mat_vec(self, A, v):
         return self.mat_mul(A, v[..., None, :])[..., 0, :]

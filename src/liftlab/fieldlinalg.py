@@ -46,20 +46,20 @@ def echelon_f(K, A):
 def kernel_f(K, A):
     """Rows spanning the right kernel of A (shape (rows, cols, r))."""
     R, piv = rref_f(K, A)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    out = np.zeros((len(free), cols, K.r), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = K.one()
-        for i, pc in enumerate(piv):
-            out[k, pc] = K.neg(R[i, fc])
+    free = np.ones(A.shape[1], dtype=bool)
+    free[piv] = False
+    fc = np.flatnonzero(free)
+    out = np.zeros((fc.size, A.shape[1], K.r), dtype=np.int64)
+    out[np.arange(fc.size), fc] = K.one()
+    out[:, piv] = K.neg(R[: len(piv)][:, free]).swapaxes(0, 1)
     return out
 
 
 def same_space_f(K, B1, B2):
-    if rank_f(K, B1) != rank_f(K, B2):
+    rank1 = rank_f(K, B1)
+    if rank1 != rank_f(K, B2):
         return False
-    return rank_f(K, np.concatenate([B1, B2], axis=0)) == rank_f(K, B1)
+    return rank_f(K, np.concatenate([B1, B2], axis=0)) == rank1
 
 
 def intersect_f(K, B1, B2):

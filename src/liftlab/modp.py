@@ -1,9 +1,13 @@
 """Dense linear algebra and polynomial factorization over F_p.
 
-numpy int64 matrices with entries in [0, p); row reduction is partial
-numpy-vectorized.  Polynomials are int lists, low degree first.
-Factorization is distinct-degree followed by Cantor-Zassenhaus
-equal-degree splitting (p odd), which is all the MeatAxe needs.
+numpy int64 matrices with entries in [0, p).  Row reduction loops over
+pivot columns in Python; a pivot step updates only the rows with a
+nonzero entry in its column (the whole matrix when more than half the
+rows are hit).  Entries return to [0, p) after every step, so every
+product stays below p^2, exact in int64 for any p < 3.03e9.
+Polynomials are int lists, low degree first.  Factorization is
+distinct-degree followed by Cantor-Zassenhaus equal-degree splitting
+(p odd), which is all the MeatAxe needs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ def _inv(a, p):
 
 
 def rref(A, p):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    A pivot step scales the pivot row unless its pivot is already 1,
+    and updates only the rows whose entry in the pivot column is
+    nonzero (none, when the column is already clear), or the whole
+    matrix when more than half the rows are hit.  Entries return to
+    [0, p) after every step, so each product stays below p^2: exact in
+    int64 for any p < 3.03e9.  The caller's array is not modified.
+    """
     A = np.array(A, dtype=np.int64) % p
     rows, cols = A.shape
     pivots = []
@@ -24,19 +36,23 @@ def rref(A, p):
     for c in range(cols):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
+        if not A[r, c]:
+            below = A[r:, c].nonzero()[0]
+            if not below.size:
+                continue
+            piv = r + int(below[0])
             A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * _inv(A[r, c], p) % p
-        mask = A[:, c].copy()
-        mask[r] = 0
-        A = (A - mask[:, None] * A[r]) % p
+        a = A[r, c]
+        if a != 1:
+            A[r] = A[r] * _inv(a, p) % p
+        m = A[:, c].copy()
+        m[r] = 0
+        hit = m.nonzero()[0]
+        if 2 * hit.size > rows:
+            A -= m[:, None] * A[r]
+            A %= p
+        elif hit.size:
+            A[hit] = (A[hit] - m[hit, None] * A[r]) % p
         pivots.append(c)
         r += 1
     return A, pivots

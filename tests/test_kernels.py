@@ -296,3 +296,95 @@ def test_products_match_reference_convolution(p, m, r, n, k, cols, top, seed):
             (R.mul(c, A), reference_mul(R, c, A))]:
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def reference_kernel_f(K, A):
+    """kernel_f's rows filled one (free column, pivot) entry at a time."""
+    R, piv = fl.rref_f(K, A)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in piv]
+    out = np.zeros((len(free), cols, K.r), dtype=np.int64)
+    for k, fc in enumerate(free):
+        out[k, fc] = K.one()
+        for i, pc in enumerate(piv):
+            out[k, pc] = K.neg(R[i, fc])
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rings, st.integers(0, 6), st.integers(1, 8), st.integers(0, 4), seeds)
+def test_kernel_f_matches_reference(prm, rows, cols, k, seed):
+    K = ring(*prm)
+    A = _low_rank(K, np.random.default_rng(seed), rows, cols, k)
+    got = fl.kernel_f(K, A)
+    want = reference_kernel_f(K, A)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not np.any(K.mat_mul(A, got.transpose(1, 0, 2)) % K.p)
+
+
+def reference_moveaxis_mat_mul(R, A, B):
+    """mat_mul at r > 1 with the coefficient axis moved to the front."""
+    P = np.moveaxis(A, -1, 0)[:, None] @ np.moveaxis(B, -1, 0)[None]
+    return R._fold(np.moveaxis(P, (0, 1), (-2, -1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ext_rings, st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(1, 5),
+       st.integers(1, 5), st.integers(1, 5), seeds)
+def test_mat_mul_matches_moveaxis_reference(prm, batch, n, k, cols, seed):
+    # batched leading axes, as for stacks of operators
+    R = ring(*prm)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, R.q, size=batch + (n, k, R.r), dtype=np.int64)
+    B = rng.integers(0, R.q, size=batch + (k, cols, R.r), dtype=np.int64)
+    v = rng.integers(0, R.q, size=batch + (k, R.r), dtype=np.int64)
+    got = R.mat_mul(A, B)
+    assert np.array_equal(got, reference_moveaxis_mat_mul(R, A, B))
+    assert got.shape == batch + (n, cols, R.r)
+    want_v = reference_moveaxis_mat_mul(R, A, v[..., None, :])[..., 0, :]
+    assert np.array_equal(R.mat_vec(A, v), want_v)
+
+
+def reference_same_space_f(K, B1, B2):
+    if fl.rank_f(K, B1) != fl.rank_f(K, B2):
+        return False
+    return (fl.rank_f(K, np.concatenate([B1, B2], axis=0))
+            == fl.rank_f(K, B1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ext_rings | rings, st.integers(1, 4), st.integers(0, 3), seeds)
+def test_same_space_f_matches_reference(prm, k, extra, seed):
+    K = ring(*prm)
+    rng = np.random.default_rng(seed)
+    n = k + 1 + extra
+
+    def unitriangular():
+        C = rng.integers(0, K.q, size=(k, k, K.r), dtype=np.int64)
+        C[np.triu_indices(k)] = 0
+        return C + K.mat_id(k)
+
+    # B1 = C [I | X] with C invertible: a basis of a rank-k space
+    E = np.zeros((k, n, K.r), dtype=np.int64)
+    E[np.arange(k), np.arange(k), 0] = 1
+    E[:, k:] = rng.integers(0, K.q, size=(k, n - k, K.r))
+    C = unitriangular()
+    perm = rng.permutation(n)
+    B1 = K.mat_mul(C, E)[:, perm]
+    # the same space: other row combinations, shuffled, with a zero row
+    same = np.concatenate([K.mat_mul(unitriangular(), B1)[rng.permutation(k)],
+                           np.zeros((1, n, K.r), dtype=np.int64)])
+    # equal rank, other space: the last row of [I | X] moved off it
+    F = E.copy()
+    F[k - 1, k, 0] = (F[k - 1, k, 0] + 1) % K.q
+    other = K.mat_mul(C, F)[:, perm]
+    empty = np.zeros((0, n, K.r), dtype=np.int64)
+    zero = np.zeros((2, n, K.r), dtype=np.int64)
+    for B2, want in [(same, True), (B1[:-1], False), (other, False),
+                     (empty, False), (zero, False)]:
+        for X, Y in [(B1, B2), (B2, B1)]:
+            assert fl.same_space_f(K, X, Y) is want
+            assert reference_same_space_f(K, X, Y) is want
+    for X, Y in [(empty, empty), (empty, zero), (zero, empty)]:
+        assert fl.same_space_f(K, X, Y) is True
+        assert reference_same_space_f(K, X, Y) is True

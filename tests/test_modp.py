@@ -5,6 +5,106 @@ from hypothesis import strategies as st
 from liftlab import modp
 
 
+def reference_rref(A, p):
+    """The elimination that subtracts a multiple of the pivot row from
+    every row, hit or not, at every pivot step."""
+    A = np.array(A, dtype=np.int64) % p
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = None
+        for i in range(r, rows):
+            if A[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * modp._inv(A[r, c], p) % p
+        mask = A[:, c].copy()
+        mask[r] = 0
+        A = (A - mask[:, None] * A[r]) % p
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def _rref_input(family, p, rows, cols, rng):
+    """A rows x cols integer matrix of one structural family."""
+    if family == "dense":
+        return rng.integers(0, p, size=(rows, cols))
+    if family == "sparse":
+        # about 2% nonzero, like the regular representations of local-ext
+        keep = rng.random((rows, cols)) < 0.02
+        return keep * rng.integers(1, p, size=(rows, cols))
+    if family == "low-rank":
+        k = int(rng.integers(0, 4))
+        return rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+    if family == "near-echelon":
+        # [I | X] with its rows permuted and one entry changed
+        k = min(rows, cols)
+        A = np.zeros((rows, cols), dtype=np.int64)
+        A[:k, :k] = np.eye(k, dtype=np.int64)
+        A[:k, k:] = rng.integers(0, p, size=(k, cols - k))
+        if A.size:
+            A[rng.integers(0, rows), rng.integers(0, cols)] = rng.integers(0, p)
+        return A[rng.permutation(rows)]
+    if family == "zero-columns":
+        A = rng.integers(0, p, size=(rows, cols))
+        A[:, rng.random(cols) < 0.5] = 0
+        return A
+    # "half": each column nonzero in half the rows plus one or two, so
+    # the first pivot step hits exactly half the other rows or one more
+    A = np.zeros((rows, cols), dtype=np.int64)
+    for c in range(cols):
+        n = min(rows, rows // 2 + 1 + int(rng.integers(0, 2)))
+        A[rng.choice(rows, size=n, replace=False), c] = rng.integers(1, p, size=n)
+    return A
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 13, 101]),
+       st.sampled_from(["dense", "sparse", "low-rank", "near-echelon",
+                        "zero-columns", "half"]),
+       st.sampled_from(["empty-rows", "empty-cols", "row", "column", "tall",
+                        "wide", "square"]),
+       st.integers(1, 30), st.integers(1, 30), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_rref_matches_reference(p, family, shape, a, b, unreduced, seed):
+    rows, cols = {"empty-rows": (0, a), "empty-cols": (a, 0), "row": (1, a),
+                  "column": (a, 1), "tall": (max(a, b) + 1, min(a, b)),
+                  "wide": (min(a, b), max(a, b) + 1), "square": (a, a)}[shape]
+    rng = np.random.default_rng(seed)
+    A = _rref_input(family, p, rows, cols, rng).astype(np.int64)
+    if unreduced:
+        # entries outside [0, p), negative ones too
+        A = A + p * rng.integers(-3, 4, size=A.shape)
+    before = A.copy()
+    R, piv = modp.rref(A, p)
+    want, wpiv = reference_rref(A, p)
+    assert np.array_equal(A, before)
+    assert piv == wpiv
+    assert R.dtype == want.dtype and np.array_equal(R, want)
+
+
+def test_rref_branch_boundary():
+    # rows = 8: the first pivot column hits 4 other rows (every hit row
+    # updated alone) or 5 (the whole matrix updated)
+    p = 7
+    rng = np.random.default_rng(5)
+    for hits in (3, 4, 5, 6):
+        A = rng.integers(0, p, size=(8, 6))
+        A[:, 0] = 0
+        A[: hits + 1, 0] = rng.integers(1, p, size=hits + 1)
+        R, piv = modp.rref(A, p)
+        want, wpiv = reference_rref(A, p)
+        assert piv == wpiv and np.array_equal(R, want)
+
+
 def test_rref_kernel_solve():
     rng = np.random.default_rng(0)
     p = 13
