@@ -158,12 +158,3 @@ def brauer_restrict(table, classfunction, p=None):
     if p is not None and table.order % p == 0:
         raise CharTableError("p divides the group order")
     return [table.inner_product(classfunction, ch) for ch in table.chars]
-
-
-def character_sum(table, multiplicities):
-    ctx = table.ctx
-    out = [ctx.zero() for _ in range(table.nclasses)]
-    for m, ch in zip(multiplicities, table.chars):
-        for k in range(table.nclasses):
-            out[k] = ctx.add(out[k], ctx.scal(m, ch[k]))
-    return out

@@ -345,17 +345,11 @@ class CoeffRing:
     def mat_reduce(self, A, m2):
         return A % (self.p ** m2)
 
-    # -- serialization: GR(p^m,r):[c_0,...,c_{r-1}]
+    # -- display: GR(p^m,r):[c_0,...,c_{r-1}]
 
     def format_el(self, a):
         return "GR(%d^%d,%d):[%s]" % (self.p, self.m, self.r,
                                       ",".join(str(int(c)) for c in a))
-
-    def parse_el(self, s):
-        head, _, body = s.partition(":")
-        if head != "GR(%d^%d,%d)" % (self.p, self.m, self.r):
-            raise CoeffRingError("ring tag mismatch: %s" % head)
-        return self.el([int(t) for t in body.strip("[]").split(",")])
 
     def __repr__(self):
         return "CoeffRing(p=%d, m=%d, r=%d)" % (self.p, self.m, self.r)

@@ -46,10 +46,6 @@ class GroupPresentation:
                     raise GaloisModError("bad letter %d" % s)
 
 
-def free_presentation(ngens):
-    return GroupPresentation(ngens, tuple())
-
-
 class MatrixModule:
     """F_p[G]-module given by one invertible matrix per generator."""
 
@@ -111,18 +107,21 @@ def word_matrix(module, word):
     return M
 
 
-def spin(module, vectors, p=None):
-    """Smallest submodule (echelon row basis) containing the vectors."""
-    p = module.p if p is None else p
-    B = modp.echelon_basis(np.atleast_2d(np.asarray(vectors)) % p, p)
-    while True:
-        dim = B.shape[0]
-        for g in module.gens:
-            B = modp.echelon_basis(np.vstack([B, B @ g.T % p]), p)
-        # the RREF basis of a row space is unique, so the result does not
-        # depend on the order in which images were added
-        if B.shape[0] == dim:
-            return B
+def spin(module, vectors):
+    """Smallest submodule (echelon row basis) containing the vectors.
+
+    Built on one `modp.Echelon`: each round reduces only the images of
+    the rows kept in the round before, and the result is the span's
+    RREF, which is unique, so it does not depend on the order in which
+    images were added."""
+    p = module.p
+    V = np.atleast_2d(np.asarray(vectors)) % p
+    span = modp.Echelon(V.shape[1], p)
+    new = [v for v in V if span.add(v)]
+    while new:
+        F = np.array(new)
+        new = [w for g in module.gens for w in F @ g.T % p if span.add(w)]
+    return span.basis()
 
 
 def _random_algebra_element(module, rng, nwords=3, maxlen=3):
@@ -186,16 +185,15 @@ def _standard_basis(module):
     j, so an irreducible module needs one.  Each seed is spun level by
     level: the generators are applied to the vectors of the last level
     and each image outside the span of those before it is kept.
+    The span is kept in one `modp.Echelon`.
     Returns (B, origin, k): the rows of B are the basis in spin order;
     origin[i] is (-1, s) if row i is the s-th seed and (j, g) if it is
     gens[g] applied to row j; k is the number of seeds.
     """
     p, d = module.p, module.dim
     eye = np.eye(d, dtype=np.int64)
-    rows, origin = [], []
-    E = np.zeros((d, d), dtype=np.int64)   # rows :n are the span's RREF
-    piv = []
-    level = []
+    span = modp.Echelon(d, p)
+    rows, origin, level = [], [], []
     k = 0
     while len(rows) < d:
         if level:
@@ -203,25 +201,15 @@ def _standard_basis(module):
                     for gi, g in enumerate(module.gens) for i in level]
         else:
             # the first unit vector with a nonzero residue mod the span
-            res = (eye - eye[:, piv] @ E[:len(piv)]) % p
-            j = int(np.flatnonzero(np.any(res, axis=1))[0])
+            j = int(np.flatnonzero(np.any(span.reduce(eye), axis=1))[0])
             cand = [(eye[j], (-1, k))]
             k += 1
         level = []
         for v, o in cand:
-            n = len(piv)
-            r = (v - v[piv] @ E[:n]) % p
-            nz = np.flatnonzero(r)
-            if not nz.size:
-                continue
-            c = int(nz[0])
-            r = r * pow(int(r[c]), p - 2, p) % p
-            E[:n] = (E[:n] - np.outer(E[:n, c], r)) % p
-            E[n] = r
-            piv.append(c)
-            level.append(len(rows))
-            rows.append(v)
-            origin.append(o)
+            if span.add(v):
+                level.append(len(rows))
+                rows.append(v)
+                origin.append(o)
     return np.array(rows, dtype=np.int64).reshape(d, d), origin, k
 
 
@@ -432,20 +420,6 @@ def composition_factor_modules(module, rng=None, seed=0):
     return out
 
 
-def common_subquotient(m1, m2, rng=None):
-    """True iff some composition factor of m1 is isomorphic to one of
-    m2 (as F_p[G]-modules, generator lists aligned)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    f1 = composition_factor_modules(m1, rng)
-    f2 = composition_factor_modules(m2, rng)
-    for a in f1:
-        for b in f2:
-            if modules_isomorphic(a, b):
-                return True
-    return False
-
-
 # -- presentation cohomology (degrees 0 and 1, Fox calculus)
 
 
@@ -546,21 +520,6 @@ def abelianization(pres):
         return [0] * g
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(g)]
     return lattice_torsion(mat)
-
-
-def extension_splitting_probe(pres, defects, action_gens, p):
-    """Decide splitting of 1 -> W -> E -> G -> 1 from relation defects.
-
-    defects[rel] is the W-valued defect of the lifted relation; the
-    extension splits iff the inhomogeneous Fox system
-    sum_i d(rel)/d(x_i) u_i = -defect(rel) has a solution (then the
-    corrected lifts generate a complement).  Returns True/False.
-    """
-    module = MatrixModule(p, action_gens, check=False)
-    blocks = [_relation_block(module, rel) for rel in pres.relations]
-    A = np.vstack(blocks) % p
-    b = np.concatenate([(-np.asarray(d)) % p for d in defects])
-    return modp.solve(A, b, p) is not None
 
 
 def coset_enumeration(pres, max_cosets=100000):

@@ -156,39 +156,3 @@ def in_rational_span(vectors, v):
         return all(x == 0 for x in v)
     base = [list(u) for u in vectors]
     return rational_rank(base) == rational_rank(base + [list(v)])
-
-
-def solve_rational(mat, rhs):
-    """One rational solution x of mat @ x = rhs, or None.
-
-    mat is a list of integer (or Fraction) rows; rhs a vector.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for row in range(rank, rows):
-            if A[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = A[rank][col]
-        A[rank] = [x / inv for x in A[rank]]
-        for row in range(rows):
-            if row != rank and A[row][col] != 0:
-                c = A[row][col]
-                A[row] = [x - c * y for x, y in zip(A[row], A[rank])]
-        pivots.append(col)
-        rank += 1
-    for row in range(rank, rows):
-        if A[row][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for k, col in enumerate(pivots):
-        x[col] = A[k][cols]
-    return x

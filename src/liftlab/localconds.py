@@ -974,18 +974,6 @@ def find_regular_chi(datum, p, f, sigma_c=1):
     return chi
 
 
-def condition_space_report(space, checks_passed=True):
-    """JSON-ready report for one condition space: label, basis vectors,
-    dimensions, checks."""
-    return {
-        "label": space.label,
-        "dim": int(space.dim),
-        "alpha": list(space.alpha) if space.alpha is not None else None,
-        "basis": [[int(c) for c in row.reshape(-1)] for row in space.basis],
-        "checks_passed": bool(checks_passed),
-    }
-
-
 def write_local_ledger(path, entries):
     """Local-ledger text format: one line `PLACE kind dimL h0 h0star`
     per place, consumed by the global Selmer engine."""

@@ -5,6 +5,10 @@ pivot columns in Python; a pivot step updates only the rows with a
 nonzero entry in its column (the whole matrix when more than half the
 rows are hit).  Entries return to [0, p) after every step, so every
 product stays below p^2, exact in int64 for any p < 3.03e9.
+A row space grown one vector at a time is kept in an incremental
+echelon (`Echelon`): a new vector is reduced against the rows kept so
+far and kept when its residue is nonzero.  A reduction sums at most n
+products below p^2, so it is exact in int64 while n (p-1)^2 < 2^63.
 Polynomials are int lists, low degree first.  Factorization is
 distinct-degree followed by Cantor-Zassenhaus equal-degree splitting
 (p odd), which is all the MeatAxe needs.
@@ -112,31 +116,51 @@ def row_space_contains(B, v, p):
     return solve(B.T, v, p) is not None
 
 
-def intersect_row_spaces(B1, B2, p):
-    """Basis of the intersection of two row spaces (Zassenhaus)."""
-    n = B1.shape[1] if B1.size else B2.shape[1]
-    if B1.shape[0] == 0 or B2.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    top = np.concatenate([B1, B1], axis=1)
-    bot = np.concatenate([B2, np.zeros_like(B2)], axis=1)
-    M = np.vstack([top, bot])
-    R, piv = rref(M, p)
-    # rows of the echelon with zero left half carry the intersection
-    out = []
-    for i in range(R.shape[0]):
-        if not np.any(R[i, :n]) and np.any(R[i, n:]):
-            out.append(R[i, n:])
-    if not out:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.array(out, dtype=np.int64) % p
-
-
 def echelon_basis(B, p):
     """Row-reduced basis of a row space (drops zero rows)."""
     if B.shape[0] == 0:
         return B
     R, piv = rref(B, p)
     return R[: len(piv)]
+
+
+class Echelon:
+    """A growing row space of F_p^n, kept in reduced echelon form.
+
+    The kept rows are normalised at their pivots and cleared at every
+    other pivot, in the order they were added; `basis` sorts them by
+    pivot, which is the RREF `echelon_basis` returns for the same span.
+    """
+
+    def __init__(self, n, p):
+        self.p = p
+        self.E = np.zeros((n, n), dtype=np.int64)   # rows :rank kept
+        self.piv = []
+
+    def reduce(self, V):
+        """Residues of the rows of V modulo the span: zero exactly on
+        the rows that lie in it, and zero at every pivot column."""
+        V = np.asarray(V, dtype=np.int64) % self.p
+        return (V - V[..., self.piv] @ self.E[:len(self.piv)]) % self.p
+
+    def add(self, v):
+        """Keep v if it lies outside the span; returns whether it did."""
+        p = self.p
+        r = self.reduce(v)
+        nz = np.flatnonzero(r)
+        if not nz.size:
+            return False
+        c = int(nz[0])
+        r = r * _inv(r[c], p) % p
+        k = len(self.piv)
+        self.E[:k] = (self.E[:k] - np.outer(self.E[:k, c], r)) % p
+        self.E[k] = r
+        self.piv.append(c)
+        return True
+
+    def basis(self):
+        """The kept rows sorted by pivot: the span's unique RREF."""
+        return self.E[np.argsort(self.piv)]
 
 
 # -- polynomials over F_p (lists of ints, low degree first)

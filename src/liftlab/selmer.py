@@ -211,25 +211,25 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
         if np.any(A0 @ J @ B0.T % p):
             raise SelmerError("prescribed classes are not isotropic "
                               "(reciprocity violated)")
-    if modp.rank(A0, p) != A0.shape[0] or A0.shape[0] > target:
+    span = modp.Echelon(total, p)
+    if not all(span.add(v) for v in A0) or A0.shape[0] > target:
         raise SelmerError("prescribed classes not extendable")
     # allowed ambient for A: annihilator of B0 (v with v J B0^t = 0)
     if B0.shape[0]:
         allowed = modp.kernel_basis(B0 @ J.T % p, p)
     else:
         allowed = np.eye(total, dtype=np.int64)
-    A = A0.copy()
+    rows = list(A0)
     guard = 0
-    while A.shape[0] < target:
+    while len(rows) < target:
         guard += 1
         if guard > 200 * target + 200:
             raise SelmerError("isotropic completion stalled")
         coeffs = rng.integers(0, p, size=allowed.shape[0], dtype=np.int64)
         v = coeffs @ allowed % p
-        if not np.any(v):
-            continue
-        if A.shape[0] == 0 or not modp.row_space_contains(A, v, p):
-            A = np.vstack([A, v]) if A.shape[0] else v.reshape(1, -1)
+        if span.add(v):
+            rows.append(v)
+    A = np.array(rows, dtype=np.int64).reshape(-1, total)
     # the model's B is the full right kernel of A J, so B0 lies in it
     # exactly when A J B0^t = 0
     if np.any(A @ J % p @ B0.T % p):
@@ -1081,16 +1081,6 @@ def standard_balanced_system(model):
                 L[i, i] = 1
             conds.append(L)
     return SelmerSystem(model, conds)
-
-
-def sampler_uniformity_test(sampler, rng, n=10000, confidence=0.99):
-    """Chi-square uniformity test of the sampler's class coordinate;
-    returns (statistic, critical value, passed)."""
-    import scipy.stats
-    counts = sampler_uniformity_histogram(sampler, rng, n)
-    stat, dof = chi_square_uniform(counts)
-    crit = float(scipy.stats.chi2.ppf(confidence, dof))
-    return stat, crit, stat < crit
 
 
 def ledger_places_from_file(path, h1_of=None):

@@ -111,6 +111,7 @@ KILL_SHA256 = {
     "G2": "fc40d60edfe02e58cf4d6e81578e20ecec9e07ea506ea4bc647814e9baf24dd9",
     "A3": "34e36e58c0221c272851d1bbfce03e7057dc48623afcf94a1ec7b37e9354a0f4",
     "B3": "cde125cf896c08351d0bca99fd2931fbc3e4395cbbb7f40913de24c65bce2805",
+    "F4": "971f3298cfe32622abd50f5517576b62c1e4d7fde8d2662db62984c8e46ca476",
 }
 
 

@@ -9,9 +9,7 @@ from liftlab.chevgroup import LieAlgebra, torus_elt, u_alpha
 from liftlab.galoismod import (GaloisModError, GroupPresentation,
                                MatrixModule, abelianization,
                                coboundary_space, cocycle_space, cohomology,
-                               common_subquotient, coset_enumeration,
-                               decompose, extension_splitting_probe,
-                               free_presentation, hom_space,
+                               coset_enumeration, decompose, hom_space,
                                modules_isomorphic, spin)
 from liftlab.rootdata import root_datum
 
@@ -84,16 +82,6 @@ def test_isomorphism_is_equivalence():
     assert modules_isomorphic(W, W)
 
 
-def test_common_subquotient():
-    p = 7
-    M = sl2_adjoint_module(p)
-    assert common_subquotient(M, M)
-    # cyclotomic-style twist by a scalar character with distinct spectrum
-    chi = 3
-    Mt = MatrixModule(p, [g * chi % p for g in M.gens], check=False)
-    assert not common_subquotient(M, Mt)
-
-
 def test_non_semisimple_detected():
     U = np.array([[1, 1], [0, 1]], dtype=np.int64)
     dec = decompose(MatrixModule(7, [U]))
@@ -135,7 +123,7 @@ def test_h0_of_nontrivial_component():
 
 
 def test_abelianization_examples():
-    assert abelianization(free_presentation(2)) == [0, 0]
+    assert abelianization(GroupPresentation(2, ())) == [0, 0]
     presA5 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
     assert all(f == 1 for f in abelianization(presA5))
     assert all(f == 1 for f in abelianization(A6_PRES))
@@ -151,20 +139,6 @@ def test_coset_enumeration():
     assert coset_enumeration(GroupPresentation(2, ((1, 1), (2, 2, 2),
                                                    (1, 2) * 5))) == 60
     assert coset_enumeration(A6_PRES) == 360
-
-
-def test_extension_splitting_probe():
-    # Z/p acting trivially on F_p: zero defects split; a nonzero defect
-    # on the single relation a^p is the obstruction to splitting
-    p = 5
-    pres = GroupPresentation(1, (tuple([1] * p),))
-    act = [np.eye(1, dtype=np.int64)]
-    assert extension_splitting_probe(pres, [np.zeros(1, dtype=np.int64)],
-                                     act, p)
-    # relation block for a^p on the trivial module is p * id = 0, so a
-    # nonzero defect cannot be corrected: non-split Z/p^2 over Z/p
-    assert not extension_splitting_probe(pres, [np.ones(1, dtype=np.int64)],
-                                         act, p)
 
 
 def test_hom_space_schur():
@@ -310,7 +284,7 @@ def test_h1_basis_matches_greedy_reference():
     cases = [(zp, random_sum_module([unipotent, triv, unipotent], p, rng,
                                     zp)[0]),
              (A6_PRES, modules[3])]
-    cases += [(free_presentation(len(M.gens)), M) for M in modules[:2]]
+    cases += [(GroupPresentation(len(M.gens), ()), M) for M in modules[:2]]
     for pres, M in cases:
         dimh1, want = reference_h1_basis(pres, M)
         got_dim, got = cohomology(pres, M, 1)

@@ -171,12 +171,56 @@ def test_row_space_contains_matches_rank():
             assert modp.row_space_contains(B, inside, p)
 
 
-def test_intersection():
-    p = 7
-    B1 = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
-    B2 = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
-    I = modp.intersect_row_spaces(B1, B2, p)
-    assert I.shape[0] == 1 and I[0][0] == 0 and I[0][2] == 0
+def _echelon_rows(family, p, n, rng):
+    """Rows for an incremental echelon, in the order they are added."""
+    if family == "no-rows":
+        return np.zeros((0, n), dtype=np.int64)
+    if family == "full-rank":
+        # L U with unit triangular factors is invertible; rows permuted
+        L = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        U = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        return (L @ U % p)[rng.permutation(n)]
+    k = int(rng.integers(0, n + 1))
+    V = rng.integers(0, p, size=(int(rng.integers(0, 2 * n + 2)), k)) \
+        @ rng.integers(0, p, size=(k, n)) % p
+    if family == "duplicate-zero" and V.shape[0]:
+        extra = [V[rng.integers(0, V.shape[0], size=3)],
+                 np.zeros((2, n), dtype=np.int64)]
+        V = np.vstack([V] + extra)
+    return V[rng.permutation(V.shape[0])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 13, 101]),
+       st.sampled_from(["no-rows", "n=1", "duplicate-zero", "full-rank",
+                        "shuffled"]),
+       st.integers(1, 12), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_echelon_matches_rank_and_echelon_basis(p, family, a, unreduced, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 if family == "n=1" else a
+    V = _echelon_rows(family, p, n, rng).astype(np.int64)
+    if unreduced:
+        V = V + p * rng.integers(-3, 4, size=V.shape)
+    span = modp.Echelon(n, p)
+    for i, v in enumerate(V):
+        before = v.copy()
+        grew = modp.rank(V[: i + 1], p) > modp.rank(V[:i], p)
+        assert span.add(v) == grew
+        assert np.array_equal(v, before)
+        assert len(span.piv) == modp.rank(V[: i + 1], p)
+    B = span.basis()
+    assert B.dtype == np.int64
+    assert np.array_equal(B, modp.echelon_basis(V % p, p))
+    # in the span, outside it (mostly), and zero
+    W = np.vstack([rng.integers(0, p, size=(3, V.shape[0])) @ V,
+                   rng.integers(0, p, size=(3, n)),
+                   np.zeros((1, n), dtype=np.int64)])
+    before = W.copy()
+    R = span.reduce(W)
+    assert np.array_equal(W, before)
+    inside = [modp.rank(np.vstack([V, w]), p) == modp.rank(V, p) for w in W]
+    assert np.array_equal(~np.any(R, axis=1), inside)
+    assert not np.any(R[:, span.piv])
 
 
 def test_factorization_roundtrip():
