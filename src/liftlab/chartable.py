@@ -10,13 +10,17 @@ carry an integer coefficient as in `2c7_1` or `-3z5^2`.
 
 Since p does not divide the group order, ordinary character theory
 computes the Brauer decomposition; inner products are evaluated in
-exact cyclotomic integer arithmetic and must come out integral.
+exact cyclotomic integer arithmetic and must come out integral.  All
+of them at once: validation is the class-size-weighted Gram of the
+table with itself, and a Brauer restriction is its 1 x k case.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 from .cyclotomic import CycloContext
 
@@ -25,12 +29,19 @@ class CharTableError(ValueError):
     pass
 
 
-_TERM = re.compile(r"([+-]?\d*)(z(\d+)(?:\^(\d+))?|b(\d+)|c(\d+)_(\d+))?$")
+_TERM = re.compile(r"([+-]?\d*)(z([1-9]\d*)(?:\^(\d+))?|b([1-9]\d*)"
+                   r"|c([1-9]\d*)_(\d+))?$")
 
 
 def _parse_value(ctx, text):
-    """One value as a cyclotomic integer vector."""
+    """One value as a cyclotomic integer vector.
+
+    Refused when its coefficients could leave int64: the sum over its
+    terms of |coefficient| times the largest coefficient of the term's
+    vector bounds every partial sum.
+    """
     out = ctx.zero()
+    height = 0
     # split into signed terms
     toks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
     if not toks:
@@ -47,9 +58,8 @@ def _parse_value(ctx, text):
         else:
             coef = int(coef_s)
         if sym is None:
-            out = ctx.add(out, ctx.integer(coef))
-            continue
-        if sym.startswith("z"):
+            val = ctx.one()
+        elif sym.startswith("z"):
             n, k = int(m.group(3)), int(m.group(4) or 1)
             if ctx.n % n:
                 raise CharTableError("z%d outside Q(zeta_%d)" % (n, ctx.n))
@@ -68,8 +78,22 @@ def _parse_value(ctx, text):
                 raise CharTableError("c%d outside Q(zeta_%d)" % (n, ctx.n))
             val = ctx.add(ctx.zeta((ctx.n // n) * k),
                           ctx.zeta((ctx.n // n) * ((n - k) % n)))
+        height += abs(coef) * int(max(val.max(), -val.min()))
+        if height >= 2 ** 63:
+            raise CharTableError("value %r leaves the int64 range" % text)
         out = ctx.add(out, ctx.scal(coef, val))
     return out
+
+
+def _positive_ints(lineno, text, what):
+    try:
+        vals = [int(x) for x in text.split()]
+    except ValueError:
+        vals = None
+    if vals is None or any(v <= 0 for v in vals):
+        raise CharTableError("line %d: %s must be positive integers, "
+                             "not %r" % (lineno, what, text))
+    return vals
 
 
 class CharacterTable:
@@ -84,25 +108,41 @@ class CharacterTable:
             n = n * o // math.gcd(n, o)
         self.exponent = n
         self.ctx = CycloContext(n)
-        self.chars = [[_parse_value(self.ctx, v) for v in row]
-                      for row in char_rows]
+        self.chars = np.array([[_parse_value(self.ctx, v) for v in row]
+                               for row in char_rows], dtype=np.int64
+                              ).reshape(len(char_rows), self.nclasses,
+                                        self.ctx.deg)
         self.degrees = [self.ctx.rational_value(ch[0]) for ch in self.chars]
 
     @classmethod
     def parse(cls, text):
-        lines = [ln.strip() for ln in text.splitlines()
+        lines = [(no, ln.strip())
+                 for no, ln in enumerate(text.splitlines(), 1)
                  if ln.strip() and not ln.strip().startswith("#")]
-        name, order, nclasses = lines[0].split()
-        order, nclasses = int(order), int(nclasses)
-        class_orders = [int(x) for x in lines[1].split()]
-        class_sizes = [int(x) for x in lines[2].split()]
+        if not lines:
+            raise CharTableError("empty character table")
+        no, header = lines[0]
+        fields = header.split()
+        if len(fields) != 3:
+            raise CharTableError("line %d: expected `GROUP ORDER NCLASSES`, "
+                                 "not %r" % (no, header))
+        order, nclasses = _positive_ints(no, " ".join(fields[1:]),
+                                         "the order and class count")
+        if len(lines) < 3 + nclasses:
+            raise CharTableError(
+                "truncated table: it ends at line %d, but the header on "
+                "line %d announces %d classes, so class orders, class "
+                "sizes and %d characters must follow"
+                % (lines[-1][0], no, nclasses, nclasses))
+        class_orders = _positive_ints(*lines[1], "class orders")
+        class_sizes = _positive_ints(*lines[2], "class sizes")
         if len(class_orders) != nclasses or len(class_sizes) != nclasses:
             raise CharTableError("class line length mismatch")
-        rows = [lines[3 + i].split() for i in range(nclasses)]
+        rows = [ln.split() for _, ln in lines[3:3 + nclasses]]
         for row in rows:
             if len(row) != nclasses:
                 raise CharTableError("character row length mismatch")
-        return cls(name, order, class_orders, class_sizes, rows)
+        return cls(fields[0], order, class_orders, class_sizes, rows)
 
     @classmethod
     def load(cls, path):
@@ -113,23 +153,33 @@ class CharacterTable:
         """A class function from a list of value strings."""
         if len(values) != self.nclasses:
             raise CharTableError("class function length mismatch")
-        return [_parse_value(self.ctx, v) for v in values]
+        return np.array([_parse_value(self.ctx, v) for v in values],
+                        dtype=np.int64).reshape(self.nclasses, self.ctx.deg)
 
-    def inner_product(self, f, g):
-        """<f, g> = |G|^-1 sum |C| f(C) conj(g(C)); must be an integer."""
-        ctx = self.ctx
-        acc = ctx.zero()
-        for size, fv, gv in zip(self.class_sizes, f, g):
-            acc = ctx.add(acc, ctx.scal(size, ctx.mul(fv, ctx.conj(gv))))
-        if not ctx.is_rational(acc):
-            raise CharTableError("non-rational inner product "
-                                 "(inconsistent data)")
-        num = ctx.rational_value(acc)
-        if num % self.order:
-            raise CharTableError("non-integral inner product "
-                                 "(inconsistent data): %d/%d" %
-                                 (num, self.order))
-        return num // self.order
+    def inner_products(self, F, H, expect=None):
+        """<f, h> = |G|^-1 sum |C| f(C) conj(h(C)) for every row f of F
+        and h of H, as lists of ints, from one class-size-weighted Gram.
+        Every entry must be rational and divisible by |G| and, given
+        `expect`, equal to it; the first entry in row-major order that
+        is not raises."""
+        G = self.ctx.gram(F, H, self.class_sizes)
+        num = G[..., 0]
+        rational = ~(G[..., 1:] != 0).any(axis=-1)
+        integral = rational & (num % self.order == 0)
+        ip = np.where(integral, num // self.order, 0)
+        bad = ~integral if expect is None else ~integral | (ip != expect)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            if not rational[i, j]:
+                raise CharTableError("non-rational inner product "
+                                     "(inconsistent data)")
+            if not integral[i, j]:
+                raise CharTableError("non-integral inner product "
+                                     "(inconsistent data): %d/%d" %
+                                     (num[i, j], self.order))
+            raise CharTableError(
+                "orthogonality fails at (%d, %d): %d" % (i, j, ip[i, j]))
+        return ip.tolist()
 
     def validate(self):
         """Orthogonality, degree and size checks; raises on failure."""
@@ -137,12 +187,10 @@ class CharacterTable:
             raise CharTableError("class sizes do not sum to the order")
         if sum(d * d for d in self.degrees) != self.order:
             raise CharTableError("sum of squared degrees != order")
-        for i in range(self.nclasses):
-            for j in range(i, self.nclasses):
-                ip = self.inner_product(self.chars[i], self.chars[j])
-                if ip != (1 if i == j else 0):
-                    raise CharTableError(
-                        "orthogonality fails at (%d, %d): %d" % (i, j, ip))
+        # the Gram is Hermitian, so its first failing entry in row-major
+        # order is the first failing pair i <= j
+        self.inner_products(self.chars, self.chars,
+                            np.eye(len(self.chars), dtype=np.int64))
         return True
 
     def class_function_degree(self, f):
@@ -157,4 +205,5 @@ def brauer_restrict(table, classfunction, p=None):
     """
     if p is not None and table.order % p == 0:
         raise CharTableError("p divides the group order")
-    return [table.inner_product(classfunction, ch) for ch in table.chars]
+    return table.inner_products(np.asarray(classfunction)[None],
+                                table.chars)[0]

@@ -500,22 +500,6 @@ class ChebotarevSampler:
         }
 
 
-def sampler_uniformity_histogram(sampler, rng, n):
-    """Histogram of the c-coordinate over n draws (for the chi-square
-    uniformity test)."""
-    counts = np.zeros(sampler.p - 1, dtype=np.int64)
-    for _ in range(n):
-        counts[sampler.draw(rng)["c"] - 1] += 1
-    return counts
-
-
-def chi_square_uniform(counts):
-    n = counts.sum()
-    k = len(counts)
-    expected = n / k
-    return float(((counts - expected) ** 2 / expected).sum()), k - 1
-
-
 # ---------------------------------------------------------------------------
 # the splitcase witness search
 

@@ -65,6 +65,9 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]]
                                        if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+    # -W error: the suite's filterwarnings = error does not reach into
+    # the demo's own process
+    proc = subprocess.run([sys.executable, "-W", "error",
+                           os.path.join(ROOT, "demos", demo)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

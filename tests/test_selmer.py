@@ -337,10 +337,25 @@ def test_doubling_infeasible_model_detected():
 CHI2_99 = {3: 11.344866730144373, 5: 15.08627246938899}
 
 
+def sampler_uniformity_histogram(sampler, rng, n):
+    """Histogram of the c-coordinate over n draws."""
+    counts = np.zeros(sampler.p - 1, dtype=np.int64)
+    for _ in range(n):
+        counts[sampler.draw(rng)["c"] - 1] += 1
+    return counts
+
+
+def chi_square_uniform(counts):
+    n = counts.sum()
+    k = len(counts)
+    expected = n / k
+    return float(((counts - expected) ** 2 / expected).sum()), k - 1
+
+
 def assert_sampler_uniform(sampler, seed, want_dof):
     rng = np.random.default_rng(seed)
-    counts = sm.sampler_uniformity_histogram(sampler, rng, 10000)
-    stat, dof = sm.chi_square_uniform(counts)
+    counts = sampler_uniformity_histogram(sampler, rng, 10000)
+    stat, dof = chi_square_uniform(counts)
     assert dof == want_dof
     # 99% confidence: do not reject uniformity
     assert stat < CHI2_99[dof]
