@@ -22,7 +22,13 @@ import re
 
 import numpy as np
 
-from .cyclotomic import CycloContext
+from .cyclotomic import CycloContext, _prime_factors
+
+# Largest power table (x^k mod Phi_N for k < max(N, 2 phi(N) - 1), phi(N)
+# int64 coefficients per row) a table may ask for: 2^22 entries, 32 MiB.
+# The shipped tables need 960 (A6, N = 60) and 78,624 (PSL(2,13),
+# N = 546).
+MAX_POWER_TABLE = 1 << 22
 
 
 class CharTableError(ValueError):
@@ -69,9 +75,8 @@ def _parse_value(ctx, text):
             if ctx.n % n:
                 raise CharTableError("b%d outside Q(zeta_%d)" % (n, ctx.n))
             val = ctx.zero()
-            for a in range(1, n):
-                if pow(a, (n - 1) // 2, n) == 1:
-                    val = ctx.add(val, ctx.zeta((ctx.n // n) * a))
+            for a in {x * x % n for x in range(1, n)} - {0}:
+                val = ctx.add(val, ctx.zeta((ctx.n // n) * a))
         else:
             n, k = int(m.group(6)), int(m.group(7))
             if ctx.n % n:
@@ -103,9 +108,15 @@ class CharacterTable:
         self.nclasses = len(class_orders)
         self.class_orders = list(class_orders)
         self.class_sizes = list(class_sizes)
-        n = 1
-        for o in class_orders:
-            n = n * o // math.gcd(n, o)
+        n = math.lcm(*class_orders)
+        phi = n
+        for q in _prime_factors(n):
+            phi = phi // q * (q - 1)
+        entries = max(n, 2 * phi - 1) * phi
+        if entries > MAX_POWER_TABLE:
+            raise CharTableError("exponent %d of %s needs a power table of "
+                                 "%d entries, more than %d"
+                                 % (n, name, entries, MAX_POWER_TABLE))
         self.exponent = n
         self.ctx = CycloContext(n)
         self.chars = np.array([[_parse_value(self.ctx, v) for v in row]

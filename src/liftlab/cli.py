@@ -19,6 +19,7 @@ import numpy as np
 from . import localconds as lc
 from . import oddness as od
 from . import selmer as sm
+from .chartable import CharTableError
 from .chevgroup import levi_certificate_check, matrix_identity_check
 from .coeffring import ParameterError
 from .galoismod import GroupPresentation, MatrixModule, cohomology, decompose
@@ -102,22 +103,13 @@ def cmd_check_stability(args, run):
                     datum, basis, p, m, 1,
                     {"s": tuple([1 + p] * datum.rank),
                      "u1": tuple([1 + 2 * p] * datum.rank)})
-                olift = _chi_normal_lift(omodel)
+                olift = lc.chi_torus_lift(omodel)
                 for beta in datum.roots:
                     if not datum._is_positive(beta):
                         lc.ordinary_stability_check(olift, beta)
                         total += 1
         run.check("stability %s" % name, True, {"checks_so_far": total})
     run.detail["total_checks"] = total
-
-
-def _chi_normal_lift(omodel):
-    from .chevgroup import GroupElement
-    vals = {g: GroupElement(omodel.alg,
-                            lc._torus_matrix_from_chi(omodel, g,
-                                                      omodel.ring.q),
-                            "torus") for g in omodel.generators}
-    return lc.OrdinaryLift(omodel, vals)
 
 
 def cmd_check_duality(args, run):
@@ -398,7 +390,7 @@ def main(argv=None):
                  config)
     try:
         fn(args, run)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, CharTableError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # assertion-style failure inside a suite

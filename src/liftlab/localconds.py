@@ -25,8 +25,9 @@ import numpy as np
 
 from . import fieldlinalg as fl
 from .coeffring import CoeffRing, sqrt_one_mod_p
-from .chevgroup import (LieAlgebra, identity, one_plus, torus_elt,
-                        torus_from_root_values, torus_root_values, u_alpha)
+from .chevgroup import (GroupElement, LieAlgebra, identity, one_plus,
+                        torus_elt, torus_from_root_values, torus_root_values,
+                        u_alpha)
 from .rootdata import phi_alpha
 
 
@@ -583,17 +584,20 @@ class OrdinaryLift:
                 return False
         return True
 
-    def reduce(self, m2):
-        model2 = self.model.at_precision(m2)
-        return OrdinaryLift(model2, {g: v.reduce(m2)
-                                     for g, v in self.values.items()},
-                            check=False)
-
     def conjugate(self, g):
         ginv = g.inv()
         return OrdinaryLift(self.model,
                             {k: g @ v @ ginv for k, v in self.values.items()},
                             check=False)
+
+
+def chi_torus_lift(model):
+    """The lift sending every generator to its chi-torus element at the
+    model's precision."""
+    return OrdinaryLift(model, {
+        g: GroupElement(model.alg,
+                        _torus_matrix_from_chi(model, g, model.ring.q),
+                        "torus") for g in model.generators})
 
 
 def _torus_matrix_from_chi(model, gen, modulus):

@@ -628,13 +628,6 @@ def levi_bound(datum):
     }
 
 
-def lattice_torsion_op(mat):
-    """Invariant factors of an integer matrix (Smith normal form
-    diagonal, successive divisibility)."""
-    from .intlinalg import smith_normal_form
-    return smith_normal_form(mat)
-
-
 # -- cache files
 
 

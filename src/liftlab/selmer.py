@@ -809,15 +809,6 @@ def annihilation_loop(model, system, rng, max_steps=64):
     return trace, model, system
 
 
-def _coeffs_of(image, vec, p):
-    """The coefficient row x with x image = vec (a reference for the
-    coefficient rows _selmer_with_coeffs returns)."""
-    sol = modp.solve(image.T % p, vec % p, p)
-    if sol is None:
-        raise SelmerError("class not in the global image (bug)")
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # the doubling method
 

@@ -55,7 +55,7 @@ def test_criterion_2_stability():
                     datum, basis, p, m, 1,
                     {"s": tuple([1 + p] * datum.rank),
                      "u1": tuple([1 + 2 * p] * datum.rank)})
-                olift = _chi_lift(omodel)
+                olift = lc.chi_torus_lift(omodel)
                 for beta in datum.roots:
                     if not datum._is_positive(beta):
                         lc.ordinary_stability_check(olift, beta)
@@ -63,15 +63,6 @@ def test_criterion_2_stability():
     dt = time.time() - t0
     _report(2, "stability conjugators, %d checks" % checks, dt < 60,
             "(%.1fs)" % dt)
-
-
-def _chi_lift(omodel):
-    from liftlab.chevgroup import GroupElement
-    vals = {g: GroupElement(omodel.alg,
-                            lc._torus_matrix_from_chi(omodel, g,
-                                                      omodel.ring.q),
-                            "torus") for g in omodel.generators}
-    return lc.OrdinaryLift(omodel, vals)
 
 
 def test_criterion_3_dimension_formulas():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab.chartable import (CharacterTable, CharTableError,
+from liftlab import chartable
+from liftlab.chartable import (CharacterTable, CharTableError, _parse_value,
                                brauer_restrict)
 from liftlab.cyclotomic import CycloContext, cyclotomic_polynomial
 from liftlab.oddness import default_data_dir
@@ -355,6 +356,33 @@ def test_non_integer_header_is_refused():
         CharacterTable.parse(text)
     text = table_text("a6.tbl").replace("1 2 3 3 4 5 5", "1 2 3 3 4 5 0")
     with pytest.raises(CharTableError, match="line 4: class orders"):
+        CharacterTable.parse(text)
+
+
+def test_gauss_period_sums_over_the_nonzero_squares():
+    # at composite n the nonzero squares mod n are not the residues
+    # Euler's criterion picks: {1, 4} mod 8 and {1, 4, 6, 9, 10} mod 15
+    ctx = CycloContext(120)
+    for n, squares in ((8, (1, 4)), (15, (1, 4, 6, 9, 10)), (5, (1, 4))):
+        want = ctx.zero()
+        for a in squares:
+            want = ctx.add(want, ctx.zeta(120 // n * a))
+        assert np.array_equal(_parse_value(ctx, "b%d" % n), want), n
+        terms = "+".join("z%d^%d" % (n, a) for a in squares)
+        assert np.array_equal(_parse_value(ctx, terms), want), n
+
+
+def test_huge_exponent_is_refused_before_its_power_table(monkeypatch):
+    # class orders with lcm 510510 = 2.3.5.7.11.13.17 would need a power
+    # table of about 4.7e10 entries; the header alone is refused
+    def no_context(n):
+        raise AssertionError("CycloContext(%d) built" % n)
+
+    monkeypatch.setattr(chartable, "CycloContext", no_context)
+    orders = [1, 2, 3, 5, 7, 11, 13, 17]
+    text = "\n".join(["BIG 510510 8", " ".join(map(str, orders)),
+                      " ".join(["1"] * 8)] + [" ".join(["1"] * 8)] * 8)
+    with pytest.raises(CharTableError, match="exponent 510510"):
         CharacterTable.parse(text)
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
 from liftlab import cli
 from liftlab.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_UNKNOWN, main
 from liftlab.coeffring import CoeffRingError
+from liftlab.oddness import default_data_dir
 
 
 def run(args, tmp_path, name="r.json"):
@@ -54,6 +56,22 @@ def test_exit_code_on_failure(tmp_path):
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
+    assert code == EXIT_CONFIG and rep is None
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_truncated_table_is_a_config_error(tmp_path, capsys):
+    # a --tables file cut short is invalid input, not a failed check
+    src = default_data_dir()
+    for name in os.listdir(src):
+        shutil.copy(os.path.join(src, name), str(tmp_path))
+    path = os.path.join(str(tmp_path), "a6.tbl")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[:-2]) + "\n")
+    code, rep = run(["examples", "f4", "--p", "11", "--tables",
+                     str(tmp_path)], str(tmp_path))
     assert code == EXIT_CONFIG and rep is None
     assert "config error:" in capsys.readouterr().err
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -46,21 +49,21 @@ def test_wrong_conjugator_in_correction_is_caught(monkeypatch, place):
     # conjugator off by u_beta(p^{m-2}) on a negative root must fail it
     e2e = EndToEndModel("A1", 5, seed=0)
     target = e2e.places[place]
-    method = "_correct_tame" if place < 2 else "_correct_ordinary"
-    right = getattr(EndToEndModel, method)
+    right = EndToEndModel._correct
     beta = e2e.datum.neg(e2e.datum.positive_roots[0])
 
-    def patched(self, st, *args):
+    def patched(self, k, *args):
+        st = self.places[k]
         if st is target:
-            good = st.conjugator
-            st.conjugator = lambda model: good(model) @ u_alpha(
-                model.alg, beta, model.ring.el(model.ring.p ** (model.ring.m - 2)))
+            good, R = st.conjugator, st.model.ring
+            st.conjugator = lambda: good() @ u_alpha(
+                st.model.alg, beta, R.el(R.p ** (R.m - 2)))
         try:
-            return right(self, st, *args)
+            return right(self, k, *args)
         finally:
             vars(st).pop("conjugator", None)
 
-    monkeypatch.setattr(EndToEndModel, method, patched)
+    monkeypatch.setattr(EndToEndModel, "_correct", patched)
     with pytest.raises(DriverError, match="does not match"):
         e2e.step(np.random.default_rng(5))
 
@@ -76,3 +79,22 @@ def test_driver_uses_no_hensel_inverse(monkeypatch):
     monkeypatch.setattr(CoeffRing, "mat_inv", no_inverse)
     got, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
     assert got == want
+
+
+# SHA-256 of the sorted-key JSON of lifting_driver's A1 reports at
+# (p, max_precision, seed) the README does not run; any change to their
+# bytes must be deliberate.
+DRIVER_SHA256 = {
+    (7, 6, 2):
+        "13dca974d61f526b58b27552af71a33b3c601b993277b614a42465dc17e3b6b2",
+    (13, 5, 3):
+        "1f6f72515e68b0be34a3c12866b0979bdbaf3009b1c2f8289ac8006df6a308a2",
+}
+
+
+@pytest.mark.parametrize("p, top, seed", sorted(DRIVER_SHA256))
+def test_driver_reports_are_pinned(p, top, seed):
+    reports, _ = lifting_driver("A1", p=p, max_precision=top, seed=seed)
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DRIVER_SHA256[p, top, seed]

@@ -312,13 +312,6 @@ def ordinary(name="A1", p=5, m=3, f=1, cu=2):
     return lc.OrdinaryLocalModel(d, b, p, m, f, chi)
 
 
-def chi_lift(om):
-    vals = {g: GroupElement(om.alg,
-                            lc._torus_matrix_from_chi(om, g, om.ring.q),
-                            "torus") for g in om.generators}
-    return lc.OrdinaryLift(om, vals)
-
-
 def test_ordinary_dims_a1():
     om = ordinary("A1", 5, 3, 1)
     sp = lc.ordinary_spaces(om)
@@ -360,7 +353,7 @@ def test_ordinary_cocycles_are_homomorphisms():
 
 def test_ordinary_stability():
     om = ordinary("A2", 5, 3, 1)
-    ol = chi_lift(om)
+    ol = lc.chi_torus_lift(om)
     d = om.datum
     for beta in d.roots:
         if not d._is_positive(beta):
@@ -369,7 +362,7 @@ def test_ordinary_stability():
 
 def test_ordinary_membership():
     om = ordinary("A1", 5, 3, 1)
-    ol = chi_lift(om)
+    ol = lc.chi_torus_lift(om)
     assert lc.membership_ordinary(ol)
     # breaking the Borel condition fails membership
     bad_vals = dict(ol.values)
@@ -580,7 +573,7 @@ def test_stability_check_catches_wrong_conjugator(monkeypatch):
 
 def test_ordinary_stability_check_catches_wrong_conjugator(monkeypatch):
     om = ordinary("A2", 5, 3, 1)
-    ol = chi_lift(om)
+    ol = lc.chi_torus_lift(om)
     beta = om.datum.neg(om.datum.positive_roots[0])
     lc.ordinary_stability_check(ol, beta, lam=2)
     right = u_alpha

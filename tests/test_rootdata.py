@@ -187,10 +187,10 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_lattice_torsion_examples():
-    from liftlab.rootdata import lattice_torsion_op
-    assert lattice_torsion_op([[1, 0], [0, 1]]) == [1, 1]
-    assert lattice_torsion_op([[2, 0], [0, 4]]) == [2, 4]
-    assert lattice_torsion_op([[2, 1], [0, 3]]) == [1, 6]
+    from liftlab.intlinalg import smith_normal_form
+    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form([[2, 0], [0, 4]]) == [2, 4]
+    assert smith_normal_form([[2, 1], [0, 3]]) == [1, 6]
 
 
 def test_root_tables_pin_the_scalar_pairings():

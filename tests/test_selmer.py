@@ -9,6 +9,14 @@ from liftlab.galoismod import MatrixModule, decompose
 from liftlab.rootdata import root_datum
 
 
+def coeffs_of(image, vec, p):
+    """The coefficient row x with x image = vec (a reference for the
+    coefficient rows the annihilation loop carries)."""
+    sol = modp.solve(image.T % p, vec % p, p)
+    assert sol is not None, "class not in the global image"
+    return sol
+
+
 def test_fp_toy_model_is_hyperbolic_line():
     model = sm.build_synthetic_model(5, [sm.TrivialPlace(1)], seed=1)
     assert model.total_dim == 2
@@ -113,8 +121,8 @@ def test_embedded_dual_class_loss_detected(monkeypatch):
     rng = np.random.default_rng(10)
     sel, dual, _ = sm.selmer_compute(model, system)
     witness = sm.splitcase_search(model, sel[0], dual[0], rng)
-    witness["phi_coeffs"] = sm._coeffs_of(model.A, sel[0], model.p)
-    witness["psi_coeffs"] = sm._coeffs_of(model.B, dual[0], model.p)
+    witness["phi_coeffs"] = coeffs_of(model.A, sel[0], model.p)
+    witness["psi_coeffs"] = coeffs_of(model.B, dual[0], model.p)
     state = rng.bit_generator.state
     sm.extend_model_at_witness(model, system, witness, rng)
     # the reciprocity solve (the only one with a matrix right-hand side)
@@ -445,7 +453,7 @@ def test_model_guard_rejects_dependent_b_rows():
 @pytest.mark.parametrize("name,p", STEP_CASES)
 def test_loop_steps_match_from_scratch(name, p, monkeypatch):
     # at every step of the loop: the reused coefficient rows are the
-    # solutions _coeffs_of finds, the carried-over system equals one
+    # solutions coeffs_of finds, the carried-over system equals one
     # eliminated from scratch, and the installed place's frame subspace
     # is the one _frame_subspace builds
     real = sm.extend_model_at_witness
@@ -454,9 +462,9 @@ def test_loop_steps_match_from_scratch(name, p, monkeypatch):
     def checked(model, system, witness, rng):
         sel, dual, _ = sm.selmer_compute(model, system)
         assert np.array_equal(witness["phi_coeffs"],
-                              sm._coeffs_of(model.A, sel[0], p))
+                              coeffs_of(model.A, sel[0], p))
         assert np.array_equal(witness["psi_coeffs"],
-                              sm._coeffs_of(model.B, dual[0], p))
+                              coeffs_of(model.B, dual[0], p))
         alg1 = LieAlgebra(model.datum, model.basis, CoeffRing(p, 1, 1))
         gm, alpha = witness["g_mat"], witness["alpha"]
         assert np.array_equal(witness["frame_subspace"],
