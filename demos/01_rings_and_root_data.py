@@ -7,12 +7,12 @@ conventions down.
 
 import numpy as np
 
-from liftlab.coeffring import ring_make, sqrt_one_mod_p
+from liftlab.coeffring import CoeffRing, sqrt_one_mod_p
 from liftlab.rootdata import levi_bound, phi_alpha, root_datum
 
 # --- Galois rings ----------------------------------------------------------
 
-R = ring_make(7, 3, 2)
+R = CoeffRing(7, 3, 2)
 print("the ring:", R, "with", R.q ** R.r, "elements")
 print("modulus over F_7:", R.modulus)
 
@@ -24,7 +24,7 @@ print("valuation of 49*a:", R.valuation(R.scalar_mul(49, a)))
 
 # square roots of units congruent to 1 mod p, the q^(1/2) of the torus
 # constructions: s = 16 is the unique root of 6 with s = 1 mod 5
-R25 = ring_make(5, 2, 1)
+R25 = CoeffRing(5, 2, 1)
 s = sqrt_one_mod_p(R25, 6)
 print("sqrt(6) in Z/25 with s = 1 mod 5:", int(s[0]))
 

@@ -40,7 +40,7 @@ import weakref
 
 import numpy as np
 
-from .coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
+from .coeffring import CoeffRing, ParameterError, int64_exact, sqrt_one_mod_p
 from .rootdata import phi_alpha
 
 
@@ -134,6 +134,10 @@ class LieAlgebra:
             raise GroupParameterError("p >= 5 required (very good prime)")
         if datum.family == "A" and (datum.rank + 1) % ring.p == 0:
             raise GroupParameterError("p | n+1 is not very good for A_n")
+        if not int64_exact(ring.p, ring.m, ring.r, datum.dim):
+            raise GroupParameterError(
+                "%s%d over %r is past the exact int64 range"
+                % (datum.family, datum.rank, ring))
         self.datum = datum
         self.basis = basis
         self.ring = ring
@@ -373,6 +377,9 @@ def matrix_identity_check(p, m, n, samples, rng):
     """
     if m < 3:
         raise GroupParameterError("identity requires m >= 3")
+    if not int64_exact(p, m, n=n):
+        raise GroupParameterError("%d x %d matrices mod %d^%d are past the "
+                                  "exact int64 range" % (n, n, p, m))
     q = p ** m
     fails = 0
     for _ in range(samples):

@@ -52,6 +52,12 @@ class RingParameterError(CoeffRingError, ParameterError):
     pass
 
 
+def int64_exact(p, m, r=1, n=1):
+    """Whether products of n x n matrices over GR(p^m, r) are exact in
+    int64: max(n, r^2) (q - 1)^2 < 2^63 (see the module docstring)."""
+    return max(n, r * r) * (p ** m - 1) ** 2 < 2 ** 63
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -259,11 +265,6 @@ class CoeffRing:
     def is_zero(self, a):
         return not np.any(np.asarray(a) % self.q)
 
-    # -- precision change
-
-    def reduce_el(self, a, m2):
-        return np.asarray(a, dtype=np.int64) % (self.p ** m2)
-
     # -- matrices: int64 arrays of shape (n, n, r) (adjoint operators etc.)
 
     def mat_id(self, n):
@@ -342,9 +343,6 @@ class CoeffRing:
     def mat_eq(self, A, B):
         return bool(np.all((A - B) % self.q == 0))
 
-    def mat_reduce(self, A, m2):
-        return A % (self.p ** m2)
-
     # -- display: GR(p^m,r):[c_0,...,c_{r-1}]
 
     def format_el(self, a):
@@ -353,11 +351,6 @@ class CoeffRing:
 
     def __repr__(self):
         return "CoeffRing(p=%d, m=%d, r=%d)" % (self.p, self.m, self.r)
-
-
-def ring_make(p, m, r=1):
-    """Construct GR(p^m, r); rejects p = 2, composite p and m = 0."""
-    return CoeffRing(p, m, r)
 
 
 def sqrt_one_mod_p(R, q):

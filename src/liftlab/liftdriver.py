@@ -33,11 +33,16 @@ from . import localconds as lc
 from . import modp
 from . import selmer as sm
 from .chevgroup import GroupElement, one_plus, root_product, torus_elt
-from .rootdata import phi_alpha, root_datum
+from .coeffring import ParameterError, int64_exact
+from .rootdata import root_datum
 
 
 class DriverError(ValueError):
     pass
+
+
+class DriverParameterError(DriverError, ParameterError):
+    """A configuration the driver refuses before any level runs."""
 
 
 class PlaceState:
@@ -45,11 +50,12 @@ class PlaceState:
     the factors of the conjugator carrying its normal form to the
     current lift.
 
-    A kind supplies `values` (the normal form), `spaces()`,
+    A kind supplies `values` (the normal form), `tangent()`,
     `lift_up(rng)`, `check_relation(values)`, `is_member(values,
-    conjugator)`, `stability_unit(beta)`, `fold_tangent(tan, scale)`,
-    `betas` (the roots of the extra cocycles, in basis order), `dim_l`
-    and `variant`; messages name the ordinary place by `label`.
+    conjugator)`, `fold_tangent(tan, scale)`, `extra` (the extra
+    cocycles of its condition with their units, built once at the first
+    level), `dim_l` and `variant`; messages name the ordinary place by
+    `label`.
     """
 
     label = ""
@@ -90,7 +96,8 @@ class TamePlaceState(PlaceState):
         self.variant = variant          # "unr2" or "ram2"
         self.member, self.coords = lc.sample_member(self.model, self.alpha,
                                                     variant, rng)
-        self.betas = [tuple(b) for b in phi_alpha(basis, self.alpha)]
+        self.extra = lc.tame_extra_cocycles(self.model, self.alpha,
+                                            variant[:3], self.member)
         self.dim_l = datum.dim
 
     @property
@@ -100,29 +107,15 @@ class TamePlaceState(PlaceState):
     def _assemble(self):
         self.member = lc._assemble_member(self.model, self.alpha, self.coords)
 
-    def spaces(self):
-        if self.variant == "unr2":
-            return lc.condition_spaces(self.model, self.alpha, "unr")
-        return lc.condition_spaces(self.model, self.alpha, "ram",
-                                   rho2=self.member)
+    def tangent(self):
+        """The tangent rows of L_v, from the checked condition spaces."""
+        return lc.condition_spaces(self.model, self.alpha, self.variant[:3],
+                                   rho2=self.member)["tan"].basis
 
     def lift_up(self, rng):
         """Random top digits in the free coordinates, at precision m+1."""
-        p, bump = self.model.p, self.model.ring.q
-        j0 = self.alpha.index(1)
-        newq = bump * p
-
-        def up(x):
-            return (np.asarray(x, dtype=np.int64)
-                    + bump * rng.integers(0, p)) % newq
-
-        self.coords = {
-            "tvals": [v % newq if i == j0 else up(v)
-                      for i, v in enumerate(self.coords["tvals"])],
-            "cent": [(b, up(x)) for b, x in self.coords["cent"]],
-            "xa": up(self.coords["xa"]),
-            "xtau": up(self.coords["xtau"]),
-        }
+        self.coords = lc.lift_coordinates(self.model, self.alpha, self.coords,
+                                          rng)
         self.model = self.model.at_precision(self.m + 1)
         self._assemble()
 
@@ -132,12 +125,6 @@ class TamePlaceState(PlaceState):
     def is_member(self, values, conjugator=None):
         return lc.membership(lc.LocalLift(self.model, *values, check=False),
                              self.alpha, self.variant, conjugator=conjugator)
-
-    def stability_unit(self, beta):
-        """(1 - beta(sigma))/p mod p, from the member's mod-p^2 data."""
-        p = self.model.p
-        return int(lc._beta_unit_quotient(
-            self.model, self.member.sigma.mat % (p * p), beta)[0])
 
     def fold_tangent(self, tan, scale):
         """Merge exp(scale * tan) into the normal-form coordinates."""
@@ -189,12 +176,11 @@ class OrdinaryPlaceState(PlaceState):
         self.model.check_regularity()
         lift = lc.chi_torus_lift(self.model)
         self.values = [lift.values[g] for g in self.model.generators]
-        self.betas = [tuple(r) for r in datum.roots
-                      if not datum._is_positive(r)]
+        self.extra = lc.ordinary_extra_cocycles(self.model)
         self.dim_l = datum.dim + f * len(datum.positive_roots)
 
-    def spaces(self):
-        return lc.ordinary_spaces(self.model)
+    def tangent(self):
+        return lc.ordinary_spaces(self.model)["tan"].basis
 
     def lift_up(self, rng):
         """Canonical-entry lift to precision m+1, with the inertia
@@ -225,9 +211,6 @@ class OrdinaryPlaceState(PlaceState):
                                check=False)
         return lc.membership_ordinary(lift, conjugator=conjugator)
 
-    def stability_unit(self, beta):
-        return 1
-
     def fold_tangent(self, tan, scale):
         self.values = _perturb(self.model, self.values, scale, tan)
 
@@ -238,6 +221,13 @@ class EndToEndModel:
 
     def __init__(self, cartan_type="A1", p=5, seed=0, max_seed_tries=50):
         datum, basis = root_datum(cartan_type)
+        if (datum.family, datum.rank) != ("A", 1):
+            # beyond A1 the ordinary normal form is lifted entry by
+            # entry, which leaves the torus, and membership_ordinary
+            # checks only the simple-root lines
+            raise DriverParameterError(
+                "the lifting driver supports type A1 only, not %s%d"
+                % (datum.family, datum.rank))
         self.datum = datum
         self.p = p
         rng = np.random.default_rng(seed)
@@ -256,13 +246,13 @@ class EndToEndModel:
                    sm.LedgerPlace((1 + self.f) * w, w, 0,
                                   dim_l=self.places[2].dim_l,
                                   kind="ordinary-explicit")]
-        # raw (unechelonized) L bases [tangent rows; extra rows], so a
-        # solved coefficient vector splits positionally
+        # L bases [tangent rows; extra cocycles c_beta], so a solved
+        # coefficient vector splits positionally and its extra part is
+        # read against the c_beta themselves
         self.local_bases = []
         for st in self.places:
-            sp = st.spaces()
-            raw = np.vstack([sp["tan"].basis[..., 0],
-                             sp["s"].basis[..., 0]]) % p
+            raw = np.vstack([st.tangent()[..., 0],
+                             st.extra.rows[..., 0]]) % p
             if modp.rank(raw, p) != raw.shape[0]:
                 raise DriverError("L basis degenerate (bug)")
             if raw.shape[0] != st.dim_l:
@@ -364,17 +354,21 @@ class EndToEndModel:
         coeff = modp.solve(raw.T % p, ell, p)
         if coeff is None:
             raise DriverError("correction not in L_v at place %d" % k)
-        ntan = len(raw) - len(st.betas)
+        extra = st.extra
+        ntan = len(raw) - len(extra.betas)
         tan = coeff[:ntan] @ raw[:ntan] % p
-        lam = {beta: int(c) for beta, c in zip(st.betas, coeff[ntan:])
-               if int(c) % p}
         corrected = _perturb(st.model, ref, scale, ell)
         st.check_relation(corrected)
-        # the extra part becomes stability conjugator factors, the
-        # tangent part folds into the normal form
-        for beta, c in lam.items():
-            zinv = pow(st.stability_unit(beta), p - 2, p)
-            st.conj_factors.append((beta, zinv * c % p * p ** (st.m - 2)))
+        # the extra part lambda becomes stability conjugator factors
+        # u_beta(lambda p^{m-2} / u_beta), the tangent part folds into
+        # the normal form
+        lam = {}
+        for beta, c, u in zip(extra.betas, coeff[ntan:].tolist(),
+                              extra.units):
+            if c % p:
+                lam[beta] = c
+                st.conj_factors.append(
+                    (beta, pow(int(u[0]), -1, p) * c % p * p ** (st.m - 2)))
         st.fold_tangent(tan, scale)
         if not st.is_member(st.values):
             raise DriverError("%snormal form failed membership"
@@ -400,7 +394,12 @@ def _perturb(model, values, scale, z):
 def lifting_driver(cartan_type="A1", p=5, max_precision=5, seed=0):
     """Run the inductive lifting loop to the requested precision;
     returns the per-level reports.  Every local membership and the tame
-    relation are verified exactly at each level."""
+    relation are verified exactly at each level.  A max_precision past
+    the exact int64 range of the model's matrices is refused up front."""
+    if not int64_exact(p, max_precision, n=root_datum(cartan_type)[0].dim):
+        raise DriverParameterError(
+            "precision %d at p = %d is past the exact int64 range"
+            % (max_precision, p))
     e2e = EndToEndModel(cartan_type, p, seed)
     rng = np.random.default_rng(seed + 5)
     reports = []

@@ -20,6 +20,7 @@ search is out of scope by design.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,19 +40,10 @@ class InvalidLiftError(LocalCondError):
     pass
 
 
-def hensel_sqrt(R, q):
-    return sqrt_one_mod_p(R, R.el(q))
-
-
 class TameLocalModel:
-    """Frame data for one trivial prime: ring precision, q, algebra.
+    """Frame data for one trivial prime: ring precision, q, algebra."""
 
-    The tame inertia generator is normalized against the globally fixed
-    p-th root of unity (zeta flag); no implemented check depends on the
-    specific zeta, but the flag is carried for audit.
-    """
-
-    def __init__(self, datum, basis, p, m, q, r=1, zeta_normalized=True):
+    def __init__(self, datum, basis, p, m, q, r=1):
         if q % p != 1 or q % (p * p) == 1:
             raise LocalCondError("q must be 1 mod p and not 1 mod p^2")
         self.p, self.m, self.q = p, m, q
@@ -60,13 +52,12 @@ class TameLocalModel:
         self.residue = CoeffRing(p, 1, r)
         self.alg1 = LieAlgebra(datum, basis, self.residue)
         self.datum, self.basis = datum, basis
-        self.zeta_normalized = zeta_normalized
         self._covee = {}
 
     @cached_property
     def sqrt_q(self):
         """The square root of q that is 1 mod p, in the model's ring."""
-        s = hensel_sqrt(self.ring, self.q)
+        s = sqrt_one_mod_p(self.ring, self.ring.el(self.q))
         s.flags.writeable = False
         return s
 
@@ -81,8 +72,7 @@ class TameLocalModel:
 
     def at_precision(self, m2):
         return TameLocalModel(self.datum, self.basis, self.p, m2, self.q,
-                              r=self.ring.r,
-                              zeta_normalized=self.zeta_normalized)
+                              r=self.ring.r)
 
 
 class LocalLift:
@@ -142,13 +132,12 @@ class ConditionSpace:
     tame model and (sigma, u_1..u_f) for the ordinary model.
     """
 
-    def __init__(self, label, K, basis, alpha=None, meta=None):
+    def __init__(self, label, K, basis, alpha=None):
         self.label = label
         self.K = K
         self.basis = fl.echelon_f(K, np.asarray(basis, dtype=np.int64) % K.q) \
             if len(basis) else np.zeros((0, 0, K.r), dtype=np.int64)
         self.alpha = alpha
-        self.meta = meta or {}
 
     @property
     def dim(self):
@@ -157,6 +146,17 @@ class ConditionSpace:
     def same_space(self, other_basis):
         return fl.same_space_f(self.K, self.basis,
                                np.asarray(other_basis) % self.K.q)
+
+
+class ExtraCocycles(NamedTuple):
+    """The extra cocycles c_beta of a local condition, one per root of
+    `betas`: `rows` holds their concatenated generator values over the
+    residue field, and `units` the units u_beta of their stability
+    conjugators u_beta(lambda p^{m-2} / u_beta) (stability_conjugator)."""
+
+    betas: list
+    rows: np.ndarray
+    units: list
 
 
 # -- helpers
@@ -266,19 +266,53 @@ def _beta_unit_quotient(model, sigma_mat_p2, beta):
     return u
 
 
+def tame_extra_cocycles(model, alpha, variant, lift=None, betas=None):
+    """The extra cocycles of S^alpha for `betas` (all of Phi^alpha, in
+    its order, by default) and their units.
+
+    c_beta is (X_beta, 0) for variant "unr" and (X_beta, y/u_beta
+    [X_beta, X_alpha]) for "ram", where rho(tau) = u_alpha(p y) and
+    u_beta = (1 - beta(rho(sigma)))/p is read from rho(sigma) mod p^2.
+    The units need the lift rho, a member of the unr2 or ram2 set;
+    without one (only possible for "unr") they are None.
+    """
+    if variant not in ("unr", "ram"):
+        raise LocalCondError("unknown variant %r" % variant)
+    K, alg1 = model.residue, model.alg1
+    alpha = tuple(alpha)
+    if betas is None:
+        betas = phi_alpha(model.basis, alpha)
+    betas = [tuple(b) for b in betas]
+    n = alg1.dim
+    rows = np.zeros((len(betas), 2 * n, K.r), dtype=np.int64)
+    for row, beta in zip(rows, betas):
+        row[alg1.basis.root_basis_index(beta), 0] = 1
+    if lift is None:
+        if variant == "ram":
+            raise LocalCondError("ram variant needs rho2")
+        return ExtraCocycles(betas, rows, None)
+    sig2 = lift.sigma.mat % model.p ** 2
+    units = [_beta_unit_quotient(model, sig2, beta) for beta in betas]
+    if variant == "ram":
+        x = extract_u_alpha_coordinate(lift.model, lift.tau, alpha)
+        y = (np.asarray(x, dtype=np.int64) // model.p) % model.p
+        Xa = alg1.root_vector(alpha)
+        for row, u in zip(rows, units):
+            row[n:] = K.mul(K.mul(y, K.inv(u)), alg1.bracket(row[:n], Xa))
+    return ExtraCocycles(betas, rows, units)
+
+
 def condition_spaces(model, alpha, variant="unr", rho2=None):
     """Tan^alpha, S^alpha, L^alpha and the dual-side annihilator.
 
-    variant "unr": S has one unramified cocycle (X_beta, 0) per beta in
-    Phi^alpha.  variant "ram": rho2 must lie in the ram2 set; S has
-    basis c_beta = (X_beta, y/u_beta [X_beta, X_alpha]) with u_beta the
-    unit (1 - beta(rho2(sigma)))/p.  dim L = dim g is asserted.
+    S is spanned by the extra cocycles of tame_extra_cocycles, one per
+    beta in Phi^alpha; variant "ram" needs rho2 in the ram2 set.  dim L
+    = dim g is asserted.
     """
     K = model.residue
     alg1 = model.alg1
     d = model.datum
     alpha = tuple(alpha)
-    pa = phi_alpha(model.basis, alpha)
 
     def stack(sig, tau):
         return np.concatenate([sig, tau], axis=0)
@@ -289,37 +323,17 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
     tan_rows.append(stack(np.zeros_like(Xa), Xa))
     tan = ConditionSpace("Tan^alpha", K, np.stack(tan_rows), alpha)
 
-    s_rows = []
-    y_u = {}
-    if variant == "unr":
-        for beta in pa:
-            Xb = alg1.root_vector(beta)
-            s_rows.append(stack(Xb, np.zeros_like(Xb)))
-        label = "S^alpha_unr"
-    elif variant == "ram":
-        if rho2 is None:
-            raise LocalCondError("ram variant needs rho2")
+    lift2 = None
+    if variant == "ram" and rho2 is not None:
         lift2 = rho2 if rho2.model.ring.m == 2 else rho2.reduce(2)
         if not membership(lift2, alpha, "ram2"):
             raise InvalidLiftError("rho2 not in the ram2 set")
-        xcoord = extract_u_alpha_coordinate(lift2.model, lift2.tau, alpha)
-        y = (np.asarray(xcoord, dtype=np.int64) // model.p) % model.p
-        s2 = lift2.sigma.mat
-        for beta in pa:
-            u = _beta_unit_quotient(model, s2, beta)
-            w = K.mul(y, K.inv(u))
-            y_u[tuple(beta)] = (u, w)
-            Xb = alg1.root_vector(beta)
-            s_rows.append(stack(Xb, K.mul(w, alg1.bracket(Xb, Xa))))
-        label = "S^alpha_ram"
-    else:
-        raise LocalCondError("unknown variant %r" % variant)
-    s_space = ConditionSpace(label, K, np.stack(s_rows), alpha,
-                             meta={"y_u": y_u})
+    extra = tame_extra_cocycles(model, alpha, variant, lift2)
+    s_space = ConditionSpace("S^alpha_" + variant, K, extra.rows, alpha)
 
     L = ConditionSpace("L^alpha", K,
                        np.concatenate([tan.basis, s_space.basis], axis=0),
-                       alpha, meta={"variant": variant, "y_u": y_u})
+                       alpha)
     if L.dim != d.dim:
         raise LocalCondError("dim L^alpha = %d != dim g = %d (bug)"
                              % (L.dim, d.dim))
@@ -348,10 +362,7 @@ def pairing_gram(K, basis1, basis2):
 
 
 def full_h1_basis(K, n):
-    out = np.zeros((2 * n, 2 * n, K.r), dtype=np.int64)
-    for i in range(2 * n):
-        out[i, i] = K.one()
-    return out
+    return K.mat_id(2 * n)
 
 
 def perp_space(model, space, check_description=False):
@@ -380,137 +391,81 @@ def perp_space(model, space, check_description=False):
 def _corollary_description(model, alpha):
     """Dual classes with psi(sigma) perp g_alpha and psi(tau) perp
     (ker(alpha|t) + all root spaces)."""
-    K = model.residue
-    alg1 = model.alg1
-    d = model.datum
-    n = alg1.dim
+    K, d = model.residue, model.datum
+    n, rank = d.dim, d.rank
     alpha = tuple(alpha)
-    ia = alg1.basis.root_basis_index(alpha)
-    rows = []
-    # sigma-part: coordinate dual vectors vanishing on X_alpha
-    for i in range(n):
-        if i == ia:
-            continue
-        v = np.zeros((2 * n, K.r), dtype=np.int64)
-        v[i] = K.one()
-        rows.append(v)
-    # tau-part: annihilator of ker(alpha|t) + root spaces; that span has
-    # annihilator spanned by the functional x -> <alpha-coefficient of t-part>
-    span = []
-    for v in _kernel_alpha_on_t(model, alpha):
-        span.append(v)
-    for r in d.roots:
-        e = np.zeros((n, K.r), dtype=np.int64)
-        e[alg1.basis.root_basis_index(r)] = K.one()
-        span.append(e)
-    ann = fl.kernel_f(K, np.stack(span))
-    for a in ann:
-        v = np.zeros((2 * n, K.r), dtype=np.int64)
-        v[n:] = a
-        rows.append(v)
-    return np.stack(rows)
-
-
-def _kernel_alpha_on_t(model, alpha):
-    """Basis of ker(alpha) inside the Cartan, over the residue field."""
-    K = model.residue
-    d = model.datum
-    n = model.alg1.dim
-    row = np.zeros((1, d.rank, K.r), dtype=np.int64)
-    row[0, :, 0] = d.simple_pairings[d.root_index[tuple(alpha)]] % K.q
+    # sigma part: coordinate dual vectors vanishing on X_alpha
+    sig = np.delete(K.mat_id(n), model.alg1.basis.root_basis_index(alpha), 0)
+    # tau part: the annihilator of ker(alpha|t) (Cartan coordinates)
+    # plus the root spaces (every coordinate after the Cartan block)
+    row = np.zeros((1, rank, K.r), dtype=np.int64)
+    row[0, :, 0] = d.simple_pairings[d.root_index[alpha]] % K.q
     ker = fl.kernel_f(K, row)
-    out = []
-    for v in ker:
-        e = np.zeros((n, K.r), dtype=np.int64)
-        e[: d.rank] = v
-        out.append(e)
+    span = np.zeros((len(ker) + n - rank, n, K.r), dtype=np.int64)
+    span[:len(ker), :rank] = ker
+    span[len(ker):, rank:] = K.mat_id(n - rank)
+    ann = fl.kernel_f(K, span)
+    out = np.zeros((n - 1 + len(ann), 2 * n, K.r), dtype=np.int64)
+    out[:n - 1, :n] = sig
+    out[n - 1:, n:] = ann
     return out
 
 
-def stability_conjugator(model, alpha, variant, coeffs, sigma_mat_p2,
-                         chi=None):
-    """The explicit conjugator for exp(p^{m-1} c) rho ~ rho.
-
-    coeffs maps beta in Phi^alpha (or Phi^- for the ordinary variant)
-    to the scalar multiplying the basis cocycle c_beta.  For unr/ram,
-    g = prod u_beta(z_beta lambda_beta p^{m-2}) with z_beta the inverse
-    of the unit (1 - beta(rho2(sigma)))/p; for ord, g = prod
-    u_beta(lambda_beta p^{m-2})."""
-    R = model.ring
-    alg = model.alg
-    g = identity(alg)
-    scale = R.p ** (R.m - 2)
-    for beta, lam in coeffs.items():
-        if variant in ("unr", "ram"):
-            u = _beta_unit_quotient(model, sigma_mat_p2, beta)
-            z = R.inv(R.el(list(u)))
-        else:
-            z = R.one()
-        lam_el = R.el(int(lam)) if np.isscalar(lam) else R.el(list(lam))
-        val = R.mul(R.mul(z, lam_el), R.el(scale))
-        g = g @ u_alpha(alg, tuple(beta), val)
-    return g
+def stability_conjugator(alg, factors):
+    """g = prod u_beta(x_beta p^{m-2}) over (beta, x_beta) in order, a
+    plain product of root elements.  With x_beta = lambda_beta /
+    u_beta for the units of the extra cocycles c_beta, exp(p^{m-1} sum
+    lambda_beta c_beta) rho = g rho g^-1."""
+    R = alg.ring
+    scale = R.el(R.p ** (R.m - 2))
+    g = None
+    for beta, x in factors:
+        u = u_alpha(alg, beta, R.mul(x, scale))
+        g = u if g is None else g @ u
+    return identity(alg) if g is None else g
 
 
-def stability_check(lift, alpha, variant, coeffs, spaces=None, chi=None):
+def stability_holds(values, cocycle, g):
+    """exp(p^{m-1} c) rho = g rho g^-1 for the generator values v_i of a
+    lift and the concatenated cocycle values c_i, checked as (1 +
+    p^{m-1} ad c_i) v_i g = g v_i: for m >= 3 that factor is the
+    exponential, and g = 1 mod p is invertible."""
+    alg = g.alg
+    scale = alg.ring.p ** (alg.ring.m - 1)
+    cs = np.reshape(cocycle, (len(values), alg.dim, alg.ring.r))
+    return all((one_plus(alg, scale, c) @ v @ g).eq(g @ v)
+               for v, c in zip(values, cs))
+
+
+def stability_check(lift, alpha, variant, coeffs):
     """Verify exp(p^{m-1} c) rho = g rho g^{-1} exactly, for the cocycle
-    c = sum_beta lambda_beta c_beta of the basis of S^alpha (or the
-    ordinary extra cocycles).  Returns (g, cocycle); mismatch raises,
-    since this is a falsifiable theorem check.
-
-    The identity is checked as lhs g = g rho for rho(sigma) and
-    rho(tau), with lhs = (1 + p^{m-1} ad c) rho: the conjugator g is a
-    product of u_beta(p^{m-2} ...) with m >= 3, hence = 1 mod p and
-    invertible, so the two forms are equivalent.
+    c = sum_beta lambda_beta c_beta of the extra cocycles of S^alpha
+    (tame_extra_cocycles) and g = prod u_beta(z_beta lambda_beta
+    p^{m-2}), z_beta the inverse of the unit u_beta lifted to the
+    model's ring.  Returns (g, cocycle); mismatch raises, since this is
+    a falsifiable theorem check.
     """
     model = lift.model
-    R = model.ring
-    K = model.residue
-    alg = model.alg
-    m = R.m
-    if m < 3:
+    R, K = model.ring, model.residue
+    if R.m < 3:
         raise LocalCondError("stability needs m >= 3")
-    alpha = tuple(alpha)
-    p2 = model.p ** 2
-    sig2 = lift.sigma.mat % p2
-    if variant == "unr":
-        if not membership(lift, alpha, "unr2"):
-            raise InvalidLiftError("lift not in the unr2 set")
-    elif variant == "ram":
-        if not membership(lift, alpha, "ram2"):
-            raise InvalidLiftError("lift not in the ram2 set")
-    else:
+    if variant not in ("unr", "ram"):
         raise LocalCondError("variant must be unr or ram here")
-    # assemble the cocycle
-    n = alg.dim
-    csig = np.zeros((n, K.r), dtype=np.int64)
-    ctau = np.zeros((n, K.r), dtype=np.int64)
-    if variant == "ram":
-        lift2 = lift.reduce(2)
-        xcoord = extract_u_alpha_coordinate(lift2.model, lift2.tau, alpha)
-        y = (np.asarray(xcoord, dtype=np.int64) // model.p) % model.p
-    for beta, lam in coeffs.items():
-        ib = alg.basis.root_basis_index(tuple(beta))
-        lam_el = K.el(int(lam)) if np.isscalar(lam) else K.el(list(lam))
-        csig[ib] = K.add(csig[ib], lam_el)
-        if variant == "ram":
-            u = _beta_unit_quotient(model, sig2, beta)
-            w = K.mul(y, K.inv(u))
-            br = model.alg1.bracket(model.alg1.root_vector(tuple(beta)),
-                                    model.alg1.root_vector(alpha))
-            ctau = K.add(ctau, K.mul(K.mul(lam_el, w), br))
-    g = stability_conjugator(model, alpha, variant, coeffs, sig2)
-    scale = R.p ** (m - 1)
-    lhs_sigma = one_plus(alg, scale, _lift_vec(R, csig)) @ lift.sigma
-    lhs_tau = one_plus(alg, scale, _lift_vec(R, ctau)) @ lift.tau
-    if not ((lhs_sigma @ g).eq(g @ lift.sigma)
-            and (lhs_tau @ g).eq(g @ lift.tau)):
+    alpha = tuple(alpha)
+    if not membership(lift, alpha, variant + "2"):
+        raise InvalidLiftError("lift not in the %s2 set" % variant)
+    extra = tame_extra_cocycles(model, alpha, variant, lift, list(coeffs))
+    lams = list(coeffs.values())
+    c = np.zeros(extra.rows.shape[1:], dtype=np.int64)
+    for lam, row in zip(lams, extra.rows):
+        c = K.add(c, K.mul(K.el(lam), row))
+    g = stability_conjugator(model.alg, [
+        (beta, R.mul(R.inv(R.el(u)), R.el(lam)))
+        for beta, u, lam in zip(extra.betas, extra.units, lams)])
+    if not stability_holds([lift.sigma, lift.tau], c, g):
         raise LocalCondError("stability identity failed (falsified)")
-    return g, Cocycle(csig, ctau)
-
-
-def _lift_vec(R, v):
-    return np.asarray(v, dtype=np.int64) % R.q
+    n = model.alg.dim
+    return g, Cocycle(c[:n], c[n:])
 
 
 # -- ordinary model at p
@@ -609,11 +564,8 @@ def _torus_matrix_from_chi(model, gen, modulus):
 
 
 def borel_basis_indices(alg):
-    d = alg.datum
-    idx = list(range(d.rank))
-    for r in d.positive_roots:
-        idx.append(alg.basis.root_basis_index(r))
-    return idx
+    return list(range(alg.rank)) + [alg.basis.root_basis_index(r)
+                                    for r in alg.datum.positive_roots]
 
 
 def membership_ordinary(lift, conjugator=None):
@@ -647,9 +599,9 @@ def ordinary_spaces(model, variant="trivial", h0=None):
     """Tangent, extra cocycles and L for the ordinary condition.
 
     trivial variant (residually trivial rho): explicit bases; tangent
-    phi(u_i) in n, phi(sigma) in b, of dimension dim b + f dim n; one
-    extra cocycle c_beta per negative root, c_beta(gen) =
-    (1 - beta(chi(gen)))/p X_beta; dim L = dim g + f dim n.
+    phi(u_i) in n, phi(sigma) in b, of dimension dim b + f dim n; the
+    extra cocycles of ordinary_extra_cocycles, one per negative root;
+    dim L = dim g + f dim n.
 
     reg variant: only the dimension ledger h0 + f dim n is produced
     (the representable REG/REG* case is cited, not re-derived).
@@ -666,45 +618,18 @@ def ordinary_spaces(model, variant="trivial", h0=None):
         return {"dim_tan": h0 + f * dim_n, "dim_l": h0 + f * dim_n,
                 "ledger_only": True}
     model.check_regularity()
+    # phi(sigma) in b on slot 0, phi(u_i) in n on slot i
     n = d.dim
-    nslots = 1 + f
-    alg1 = model.alg1
-
-    def slot_vec(slot, v):
-        out = np.zeros((nslots * n, K.r), dtype=np.int64)
-        out[slot * n:(slot + 1) * n] = v
-        return out
-
-    tan_rows = []
-    bidx = borel_basis_indices(alg1)
-    for j in bidx:
-        e = np.zeros((n, K.r), dtype=np.int64)
-        e[j] = K.one()
-        tan_rows.append(slot_vec(0, e))
-    for s in range(1, nslots):
-        for r in d.positive_roots:
-            e = np.zeros((n, K.r), dtype=np.int64)
-            e[alg1.basis.root_basis_index(r)] = K.one()
-            tan_rows.append(slot_vec(s, e))
-    tan = ConditionSpace("Tan^chi", K, np.stack(tan_rows))
+    bidx = borel_basis_indices(model.alg1)
+    cols = bidx + [s * n + j for s in range(1, 1 + f) for j in bidx[d.rank:]]
+    tan_rows = np.zeros((len(cols), (1 + f) * n, K.r), dtype=np.int64)
+    tan_rows[np.arange(len(cols)), cols, 0] = 1
+    tan = ConditionSpace("Tan^chi", K, tan_rows)
     if tan.dim != dim_b + f * dim_n:
         raise LocalCondError("ordinary tangent dimension mismatch (bug)")
 
-    extra_rows = []
-    p2 = model.p ** 2
-    tables = [model.chi_table(gname, p2) for gname in model.generators]
-    for k, beta in enumerate(d.roots):
-        if d._is_positive(beta):
-            continue
-        row = np.zeros((nslots * n, K.r), dtype=np.int64)
-        ib = alg1.basis.root_basis_index(beta)
-        for slot, table in enumerate(tables):
-            u = ((1 - table[k]) % p2)
-            if u % model.p:
-                raise LocalCondError("beta(chi) not 1 mod p (bug)")
-            row[slot * n + ib, 0] = (u // model.p) % model.p
-        extra_rows.append(row)
-    extra = ConditionSpace("S^chi_ord", K, np.stack(extra_rows))
+    extra = ConditionSpace("S^chi_ord", K,
+                           ordinary_extra_cocycles(model).rows)
     if extra.dim != dim_n:
         raise LocalCondError("ordinary extra-cocycle count != dim n")
     L = ConditionSpace("L^chi_ord", K,
@@ -734,32 +659,45 @@ def ordinary_cocycle_homomorphism_check(model):
     return True
 
 
+def ordinary_extra_cocycles(model, betas=None):
+    """The extra cocycles of the ordinary condition for `betas` (every
+    negative root, in root order, by default): c_beta(gen) = (1 -
+    beta(chi(gen)))/p X_beta on every generator.  The stability
+    conjugator of lambda c_beta is u_beta(lambda p^{m-2}), so every
+    unit is 1."""
+    d, K = model.datum, model.residue
+    p, p2 = model.p, model.p ** 2
+    if betas is None:
+        betas = [r for r in d.roots if not d._is_positive(r)]
+    betas = [tuple(b) for b in betas]
+    n = d.dim
+    rows = np.zeros((len(betas), len(model.generators) * n, K.r),
+                    dtype=np.int64)
+    for row, beta in zip(rows, betas):
+        k = d.root_index[beta]
+        ib = model.alg1.basis.root_basis_index(beta)
+        for slot, gname in enumerate(model.generators):
+            u = (1 - model.chi_table(gname, p2)[k]) % p2
+            if u % p:
+                raise LocalCondError("beta(chi) not 1 mod p (bug)")
+            row[slot * n + ib, 0] = u // p
+    return ExtraCocycles(betas, rows, [K.one() for _ in betas])
+
+
 def ordinary_stability_check(lift, beta, lam=1):
     """exp(p^{m-1} lambda c_beta) rho = u_beta(lambda p^{m-2}) rho
-    u_beta(...)^{-1}, componentwise over every generator.
-
-    Checked as lhs g = g rho(gen) with g = u_beta(lambda p^{m-2}): for
-    m >= 3 that is = 1 mod p and invertible, so the forms agree."""
+    u_beta(...)^{-1} over every generator, for the extra cocycle c_beta
+    of ordinary_extra_cocycles; returns the conjugator."""
     model = lift.model
     R = model.ring
     if R.m < 3:
         raise LocalCondError("stability needs m >= 3")
     beta = tuple(beta)
-    alg = model.alg
-    K = model.residue
-    n = alg.dim
-    p2 = model.p ** 2
-    g = u_alpha(alg, beta, R.el(lam * R.p ** (R.m - 2)))
-    scale = R.p ** (R.m - 1)
-    k = model.datum.root_index[beta]
-    for gname in model.generators:
-        c = ((1 - model.chi_table(gname, p2)[k]) % p2)
-        cK = (c // model.p) % model.p
-        cb = np.zeros((n, R.r), dtype=np.int64)
-        cb[alg.basis.root_basis_index(beta), 0] = cK * lam % model.p
-        lhs = one_plus(alg, scale, cb) @ lift.values[gname]
-        if not (lhs @ g).eq(g @ lift.values[gname]):
-            raise LocalCondError("ordinary stability failed (falsified)")
+    row = ordinary_extra_cocycles(model, [beta]).rows[0]
+    g = stability_conjugator(model.alg, [(beta, R.el(lam))])
+    values = [lift.values[gname] for gname in model.generators]
+    if not stability_holds(values, row * lam % model.p, g):
+        raise LocalCondError("ordinary stability failed (falsified)")
     return g
 
 
@@ -775,13 +713,10 @@ def augment_with_center(space, adim):
     n = tot // 2
     newtot = 2 * (n + adim)
     rows = np.zeros((k + adim, newtot, K.r), dtype=np.int64)
-    for i in range(k):
-        rows[i, : n] = space.basis[i, : n]
-        rows[i, n + adim: 2 * n + adim] = space.basis[i, n:]
-    for j in range(adim):
-        rows[k + j, n + j] = K.one()
-    return ConditionSpace(space.label + "+a", K, rows, space.alpha,
-                          dict(space.meta, adim=adim))
+    rows[:k, :n] = space.basis[:, :n]
+    rows[:k, n + adim: 2 * n + adim] = space.basis[:, n:]
+    rows[k:, n: n + adim] = K.mat_id(adim)
+    return ConditionSpace(space.label + "+a", K, rows, space.alpha)
 
 
 def fixed_multiplier_restrict(space, adim):
@@ -793,15 +728,11 @@ def fixed_multiplier_restrict(space, adim):
     K = space.K
     tot = space.basis.shape[1]
     n = tot // 2 - adim
-    keep = []
-    for i in list(range(n)) + list(range(n + adim, 2 * n + adim)):
-        keep.append(i)
+    keep = list(range(n)) + list(range(n + adim, 2 * n + adim))
     sub = np.zeros((2 * n, tot, K.r), dtype=np.int64)
-    for row, i in enumerate(keep):
-        sub[row, i] = K.one()
+    sub[np.arange(2 * n), keep, 0] = 1
     inter = fl.intersect_f(K, space.basis, sub)
-    return ConditionSpace(space.label + "|mu", K, inter, space.alpha,
-                          dict(space.meta))
+    return ConditionSpace(space.label + "|mu", K, inter, space.alpha)
 
 
 # -- smoothness probes
@@ -867,6 +798,26 @@ def _alpha_covee(model, alpha, s):
         model.alg, torus_root_values(model.ring, [s], pairings[:, None]))
 
 
+def lift_coordinates(model, alpha, coords, rng):
+    """Normal-form member coordinates at the model's precision p^m
+    lifted to p^{m+1}: every free coordinate gets a random top digit,
+    drawn in the order tvals, cent, xa, xtau; the pinned coordinate
+    alpha(t') = 1 stays exact (the paper corrects it by alpha^vee(1 -
+    i/2), which is the same normalization)."""
+    p, q = model.p, model.ring.q
+    j0 = tuple(alpha).index(1)
+
+    def up(x):
+        return (np.asarray(x, dtype=np.int64) + q * rng.integers(0, p)) \
+            % (q * p)
+
+    return {"tvals": [v % (q * p) if i == j0 else up(v)
+                      for i, v in enumerate(coords["tvals"])],
+            "cent": [(b, up(x)) for b, x in coords["cent"]],
+            "xa": up(coords["xa"]),
+            "xtau": up(coords["xtau"])}
+
+
 def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
     """Sample members mod p^m and lift each to p^{m+1} by lifting its
     normal-form coordinates (t, centralizer factors, x) with random top
@@ -875,27 +826,11 @@ def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
     samples); an unliftable sample raises."""
     model_up = model.at_precision(model.ring.m + 1)
     R_up = model_up.ring
-    bump = model.ring.q
     ok = 0
     for _ in range(samples):
         lift, coords = sample_member(model, alpha, variant, rng)
-
-        def up_el(x):
-            return (np.asarray(x, dtype=np.int64)
-                    + bump * rng.integers(0, model.p)) % R_up.q
-
-        # free coordinates get random top digits; the pinned coordinate
-        # alpha(t') = 1 stays exact (the paper corrects it by
-        # alpha^vee(1 - i/2), which is the same normalization)
-        j0 = tuple(alpha).index(1)
-        coords_up = {
-            "tvals": [v % R_up.q if i == j0 else up_el(v)
-                      for i, v in enumerate(coords["tvals"])],
-            "cent": [(b, up_el(x)) for b, x in coords["cent"]],
-            "xa": up_el(coords["xa"]),
-            "xtau": up_el(coords["xtau"]),
-        }
-        up = _assemble_member(model_up, alpha, coords_up)
+        up = _assemble_member(model_up, alpha,
+                              lift_coordinates(model, alpha, coords, rng))
         if np.any(up.sigma.mat % model.ring.q != lift.sigma.mat) or \
                 np.any(up.tau.mat % model.ring.q != lift.tau.mat):
             raise LocalCondError("coordinate lift does not reduce back (bug)")

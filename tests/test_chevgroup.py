@@ -265,6 +265,11 @@ def test_very_good_prime_guard():
     d, b = root_datum("A4")
     with pytest.raises(ChevGroupError):
         LieAlgebra(d, b, CoeffRing(5, 1, 1))  # p | n+1
+    # past the exact int64 range: dim g (q - 1)^2 >= 2^63
+    d, b = root_datum("A1")
+    LieAlgebra(d, b, CoeffRing(5, 13, 1))
+    with pytest.raises(ParameterError):
+        LieAlgebra(d, b, CoeffRing(5, 14, 1))
 
 
 # -- root-group tables shared per Chevalley basis

@@ -53,6 +53,12 @@ def test_exit_code_on_failure(tmp_path):
     ["spaces", "--types", "A2", "--p", "3"],
     ["check", "matrix-identity", "--p", "5", "--m", "2"],
     ["check", "stability", "--types", "A1", "--p", "5", "--m", "0"],
+    # past the exact int64 range, refused before anything runs
+    ["check", "matrix-identity", "--p", "101", "--m", "5"],
+    ["selmer", "lift", "--types", "A1", "--p", "5", "--max-precision", "14"],
+    ["selmer", "lift", "--types", "A1", "--p", "13", "--max-precision", "10"],
+    # the lifting driver supports A1 only
+    ["selmer", "lift", "--types", "A2", "--p", "5"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))

@@ -1,29 +1,30 @@
 import numpy as np
 import pytest
 
-from liftlab.coeffring import CoeffRing, CoeffRingError, ring_make, sqrt_one_mod_p
+from liftlab.coeffring import (CoeffRing, CoeffRingError, int64_exact,
+                               sqrt_one_mod_p)
 
 
 def test_prime_field_and_z25():
-    assert ring_make(5, 1, 1).q == 5
-    assert ring_make(5, 2, 1).q == 25
+    assert CoeffRing(5, 1, 1).q == 5
+    assert CoeffRing(5, 2, 1).q == 25
 
 
 def test_rejects_bad_parameters():
     for bad in [(2, 2, 1), (4, 1, 1), (9, 1, 1)]:
         with pytest.raises(CoeffRingError):
-            ring_make(*bad)
+            CoeffRing(*bad)
     with pytest.raises(CoeffRingError):
-        ring_make(5, 0, 1)
+        CoeffRing(5, 0, 1)
     with pytest.raises(CoeffRingError):
-        ring_make(5, 1, 0)
+        CoeffRing(5, 1, 0)
 
 
 def test_gr_7_3_2_reduction_fibers():
     # |GR(7^3, 2)| = 7^6 and reduction to GR(7^2, 2) is surjective with
     # kernel of size 7^2 per fiber: enumerate everything
-    G = ring_make(7, 3, 2)
-    G2 = ring_make(7, 2, 2)
+    G = CoeffRing(7, 3, 2)
+    G2 = CoeffRing(7, 2, 2)
     a0, a1 = np.meshgrid(np.arange(G.q), np.arange(G.q), indexing="ij")
     reduced = (np.stack([a0, a1], axis=-1) % G2.q).reshape(-1, 2)
     pairs, counts = np.unique(reduced, axis=0, return_counts=True)
@@ -32,14 +33,14 @@ def test_gr_7_3_2_reduction_fibers():
 
 
 def test_sqrt_one_mod_p_examples():
-    R = ring_make(5, 2, 1)
+    R = CoeffRing(5, 2, 1)
     assert int(sqrt_one_mod_p(R, 1)[0]) == 1
     s = sqrt_one_mod_p(R, 6)
     assert int(s[0]) == 16 and (16 * 16) % 25 == 6
     # exhaustive oracle: the unique root congruent to 1 mod 5
     roots = [x for x in range(25) if x % 5 == 1 and x * x % 25 == 6]
     assert roots == [16]
-    R7 = ring_make(7, 2, 1)
+    R7 = CoeffRing(7, 2, 1)
     s = sqrt_one_mod_p(R7, 8)
     assert int(s[0]) % 7 == 1 and int(s[0]) ** 2 % 49 == 8
     roots = [x for x in range(49) if x % 7 == 1 and x * x % 49 == 8]
@@ -48,11 +49,11 @@ def test_sqrt_one_mod_p_examples():
 
 def test_sqrt_rejects_non_one_mod_p():
     with pytest.raises(CoeffRingError):
-        sqrt_one_mod_p(ring_make(5, 2, 1), 7)
+        sqrt_one_mod_p(CoeffRing(5, 2, 1), 7)
 
 
 def test_sqrt_minus_one_has_positive_valuation():
-    R = ring_make(13, 2, 1)
+    R = CoeffRing(13, 2, 1)
     s = sqrt_one_mod_p(R, 1 + 13)
     assert R.valuation(R.sub(s, R.one())) >= 1
 
@@ -71,7 +72,7 @@ def test_sqrt_newton_stops_at_precision(monkeypatch, p):
 
     for m in range(1, 9):          # 2 q^2 < 2^63: exact products
         for r in (1, 2):
-            R = ring_make(p, m, r)
+            R = CoeffRing(p, m, r)
             for c in range(p):
                 q = R.add(R.one(), R.scalar_mul(p, R.el([c, 1][:r])))
                 s = R.one()
@@ -88,20 +89,20 @@ def test_sqrt_newton_stops_at_precision(monkeypatch, p):
 
 def test_reduction_is_ring_homomorphism():
     rng = np.random.default_rng(0)
-    G = ring_make(7, 3, 2)
-    G2 = ring_make(7, 2, 2)
+    G = CoeffRing(7, 3, 2)
+    G2 = CoeffRing(7, 2, 2)
     for _ in range(300):
         a, b = G.random(rng), G.random(rng)
-        assert np.array_equal(G.reduce_el(G.mul(a, b), 2),
-                              G2.mul(G.reduce_el(a, 2), G.reduce_el(b, 2)))
-        assert np.array_equal(G.reduce_el(G.add(a, b), 2),
-                              G2.add(G.reduce_el(a, 2), G.reduce_el(b, 2)))
+        assert np.array_equal(G.mul(a, b) % 7 ** 2,
+                              G2.mul(a % 7 ** 2, b % 7 ** 2))
+        assert np.array_equal(G.add(a, b) % 7 ** 2,
+                              G2.add(a % 7 ** 2, b % 7 ** 2))
 
 
 def test_units_and_inverses():
     rng = np.random.default_rng(1)
     for (p, m, r) in [(5, 3, 1), (7, 2, 2), (13, 4, 1)]:
-        R = ring_make(p, m, r)
+        R = CoeffRing(p, m, r)
         for _ in range(100):
             x = R.random(rng)
             if R.is_unit(x):
@@ -116,7 +117,7 @@ def test_unit_group_order_small():
     for (p, m, r) in [(5, 1, 1), (5, 2, 1), (5, 1, 2), (3, 2, 1)]:
         if p == 3:
             continue
-        R = ring_make(p, m, r)
+        R = CoeffRing(p, m, r)
         count = 0
         for k in range(R.q ** r):
             coeffs = []
@@ -130,7 +131,7 @@ def test_unit_group_order_small():
 
 
 def test_valuation():
-    R = ring_make(5, 3, 1)
+    R = CoeffRing(5, 3, 1)
     assert R.valuation(R.el(0)) == 3
     assert R.valuation(R.el(25)) == 2
     assert R.valuation(R.el(10)) == 1
@@ -139,7 +140,7 @@ def test_valuation():
 
 def test_matrix_inverse_and_reduction():
     rng = np.random.default_rng(2)
-    R = ring_make(7, 3, 2)
+    R = CoeffRing(7, 3, 2)
     n = 4
     done = 0
     while done < 5:
@@ -151,18 +152,26 @@ def test_matrix_inverse_and_reduction():
         assert R.mat_eq(R.mat_mul(A, Ai), R.mat_id(n))
         # reduction of a product is the product of reductions
         B = rng.integers(0, R.q, size=(n, n, R.r), dtype=np.int64)
-        R2 = ring_make(7, 2, 2)
-        assert np.array_equal(R.mat_reduce(R.mat_mul(A, B), 2),
-                              R2.mat_mul(R.mat_reduce(A, 2),
-                                         R.mat_reduce(B, 2)))
+        R2 = CoeffRing(7, 2, 2)
+        assert np.array_equal(R.mat_mul(A, B) % 7 ** 2,
+                              R2.mat_mul(A % 7 ** 2, B % 7 ** 2))
         done += 1
 
 
 def test_serialization_roundtrip():
     # the display names the ring and every coordinate of the element
     rng = np.random.default_rng(3)
-    R = ring_make(7, 3, 2)
+    R = CoeffRing(7, 3, 2)
     x = R.random(rng)
     head, _, body = R.format_el(x).partition(":")
     assert head == "GR(7^3,2)"
     assert R.eq(R.el([int(t) for t in body.strip("[]").split(",")]), x)
+
+
+def test_int64_exact_bound():
+    # max(n, r^2) (q - 1)^2 < 2^63, at its edge for n = 3 (type A1)
+    assert int64_exact(5, 13, n=3) and not int64_exact(5, 14, n=3)
+    assert int64_exact(13, 8, n=3) and not int64_exact(13, 9, n=3)
+    # the r > 1 fold sums r^2 products, more than n = 3 at r = 2
+    assert int64_exact(1163, 3, r=1, n=3)
+    assert not int64_exact(1163, 3, r=2, n=3)

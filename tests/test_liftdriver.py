@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from liftlab import localconds as lc
 from liftlab.chevgroup import u_alpha
-from liftlab.coeffring import CoeffRing
-from liftlab.liftdriver import DriverError, EndToEndModel, lifting_driver
+from liftlab.coeffring import CoeffRing, ParameterError
+from liftlab.liftdriver import (DriverError, EndToEndModel,
+                                OrdinaryPlaceState, lifting_driver)
+from liftlab.rootdata import root_datum
 
 
 def test_driver_m3():
@@ -98,3 +101,52 @@ def test_driver_reports_are_pinned(p, top, seed):
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         DRIVER_SHA256[p, top, seed]
+
+
+def test_ordinary_extra_rows_are_the_cocycles(monkeypatch):
+    # A2 at p = 5: the driver's extra row for beta = -a1-a2 is c_beta,
+    # while the echelonized S basis of ordinary_spaces holds c_beta/2;
+    # lambda read against c_beta/2 breaks the stability identity
+    datum, basis = root_datum("A2")
+    p, n = 5, datum.dim
+    chi = {"s": (1 + p, 1 + p), "u1": (1 + 2 * p, 1 + 2 * p)}
+    st = OrdinaryPlaceState(datum, basis, p, chi)
+    beta = (-1, -1)
+    ib, k = basis.root_basis_index(beta), datum.root_index[beta]
+    c_beta = np.zeros(2 * n, dtype=np.int64)
+    for slot, g in enumerate(st.model.generators):
+        c_beta[slot * n + ib] = (1 - st.model.chi_table(g, p * p)[k]) // p % p
+    row = st.extra.rows[st.extra.betas.index(beta), :, 0]
+    assert np.array_equal(row, c_beta) and c_beta[ib] == 2
+    echelon = lc.ordinary_spaces(st.model)["s"].basis[..., 0]
+    half = echelon[echelon[:, ib] != 0]
+    assert np.array_equal(half, [c_beta * pow(2, -1, p) % p])
+
+    olift = lc.chi_torus_lift(st.model.at_precision(3))
+    # the cocycle c_beta is 1 c_beta, or 2 (c_beta/2)
+    lc.ordinary_stability_check(olift, beta, lam=1)
+    right = lc.ordinary_extra_cocycles
+
+    def halved(model, betas=None):
+        extra = right(model, betas)
+        return extra._replace(rows=extra.rows * pow(2, -1, p) % p)
+
+    monkeypatch.setattr(lc, "ordinary_extra_cocycles", halved)
+    with pytest.raises(lc.LocalCondError, match="falsified"):
+        lc.ordinary_stability_check(olift, beta, lam=2)
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2"])
+def test_types_beyond_a1_are_refused(cartan_type):
+    with pytest.raises(ParameterError, match="A1 only"):
+        EndToEndModel(cartan_type, 7)
+
+
+@pytest.mark.parametrize("p, top", [(5, 14), (7, 12), (13, 10)])
+def test_precision_past_int64_is_refused_up_front(monkeypatch, p, top):
+    def no_model(*args):
+        raise AssertionError("model built")
+
+    monkeypatch.setattr(EndToEndModel, "__init__", no_model)
+    with pytest.raises(ParameterError, match="int64"):
+        lifting_driver("A1", p=p, max_precision=top)

@@ -21,8 +21,8 @@ def tame(name, p=5, m=3, q=None):
 
 def test_sqrt_q_is_computed_once_per_model(monkeypatch):
     calls = []
-    sqrt = lc.hensel_sqrt
-    monkeypatch.setattr(lc, "hensel_sqrt",
+    sqrt = lc.sqrt_one_mod_p
+    monkeypatch.setattr(lc, "sqrt_one_mod_p",
                         lambda R, q: calls.append(q) or sqrt(R, q))
     d, b = root_datum("A2")
     for r in (1, 2):
@@ -141,7 +141,7 @@ def test_ram_spaces_and_degenerate_denominator():
     # a lift with beta(rho_2(sigma)) = 1 mod p^2 on some beta in
     # Phi^alpha is rejected on entry to the ram construction
     R = model.ring
-    s = lc.hensel_sqrt(R, model.q)
+    s = model.sqrt_q
     sigma = lc._alpha_covee(model, al, s)
     tau = u_alpha(model.alg, al, R.el(7))
     bad = None
@@ -544,24 +544,31 @@ def test_invertibility_guard_paths(monkeypatch):
 # -- falsification of the rewritten stability comparisons
 
 
+def _spy_identity(monkeypatch):
+    """Record each verdict of the one stability identity check."""
+    seen, holds = [], lc.stability_holds
+    monkeypatch.setattr(lc, "stability_holds", lambda values, c, g: (
+        seen.append(holds(values, c, g)) or seen[-1]))
+    return seen
+
+
 def test_stability_check_catches_wrong_conjugator(monkeypatch):
     model = tame("A2", 5, 3, 6)
     al = model.datum.positive_roots[0]
     pa = [tuple(b) for b in phi_alpha(model.basis, al)]
     assert len(pa) >= 2
+    seen = _spy_identity(monkeypatch)
     for variant, vv in (("unr2", "unr"), ("ram2", "ram")):
         lift, _ = lc.frobenius_member(model, al, variant, seed=0)
         lc.stability_check(lift, al, vv, {pa[0]: 1})
+    assert seen == [True, True]
     right = lc.stability_conjugator
     wrongs = [
         # another lambda
-        lambda model, alpha, variant, coeffs, sig2, chi=None: right(
-            model, alpha, variant, {b: 2 * c for b, c in coeffs.items()},
-            sig2),
+        lambda alg, factors: right(
+            alg, [(b, alg.ring.scalar_mul(2, x)) for b, x in factors]),
         # another root
-        lambda model, alpha, variant, coeffs, sig2, chi=None: right(
-            model, alpha, variant, {pa[1]: c for c in coeffs.values()},
-            sig2),
+        lambda alg, factors: right(alg, [(pa[1], x) for _, x in factors]),
     ]
     for wrong in wrongs:
         monkeypatch.setattr(lc, "stability_conjugator", wrong)
@@ -569,25 +576,30 @@ def test_stability_check_catches_wrong_conjugator(monkeypatch):
             lift, _ = lc.frobenius_member(model, al, variant, seed=0)
             with pytest.raises(lc.LocalCondError, match="falsified"):
                 lc.stability_check(lift, al, vv, {pa[0]: 1})
+            assert seen[-1] is False
 
 
 def test_ordinary_stability_check_catches_wrong_conjugator(monkeypatch):
     om = ordinary("A2", 5, 3, 1)
     ol = lc.chi_torus_lift(om)
     beta = om.datum.neg(om.datum.positive_roots[0])
-    lc.ordinary_stability_check(ol, beta, lam=2)
-    right = u_alpha
-    # g = u_beta(lambda' p^{m-2}) for a lambda' != lambda
-    monkeypatch.setattr(lc, "u_alpha", lambda alg, b, x: right(
-        alg, b, alg.ring.scalar_mul(3, x)))
-    with pytest.raises(lc.LocalCondError, match="falsified"):
-        lc.ordinary_stability_check(ol, beta, lam=2)
-    # g on another negative root
     other = om.datum.neg(om.datum.positive_roots[1])
-    monkeypatch.setattr(lc, "u_alpha", lambda alg, b, x: right(
-        alg, other, x))
-    with pytest.raises(lc.LocalCondError, match="falsified"):
-        lc.ordinary_stability_check(ol, beta, lam=2)
+    seen = _spy_identity(monkeypatch)
+    lc.ordinary_stability_check(ol, beta, lam=2)
+    assert seen == [True]
+    right = lc.stability_conjugator
+    wrongs = [
+        # g = u_beta(lambda' p^{m-2}) for a lambda' != lambda
+        lambda alg, factors: right(
+            alg, [(b, alg.ring.scalar_mul(3, x)) for b, x in factors]),
+        # g on another negative root
+        lambda alg, factors: right(alg, [(other, x) for _, x in factors]),
+    ]
+    for wrong in wrongs:
+        monkeypatch.setattr(lc, "stability_conjugator", wrong)
+        with pytest.raises(lc.LocalCondError, match="falsified"):
+            lc.ordinary_stability_check(ol, beta, lam=2)
+        assert seen[-1] is False
 
 
 def test_local_checks_use_no_hensel_inverse(monkeypatch):
