@@ -50,5 +50,3 @@ om = lc.OrdinaryLocalModel(datum, basis, p, m, 1, chi)
 osp = lc.ordinary_spaces(om)
 print("ordinary dims: Tan =", osp["tan"].dim, "(= dim b + f dim n)",
       " L =", osp["l"].dim, "(= dim g + f dim n)")
-print("extra cocycles are homomorphisms:",
-      lc.ordinary_cocycle_homomorphism_check(om))

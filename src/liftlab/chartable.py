@@ -22,6 +22,7 @@ import re
 
 import numpy as np
 
+from .coeffring import LiftlabError
 from .cyclotomic import CycloContext, _prime_factors
 
 # Largest power table (x^k mod Phi_N for k < max(N, 2 phi(N) - 1), phi(N)
@@ -31,7 +32,7 @@ from .cyclotomic import CycloContext, _prime_factors
 MAX_POWER_TABLE = 1 << 22
 
 
-class CharTableError(ValueError):
+class CharTableError(LiftlabError):
     pass
 
 
@@ -123,7 +124,12 @@ class CharacterTable:
                                for row in char_rows], dtype=np.int64
                               ).reshape(len(char_rows), self.nclasses,
                                         self.ctx.deg)
-        self.degrees = [self.ctx.rational_value(ch[0]) for ch in self.chars]
+        self.degrees = []
+        for row, ch in zip(char_rows, self.chars):
+            if not self.ctx.is_rational(ch[0]):
+                raise CharTableError("%s: the degree %r of a character is "
+                                     "not rational" % (name, row[0]))
+            self.degrees.append(int(ch[0, 0]))
 
     @classmethod
     def parse(cls, text):

@@ -40,11 +40,12 @@ import weakref
 
 import numpy as np
 
-from .coeffring import CoeffRing, ParameterError, int64_exact, sqrt_one_mod_p
+from .coeffring import (CoeffRing, LiftlabError, ParameterError, int64_exact,
+                        sqrt_one_mod_p)
 from .rootdata import phi_alpha
 
 
-class ChevGroupError(ValueError):
+class ChevGroupError(LiftlabError):
     pass
 
 

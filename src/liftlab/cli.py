@@ -3,9 +3,11 @@ searches and end-to-end synthetic lifting runs, with machine-readable
 JSON reports.
 
 Exit codes: 0 all assertions passed, 2 unknown subcommand, 3 invalid
-configuration, 4 assertion failure.  Identical (config, seed) pairs
-produce byte-identical reports: reports carry no timestamps and are
-serialized with sorted keys.
+configuration, 4 assertion failure (a failed check, or a liftlab error
+raised during the run), 5 internal error (any other exception, recorded
+as detail["internal_error"]).  Identical (config, seed) pairs produce
+byte-identical reports: reports carry no timestamps and are serialized
+with sorted keys.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from . import oddness as od
 from . import selmer as sm
 from .chartable import CharTableError
 from .chevgroup import levi_certificate_check, matrix_identity_check
-from .coeffring import ParameterError
+from .coeffring import LiftlabError, ParameterError
 from .galoismod import GroupPresentation, MatrixModule, cohomology, decompose
 from .liftdriver import lifting_driver
 from .rootdata import levi_bound, phi_alpha, root_datum
 
 SCHEMA_VERSION = 1
-EXIT_OK, EXIT_UNKNOWN, EXIT_CONFIG, EXIT_ASSERT = 0, 2, 3, 4
+EXIT_OK, EXIT_UNKNOWN, EXIT_CONFIG, EXIT_ASSERT, EXIT_INTERNAL = 0, 2, 3, 4, 5
 
 
 class Runner:
@@ -272,7 +274,7 @@ def cmd_selmer(args, run):
         raise ConfigError("unknown selmer mode %r" % args.mode)
 
 
-class ConfigError(ValueError):
+class ConfigError(LiftlabError):
     pass
 
 
@@ -388,19 +390,26 @@ def main(argv=None):
                                       getattr(args, "family", None),
                                       getattr(args, "mode", None)) if x),
                  config)
+    internal = False
     try:
         fn(args, run)
     except (ConfigError, ParameterError, CharTableError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # assertion-style failure inside a suite
+    except LiftlabError as exc:  # a failed check inside a suite
         run.check("run completed", False, {"error": repr(exc)})
+    except Exception as exc:  # a crash, not a falsified check
+        run.check("run completed", False, {"error": repr(exc)})
+        run.detail["internal_error"] = repr(exc)
+        internal = True
     _write_report(run, args.out)
     for a in run.assertions:
         mark = "ok" if a["passed"] else "FAIL"
         print("[%s] %s" % (mark, a["name"]))
     print("report: %s (%d assertions, %d failures)"
           % (args.out, len(run.assertions), run.failures))
+    if internal:
+        return EXIT_INTERNAL
     return EXIT_OK if run.failures == 0 else EXIT_ASSERT
 
 

@@ -38,11 +38,17 @@ import numpy as np
 from . import modp
 
 
-class CoeffRingError(ValueError):
+class LiftlabError(ValueError):
+    """The base of every error liftlab raises on purpose: a refused
+    input or a failed check.  Anything else escaping a computation is an
+    internal error, which the command line reports as such."""
+
+
+class CoeffRingError(LiftlabError):
     pass
 
 
-class ParameterError(ValueError):
+class ParameterError(LiftlabError):
     """A refused parameter choice, as opposed to a failure during the
     computation; the command line reports it as an invalid
     configuration."""

@@ -31,6 +31,12 @@ import math
 
 import numpy as np
 
+from .coeffring import LiftlabError
+
+
+class CycloError(LiftlabError):
+    pass
+
 
 def _prime_factors(n):
     out, p = [], 2
@@ -141,7 +147,7 @@ class CycloContext:
         """The map zeta -> zeta^s (s coprime to n) on an element or on
         an array of elements (last axis); conjugation is s = -1."""
         if math.gcd(s, self.n) != 1:
-            raise ValueError("zeta -> zeta^%d is not a Galois map of "
+            raise CycloError("zeta -> zeta^%d is not a Galois map of "
                              "Q(zeta_%d): %d is not coprime to %d"
                              % (s, self.n, s, self.n))
         return a @ self.pw[np.arange(self.deg) * s % self.n]
@@ -188,5 +194,5 @@ class CycloContext:
 
     def rational_value(self, a):
         if not self.is_rational(a):
-            raise ValueError("value is not rational: %r" % (a,))
+            raise CycloError("value is not rational: %r" % (a,))
         return int(a[0])

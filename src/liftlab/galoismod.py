@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modp
+from .coeffring import LiftlabError
 from .intlinalg import lattice_torsion
 
 
-class GaloisModError(ValueError):
+class GaloisModError(LiftlabError):
     pass
 
 

@@ -33,11 +33,11 @@ from . import localconds as lc
 from . import modp
 from . import selmer as sm
 from .chevgroup import GroupElement, one_plus, root_product, torus_elt
-from .coeffring import ParameterError, int64_exact
+from .coeffring import LiftlabError, ParameterError, int64_exact
 from .rootdata import root_datum
 
 
-class DriverError(ValueError):
+class DriverError(LiftlabError):
     pass
 
 
@@ -277,13 +277,12 @@ class EndToEndModel:
         self._setup_correction_solver()
 
     def _setup_correction_solver(self):
+        """The Poitou-Tate solve matrix: the Selmer system's map from the
+        global classes to the local quotients, one column per class."""
         p = self.p
         model = self.global_model
-        self.anns = [modp.kernel_basis(np.atleast_2d(Lv) % p, p)
-                     for Lv in self.local_bases]
-        Q = np.concatenate([model.A[:, a:b] @ ann.T % p for (a, b), ann
-                            in zip(model.offsets(), self.anns)],
-                           axis=1).T % p   # (sum quotients) x dimA
+        self.anns = self.system.ann_L
+        Q = sm.local_quotients(model, model.A, self.anns).T
         if Q.shape[0] != Q.shape[1] or modp.rank(Q, p) != Q.shape[0]:
             raise DriverError("Poitou-Tate solve matrix not bijective "
                               "(Selmer groups not vanished?)")

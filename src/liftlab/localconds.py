@@ -25,14 +25,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fieldlinalg as fl
-from .coeffring import CoeffRing, sqrt_one_mod_p
+from .coeffring import CoeffRing, LiftlabError, sqrt_one_mod_p
 from .chevgroup import (GroupElement, LieAlgebra, identity, one_plus,
                         torus_elt, torus_from_root_values, torus_root_values,
                         u_alpha)
 from .rootdata import phi_alpha
 
 
-class LocalCondError(ValueError):
+class LocalCondError(LiftlabError):
     pass
 
 
@@ -639,26 +639,6 @@ def ordinary_spaces(model, variant="trivial", h0=None):
     return {"tan": tan, "s": extra, "l": L}
 
 
-def ordinary_cocycle_homomorphism_check(model):
-    """The extra cocycles are homomorphisms: the defect
-    c(gh) - c(g) - c(h) = -(1-beta(chi(g)))(beta(chi(h))-1)/p must
-    vanish mod p for all generator pairs; exact check."""
-    p2 = model.p ** 2
-    tables = [model.chi_table(gname, p2) for gname in model.generators]
-    for k, beta in enumerate(model.datum.roots):
-        if model.datum._is_positive(beta):
-            continue
-        for tg in tables:
-            for th in tables:
-                a = (1 - tg[k]) % p2
-                b = (th[k] - 1) % p2
-                if a % model.p or b % model.p:
-                    return False
-                if ((a * b) // model.p) % model.p:
-                    return False
-    return True
-
-
 def ordinary_extra_cocycles(model, betas=None):
     """The extra cocycles of the ordinary condition for `betas` (every
     negative root, in root order, by default): c_beta(gen) = (1 -
@@ -679,7 +659,7 @@ def ordinary_extra_cocycles(model, betas=None):
         for slot, gname in enumerate(model.generators):
             u = (1 - model.chi_table(gname, p2)[k]) % p2
             if u % p:
-                raise LocalCondError("beta(chi) not 1 mod p (bug)")
+                raise LocalCondError("beta(chi(%s)) is not 1 mod p" % gname)
             row[slot * n + ib, 0] = u // p
     return ExtraCocycles(betas, rows, [K.one() for _ in betas])
 

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import modp
 from .chartable import CharacterTable, CharTableError, brauer_restrict
-from .coeffring import CoeffRing
+from .coeffring import CoeffRing, LiftlabError
 from .chevgroup import (LieAlgebra, identity, principal_sl2, torus_elt,
                         u_alpha)
 from .galoismod import MatrixModule, decompose
 from .rootdata import root_datum
 
 
-class OddnessError(ValueError):
+class OddnessError(LiftlabError):
     pass
 
 

@@ -34,10 +34,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coeffring import LiftlabError
 from .intlinalg import torsion_exponent
 
 
-class RootDataError(ValueError):
+class RootDataError(LiftlabError):
     pass
 
 

@@ -27,12 +27,12 @@ import json
 import numpy as np
 
 from . import modp
-from .chevgroup import LieAlgebra, identity, torus_elt, u_alpha
-from .coeffring import CoeffRing
+from .chevgroup import LieAlgebra, exp_hat, identity, torus_elt, u_alpha
+from .coeffring import CoeffRing, LiftlabError
 from .rootdata import phi_alpha
 
 
-class SelmerError(ValueError):
+class SelmerError(LiftlabError):
     pass
 
 
@@ -84,6 +84,18 @@ class LedgerPlace:
         return np.eye(self.h1, dtype=np.int64)
 
 
+def _big_pairing(places, p):
+    """The summed local pairing: each place's pairing matrix on the
+    diagonal, in the order of the places' blocks."""
+    total = sum(pl.h1 for pl in places)
+    J = np.zeros((total, total), dtype=np.int64)
+    pos = 0
+    for pl in places:
+        J[pos:pos + pl.h1, pos:pos + pl.h1] = pl.pairing_matrix(p)
+        pos += pl.h1
+    return J
+
+
 # ---------------------------------------------------------------------------
 # the model
 
@@ -98,10 +110,12 @@ class SyntheticGlobalModel:
 
     B=None takes B = kernel_basis(A J) from the elimination that
     check_consistency does anyway; an explicit B is checked against it.
+    eta, when set, is the matrix of eta on the adjoint module (entries
+    in [0, p)) that the witness search reads.
     """
 
     def __init__(self, p, places, A, B, arch_h0, h0_glob=0, h0_glob_star=0,
-                 module=None, eta=None, datum=None, basis=None, seed=None):
+                 eta=None, datum=None, basis=None, seed=None):
         self.p = p
         self.places = places
         self.A = A % p
@@ -109,7 +123,6 @@ class SyntheticGlobalModel:
         self.arch_h0 = list(arch_h0)
         self.h0_glob = h0_glob
         self.h0_glob_star = h0_glob_star
-        self.module = module
         self.eta = eta
         self.datum = datum
         self.basis = basis
@@ -131,14 +144,7 @@ class SyntheticGlobalModel:
         return sum(pl.h1 for pl in self.places)
 
     def big_pairing(self):
-        J = np.zeros((self.total_dim, self.total_dim), dtype=np.int64)
-        for (a, b), pl in zip(self.offsets(), self.places):
-            J[a:b, a:b] = pl.pairing_matrix(self.p)
-        return J
-
-    def restrict(self, vec, place_index):
-        a, b = self.offsets()[place_index]
-        return vec[a:b]
+        return _big_pairing(self.places, self.p)
 
     def check_consistency(self):
         p = self.p
@@ -198,11 +204,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
         + h0_glob - h0_glob_star
     if target < 0 or target > total:
         raise SelmerError("infeasible ledger: dim A = %d" % target)
-    J = np.zeros((total, total), dtype=np.int64)
-    pos = 0
-    for pl in places:
-        J[pos:pos + pl.h1, pos:pos + pl.h1] = pl.pairing_matrix(p)
-        pos += pl.h1
+    J = _big_pairing(places, p)
     A0 = np.array(prescribed_w if prescribed_w is not None else [],
                   dtype=np.int64).reshape(-1, total) % p
     B0 = np.array(prescribed_wstar if prescribed_wstar is not None else [],
@@ -298,21 +300,24 @@ def _annihilator(cond, h1, p):
         np.eye(h1, dtype=np.int64)
 
 
+def local_quotients(model, image, annihilators):
+    """The map from the row space of `image` to the local quotients
+    H^1_v / L_v: row i holds, place by place, the local block of class
+    i tested against that place's annihilator (SelmerSystem.ann_L or
+    ann_L_perp), concatenated over the places."""
+    p = model.p
+    return np.concatenate([image[:, a:b] @ ann.T % p for (a, b), ann
+                           in zip(model.offsets(), annihilators)], axis=1)
+
+
 def _selmer_of(model, image, annihilators):
     """Classes in the row space of `image` whose every local block is
-    killed by that place's annihilator (SelmerSystem.ann_L or
-    ann_L_perp); returns a coefficient basis."""
-    p = model.p
-    rows = []
-    for (a, b), ann in zip(model.offsets(), annihilators):
-        if ann.shape[0] == 0:
-            continue
-        block = image[:, a:b]
-        rows.append(block @ ann.T % p)
-    if not rows:
+    killed by that place's annihilator: the kernel of the local-quotient
+    map, as a coefficient basis."""
+    M = local_quotients(model, image, annihilators)
+    if not M.shape[1]:
         return np.eye(image.shape[0], dtype=np.int64)
-    M = np.concatenate(rows, axis=1)
-    return modp.kernel_basis(M.T % p, p)
+    return modp.kernel_basis(M.T, model.p)
 
 
 def selmer_compute(model, system):
@@ -356,32 +361,16 @@ def _selmer_with_coeffs(model, system):
 # eta maps and the Cartan search
 
 
-class EtaMap:
-    """Equivariant endomorphism acting by a scalar on each isotypic
-    summand in a chosen support set, zero elsewhere."""
-
-    def __init__(self, p, matrix, scalars, support):
-        self.p = p
-        self.matrix = matrix % p
-        self.scalars = dict(scalars)
-        self.support = list(support)
-
-    def __call__(self, v):
-        return self.matrix @ v % self.p
-
-    def is_zero(self):
-        return not np.any(self.matrix)
-
-
 def eta_build(module, decomposition, scalars):
-    """EtaMap from a Decomposition: scalars maps isotypic indices to
+    """The matrix (acting on column vectors, entries in [0, p)) of the
+    equivariant eta acting by a scalar on each isotypic summand in
+    `scalars`, zero elsewhere.  scalars maps isotypic indices to
     nonzero residues; each chosen class must have multiplicity 1 and
     endomorphism field F_p (the assumption the paper's argument needs;
     violating it is an error, mirroring the hypothesis)."""
     p = module.p
     n = module.dim
-    support = sorted(scalars)
-    for i in support:
+    for i in sorted(scalars):
         iso = decomposition.isotypic[i]
         if iso["multiplicity"] != 1:
             raise SelmerError("isotypic class %d has multiplicity %d > 1"
@@ -394,25 +383,19 @@ def eta_build(module, decomposition, scalars):
     T = np.vstack(blocks) % p
     if modp.rank(T, p) != n:
         raise SelmerError("decomposition does not span (bug)")
-    diag = np.zeros((n, n), dtype=np.int64)
-    row = 0
-    for b, ci in decomposition.summands:
-        dd = b.shape[0]
-        c = scalars.get(ci, 0)
-        for k in range(row, row + dd):
-            diag[k, k] = c % p
-        row += dd
+    diag = np.concatenate([np.full(b.shape[0], scalars.get(ci, 0) % p,
+                                   dtype=np.int64)
+                           for b, ci in decomposition.summands])
     # row convention: v = coords . T, so eta(v) = (coords diag) . T and
     # the matrix acting on column vectors is T^t diag (T^t)^-1
     Tt_inv = modp.inverse(T.T % p, p)
     if Tt_inv is None:
         raise SelmerError("matrix not invertible mod p")
-    M = (T.T % p) @ diag % p @ Tt_inv % p
-    eta = EtaMap(p, M, scalars, support)
+    M = T.T * diag % p @ Tt_inv % p
     for g in module.gens:
         if np.any((g @ M - M @ g) % p):
             raise SelmerError("eta not equivariant (bug)")
-    return eta
+    return M
 
 
 def random_group_element(alg, rng, nfactors=4):
@@ -428,24 +411,33 @@ def random_group_element(alg, rng, nfactors=4):
     return g
 
 
-def larsen_search(eta, alg1, rng, budget=200):
-    """Find a Cartan frame where eta has a nonzero Cartan component:
-    an element g and a witness x in the standard Cartan with
-    B(x, (Ad g)^-1 eta (Ad g) x) != 0; equivalent to
-    p_{t_g} eta(t_g) != 0 since the B-annihilator of a Cartan is the
-    sum of the root spaces."""
-    if eta.is_zero():
-        raise SelmerError("eta must be nonzero")
+def _cartan_frames(eta, alg1, rng, budget):
+    """The frames a Cartan search tries, as (trial, g, g mod p,
+    g^-1 eta g mod p): g is the identity at trial 0 and a
+    random_group_element draw after that.  A generator, so each draw is
+    made only when the search asks for the next frame."""
     p = alg1.ring.p
-    Bform = alg1.trace_form_matrix() % p
-    rank = alg1.datum.rank
     for trial in range(budget):
         g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
         gm = g.mat[..., 0] % p
         gi = modp.inverse(gm, p)
         if gi is None:
             raise SelmerError("matrix not invertible mod p")
-        eta_g = gi @ eta.matrix @ gm % p
+        yield trial, g, gm, gi @ eta @ gm % p
+
+
+def larsen_search(eta, alg1, rng, budget=200):
+    """Find a Cartan frame where the matrix eta has a nonzero Cartan
+    component: an element g and a witness x in the standard Cartan with
+    B(x, (Ad g)^-1 eta (Ad g) x) != 0; equivalent to
+    p_{t_g} eta(t_g) != 0 since the B-annihilator of a Cartan is the
+    sum of the root spaces."""
+    p = alg1.ring.p
+    if not np.any(eta % p):
+        raise SelmerError("eta must be nonzero")
+    Bform = alg1.trace_form_matrix() % p
+    rank = alg1.datum.rank
+    for trial, g, gm, eta_g in _cartan_frames(eta, alg1, rng, budget):
         # quadratic form Q(x) = B(x, eta_g x) on the Cartan block
         S = (Bform @ eta_g) % p
         St = S[:rank, :rank]
@@ -521,33 +513,24 @@ def splitcase_search(model, phi, psi, rng, budget=200):
     if model.datum is None or model.eta is None:
         raise SelmerError("model carries no module frame / eta data")
     p = model.p
-    K = CoeffRing(p, 1, 1)
-    alg1 = LieAlgebra(model.datum, model.basis, K)
     d = model.datum
-    eta = model.eta
+    alg1 = LieAlgebra(d, model.basis, CoeffRing(p, 1, 1))
     rank = d.rank
     sampler = ChebotarevSampler(p, d.dim, model.A.shape[0], model.B.shape[0],
                                 d.dim)
-    draw0 = sampler.draw(rng)
-    c = draw0["c"]
-    for trial in range(budget):
-        g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
-        gm = g.mat[..., 0] % p
-        gi = modp.inverse(gm, p)
-        if gi is None:
-            raise SelmerError("matrix not invertible mod p")
-        eta_g = gi @ eta.matrix @ gm % p
-        for alpha, arow in zip(d.roots, d.simple_pairings):
-            # functional t |-> alpha(p_t(eta_g t)) on the Cartan block
-            M_tt = eta_g[:rank, :rank]
-            f_alpha = arow @ M_tt % p
+    c = sampler.draw(rng)["c"]
+    for _, g, gm, eta_g in _cartan_frames(model.eta, alg1, rng, budget):
+        # row k: the functional t |-> alpha_k(p_t(eta_g t)) on the Cartan
+        # block, for the k-th root alpha_k
+        funcs = d.simple_pairings @ eta_g[:rank, :rank] % p
+        for alpha, f_alpha in zip(d.roots, funcs):
             if not np.any(f_alpha):
                 continue
             t = _find_torus_witness(d, alpha, c, f_alpha, p, rng)
             if t is None:
                 continue
-            witness = _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c,
-                                        phi, psi, rng, budget)
+            witness = _finish_splitcase(model, g, gm, alpha, t, c, rng,
+                                        budget)
             if witness is not None:
                 return witness
     raise SelmerError("splitcase search budget exhausted (seeded); "
@@ -570,28 +553,24 @@ def _find_torus_witness(d, alpha, c, f_alpha, p, rng, tries=400):
     return None
 
 
-def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
-                      budget):
+def _finish_splitcase(model, g, gm, alpha, t, c, rng, budget):
     p = model.p
     d = model.datum
+    basis = model.basis
     rank = d.rank
     # beta(t) != 0 for all beta in Phi^alpha
-    rows = [d.root_index[b] for b in phi_alpha(model.basis, tuple(alpha))]
+    rows = [d.root_index[b] for b in phi_alpha(basis, tuple(alpha))]
     if not np.all(d.simple_pairings[rows] @ t % p):
         return None
-    # t as a Lie vector in the standard frame, then moved to the g-frame
-    tvec = np.zeros(d.dim, dtype=np.int64)
-    tvec[:rank] = t
-    t_global = gm @ tvec % p
-    phival = model.eta.matrix @ t_global % p
+    # t lies in the standard Cartan (the first rank coordinates); Ad(g)
+    # moves it to the g-frame
+    phival = model.eta @ (gm[:, :rank] @ t % p) % p
     # bullet 2: phival outside Ad(g)(ker(alpha|t) + all root spaces)
-    bad = _frame_subspace(alg1, gm, tuple(alpha), p)
+    bad = _frame_subspace(basis, gm, tuple(alpha), p)
     if modp.row_space_contains(bad, phival, p):
         return None
     # bullet 3: draw psi value until it pairs nontrivially with Ad(g) X_alpha
-    Xa = np.zeros(d.dim, dtype=np.int64)
-    Xa[alg1.basis.root_basis_index(tuple(alpha))] = 1
-    gXa = gm @ Xa % p
+    gXa = gm[:, basis.root_basis_index(tuple(alpha))]
     psival = None
     for _ in range(budget):
         cand = rng.integers(0, p, size=d.dim, dtype=np.int64)
@@ -603,10 +582,9 @@ def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
     # bullet 1 re-verification: exp(p t_g) is diagonal in the g-frame with
     # beta-values 1 + p beta(t) != 1 mod p^2
     R2 = CoeffRing(p, 2, 1)
-    alg2 = LieAlgebra(model.datum, model.basis, R2)
+    alg2 = LieAlgebra(d, basis, R2)
     tvec2 = np.zeros((d.dim, 1), dtype=np.int64)
     tvec2[:rank, 0] = t
-    from .chevgroup import exp_hat
     rho2_frame = exp_hat(alg2, (p * tvec2) % R2.q)
     Mfr = rho2_frame.mat[..., 0]
     off = Mfr.copy()
@@ -622,41 +600,27 @@ def _finish_splitcase(model, alg1, g, gm, gi, alpha, t, c, phi, psi, rng,
     }
 
 
-def _frame_subspace(alg1, gm, alpha, p):
-    """Ad(g)(ker(alpha|t) + sum of all root spaces) as a row basis."""
-    d = alg1.datum
-    rank = d.rank
-    rows = []
+def _frame_subspace(basis, gm, alpha, p):
+    """Ad(g)(ker(alpha|t) + sum of all root spaces) as a row basis, for
+    the Chevalley basis `basis` and gm = Ad(g) mod p."""
+    d = basis.datum
     ker = modp.kernel_basis(d.simple_pairings[d.root_index[alpha]][None], p)
-    for v in ker:
-        e = np.zeros(d.dim, dtype=np.int64)
-        e[:rank] = v
-        rows.append(e)
-    for r in d.roots:
-        e = np.zeros(d.dim, dtype=np.int64)
-        e[alg1.basis.root_basis_index(r)] = 1
-        rows.append(e)
-    M = np.array(rows, dtype=np.int64)
+    k = ker.shape[0]
+    M = np.zeros((k + len(d.roots), d.dim), dtype=np.int64)
+    M[:k, :d.rank] = ker
+    M[np.arange(k, len(M)), [basis.root_basis_index(r) for r in d.roots]] = 1
     return modp.echelon_basis(M @ gm.T % p, p)
 
 
-def l_alpha_in_frame(alg1, gm, alpha, p, frame):
+def l_alpha_in_frame(basis, gm, alpha, p, frame):
     """L^alpha at an installed place, in the g-frame: sigma-part
     anywhere in `frame` = Ad(g)(ker(alpha|t) + all root spaces) (as
     _frame_subspace builds it), tau-part in Ad(g) g_alpha."""
-    d = alg1.datum
-    n = d.dim
-    out = []
-    for v in frame:
-        row = np.zeros(2 * n, dtype=np.int64)
-        row[:n] = v
-        out.append(row)
-    Xa = np.zeros(n, dtype=np.int64)
-    Xa[alg1.basis.root_basis_index(tuple(alpha))] = 1
-    row = np.zeros(2 * n, dtype=np.int64)
-    row[n:] = gm @ Xa % p
-    out.append(row)
-    return np.array(out, dtype=np.int64)
+    n = basis.datum.dim
+    out = np.zeros((frame.shape[0] + 1, 2 * n), dtype=np.int64)
+    out[:-1, :n] = frame
+    out[-1, n:] = gm[:, basis.root_basis_index(tuple(alpha))] % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +641,6 @@ def extend_model_at_witness(model, system, witness, rng):
     p = model.p
     w = model.datum.dim
     nA, nB = model.A.shape[0], model.B.shape[0]
-    total = model.total_dim
     # evaluation maps: conditioned on the constrained classes
     evalA = _conditioned_eval(model.A, witness.get("phi_coeffs"),
                               witness["phi_value"], w, p, rng)
@@ -704,27 +667,23 @@ def extend_model_at_witness(model, system, witness, rng):
                                    "alpha": witness["alpha"],
                                    "t": witness["t"], "c": witness["c"]})
     places2 = list(model.places) + [place]
-    J2 = np.zeros((total + 2 * w, total + 2 * w), dtype=np.int64)
-    J2[:total, :total] = Jold
-    J2[total:, total:] = place.pairing_matrix(p)
+    J2 = _big_pairing(places2, p)
     # B2, the model's B, is the full right kernel of A2 J2, so the
     # embedded classes lie in it exactly when A2 J2 B_embed^t = 0
     if np.any(A2 @ J2 % p @ B_embed.T % p):
         raise ModelInconsistencyError("embedded dual classes lost (bug)")
     model2 = SyntheticGlobalModel(p, places2, A2, None, model.arch_h0,
                                   model.h0_glob, model.h0_glob_star,
-                                  module=model.module, eta=model.eta,
-                                  datum=model.datum, basis=model.basis,
-                                  seed=model.seed)
-    alg1 = LieAlgebra(model.datum, model.basis, CoeffRing(p, 1, 1))
+                                  eta=model.eta, datum=model.datum,
+                                  basis=model.basis, seed=model.seed)
     gm, alpha = witness["g_mat"], witness["alpha"]
     frame = witness["frame_subspace"]
-    Lq = l_alpha_in_frame(alg1, gm, alpha, p, frame)
+    Lq = l_alpha_in_frame(model.basis, gm, alpha, p, frame)
     system2 = system.with_place(model2, Lq)
     # cross-check: the installed dual condition equals the corollary
     # description in the g-frame
     perp = system2.L_perp[-1]
-    desc = _corollary_in_frame(alg1, gm, alpha, p, frame)
+    desc = _corollary_in_frame(model.basis, gm, alpha, p, frame)
     if not (modp.rank(perp, p) == modp.rank(desc, p) ==
             modp.rank(np.vstack([perp, desc]), p)):
         raise ModelInconsistencyError("installed dual condition does not "
@@ -749,24 +708,17 @@ def _conditioned_eval(image, coeffs, value, w, p, rng):
     return E
 
 
-def _corollary_in_frame(alg1, gm, alpha, p, frame):
+def _corollary_in_frame(basis, gm, alpha, p, frame):
     """The explicit L^alpha-perp: sigma-part killing Ad(g) g_alpha,
-    tau-part killing `frame` = _frame_subspace(alg1, gm, alpha, p)."""
-    d = alg1.datum
-    n = d.dim
-    rows = []
-    Xa = np.zeros(n, dtype=np.int64)
-    Xa[alg1.basis.root_basis_index(tuple(alpha))] = 1
-    gXa = (gm @ Xa % p).reshape(1, -1)
-    for v in modp.kernel_basis(gXa, p):
-        row = np.zeros(2 * n, dtype=np.int64)
-        row[:n] = v
-        rows.append(row)
-    for v in modp.kernel_basis(frame, p):
-        row = np.zeros(2 * n, dtype=np.int64)
-        row[n:] = v
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    tau-part killing `frame` = _frame_subspace(basis, gm, alpha, p)."""
+    n = basis.datum.dim
+    gXa = gm[:, basis.root_basis_index(tuple(alpha))] % p
+    sigma = modp.kernel_basis(gXa[None], p)
+    tau = modp.kernel_basis(frame, p)
+    out = np.zeros((sigma.shape[0] + tau.shape[0], 2 * n), dtype=np.int64)
+    out[:sigma.shape[0], :n] = sigma
+    out[sigma.shape[0]:, n:] = tau
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1031,31 +983,18 @@ def attach_adjoint_eta(model, scalar=1):
     """The identity-scalar eta on the full adjoint module (the coupled
     field diagram with one irreducible constituent); enough for the
     simple types the engine runs on."""
-    w = model.datum.dim
-    model.eta = EtaMap(model.p, (scalar % model.p) * np.eye(w, dtype=np.int64),
-                       {0: scalar}, [0])
+    model.eta = (scalar % model.p) * np.eye(model.datum.dim, dtype=np.int64)
     return model
 
 
 def standard_balanced_system(model):
     """The balanced Selmer system: full-dimension L^alpha-style spaces
-    of dim h0 at trivial places (unramified condition: the annihilation
-    loop replaces them at new places by honest L^alpha), and first-dimL
-    coordinates at ledger places."""
-    conds = []
-    for pl in model.places:
-        if pl.kind == "trivial":
-            w = pl.w
-            # unramified condition: tau-part zero, dim = h0 = w
-            L = np.zeros((w, 2 * w), dtype=np.int64)
-            L[:, :w] = np.eye(w, dtype=np.int64)
-            conds.append(L)
-        else:
-            L = np.zeros((pl.dim_l, pl.h1), dtype=np.int64)
-            for i in range(pl.dim_l):
-                L[i, i] = 1
-            conds.append(L)
-    return SelmerSystem(model, conds)
+    of dim h0 = w at trivial places (the unramified condition, the
+    sigma-block: the annihilation loop replaces them at new places by
+    honest L^alpha), and the first dim_l coordinates at ledger places."""
+    return SelmerSystem(model, [
+        np.eye(pl.w if pl.kind == "trivial" else pl.dim_l, pl.h1,
+               dtype=np.int64) for pl in model.places])
 
 
 def ledger_places_from_file(path, h1_of=None):

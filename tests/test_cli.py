@@ -6,7 +6,8 @@ import shutil
 import pytest
 
 from liftlab import cli
-from liftlab.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_UNKNOWN, main
+from liftlab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                         EXIT_UNKNOWN, main)
 from liftlab.coeffring import CoeffRingError
 from liftlab.oddness import default_data_dir
 
@@ -66,8 +67,8 @@ def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_truncated_table_is_a_config_error(tmp_path, capsys):
-    # a --tables file cut short is invalid input, not a failed check
+def _edited_tables(tmp_path, edit):
+    """A copy of the shipped tables with the lines of a6.tbl edited."""
     src = default_data_dir()
     for name in os.listdir(src):
         shutil.copy(os.path.join(src, name), str(tmp_path))
@@ -75,11 +76,29 @@ def test_truncated_table_is_a_config_error(tmp_path, capsys):
     with open(path) as fh:
         lines = fh.read().splitlines()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines[:-2]) + "\n")
-    code, rep = run(["examples", "f4", "--p", "11", "--tables",
-                     str(tmp_path)], str(tmp_path))
+        fh.write("\n".join(edit(lines)) + "\n")
+    return str(tmp_path)
+
+
+def test_truncated_table_is_a_config_error(tmp_path, capsys):
+    # a --tables file cut short is invalid input, not a failed check
+    tables = _edited_tables(tmp_path, lambda lines: lines[:-2])
+    code, rep = run(["examples", "f4", "--p", "11", "--tables", tables],
+                    str(tmp_path))
     assert code == EXIT_CONFIG and rep is None
     assert "config error:" in capsys.readouterr().err
+
+
+def test_non_rational_degree_is_a_config_error(tmp_path, capsys):
+    # a character whose value at the identity class is b5 has no degree
+    tables = _edited_tables(tmp_path, lambda lines: [
+        ("b5" + ln[1:]) if ln.startswith("5 1 2 -1") else ln
+        for ln in lines])
+    code, rep = run(["examples", "f4", "--p", "11", "--tables", tables],
+                    str(tmp_path))
+    assert code == EXIT_CONFIG and rep is None
+    assert "degree 'b5' of a character is not rational" in \
+        capsys.readouterr().err
 
 
 def test_failed_assertion_exits_4(tmp_path, monkeypatch):
@@ -100,6 +119,21 @@ def test_computation_error_exits_4(tmp_path, monkeypatch):
                     str(tmp_path))
     assert code == EXIT_ASSERT
     assert "division by non-unit" in rep["assertions"][-1]["detail"]["error"]
+    assert "internal_error" not in rep["detail"]
+
+
+def test_internal_error_exits_5(tmp_path, monkeypatch):
+    # an exception that is not a liftlab error is a crash, reported as
+    # such and never as a falsified check
+    def crash(*args):
+        raise IndexError("index 3 is out of bounds")
+    monkeypatch.setattr(cli, "matrix_identity_check", crash)
+    code, rep = run(["check", "matrix-identity", "--p", "5", "--m", "3"],
+                    str(tmp_path))
+    assert code == EXIT_INTERNAL
+    assert not rep["assertions"][-1]["passed"]
+    assert rep["detail"]["internal_error"] == repr(
+        IndexError("index 3 is out of bounds"))
 
 
 def test_report_determinism(tmp_path):

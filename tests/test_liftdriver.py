@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liftlab import localconds as lc
+from liftlab import selmer as sm
 from liftlab.chevgroup import u_alpha
 from liftlab.coeffring import CoeffRing, ParameterError
 from liftlab.liftdriver import (DriverError, EndToEndModel,
@@ -41,8 +42,9 @@ def test_sabotaged_condition_dimension_detected():
     e2e = EndToEndModel("A1", 5, seed=0)
     # corrupting a local condition's dimension breaks the setup solver
     # (the Poitou-Tate correction matrix stops being bijective)
-    e2e.local_bases[0] = e2e.local_bases[0][:-1]
-    with pytest.raises(DriverError):
+    bases = [e2e.local_bases[0][:-1]] + e2e.local_bases[1:]
+    e2e.system = sm.SelmerSystem(e2e.global_model, bases)
+    with pytest.raises(DriverError, match="not bijective"):
         e2e._setup_correction_solver()
 
 

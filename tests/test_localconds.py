@@ -264,13 +264,17 @@ def test_perp_of_unramified_is_unramified():
 def test_stability_all_small_types():
     for name in ["A1", "A2", "B2", "G2"]:
         model = tame(name, 5, 3, 6)
-        d = model.datum
+        d, R = model.datum, model.ring
         al = d.positive_roots[0]
         for variant, vv in [("unr2", "unr"), ("ram2", "ram")]:
             lift, _ = lc.frobenius_member(model, al, variant, seed=0)
             for beta in phi_alpha(model.basis, al):
                 g, c = lc.stability_check(lift, al, vv, {tuple(beta): 1})
-                assert g.tag.startswith("root") or True
+                # every factor is u_beta(x p^(m-2)) with x a unit, so the
+                # conjugator is 1 mod p^(m-2) and not mod p^(m-1)
+                D = (g.mat - R.mat_id(model.alg.dim)) % R.q
+                assert not np.any(D % R.p ** (R.m - 2))
+                assert np.any(D % R.p ** (R.m - 1))
         # linear combination of basis cocycles
         lift, _ = lc.frobenius_member(model, al, "ram2", seed=0)
         pa = [tuple(x) for x in phi_alpha(model.basis, al)]
@@ -345,10 +349,16 @@ def test_ordinary_degenerate_chi_rejected():
                               {"s": (6,), "u1": (1,)}).check_regularity()
 
 
-def test_ordinary_cocycles_are_homomorphisms():
+def test_ordinary_extra_cocycles_need_chi_one_mod_p():
+    # c_beta = (1 - beta(chi))/p X_beta needs beta(chi) = 1 mod p on
+    # every generator; u1 = 2 gives beta(chi(u1)) = 2^-1 mod 25 at the
+    # negative root of A1
     for name in ["A1", "A2"]:
-        om = ordinary(name, 5, 3, 2)
-        assert lc.ordinary_cocycle_homomorphism_check(om)
+        lc.ordinary_extra_cocycles(ordinary(name, 5, 3, 2))
+    d, b = root_datum("A1")
+    om = lc.OrdinaryLocalModel(d, b, 5, 3, 1, {"s": (6,), "u1": (2,)})
+    with pytest.raises(lc.LocalCondError, match=r"chi\(u1\)\) is not 1 mod p"):
+        lc.ordinary_extra_cocycles(om)
 
 
 def test_ordinary_stability():
