@@ -8,8 +8,9 @@ local-condition and Selmer modules.
 
 All constructors are exact: root elements are exponentials with
 integral divided powers ad(X_alpha)^k / k! computed over Z, so no ring
-division occurs there; exp of a general p-divisible element divides by
-k! for k < m and therefore requires m <= p.
+division occurs there; exp of any other ad-nilpotent element divides
+by k! up to the first vanishing power ad(x)^k and therefore needs that
+k <= p, which holds for every p-divisible x when m <= p.
 
 The integral tables of a Chevalley basis (ad matrices of the basis
 vectors, the invariant form, the divided powers of each root vector)
@@ -35,6 +36,7 @@ elements; GroupElement.check_invertible decides invertibility mod p.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -336,26 +338,26 @@ def root_value_of_torus(alg, t, beta):
 
 
 def exp_hat(alg, x):
-    """exp(ad x) for x with all coordinates of valuation >= 1.
+    """exp(ad x) for ad-nilpotent x: the sum of ad(x)^k / k! up to the
+    first zero term.
 
-    The series truncates at k = m - 1 because p^m = 0; it divides by
-    k! and therefore requires m <= p.
+    Dividing by k! needs k < p, so a nonzero term at k >= p is refused.
+    A p-divisible x has ad(x)^m = 0, so it passes whenever m <= p; a
+    root vector or the principal e and f of an sl2 pass at any m once p
+    exceeds their nilpotency degree.
     """
     R = alg.ring
-    if R.m > R.p:
-        raise ChevGroupError("exp_hat needs m <= p (factorial division)")
-    for i in range(alg.dim):
-        if np.any(x[i] % R.p):
-            raise ChevGroupError("exp_hat needs valuation >= 1 coordinates")
     A = alg.ad(x)
     M = R.mat_id(alg.dim)
-    term = R.mat_id(alg.dim)
-    for k in range(1, R.m):
+    term = M
+    for k in itertools.count(1):
         term = R.mat_mul(term, A)
         if not term.any():
             break
-        coef = R.inv(R.el(math.factorial(k) % R.q))
-        M = R.add(M, R.mul(np.broadcast_to(coef, term.shape), term))
+        if k >= R.p:
+            raise ChevGroupError("exp_hat needs ad(x)^k = 0 for some k <= p")
+        # 1/k! is an integer mod q because k < p
+        M = R.add(M, R.scalar_mul(pow(math.factorial(k), -1, R.q), term))
     return GroupElement(alg, M, "exp")
 
 

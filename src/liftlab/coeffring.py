@@ -10,7 +10,9 @@ between threads.
 
 The modulus is chosen deterministically from (p, r): the
 lexicographically smallest monic irreducible of degree r over F_p,
-coefficients lifted to [0, p).  Reduction GR(p^m, r) -> GR(p^m', r)
+coefficients lifted to [0, p) and compared from the top coefficient
+down; a candidate f is irreducible when modp.squarefree_factors yields
+f itself as its first factor.  Reduction GR(p^m, r) -> GR(p^m', r)
 for m' <= m is coefficientwise reduction mod p^m' and is a ring
 homomorphism because the modulus does not depend on m.
 
@@ -75,38 +77,6 @@ def _is_prime(n):
     return True
 
 
-def _is_irreducible_modp(f, p):
-    """Rabin test: f irreducible iff x^(p^r) = x mod f and
-    gcd(x^(p^(r/l)) - x, f) = 1 for each prime l | r."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    x = [0, 1]
-    xq = modp.poly_powmod(x, p ** r, f, p)
-    # xq - x
-    diff = list(xq) + [0] * (2 - len(xq))
-    diff[1] = (diff[1] - 1) % p
-    if modp.poly_trim(diff) != [0]:
-        return False
-    ell = 2
-    rr = r
-    checked = set()
-    while rr > 1:
-        while rr % ell:
-            ell += 1
-        if ell not in checked:
-            checked.add(ell)
-            xe = modp.poly_powmod(x, p ** (r // ell), f, p)
-            d = list(xe) + [0] * (2 - len(xe))
-            d[1] = (d[1] - 1) % p
-            d = modp.poly_trim(d)
-            g = modp.poly_gcd(d, f, p) if d != [0] else list(f)
-            if len(g) > 1:
-                return False
-        rr //= ell
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _find_modulus(p, r):
     """Lexicographically smallest monic irreducible of degree r over F_p,
@@ -123,7 +93,8 @@ def _find_modulus(p, r):
             coeffs.append(kk % p)
             kk //= p
         f = coeffs + [1]
-        if _is_irreducible_modp(f, p):
+        # a monic f is irreducible iff its first irreducible factor is f
+        if next(modp.squarefree_factors(f, p)) == f:
             return tuple(f)
     raise CoeffRingError("no irreducible modulus found (unreachable)")
 

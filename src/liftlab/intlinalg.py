@@ -1,12 +1,19 @@
 """Exact integer linear algebra: Smith normal form and lattice quotients.
 
 Everything here works on Python-int matrices (lists of lists or numpy
-object/int64 arrays coerced to lists), so there is no overflow; sizes
-are desk scale (rank <= 8 lattices).
+object/int64 arrays coerced to lists), so there is no overflow.  The
+entries are not kept small, though: smith_normal_form reduces by plain
+row and column operations.  On six random 12 x 8 matrices with
+entries in {-2, ..., 3} (numpy seeds 0-5) the largest entry had 35 to
+116105 bits at the seventh pivot, and one matrix, at 466 bits after
+six pivots, was still running after 20 s.  Its callers stay far
+below that: levi_bound refuses rank > 4, so its matrices have at most
+4 rows, and abelianization has one row per generator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -81,7 +88,6 @@ def smith_normal_form(mat):
     # normalize divisibility chain (paranoia; the sweep should ensure it)
     for k in range(len(diag) - 1):
         if diag[k] and diag[k + 1] % diag[k] != 0:
-            import math
             g = math.gcd(diag[k], diag[k + 1])
             l = diag[k] * diag[k + 1] // g
             diag[k], diag[k + 1] = g, l
@@ -112,14 +118,8 @@ def torsion_exponent(mat):
     facs = [d for d in lattice_torsion(mat) if d != 0]
     exp = 1
     for d in facs:
-        exp = exp * d // _gcd(exp, d)
+        exp = exp * d // math.gcd(exp, d)
     return exp
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rational_rank(mat):

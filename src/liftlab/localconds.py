@@ -25,9 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fieldlinalg as fl
+from . import modp
 from .coeffring import CoeffRing, LiftlabError, sqrt_one_mod_p
-from .chevgroup import (GroupElement, LieAlgebra, identity, one_plus,
-                        torus_elt, torus_from_root_values, torus_root_values,
+from .chevgroup import (GroupElement, LieAlgebra, frobenius_b_search,
+                        identity, one_plus, torus_elt, torus_from_coroot_data,
                         u_alpha)
 from .rootdata import phi_alpha
 
@@ -66,7 +67,8 @@ class TameLocalModel:
         alpha = tuple(alpha)
         t = self._covee.get(alpha)
         if t is None:
-            t = self._covee[alpha] = _alpha_covee(self, alpha, self.sqrt_q)
+            t = self._covee[alpha] = torus_from_coroot_data(
+                self.alg, alpha, self.sqrt_q, [0] * self.datum.rank)
             t.mat.flags.writeable = False
         return t
 
@@ -341,10 +343,10 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
     return {"tan": tan, "s": s_space, "l": L, "l_perp": perp}
 
 
-def _dual_rows(basis):
+def dual_rows(basis):
     """(phi(tau), -phi(sigma)) for each row phi of a tame cocycle basis,
-    so that <phi, psi> is the plain dot product of _dual_rows(phi) with
-    psi."""
+    so that <phi, psi> is the plain dot product of dual_rows(phi) with
+    psi: the sign convention of the tame duality pairing."""
     n = basis.shape[1] // 2
     return np.concatenate([basis[:, n:], -basis[:, :n]], axis=1)
 
@@ -358,7 +360,7 @@ def duality_pairing(K, phi, psi):
 
 def pairing_gram(K, basis1, basis2):
     """The matrix of duality pairings <basis1[i], basis2[j]>."""
-    return K.mat_mul(_dual_rows(basis1), basis2.transpose(1, 0, 2))
+    return K.mat_mul(dual_rows(basis1), basis2.transpose(1, 0, 2))
 
 
 def full_h1_basis(K, n):
@@ -369,45 +371,55 @@ def perp_space(model, space, check_description=False):
     """Annihilator of a condition space under the duality pairing.
 
     For L^alpha of the unramified variant the result is compared with
-    the explicit description: psi(sigma) annihilating g_alpha and
-    psi(tau) annihilating ker(alpha|t) + sum of all root spaces; both
-    must coincide (this also validates the bilinear extension of the
-    pairing on the ramified-ramified block)."""
+    the explicit description corollary_in_frame in the standard frame
+    (gm = 1): psi(sigma) annihilating g_alpha and psi(tau) annihilating
+    ker(alpha|t) + sum of all root spaces; both must coincide (this
+    also validates the bilinear extension of the pairing on the
+    ramified-ramified block)."""
     K = model.residue
     n = model.alg1.dim
     # psi with  <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)> = 0; an
     # empty space stores a (0, 0, r) basis, hence the reshape
-    A = _dual_rows(space.basis.reshape(-1, 2 * n, K.r))
+    A = dual_rows(space.basis.reshape(-1, 2 * n, K.r))
     perp_basis = fl.kernel_f(K, A)
     out = ConditionSpace(space.label + "_perp", K, perp_basis, space.alpha)
     if check_description and space.alpha is not None:
-        desc = _corollary_description(model, space.alpha)
+        gm = np.eye(n, dtype=np.int64)
+        frame = frame_subspace(model.basis, gm, space.alpha, K.p)
+        # the description is an F_p matrix, whose kernels keep their
+        # dimension over F_{p^r}, so it spans the same space there
+        desc = K.mat_from_int(corollary_in_frame(model.basis, gm, space.alpha,
+                                                 K.p, frame))
         if out.dim != model.datum.dim or not out.same_space(desc):
             raise LocalCondError("annihilator disagrees with the explicit "
                                  "description (falsified)")
     return out
 
 
-def _corollary_description(model, alpha):
-    """Dual classes with psi(sigma) perp g_alpha and psi(tau) perp
-    (ker(alpha|t) + all root spaces)."""
-    K, d = model.residue, model.datum
-    n, rank = d.dim, d.rank
+def frame_subspace(basis, gm, alpha, p):
+    """Ad(g)(ker(alpha|t) + sum of all root spaces) as a row basis over
+    F_p, for the Chevalley basis `basis` and gm = Ad(g) mod p."""
+    d = basis.datum
     alpha = tuple(alpha)
-    # sigma part: coordinate dual vectors vanishing on X_alpha
-    sig = np.delete(K.mat_id(n), model.alg1.basis.root_basis_index(alpha), 0)
-    # tau part: the annihilator of ker(alpha|t) (Cartan coordinates)
-    # plus the root spaces (every coordinate after the Cartan block)
-    row = np.zeros((1, rank, K.r), dtype=np.int64)
-    row[0, :, 0] = d.simple_pairings[d.root_index[alpha]] % K.q
-    ker = fl.kernel_f(K, row)
-    span = np.zeros((len(ker) + n - rank, n, K.r), dtype=np.int64)
-    span[:len(ker), :rank] = ker
-    span[len(ker):, rank:] = K.mat_id(n - rank)
-    ann = fl.kernel_f(K, span)
-    out = np.zeros((n - 1 + len(ann), 2 * n, K.r), dtype=np.int64)
-    out[:n - 1, :n] = sig
-    out[n - 1:, n:] = ann
+    ker = modp.kernel_basis(d.simple_pairings[d.root_index[alpha]][None], p)
+    k = ker.shape[0]
+    M = np.zeros((k + len(d.roots), d.dim), dtype=np.int64)
+    M[:k, :d.rank] = ker
+    M[np.arange(k, len(M)), [basis.root_basis_index(r) for r in d.roots]] = 1
+    return modp.echelon_basis(M @ gm.T % p, p)
+
+
+def corollary_in_frame(basis, gm, alpha, p, frame):
+    """The explicit L^alpha-perp in the frame of g, over F_p: the dual
+    classes with sigma-part killing Ad(g) g_alpha and tau-part killing
+    `frame` = frame_subspace(basis, gm, alpha, p)."""
+    n = basis.datum.dim
+    gXa = gm[:, basis.root_basis_index(tuple(alpha))] % p
+    sigma = modp.kernel_basis(gXa[None], p)
+    tau = modp.kernel_basis(frame, p)
+    out = np.zeros((sigma.shape[0] + tau.shape[0], 2 * n), dtype=np.int64)
+    out[:sigma.shape[0], :n] = sigma
+    out[sigma.shape[0]:, n:] = tau
     return out
 
 
@@ -771,13 +783,6 @@ def sample_member(model, alpha, variant, rng, max_tries=200):
     raise LocalCondError("could not sample a member (degenerate torus draws)")
 
 
-def _alpha_covee(model, alpha, s):
-    """alpha^vee(s) as a diagonal element."""
-    pairings = model.datum.coroot_pairings(tuple(alpha))
-    return torus_from_root_values(
-        model.alg, torus_root_values(model.ring, [s], pairings[:, None]))
-
-
 def lift_coordinates(model, alpha, coords, rng):
     """Normal-form member coordinates at the model's precision p^m
     lifted to p^{m+1}: every free coordinate gets a random top digit,
@@ -843,7 +848,6 @@ def frobenius_member(model, alpha, variant, seed=0, y=1):
     element (1 + p b) alpha^vee(q^{1/2}) found by the hyperplane-
     avoiding Frobenius search (so every Phi^alpha denominator is a
     unit), tau = 1 mod p^2 (unr2) or u_alpha(p y) (ram2)."""
-    from .chevgroup import frobenius_b_search, torus_from_coroot_data
     R = model.ring
     alpha = tuple(alpha)
     b, rep = frobenius_b_search(model.datum, model.basis, alpha, model.p,

@@ -268,15 +268,10 @@ def poly_lcm(f, g, p):
     return [c * inv % p for c in q]
 
 
-def factor_squarefree_part(f, p):
-    """Distinct irreducible factors of f (ignores multiplicities)."""
-    return list(squarefree_factors(f, p))
-
-
 def squarefree_factors(f, p):
-    """The distinct irreducible factors of f, generated lazily in the
-    order factor_squarefree_part lists them: a caller that takes only
-    the first one does no work for the rest."""
+    """The distinct irreducible factors of f (multiplicities ignored),
+    generated lazily: a caller that takes only the first one does no
+    work for the rest."""
     f = poly_trim(list(f))
     inv = _inv(f[-1], p)
     f = [c * inv % p for c in f]

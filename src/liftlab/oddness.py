@@ -19,8 +19,8 @@ import numpy as np
 from . import modp
 from .chartable import CharacterTable, CharTableError, brauer_restrict
 from .coeffring import CoeffRing, LiftlabError
-from .chevgroup import (LieAlgebra, identity, principal_sl2, torus_elt,
-                        u_alpha)
+from .chevgroup import (LieAlgebra, exp_hat, identity, principal_sl2,
+                        torus_elt, u_alpha)
 from .galoismod import MatrixModule, decompose
 from .rootdata import root_datum
 
@@ -107,9 +107,7 @@ def sym_adjoint_decomposition(cartan_type, p, rng=None):
     R = CoeffRing(p, 1, 1)
     alg = LieAlgebra(datum, basis, R)
     e, h, f = principal_sl2(alg)
-    E = _exp_ad_nilpotent(alg, e)
-    F = _exp_ad_nilpotent(alg, f)
-    module = MatrixModule(p, [E, F])
+    module = MatrixModule(p, [exp_hat(alg, x).mat[..., 0] for x in (e, f)])
     dec = decompose(module, rng or np.random.default_rng(0))
     if not dec.semisimple:
         raise OddnessError("principal module not semisimple (p too small?)")
@@ -123,28 +121,6 @@ def sym_adjoint_decomposition(cartan_type, p, rng=None):
         "multiplicity_free": dec.multiplicity_free,
         "isotypic": [(c["dim"], c["multiplicity"]) for c in dec.isotypic],
     }
-
-
-def _exp_ad_nilpotent(alg, x):
-    """exp(ad x) for ad-nilpotent x over F_p, with exact factorial
-    divisions (requires nilpotency degree < p)."""
-    import math
-    R = alg.ring
-    A = alg.ad(x)[..., 0] % R.p
-    n = alg.dim
-    out = np.eye(n, dtype=np.int64)
-    term = np.eye(n, dtype=np.int64)
-    k = 0
-    while True:
-        k += 1
-        if k >= R.p:
-            raise OddnessError("nilpotency degree >= p")
-        term = term @ A % R.p
-        if not term.any():
-            break
-        coef = pow(math.factorial(k) % R.p, R.p - 2, R.p)
-        out = (out + coef * term) % R.p
-    return out
 
 
 def normalizer_decomposition(cartan_type, p, rng=None):

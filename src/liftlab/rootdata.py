@@ -244,7 +244,6 @@ class RootDatum:
             n = sum(1 for h, c in counts.items() if c >= k)
             if n == 0:
                 break
-            out.extend([None] * 0)
             # heights h with multiplicity >= k contribute one exponent = max h
             hs = sorted(h for h, c in counts.items() if c >= k)
             out.append(hs[-1])

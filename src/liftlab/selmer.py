@@ -29,6 +29,8 @@ import numpy as np
 from . import modp
 from .chevgroup import LieAlgebra, exp_hat, identity, torus_elt, u_alpha
 from .coeffring import CoeffRing, LiftlabError
+from .localconds import (corollary_in_frame, dual_rows, frame_subspace,
+                         read_local_ledger)
 from .rootdata import phi_alpha
 
 
@@ -58,12 +60,9 @@ class TrivialPlace:
         self.frame = frame
 
     def pairing_matrix(self, p):
-        w = self.w
-        J = np.zeros((2 * w, 2 * w), dtype=np.int64)
-        # <phi, psi> = phi_tau . psi_sigma - phi_sigma . psi_tau
-        J[w:, :w] = np.eye(w, dtype=np.int64)
-        J[:w, w:] = (-np.eye(w, dtype=np.int64)) % p
-        return J
+        # row i of J is the dual row of the i-th unit cocycle, so that
+        # phi J psi^t is the tame pairing <phi, psi>
+        return dual_rows(np.eye(self.h1, dtype=np.int64)) % p
 
 
 class LedgerPlace:
@@ -110,8 +109,9 @@ class SyntheticGlobalModel:
 
     B=None takes B = kernel_basis(A J) from the elimination that
     check_consistency does anyway; an explicit B is checked against it.
-    eta, when set, is the matrix of eta on the adjoint module (entries
-    in [0, p)) that the witness search reads.
+    J, the summed local pairing, is built once with the model, whose
+    places never change.  eta, when set, is the matrix of eta on the
+    adjoint module (entries in [0, p)) that the witness search reads.
     """
 
     def __init__(self, p, places, A, B, arch_h0, h0_glob=0, h0_glob_star=0,
@@ -127,6 +127,7 @@ class SyntheticGlobalModel:
         self.datum = datum
         self.basis = basis
         self.seed = seed
+        self.J = _big_pairing(places, p)
         self.check_consistency()
 
     # -- block bookkeeping
@@ -143,15 +144,11 @@ class SyntheticGlobalModel:
     def total_dim(self):
         return sum(pl.h1 for pl in self.places)
 
-    def big_pairing(self):
-        return _big_pairing(self.places, self.p)
-
     def check_consistency(self):
         p = self.p
-        J = self.big_pairing()
         # ann is the full right kernel of M = A J, so a row of B lies in
         # its span exactly when M row = 0: one product tests all of B
-        M = self.A @ J % p
+        M = self.A @ self.J % p
         ann = modp.kernel_basis(M, p) if self.A.shape[0] else \
             np.eye(self.total_dim, dtype=np.int64)
         if self.B is None:
@@ -566,7 +563,7 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng, budget):
     # moves it to the g-frame
     phival = model.eta @ (gm[:, :rank] @ t % p) % p
     # bullet 2: phival outside Ad(g)(ker(alpha|t) + all root spaces)
-    bad = _frame_subspace(basis, gm, tuple(alpha), p)
+    bad = frame_subspace(basis, gm, alpha, p)
     if modp.row_space_contains(bad, phival, p):
         return None
     # bullet 3: draw psi value until it pairs nontrivially with Ad(g) X_alpha
@@ -600,22 +597,10 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng, budget):
     }
 
 
-def _frame_subspace(basis, gm, alpha, p):
-    """Ad(g)(ker(alpha|t) + sum of all root spaces) as a row basis, for
-    the Chevalley basis `basis` and gm = Ad(g) mod p."""
-    d = basis.datum
-    ker = modp.kernel_basis(d.simple_pairings[d.root_index[alpha]][None], p)
-    k = ker.shape[0]
-    M = np.zeros((k + len(d.roots), d.dim), dtype=np.int64)
-    M[:k, :d.rank] = ker
-    M[np.arange(k, len(M)), [basis.root_basis_index(r) for r in d.roots]] = 1
-    return modp.echelon_basis(M @ gm.T % p, p)
-
-
 def l_alpha_in_frame(basis, gm, alpha, p, frame):
     """L^alpha at an installed place, in the g-frame: sigma-part
     anywhere in `frame` = Ad(g)(ker(alpha|t) + all root spaces) (as
-    _frame_subspace builds it), tau-part in Ad(g) g_alpha."""
+    localconds.frame_subspace builds it), tau-part in Ad(g) g_alpha."""
     n = basis.datum.dim
     out = np.zeros((frame.shape[0] + 1, 2 * n), dtype=np.int64)
     out[:-1, :n] = frame
@@ -646,7 +631,6 @@ def extend_model_at_witness(model, system, witness, rng):
                               witness["phi_value"], w, p, rng)
     evalB = _conditioned_eval(model.B, witness.get("psi_coeffs"),
                               witness["psi_value"], w, p, rng)
-    Jold = model.big_pairing()
     A_embed = np.concatenate([model.A, evalA,
                               np.zeros((nA, w), dtype=np.int64)], axis=1)
     B_embed = np.concatenate([model.B, evalB,
@@ -654,7 +638,7 @@ def extend_model_at_witness(model, system, witness, rng):
     # new classes: tau-part x (a basis of W), old part solving the
     # reciprocity constraint <y, b>_old = -x . b(sigma_q) for all b in B;
     # row b of M is the functional y -> <y, b>_old
-    M = (model.B @ Jold.T) % p
+    M = (model.B @ model.J.T) % p
     # x runs over the unit vectors e_k, so column k of the right-hand
     # side is -evalB e_k and column k of Y is the old part of class k
     Y = modp.solve(M, -evalB % p, p)
@@ -666,16 +650,15 @@ def extend_model_at_witness(model, system, witness, rng):
     place = TrivialPlace(w, frame={"g_mat": witness["g_mat"],
                                    "alpha": witness["alpha"],
                                    "t": witness["t"], "c": witness["c"]})
-    places2 = list(model.places) + [place]
-    J2 = _big_pairing(places2, p)
-    # B2, the model's B, is the full right kernel of A2 J2, so the
-    # embedded classes lie in it exactly when A2 J2 B_embed^t = 0
-    if np.any(A2 @ J2 % p @ B_embed.T % p):
+    model2 = SyntheticGlobalModel(p, list(model.places) + [place], A2, None,
+                                  model.arch_h0, model.h0_glob,
+                                  model.h0_glob_star, eta=model.eta,
+                                  datum=model.datum, basis=model.basis,
+                                  seed=model.seed)
+    # model2's B is the full right kernel of A2 J2 (J2 = model2.J), so
+    # the embedded classes lie in it exactly when A2 J2 B_embed^t = 0
+    if np.any(A2 @ model2.J % p @ B_embed.T % p):
         raise ModelInconsistencyError("embedded dual classes lost (bug)")
-    model2 = SyntheticGlobalModel(p, places2, A2, None, model.arch_h0,
-                                  model.h0_glob, model.h0_glob_star,
-                                  eta=model.eta, datum=model.datum,
-                                  basis=model.basis, seed=model.seed)
     gm, alpha = witness["g_mat"], witness["alpha"]
     frame = witness["frame_subspace"]
     Lq = l_alpha_in_frame(model.basis, gm, alpha, p, frame)
@@ -683,7 +666,7 @@ def extend_model_at_witness(model, system, witness, rng):
     # cross-check: the installed dual condition equals the corollary
     # description in the g-frame
     perp = system2.L_perp[-1]
-    desc = _corollary_in_frame(model.basis, gm, alpha, p, frame)
+    desc = corollary_in_frame(model.basis, gm, alpha, p, frame)
     if not (modp.rank(perp, p) == modp.rank(desc, p) ==
             modp.rank(np.vstack([perp, desc]), p)):
         raise ModelInconsistencyError("installed dual condition does not "
@@ -706,19 +689,6 @@ def _conditioned_eval(image, coeffs, value, w, p, rng):
     cinv = pow(int(coeffs[j]), p - 2, p)
     E[j] = (E[j] + cinv * delta) % p
     return E
-
-
-def _corollary_in_frame(basis, gm, alpha, p, frame):
-    """The explicit L^alpha-perp: sigma-part killing Ad(g) g_alpha,
-    tau-part killing `frame` = _frame_subspace(basis, gm, alpha, p)."""
-    n = basis.datum.dim
-    gXa = gm[:, basis.root_basis_index(tuple(alpha))] % p
-    sigma = modp.kernel_basis(gXa[None], p)
-    tau = modp.kernel_basis(frame, p)
-    out = np.zeros((sigma.shape[0] + tau.shape[0], 2 * n), dtype=np.int64)
-    out[:sigma.shape[0], :n] = sigma
-    out[sigma.shape[0]:, n:] = tau
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +971,6 @@ def ledger_places_from_file(path, h1_of=None):
     """LedgerPlace list from the localconds ledger text format; h1_of
     maps a ledger entry to its local h1 (defaults to h0 + h0star +
     dim_l - h0, the balanced bookkeeping)."""
-    from .localconds import read_local_ledger
     out = []
     for e in read_local_ledger(path):
         if h1_of is not None:

@@ -146,6 +146,22 @@ def test_exp_hat():
         exp_hat(alg3, alg3.random_vec(rng) * 5 + 1)
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("m,r", [(1, 1), (3, 1), (2, 2)])
+def test_exp_hat_of_a_root_vector_is_u_alpha(name, m, r):
+    # c X_beta is ad-nilpotent of degree at most 4 < p, whatever the
+    # valuation of c, so its exponential is the root element u_beta(c)
+    rng = np.random.default_rng(4)
+    d, b, alg = alg_for(name, 13, m, r)
+    R = alg.ring
+    for beta in d.roots:
+        for c in (R.one(), R.el(12), R.random_unit(rng), R.random(rng)):
+            X = alg.zero_vec()
+            X[b.root_basis_index(beta)] = c
+            assert np.array_equal(exp_hat(alg, X).mat,
+                                  u_alpha(alg, beta, c).mat)
+
+
 def test_matrix_identity_spec_instance():
     # N=2, m=3, X=E12, A=E21, B=0, p=5: both sides (1+25(E11-E22))(1+5E21)
     p, q = 5, 125

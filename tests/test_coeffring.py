@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from liftlab.coeffring import (CoeffRing, CoeffRingError, int64_exact,
-                               sqrt_one_mod_p)
+from liftlab.coeffring import (CoeffRing, CoeffRingError, _find_modulus,
+                               int64_exact, sqrt_one_mod_p)
 
 
 def test_prime_field_and_z25():
@@ -175,3 +177,17 @@ def test_int64_exact_bound():
     # the r > 1 fold sums r^2 products, more than n = 3 at r = 2
     assert int64_exact(1163, 3, r=1, n=3)
     assert not int64_exact(1163, 3, r=2, n=3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("r", [2, 3])
+def test_modulus_is_smallest_rootless_monic(p, r):
+    # below degree 4 a monic polynomial is irreducible iff it has no
+    # root in F_p; candidates are compared from the top coefficient down
+    for top_first in itertools.product(range(p), repeat=r):
+        f = list(reversed(top_first)) + [1]
+        if all(sum(c * x ** i for i, c in enumerate(f)) % p
+               for x in range(p)):
+            break
+    assert _find_modulus(p, r) == tuple(f)
+    assert CoeffRing(p, 2, r).modulus == f

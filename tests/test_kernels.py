@@ -291,7 +291,7 @@ def test_products_match_reference_convolution(p, m, r, n, k, cols, top, seed):
             (R.mat_vec(A, v), reference_mat_vec(R, A, v)),
             (R.mul(A, A2), reference_mul(R, A, A2)),
             (R.mul(v, v[0]), reference_mul(R, v, v[0])),
-            # the scalar x matrix product of exp_hat
+            # a scalar broadcast to a matrix's shape
             (R.mul(np.broadcast_to(c, A.shape), A), reference_mul(R, c, A)),
             (R.mul(c, A), reference_mul(R, c, A))]:
         assert got.dtype == np.int64 and got.shape == want.shape

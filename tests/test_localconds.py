@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from liftlab import fieldlinalg as fl
 from liftlab import localconds as lc
 from liftlab import modp
-from liftlab.chevgroup import GroupElement, identity, torus_elt, u_alpha
+from liftlab.chevgroup import (GroupElement, identity, torus_elt,
+                               torus_from_coroot_data, u_alpha)
 from liftlab.coeffring import CoeffRing, CoeffRingError
 from liftlab.rootdata import phi_alpha, root_datum
 
@@ -64,8 +65,7 @@ def test_membership_normal_forms():
 def test_frobenius_member_matches_precision_two_search(name, p, m, q, r):
     # the reference path: the whole t_b built at precision 2, its b then
     # carried to the model's precision
-    from liftlab.chevgroup import (torus_from_coroot_data,
-                                   trivial_frobenius_search)
+    from liftlab.chevgroup import trivial_frobenius_search
     d, b = root_datum(name)
     model = lc.TameLocalModel(d, b, p, m, q, r=r)
     model2 = model.at_precision(2)
@@ -142,7 +142,7 @@ def test_ram_spaces_and_degenerate_denominator():
     # Phi^alpha is rejected on entry to the ram construction
     R = model.ring
     s = model.sqrt_q
-    sigma = lc._alpha_covee(model, al, s)
+    sigma = torus_from_coroot_data(model.alg, al, s, [0] * model.datum.rank)
     tau = u_alpha(model.alg, al, R.el(7))
     bad = None
     for beta in phi_alpha(model.basis, al):
@@ -678,8 +678,8 @@ def test_torus_tables_match_scalar_references():
                     for rt in d.roots:
                         k = b.root_basis_index(rt)
                         want[k, k] = R.pow(s, d.pair_root_coroot(rt, alpha))
-                    assert np.array_equal(
-                        lc._alpha_covee(model, alpha, s).mat, want)
+                    assert np.array_equal(torus_from_coroot_data(
+                        model.alg, alpha, s, [0] * d.rank).mat, want)
                     chi = {g: tuple(1 + p * int(c) for c in
                                     rng.integers(0, p ** m, size=d.rank))
                            for g in ("s", "u1", "u2")}
@@ -700,7 +700,8 @@ def test_covee_sqrt_q_is_built_once_per_root():
     for alpha in model.datum.roots:
         t = model.covee_sqrt_q(alpha)
         assert model.covee_sqrt_q(alpha) is t and not t.mat.flags.writeable
-        assert t.eq(lc._alpha_covee(model, alpha, model.sqrt_q))
+        assert t.eq(torus_from_coroot_data(model.alg, alpha, model.sqrt_q,
+                                           [0] * model.datum.rank))
 
 
 def test_find_regular_chi_matches_greedy_reference():

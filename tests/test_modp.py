@@ -232,12 +232,12 @@ def test_factorization_roundtrip():
         for _ in range(int(rng.integers(1, 4))):
             while True:
                 f = [int(x) for x in rng.integers(0, p, size=rng.integers(1, 4))] + [1]
-                got = modp.factor_squarefree_part(f, p)
+                got = list(modp.squarefree_factors(f, p))
                 if len(got) == 1 and len(got[0]) == len(f):
                     break
             factors.append(f)
         F = reduce(lambda a, b: modp.poly_mul(a, b, p), factors, [1])
-        got = set(tuple(g) for g in modp.factor_squarefree_part(F, p))
+        got = set(tuple(g) for g in list(modp.squarefree_factors(F, p)))
         want = set(tuple(modp.poly_monic(f, p)) for f in factors)
         assert got == want
 
@@ -283,7 +283,7 @@ def reference_factor_squarefree(f, p, rng):
        st.integers(0, 2 ** 32 - 1))
 def test_factor_squarefree_matches_from_scratch_powers(p, deg, seed):
     # the squarefree part f / gcd(f, f') of a random monic f, as
-    # factor_squarefree_part passes it
+    # squarefree_factors passes it
     rng = np.random.default_rng(seed)
     f = [int(c) for c in rng.integers(0, p, size=deg)] + [1]
     df = modp.poly_trim([i * c % p for i, c in enumerate(f)][1:])
@@ -326,4 +326,4 @@ def test_first_lazy_factor_is_the_first_listed(p, deg, power, seed):
     for F in (f, modp.poly_mul(f, hp, p), hp):
         want = reference_factor_squarefree_part(F, p)
         assert next(modp.squarefree_factors(F, p)) == want[0]
-        assert modp.factor_squarefree_part(F, p) == want
+        assert list(modp.squarefree_factors(F, p)) == want

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from liftlab import localconds as lc
 from liftlab import modp
 from liftlab import selmer as sm
 from liftlab.coeffring import CoeffRing
-from liftlab.chevgroup import LieAlgebra
+from liftlab.chevgroup import LieAlgebra, exp_hat, principal_sl2
 from liftlab.galoismod import MatrixModule, decompose
 from liftlab.rootdata import root_datum
 
@@ -21,7 +22,7 @@ def test_fp_toy_model_is_hyperbolic_line():
     model = sm.build_synthetic_model(5, [sm.TrivialPlace(1)], seed=1)
     assert model.total_dim == 2
     assert model.A.shape[0] == 1 and model.B.shape[0] == 1
-    J = model.big_pairing()
+    J = model.J
     assert not np.any(model.A @ J @ model.B.T % 5)
 
 
@@ -58,7 +59,7 @@ def test_isotropic_completion_matches_reference():
     # the same candidates are kept, so A is the same array, row for row
     places = [sm.TrivialPlace(2), sm.LedgerPlace(3, 1, 1), sm.TrivialPlace(2)]
     for p in (3, 7):
-        J = sm.build_synthetic_model(p, places).big_pairing()
+        J = sm.build_synthetic_model(p, places).J
         for seed in range(6):
             B0 = np.random.default_rng(seed).integers(0, p, size=(seed % 3, 11))
             allowed = modp.kernel_basis(B0 @ J.T % p, p) if seed % 3 \
@@ -81,7 +82,7 @@ def test_model_guard_rejects_row_outside_annihilator():
     d, b = root_datum("A1")
     model = sm.build_balanced_model(d, b, 7, seed=4)
     p = model.p
-    M = model.A @ model.big_pairing() % p
+    M = model.A @ model.J % p
     # a unit vector that A does not annihilate, in place of one row of B
     bad = next(e for e in np.eye(model.total_dim, dtype=np.int64)
                if np.any(M @ e % p))
@@ -228,7 +229,7 @@ def test_splitcase_witness_bullets():
         assert w["rho2_torus_values"][tuple(beta)] % (p * p) != 1
     # (2) phi-value outside the frame subspace
     alg1 = LieAlgebra(d, b, CoeffRing(p, 1, 1))
-    bad = sm._frame_subspace(b, w["g_mat"], w["alpha"], p)
+    bad = lc.frame_subspace(b, w["g_mat"], w["alpha"], p)
     assert not modp.row_space_contains(bad, w["phi_value"], p)
     # (3) psi pairing with Ad(g) g_alpha nonzero
     Xa = np.zeros(3, dtype=np.int64)
@@ -425,7 +426,7 @@ def _loop_model(name, p, seed):
 @pytest.mark.parametrize("name,p", STEP_CASES)
 def test_derived_b_is_the_kernel_of_a_j(name, p):
     model, _ = _loop_model(name, p, seed=40)
-    M = model.A @ model.big_pairing() % p
+    M = model.A @ model.J % p
     assert np.array_equal(model.B, modp.kernel_basis(M, p))
     # the same B given explicitly passes the guard and is kept as given
     ledger = (model.arch_h0, model.h0_glob, model.h0_glob_star)
@@ -454,7 +455,7 @@ def test_loop_steps_match_from_scratch(name, p, monkeypatch):
     # at every step of the loop: the reused coefficient rows are the
     # solutions coeffs_of finds, the carried-over system equals one
     # eliminated from scratch, and the installed place's frame subspace
-    # is the one _frame_subspace builds
+    # is the one localconds.frame_subspace builds
     real = sm.extend_model_at_witness
     steps = []
 
@@ -465,7 +466,7 @@ def test_loop_steps_match_from_scratch(name, p, monkeypatch):
         assert np.array_equal(witness["psi_coeffs"],
                               coeffs_of(model.B, dual[0], p))
         gm, alpha = witness["g_mat"], witness["alpha"]
-        frame = sm._frame_subspace(model.basis, gm, alpha, p)
+        frame = lc.frame_subspace(model.basis, gm, alpha, p)
         assert np.array_equal(witness["frame_subspace"], frame)
         model2, system2 = real(model, system, witness, rng)
         Lq = sm.l_alpha_in_frame(model.basis, gm, alpha, p, frame)
@@ -484,6 +485,46 @@ def test_loop_steps_match_from_scratch(name, p, monkeypatch):
     trace, _, _ = sm.annihilation_loop(model, system,
                                        np.random.default_rng(42))
     assert trace[-1] == (0, 0) and len(steps) == len(trace) - 1 >= 2
+
+
+def test_annihilation_loop_with_principal_eta():
+    # eta acts by 1 on Sym^10 and by 2 on Sym^2 of G2's principal sl2,
+    # so g^-1 eta g depends on the frame g and the witness search reads
+    # its Cartan block; the installed witnesses pin that reading
+    p = 13
+    d, b = root_datum("G2")
+    alg = LieAlgebra(d, b, CoeffRing(p, 1, 1))
+    e, _, f = principal_sl2(alg)
+    mod = MatrixModule(p, [exp_hat(alg, x).mat[..., 0] for x in (e, f)])
+    dec = decompose(mod, np.random.default_rng(0))
+    model = sm.build_balanced_model(d, b, p, selmer_rank=2, seed=0)
+    model.eta = sm.eta_build(mod, dec,
+                             {i: i + 1 for i in range(len(dec.isotypic))})
+    assert np.any((model.eta - np.eye(d.dim, dtype=np.int64)) % p)
+    trace, model2, _ = sm.annihilation_loop(
+        model, sm.standard_balanced_system(model), np.random.default_rng(0))
+    assert trace == [(2, 2), (1, 1), (0, 0)]
+    got = [(pl.frame["alpha"], pl.frame["t"].tolist(), pl.frame["c"])
+           for pl in model2.places[len(model.places):]]
+    assert got == [((0, 1), [10, 1], 11), ((0, 1), [0, 5], 10)]
+
+
+def test_big_pairing_built_once_per_model(monkeypatch):
+    real = sm._big_pairing
+    calls = []
+
+    def counted(places, p):
+        calls.append(len(places))
+        return real(places, p)
+
+    model, system = _loop_model("A2", 7, seed=45)
+    monkeypatch.setattr(sm, "_big_pairing", counted)
+    trace, model2, _ = sm.annihilation_loop(model, system,
+                                            np.random.default_rng(46))
+    # one new model per step, each with one more place than the last
+    n = len(model.places)
+    assert len(trace) >= 3
+    assert calls == list(range(n + 1, len(model2.places) + 1))
 
 
 def test_with_place_requires_an_extension():
