@@ -278,16 +278,26 @@ class ConfigError(LiftlabError):
     pass
 
 
-def _load_config_file(path):
-    out = {}
+def _apply_config_file(args, path):
+    """Set the flags a `key = value` file names; every list flag but
+    --types holds integers."""
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, val = ln.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+        lines = [ln.strip() for ln in fh]
+    for ln in lines:
+        if not ln or ln.startswith("#"):
+            continue
+        key, _, val = (x.strip() for x in ln.partition("="))
+        if not hasattr(args, key):
+            raise ConfigError("unknown key %r" % key)
+        cur = getattr(args, key)
+        try:
+            if isinstance(cur, list):
+                val = [x if key == "types" else int(x) for x in val.split()]
+            elif isinstance(cur, int):
+                val = int(val)
+        except ValueError:
+            raise ConfigError("%s takes integers: %r" % (key, val)) from None
+        setattr(args, key, val)
 
 
 def build_parser():
@@ -366,24 +376,18 @@ def main(argv=None):
     if fn is None:
         print("unknown subcommand %r" % args.cmd, file=sys.stderr)
         return EXIT_UNKNOWN
-    if args.config:
-        try:
-            overrides = _load_config_file(args.config)
-        except OSError as exc:
-            print("config error: %s" % exc, file=sys.stderr)
-            return EXIT_CONFIG
-        for key2, val in overrides.items():
-            if not hasattr(args, key2):
-                print("config error: unknown key %r" % key2, file=sys.stderr)
-                return EXIT_CONFIG
-            cur = getattr(args, key2)
-            if isinstance(cur, list):
-                typ = type(cur[0]) if cur else str
-                setattr(args, key2, [typ(x) for x in val.split()])
-            elif isinstance(cur, int):
-                setattr(args, key2, int(val))
-            else:
-                setattr(args, key2, val)
+    try:
+        if args.config:
+            _apply_config_file(args, args.config)
+        # values every subcommand would misread
+        for key, val in vars(args).items():
+            if isinstance(val, list) and not val:
+                raise ConfigError("--%s needs at least one value" % key)
+        if getattr(args, "f", 1) < 1:
+            raise ConfigError("--f must be at least 1, not %d" % args.f)
+    except (ConfigError, OSError) as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     config = {k: v for k, v in vars(args).items()
               if k not in ("cmd", "what", "out", "config")}
     run = Runner(" ".join(x for x in (args.cmd, getattr(args, "what", None),

@@ -28,6 +28,8 @@ from . import modp
 from .coeffring import LiftlabError
 from .intlinalg import lattice_torsion
 
+MAX_COSETS = 100000             # coset_enumeration's table budget
+
 
 class GaloisModError(LiftlabError):
     pass
@@ -125,46 +127,43 @@ def spin(module, vectors):
     return span.basis()
 
 
-def _random_algebra_element(module, rng, nwords=3, maxlen=3):
+def _random_algebra_element(module, rng):
     p = module.p
     n = module.dim
     out = np.zeros((n, n), dtype=np.int64)
-    for _ in range(nwords):
+    for _ in range(3):                          # three random words
         w = np.eye(n, dtype=np.int64)
-        for _ in range(int(rng.integers(1, maxlen + 1))):
+        for _ in range(int(rng.integers(1, 4))):    # of length 1 to 3
             w = w @ module.gens[int(rng.integers(len(module.gens)))] % p
         out = (out + int(rng.integers(1, p)) * w) % p
     return out
 
 
-def find_proper_submodule(module, rng, attempts=60):
+def find_proper_submodule(module, rng):
     """Either a proper nonzero submodule basis, or None with a Norton
-    certificate of irreducibility."""
+    certificate of irreducibility, from one random algebra element."""
     p = module.p
     n = module.dim
     if n == 0:
         return None
     trans = module.transpose_module()
-    for _ in range(attempts):
-        z = _random_algebra_element(module, rng)
-        mp = modp.min_poly(z, p, rng)
-        # f divides the minimal polynomial of z, so f(z) is singular and
-        # the first factor decides
-        f = next(modp.squarefree_factors(mp, p))
-        zf = modp.poly_eval_matrix(f, z, p)
-        K = modp.kernel_basis(zf, p)
-        U = spin(module, K[0])
-        if U.shape[0] < n:
-            return U
-        KT = modp.kernel_basis(zf.T % p, p)
-        for w in KT:
-            W = spin(trans, w)
-            if W.shape[0] < n:
-                # perp of a transposed submodule is a submodule
-                return modp.kernel_basis(W, p)
-        # Norton: irreducible
-        return None
-    raise GaloisModError("could not certify (ir)reducibility in budget")
+    z = _random_algebra_element(module, rng)
+    mp = modp.min_poly(z, p, rng)
+    # f divides the minimal polynomial of z, so f(z) is singular and the
+    # first factor decides
+    f = next(modp.squarefree_factors(mp, p))
+    zf = modp.poly_eval_matrix(f, z, p)
+    K = modp.kernel_basis(zf, p)
+    U = spin(module, K[0])
+    if U.shape[0] < n:
+        return U
+    for w in modp.kernel_basis(zf.T % p, p):
+        W = spin(trans, w)
+        if W.shape[0] < n:
+            # perp of a transposed submodule is a submodule
+            return modp.kernel_basis(W, p)
+    # Norton: irreducible
+    return None
 
 
 def irreducible_submodule(module, rng):
@@ -315,7 +314,7 @@ def _endo_field_degree(module, p):
     return d
 
 
-def decompose(module, rng=None, seed=0):
+def decompose(module, rng=None):
     """Full isotypic decomposition of a (desk-scale) module.
 
     Splits off irreducible summands with explicit complements; if some
@@ -327,7 +326,7 @@ def decompose(module, rng=None, seed=0):
     the module exactly (change of basis has full rank).
     """
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     p = module.p
     n = module.dim
     pieces = []
@@ -408,10 +407,8 @@ def decompose(module, rng=None, seed=0):
     return dec
 
 
-def composition_factor_modules(module, rng=None, seed=0):
+def composition_factor_modules(module, rng):
     """Composition factors (as modules) regardless of semisimplicity."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     out = []
     cur = module
     while cur.dim:
@@ -523,9 +520,9 @@ def abelianization(pres):
     return lattice_torsion(mat)
 
 
-def coset_enumeration(pres, max_cosets=100000):
+def coset_enumeration(pres):
     """Order of the presented group by HLT coset enumeration over the
-    trivial subgroup.  Raises if the coset table exceeds max_cosets
+    trivial subgroup.  Raises if the coset table exceeds MAX_COSETS
     (infinite or too-large group)."""
     ngens = pres.ngens
     ncols = 2 * ngens
@@ -557,9 +554,9 @@ def coset_enumeration(pres, max_cosets=100000):
 
     def define(x, c):
         nonlocal table
-        if len(table) > max_cosets:
-            raise GaloisModError("coset enumeration exceeded %d cosets"
-                                 % max_cosets)
+        if len(table) > MAX_COSETS:
+            raise GaloisModError("coset enumeration exceeded MAX_COSETS = "
+                                 "%d cosets" % MAX_COSETS)
         table.append([0] * ncols)
         rep.append(len(table) - 1)
         y = len(table) - 1
@@ -626,7 +623,7 @@ def coset_enumeration(pres, max_cosets=100000):
     passes = 0
     while changed:
         passes += 1
-        if passes > 4 * max_cosets:
+        if passes > 4 * MAX_COSETS:
             raise GaloisModError("coset enumeration did not close")
         changed = False
         live = [x for x in range(1, len(table)) if find(x) == x]

@@ -36,6 +36,9 @@ from .chevgroup import GroupElement, one_plus, root_product, torus_elt
 from .coeffring import LiftlabError, ParameterError, int64_exact
 from .rootdata import root_datum
 
+START_M = 2             # every place starts at p^2; p^3 is lifted first
+MODEL_SEED_TRIES = 50   # seeds tried for vanished Selmer groups
+
 
 class DriverError(LiftlabError):
     pass
@@ -90,8 +93,8 @@ class TamePlaceState(PlaceState):
     """A trivial prime: normal-form member coordinates, the member
     (sigma, tau) assembled once per change of coordinates."""
 
-    def __init__(self, datum, basis, p, q, alpha, variant, rng, m=2):
-        super().__init__(lc.TameLocalModel(datum, basis, p, m, q))
+    def __init__(self, datum, basis, p, q, alpha, variant, rng):
+        super().__init__(lc.TameLocalModel(datum, basis, p, START_M, q))
         self.alpha = tuple(alpha)
         self.variant = variant          # "unr2" or "ram2"
         self.member, self.coords = lc.sample_member(self.model, self.alpha,
@@ -171,13 +174,14 @@ class OrdinaryPlaceState(PlaceState):
     label = "ordinary "
     variant = "ordinary"
 
-    def __init__(self, datum, basis, p, chi, f=1, m=2):
-        super().__init__(lc.OrdinaryLocalModel(datum, basis, p, m, f, chi))
+    def __init__(self, datum, basis, p, chi):
+        super().__init__(lc.OrdinaryLocalModel(datum, basis, p, START_M, 1,
+                                               chi))
         self.model.check_regularity()
         lift = lc.chi_torus_lift(self.model)
         self.values = [lift.values[g] for g in self.model.generators]
         self.extra = lc.ordinary_extra_cocycles(self.model)
-        self.dim_l = datum.dim + f * len(datum.positive_roots)
+        self.dim_l = datum.dim + self.model.f * len(datum.positive_roots)
 
     def tangent(self):
         return lc.ordinary_spaces(self.model)["tan"].basis
@@ -219,7 +223,7 @@ class EndToEndModel:
     """Two trivial primes + one ordinary place over a simple type, with
     the matching global stage (vanished Selmer and dual Selmer)."""
 
-    def __init__(self, cartan_type="A1", p=5, seed=0, max_seed_tries=50):
+    def __init__(self, cartan_type="A1", p=5, seed=0):
         datum, basis = root_datum(cartan_type)
         if (datum.family, datum.rank) != ("A", 1):
             # beyond A1 the ordinary normal form is lifted entry by
@@ -262,7 +266,7 @@ class EndToEndModel:
         # x -> vec(ad x) over F_p, for recovering x from 1 + p^m ad(x)
         ad = self.places[0].model.alg._ad_int
         self.admat = ad.reshape(w, w * w).T % p
-        for s in range(max_seed_tries):
+        for s in range(MODEL_SEED_TRIES):
             model = sm.build_synthetic_model(p, gplaces, arch_h0=[dim_n],
                                              seed=seed + 1000 + s,
                                              datum=datum, basis=basis)
@@ -273,7 +277,8 @@ class EndToEndModel:
                 self.system = system
                 break
         else:
-            raise DriverError("could not reach vanished Selmer groups")
+            raise DriverError("could not reach vanished Selmer groups in "
+                              "MODEL_SEED_TRIES = %d seeds" % MODEL_SEED_TRIES)
         self._setup_correction_solver()
 
     def _setup_correction_solver(self):
@@ -393,8 +398,12 @@ def _perturb(model, values, scale, z):
 def lifting_driver(cartan_type="A1", p=5, max_precision=5, seed=0):
     """Run the inductive lifting loop to the requested precision;
     returns the per-level reports.  Every local membership and the tame
-    relation are verified exactly at each level.  A max_precision past
-    the exact int64 range of the model's matrices is refused up front."""
+    relation are verified exactly at each level.  A max_precision below
+    the first level lifted or past the int64 range is refused up front."""
+    if max_precision <= START_M:
+        raise DriverParameterError(
+            "precision %d is below the first level lifted, %d"
+            % (max_precision, START_M + 1))
     if not int64_exact(p, max_precision, n=root_datum(cartan_type)[0].dim):
         raise DriverParameterError(
             "precision %d at p = %d is past the exact int64 range"

@@ -32,6 +32,8 @@ from .chevgroup import (GroupElement, LieAlgebra, frobenius_b_search,
                         u_alpha)
 from .rootdata import phi_alpha
 
+SAMPLE_MEMBER_TRIES = 200       # sample_member's draws
+
 
 class LocalCondError(LiftlabError):
     pass
@@ -607,28 +609,17 @@ def membership_ordinary(lift, conjugator=None):
     return True
 
 
-def ordinary_spaces(model, variant="trivial", h0=None):
-    """Tangent, extra cocycles and L for the ordinary condition.
-
-    trivial variant (residually trivial rho): explicit bases; tangent
-    phi(u_i) in n, phi(sigma) in b, of dimension dim b + f dim n; the
-    extra cocycles of ordinary_extra_cocycles, one per negative root;
-    dim L = dim g + f dim n.
-
-    reg variant: only the dimension ledger h0 + f dim n is produced
-    (the representable REG/REG* case is cited, not re-derived).
-    """
+def ordinary_spaces(model):
+    """Tangent, extra cocycles and L for the ordinary condition with
+    residually trivial rho: explicit bases; tangent phi(u_i) in n,
+    phi(sigma) in b, of dimension dim b + f dim n; the extra cocycles of
+    ordinary_extra_cocycles, one per negative root; dim L = dim g + f
+    dim n."""
     d = model.datum
     K = model.residue
     f = model.f
-    npos = len(d.positive_roots)
-    dim_n = npos
-    dim_b = d.rank + npos
-    if variant == "reg":
-        if h0 is None:
-            raise LocalCondError("reg variant needs the h0 ledger input")
-        return {"dim_tan": h0 + f * dim_n, "dim_l": h0 + f * dim_n,
-                "ledger_only": True}
+    dim_n = len(d.positive_roots)
+    dim_b = d.rank + dim_n
     model.check_regularity()
     # phi(sigma) in b on slot 0, phi(u_i) in n on slot i
     n = d.dim
@@ -746,7 +737,7 @@ def _assemble_member(model, alpha, coords):
     return LocalLift(model, sigma, tau)
 
 
-def sample_member(model, alpha, variant, rng, max_tries=200):
+def sample_member(model, alpha, variant, rng):
     """A random normal-form member of the lifting set (alpha simple);
     returns (lift, coords) with the generating coordinates."""
     R = model.ring
@@ -758,7 +749,7 @@ def sample_member(model, alpha, variant, rng, max_tries=200):
     pa = set(tuple(b) for b in phi_alpha(model.basis, alpha))
     # residually trivial: torus values 1 mod p, coordinates 0 mod p
     depth = R.p ** 2 if variant in ("unr2", "ram2") else R.p
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_MEMBER_TRIES):
         tvals = [R.one() if i == j0 else
                  R.add(R.one(), R.scalar_mul(R.p, R.random(rng)))
                  for i in range(d.rank)]
@@ -780,7 +771,8 @@ def sample_member(model, alpha, variant, rng, max_tries=200):
         want = variant if variant in ("unr2", "ram2") else "plain"
         if membership(lift, alpha, want):
             return lift, coords
-    raise LocalCondError("could not sample a member (degenerate torus draws)")
+    raise LocalCondError("could not sample a member in SAMPLE_MEMBER_TRIES "
+                         "= %d draws" % SAMPLE_MEMBER_TRIES)
 
 
 def lift_coordinates(model, alpha, coords, rng):
@@ -843,17 +835,17 @@ def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
     return ok
 
 
-def frobenius_member(model, alpha, variant, seed=0, y=1):
+def frobenius_member(model, alpha, variant, seed=0):
     """A normal-form member for any root alpha: sigma is the torus
     element (1 + p b) alpha^vee(q^{1/2}) found by the hyperplane-
     avoiding Frobenius search (so every Phi^alpha denominator is a
-    unit), tau = 1 mod p^2 (unr2) or u_alpha(p y) (ram2)."""
+    unit), tau = 1 mod p^2 (unr2) or u_alpha(p) (ram2)."""
     R = model.ring
     alpha = tuple(alpha)
     b, rep = frobenius_b_search(model.datum, model.basis, alpha, model.p,
                                 model.q % (model.p ** 2), seed=seed)
     sigma = torus_from_coroot_data(model.alg, alpha, model.sqrt_q, b)
-    x = R.el(0) if variant == "unr2" else R.scalar_mul(model.p, R.el(y))
+    x = R.el(0 if variant == "unr2" else model.p)
     tau = u_alpha(model.alg, alpha, x)
     lift = LocalLift(model, sigma, tau)
     want = variant if variant in ("unr2", "ram2") else "plain"
@@ -862,11 +854,11 @@ def frobenius_member(model, alpha, variant, seed=0, y=1):
     return lift, rep
 
 
-def find_regular_chi(datum, p, f, sigma_c=1):
+def find_regular_chi(datum, p, f):
     """Torus character data chi with beta(chi) != 1 mod p^2 on inertia
-    for every negative root: chi(u_i) = (1 + c_{i,j} p)_j with the
-    covering condition that every beta pairs nontrivially with some
-    inertia generator.
+    for every negative root: chi(s) = (1 + p)_j and chi(u_i) = (1 +
+    c_{i,j} p)_j with the covering condition that every beta pairs
+    nontrivially with some inertia generator.
 
     Exhaustive over F_p^rank per generator (desk ranks only).  Returns
     None when provably infeasible -- e.g. G2 at p = 5 with f = 1, where
@@ -891,7 +883,7 @@ def find_regular_chi(datum, p, f, sigma_c=1):
         return None
     while len(chosen) < f:
         chosen.append(chosen[0])
-    chi = {"s": tuple(1 + sigma_c * p for _ in range(rank))}
+    chi = {"s": tuple(1 + p for _ in range(rank))}
     for i, c in enumerate(chosen):
         chi["u%d" % (i + 1)] = tuple(1 + int(x) * p for x in c)
     return chi

@@ -510,14 +510,12 @@ def phi_alpha(basis, alpha):
 # -- Levi bound (lcm-of-torsion certificate)
 
 
-def closed_symmetric_subsystems(datum, max_generators=None):
+def closed_symmetric_subsystems(datum):
     """All additively closed, symmetric subsystems of Phi, enumerated as
     closures of generator sets of size <= rank.  Returned as sorted
     tuples of root indices (positive and negative roots both listed);
     includes the empty system."""
     d = datum
-    if max_generators is None:
-        max_generators = d.rank
     roots = d.roots
     n = len(roots)
     idx = d.root_index
@@ -553,7 +551,7 @@ def closed_symmetric_subsystems(datum, max_generators=None):
     from itertools import combinations
     pos_idx = [idx[r] for r in d.positive_roots]
     out = {tuple()}
-    for k in range(1, max_generators + 1):
+    for k in range(1, d.rank + 1):
         for gens in combinations(pos_idx, k):
             out.add(closure(gens))
     return sorted(out)

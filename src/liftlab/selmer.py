@@ -33,6 +33,12 @@ from .localconds import (corollary_in_frame, dual_rows, frame_subspace,
                          read_local_ledger)
 from .rootdata import phi_alpha
 
+LARSEN_BUDGET = 200             # Cartan frames
+SPLITCASE_BUDGET = 200          # Cartan frames, and psi draws per frame
+TORUS_WITNESS_TRIES = 400       # torus draws per root and frame
+ANNIHILATION_MAX_STEPS = 64     # witness places
+DOUBLING_CAP = 100000           # sampler draws outside exhaustive mode
+
 
 class SelmerError(LiftlabError):
     pass
@@ -395,13 +401,13 @@ def eta_build(module, decomposition, scalars):
     return M
 
 
-def random_group_element(alg, rng, nfactors=4):
+def random_group_element(alg, rng):
     """Seeded random constructor-built adjoint element over the residue
-    field (products of root elements and a torus element)."""
+    field (a product of four root elements and a torus element)."""
     R = alg.ring
     g = identity(alg)
     roots = alg.datum.roots
-    for _ in range(nfactors):
+    for _ in range(4):
         r = roots[int(rng.integers(len(roots)))]
         g = g @ u_alpha(alg, r, R.el(int(rng.integers(0, R.q))))
     g = g @ torus_elt(alg, [R.random_unit(rng) for _ in range(alg.datum.rank)])
@@ -423,7 +429,7 @@ def _cartan_frames(eta, alg1, rng, budget):
         yield trial, g, gm, gi @ eta @ gm % p
 
 
-def larsen_search(eta, alg1, rng, budget=200):
+def larsen_search(eta, alg1, rng):
     """Find a Cartan frame where the matrix eta has a nonzero Cartan
     component: an element g and a witness x in the standard Cartan with
     B(x, (Ad g)^-1 eta (Ad g) x) != 0; equivalent to
@@ -434,7 +440,8 @@ def larsen_search(eta, alg1, rng, budget=200):
         raise SelmerError("eta must be nonzero")
     Bform = alg1.trace_form_matrix() % p
     rank = alg1.datum.rank
-    for trial, g, gm, eta_g in _cartan_frames(eta, alg1, rng, budget):
+    for trial, g, gm, eta_g in _cartan_frames(eta, alg1, rng,
+                                              LARSEN_BUDGET):
         # quadratic form Q(x) = B(x, eta_g x) on the Cartan block
         S = (Bform @ eta_g) % p
         St = S[:rank, :rank]
@@ -454,8 +461,8 @@ def larsen_search(eta, alg1, rng, budget=200):
                     x = np.zeros(rank, dtype=np.int64)
                     x[i] = x[j] = 1
                     return g, x, {"trial": trial, "value": int(val)}
-    raise SelmerError("larsen search exhausted after %d trials "
-                      "(p too small for this eta?)" % budget)
+    raise SelmerError("larsen search exhausted after LARSEN_BUDGET = %d "
+                      "trials (p too small for this eta?)" % LARSEN_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +500,7 @@ class ChebotarevSampler:
 # the splitcase witness search
 
 
-def splitcase_search(model, phi, psi, rng, budget=200):
+def splitcase_search(model, phi, psi, rng):
     """Find (g, alpha, t, draw) as in the auxiliary-prime step:
 
     1. rho_2(sigma_q) = exp(p t_g) is torus-valued in the frame g with
@@ -516,7 +523,8 @@ def splitcase_search(model, phi, psi, rng, budget=200):
     sampler = ChebotarevSampler(p, d.dim, model.A.shape[0], model.B.shape[0],
                                 d.dim)
     c = sampler.draw(rng)["c"]
-    for _, g, gm, eta_g in _cartan_frames(model.eta, alg1, rng, budget):
+    for _, g, gm, eta_g in _cartan_frames(model.eta, alg1, rng,
+                                          SPLITCASE_BUDGET):
         # row k: the functional t |-> alpha_k(p_t(eta_g t)) on the Cartan
         # block, for the k-th root alpha_k
         funcs = d.simple_pairings @ eta_g[:rank, :rank] % p
@@ -526,21 +534,20 @@ def splitcase_search(model, phi, psi, rng, budget=200):
             t = _find_torus_witness(d, alpha, c, f_alpha, p, rng)
             if t is None:
                 continue
-            witness = _finish_splitcase(model, g, gm, alpha, t, c, rng,
-                                        budget)
+            witness = _finish_splitcase(model, g, gm, alpha, t, c, rng)
             if witness is not None:
                 return witness
-    raise SelmerError("splitcase search budget exhausted (seeded); "
-                      "model may be infeasible at this p")
+    raise SelmerError("splitcase search exhausted SPLITCASE_BUDGET = %d; "
+                      "model may be infeasible at this p" % SPLITCASE_BUDGET)
 
 
-def _find_torus_witness(d, alpha, c, f_alpha, p, rng, tries=400):
+def _find_torus_witness(d, alpha, c, f_alpha, p, rng):
     """t in the Cartan over F_p with alpha(t) = c and f_alpha(t) != 0.
     The Phi^alpha regularity conditions beta(t) != 0 are re-checked in
     _finish_splitcase, which retries on failure."""
     rank = d.rank
     arow = d.simple_pairings[d.root_index[tuple(alpha)]] % p
-    for _ in range(tries):
+    for _ in range(TORUS_WITNESS_TRIES):
         t = rng.integers(0, p, size=rank, dtype=np.int64)
         if int(arow @ t % p) != c % p:
             continue
@@ -550,7 +557,7 @@ def _find_torus_witness(d, alpha, c, f_alpha, p, rng, tries=400):
     return None
 
 
-def _finish_splitcase(model, g, gm, alpha, t, c, rng, budget):
+def _finish_splitcase(model, g, gm, alpha, t, c, rng):
     p = model.p
     d = model.datum
     basis = model.basis
@@ -568,13 +575,11 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng, budget):
         return None
     # bullet 3: draw psi value until it pairs nontrivially with Ad(g) X_alpha
     gXa = gm[:, basis.root_basis_index(tuple(alpha))]
-    psival = None
-    for _ in range(budget):
-        cand = rng.integers(0, p, size=d.dim, dtype=np.int64)
-        if int(cand @ gXa % p):
-            psival = cand
+    for _ in range(SPLITCASE_BUDGET):
+        psival = rng.integers(0, p, size=d.dim, dtype=np.int64)
+        if int(psival @ gXa % p):
             break
-    if psival is None:
+    else:
         return None
     # bullet 1 re-verification: exp(p t_g) is diagonal in the g-frame with
     # beta-values 1 + p beta(t) != 1 mod p^2
@@ -695,7 +700,7 @@ def _conditioned_eval(image, coeffs, value, w, p, rng):
 # the annihilation loop
 
 
-def annihilation_loop(model, system, rng, max_steps=64):
+def annihilation_loop(model, system, rng):
     """Kill the dual Selmer group by installing witness places.
 
     Per step the balance is re-verified and the dual dimension must
@@ -707,8 +712,10 @@ def annihilation_loop(model, system, rng, max_steps=64):
     steps = 0
     while trace[-1][1] > 0:
         steps += 1
-        if steps > max_steps:
-            raise SelmerError("annihilation loop exceeded max steps")
+        if steps > ANNIHILATION_MAX_STEPS:
+            raise SelmerError("annihilation loop exceeded max steps "
+                              "(ANNIHILATION_MAX_STEPS = %d)"
+                              % ANNIHILATION_MAX_STEPS)
         if trace[-1][0] == 0:
             raise ModelInconsistencyError(
                 "dual Selmer nonzero with zero Selmer in balanced model")
@@ -761,8 +768,7 @@ class DoublingModel:
             raise SelmerError("family inertia values do not span W")
 
 
-def doubling_solve(dmodel, z_t, rng, cap=100000, targets=None,
-                   exhaustive=None):
+def doubling_solve(dmodel, z_t, rng, exhaustive=None):
     """Find tuples (v, v') and h = h_old - sum h^(v_n) + 2 sum h^(v'_n)
     with h|_T = z_T exactly and prescribed Frobenius sums
     sum_n h^(v'_n)(sigma_{v_m}) = C_m, sum_n h^(v_n)(sigma_{v'_m}) = C'_m.
@@ -818,11 +824,8 @@ def doubling_solve(dmodel, z_t, rng, cap=100000, targets=None,
     if np.any((h_T - z_t) % p):
         raise SelmerError("h|_T != z_T (bug)")
     n_act = len(active)
-    if targets is None:
-        targets = {
-            "C": rng.integers(0, p, size=(n_act, w), dtype=np.int64),
-            "C_prime": rng.integers(0, p, size=(n_act, w), dtype=np.int64),
-        }
+    targets = {k: rng.integers(0, p, size=(n_act, w), dtype=np.int64)
+               for k in ("C", "C_prime")}
     # draw the first tuple v (its identities carry no constraints yet)
     v_ids = ["v%d" % k for k in range(n_act)]
     # conditioned resampling of v': each draw produces, independently and
@@ -858,7 +861,7 @@ def doubling_solve(dmodel, z_t, rng, cap=100000, targets=None,
                                         exhaustive=True)
         raise SelmerError("exhaustive doubling search found no solution "
                           "(model spanning defect)")
-    while draws < cap:
+    while draws < DOUBLING_CAP:
         draws += 1
         arr = rng.integers(0, p, size=(2, n_act, n_act, w), dtype=np.int64)
         key = (int(arr[1][:, 0].sum(axis=0)[0] % p))
@@ -866,8 +869,8 @@ def doubling_solve(dmodel, z_t, rng, cap=100000, targets=None,
         if check(arr[0], arr[1]):
             return _doubling_result(dmodel, z_t, h_T, active, targets, arr,
                                     v_ids, draws=draws, exhaustive=False)
-    raise SelmerError("doubling cap %d exhausted; empirical class "
-                      "frequencies: %r" % (cap, freq))
+    raise SelmerError("doubling cap DOUBLING_CAP = %d exhausted; empirical "
+                      "class frequencies: %r" % (DOUBLING_CAP, freq))
 
 
 def _doubling_result(dmodel, z_t, h_T, active, targets, arr, v_ids, draws,
@@ -894,12 +897,13 @@ def _doubling_result(dmodel, z_t, h_T, active, targets, arr, v_ids, draws,
 # random balanced models and the end-to-end lifting driver
 
 
-def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1, f_deg=1,
+def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
                          selmer_rank=0, seed=0):
     """A random balanced synthetic model over the adjoint module of the
     given root datum: trivial primes contribute net zero, each p-adic
-    ledger place contributes +f dim n, and the archimedean ledger
-    subtracts the same total (odd h0 = dim Flag per real place).
+    ledger place (of degree f = 1) contributes +dim n, and the
+    archimedean ledger subtracts the same total (odd h0 = dim Flag per
+    real place).
 
     selmer_rank prescribes that many independent global classes inside
     the balanced Selmer condition on each side (unramified at trivial
@@ -911,9 +915,8 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1, f_deg=1,
     places = [TrivialPlace(w) for _ in range(n_trivial)]
     arch = []
     for _ in range(n_ledger):
-        h1 = 2 * w + f_deg * w
-        places.append(LedgerPlace(h1, w, w, dim_l=w + f_deg * dim_n))
-        arch.extend([dim_n] * f_deg)
+        places.append(LedgerPlace(3 * w, w, w, dim_l=w + dim_n))
+        arch.append(dim_n)
     total = sum(pl.h1 for pl in places)
 
     def in_condition_class():
@@ -949,11 +952,11 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1, f_deg=1,
     return model
 
 
-def attach_adjoint_eta(model, scalar=1):
-    """The identity-scalar eta on the full adjoint module (the coupled
-    field diagram with one irreducible constituent); enough for the
-    simple types the engine runs on."""
-    model.eta = (scalar % model.p) * np.eye(model.datum.dim, dtype=np.int64)
+def attach_adjoint_eta(model):
+    """The identity eta on the full adjoint module (the coupled field
+    diagram with one irreducible constituent); enough for the simple
+    types the engine runs on."""
+    model.eta = np.eye(model.datum.dim, dtype=np.int64)
     return model
 
 
@@ -967,16 +970,12 @@ def standard_balanced_system(model):
                dtype=np.int64) for pl in model.places])
 
 
-def ledger_places_from_file(path, h1_of=None):
-    """LedgerPlace list from the localconds ledger text format; h1_of
-    maps a ledger entry to its local h1 (defaults to h0 + h0star +
-    dim_l - h0, the balanced bookkeeping)."""
+def ledger_places_from_file(path):
+    """LedgerPlace list from the localconds ledger text format, with
+    local h1 = h0 + h0star + dim_l - h0 (the balanced bookkeeping)."""
     out = []
     for e in read_local_ledger(path):
-        if h1_of is not None:
-            h1 = h1_of(e)
-        else:
-            h1 = e["h0"] + e["h0star"] + (e["dim_l"] - e["h0"])
+        h1 = e["h0"] + e["h0star"] + (e["dim_l"] - e["h0"])
         out.append(LedgerPlace(h1, e["h0"], e["h0star"], dim_l=e["dim_l"],
                                kind=e["kind"]))
     return out

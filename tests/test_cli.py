@@ -60,6 +60,13 @@ def test_exit_code_on_failure(tmp_path):
     ["selmer", "lift", "--types", "A1", "--p", "13", "--max-precision", "10"],
     # the lifting driver supports A1 only
     ["selmer", "lift", "--types", "A2", "--p", "5"],
+    # an empty list flag
+    ["check", "stability", "--types"],
+    ["check", "matrix-identity", "--m"],
+    ["selmer", "balance", "--p"],
+    # inputs that would pass without checking anything
+    ["spaces", "--types", "A1", "--f", "0"],
+    ["selmer", "lift", "--types", "A1", "--max-precision", "1"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
@@ -154,6 +161,18 @@ def test_config_file(tmp_path):
     code, rep = run(["selmer", "balance", "--config", cfg], str(tmp_path))
     assert code == EXIT_OK
     assert rep["config"]["p"] == [7]
+
+
+@pytest.mark.parametrize("text", ["seed = abc\n", "p = 5 x\n",
+                                  "types =\n"])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = os.path.join(tmp_path, "cfg.txt")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    code, rep = run(["selmer", "balance", "--config", cfg], str(tmp_path))
+    assert code == EXIT_CONFIG and rep is None
+    out = capsys.readouterr()
+    assert out.out == "" and "config error:" in out.err
 
 
 def test_exit_zero_iff_no_failures(tmp_path):

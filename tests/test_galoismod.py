@@ -141,6 +141,13 @@ def test_coset_enumeration():
     assert coset_enumeration(A6_PRES) == 360
 
 
+def test_coset_enumeration_of_an_infinite_group_is_refused(monkeypatch):
+    # the free group <x | > never closes its coset table
+    monkeypatch.setattr(galoismod, "MAX_COSETS", 50)
+    with pytest.raises(GaloisModError, match="exceeded MAX_COSETS = 50"):
+        coset_enumeration(GroupPresentation(1, ()))
+
+
 def test_hom_space_schur():
     M = sl2_adjoint_module(7)
     dec = decompose(M)

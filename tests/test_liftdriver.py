@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from liftlab import liftdriver as ld
 from liftlab import localconds as lc
 from liftlab import selmer as sm
 from liftlab.chevgroup import u_alpha
@@ -152,3 +153,22 @@ def test_precision_past_int64_is_refused_up_front(monkeypatch, p, top):
     monkeypatch.setattr(EndToEndModel, "__init__", no_model)
     with pytest.raises(ParameterError, match="int64"):
         lifting_driver("A1", p=p, max_precision=top)
+
+
+@pytest.mark.parametrize("top", [1, 2])
+def test_precision_below_first_level_is_refused_up_front(monkeypatch, top):
+    def no_model(*args):
+        raise AssertionError("model built")
+
+    monkeypatch.setattr(EndToEndModel, "__init__", no_model)
+    with pytest.raises(ParameterError, match="below the first level"):
+        lifting_driver("A1", p=5, max_precision=top)
+
+
+def test_model_seed_budget_exhaustion(monkeypatch):
+    # seed 0 at p = 5 reaches vanished Selmer groups at its second model
+    EndToEndModel("A1", 5, seed=0)
+    monkeypatch.setattr(ld, "MODEL_SEED_TRIES", 1)
+    with pytest.raises(DriverError,
+                       match="could not reach vanished Selmer groups"):
+        EndToEndModel("A1", 5, seed=0)

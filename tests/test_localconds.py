@@ -79,6 +79,16 @@ def test_frobenius_member_matches_precision_two_search(name, p, m, q, r):
             assert np.array_equal(lift.sigma.mat, sigma.mat)
 
 
+def test_sample_member_budget_exhaustion(monkeypatch):
+    # A2 at p = 5, seed 7: the third unr2 draw is the first member
+    model = tame("A2", 5, 3, 6)
+    al = model.datum.positive_roots[0]
+    lc.sample_member(model, al, "unr2", np.random.default_rng(7))
+    monkeypatch.setattr(lc, "SAMPLE_MEMBER_TRIES", 2)
+    with pytest.raises(lc.LocalCondError, match="could not sample a member"):
+        lc.sample_member(model, al, "unr2", np.random.default_rng(7))
+
+
 def test_membership_rejects_wrong_root_direction():
     model = tame("A2", 5, 3, 6)
     d = model.datum
@@ -334,12 +344,6 @@ def test_ordinary_dims_formula_f123():
             sp = lc.ordinary_spaces(om)
             assert sp["tan"].dim == dim_b + f * dim_n
             assert sp["l"].dim == d.dim + f * dim_n
-
-
-def test_ordinary_reg_ledger():
-    om = ordinary("A2", 7, 3, 2)
-    led = lc.ordinary_spaces(om, variant="reg", h0=8)
-    assert led["dim_l"] == 8 + 2 * 3 and led["ledger_only"]
 
 
 def test_ordinary_degenerate_chi_rejected():

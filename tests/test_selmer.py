@@ -192,6 +192,15 @@ def test_larsen_identity_eta():
     assert cert["trial"] == 0 and cert["value"] != 0
 
 
+def _root_space_projection(d, b):
+    """The eta killing the Cartan of A1 and fixing both root spaces."""
+    P = np.zeros((3, 3), dtype=np.int64)
+    for root in d.roots:
+        i = b.root_basis_index(root)
+        P[i, i] = 1
+    return P
+
+
 def test_larsen_projection_needs_conjugate_cartan():
     # eta killing the Cartan and fixing the root spaces: B(t, eta t) = 0
     # on the standard Cartan, so g = 1 fails but a conjugate works
@@ -200,16 +209,23 @@ def test_larsen_projection_needs_conjugate_cartan():
     rng = np.random.default_rng(7)
     d, b = root_datum("A1")
     alg1 = LieAlgebra(d, b, CoeffRing(7, 1, 1))
-    P = np.zeros((3, 3), dtype=np.int64)
-    al = d.positive_roots[0]
-    P[alg1.basis.root_basis_index(al), alg1.basis.root_basis_index(al)] = 1
-    i2 = alg1.basis.root_basis_index(d.neg(al))
-    P[i2, i2] = 1
+    P = _root_space_projection(d, b)
     g, x, cert = sm.larsen_search(P, alg1, rng)
     assert cert["trial"] > 0
     for zero in (np.zeros((3, 3), dtype=np.int64), 7 * P):
         with pytest.raises(sm.SelmerError, match="nonzero"):
             sm.larsen_search(zero, alg1, rng)
+
+
+def test_larsen_budget_exhaustion(monkeypatch):
+    # a budget of one frame tries only g = 1, where this eta fails
+    d, b = root_datum("A1")
+    alg1 = LieAlgebra(d, b, CoeffRing(7, 1, 1))
+    monkeypatch.setattr(sm, "LARSEN_BUDGET", 1)
+    with pytest.raises(sm.SelmerError,
+                       match="larsen search exhausted after LARSEN_BUDGET"):
+        sm.larsen_search(_root_space_projection(d, b), alg1,
+                         np.random.default_rng(7))
 
 
 def test_splitcase_witness_bullets():
@@ -240,6 +256,22 @@ def test_splitcase_witness_bullets():
     assert sum(a * t for a, t in zip(arow, w["t"])) % p == w["c"]
 
 
+def test_splitcase_budget_exhaustion(monkeypatch):
+    # with eta killing the Cartan no root functional survives at g = 1:
+    # the default budget reaches a conjugate frame, a budget of one
+    # frame does not
+    d, b = root_datum("A1")
+    model = sm.build_balanced_model(d, b, 7, selmer_rank=1, seed=9)
+    model.eta = _root_space_projection(d, b)
+    sel, dual, _ = sm.selmer_compute(model,
+                                     sm.standard_balanced_system(model))
+    sm.splitcase_search(model, sel[0], dual[0], np.random.default_rng(1))
+    monkeypatch.setattr(sm, "SPLITCASE_BUDGET", 1)
+    with pytest.raises(sm.SelmerError,
+                       match="splitcase search exhausted SPLITCASE_BUDGET"):
+        sm.splitcase_search(model, sel[0], dual[0], np.random.default_rng(1))
+
+
 def test_splitcase_guards():
     rng = np.random.default_rng(9)
     d, b = root_datum("A1")
@@ -264,6 +296,21 @@ def test_annihilation_loop_strict_decrease():
         assert trace[-1] == (0, 0)
         for a, bb in zip(trace, trace[1:]):
             assert bb == (a[0] - 1, a[1] - 1)
+
+
+def test_annihilation_loop_step_budget(monkeypatch):
+    # a Selmer rank of two takes two witness places
+    d, b = root_datum("A1")
+    model = sm.attach_adjoint_eta(sm.build_balanced_model(
+        d, b, 7, selmer_rank=2, seed=3))
+    system = sm.standard_balanced_system(model)
+    monkeypatch.setattr(sm, "ANNIHILATION_MAX_STEPS", 2)
+    trace, _, _ = sm.annihilation_loop(model, system,
+                                       np.random.default_rng(0))
+    assert trace == [(2, 2), (1, 1), (0, 0)]
+    monkeypatch.setattr(sm, "ANNIHILATION_MAX_STEPS", 1)
+    with pytest.raises(sm.SelmerError, match="exceeded max steps"):
+        sm.annihilation_loop(model, system, np.random.default_rng(0))
 
 
 def test_annihilation_loop_a2():
@@ -300,7 +347,7 @@ def test_doubling_exhaustive_toy():
     assert res["pairs"] == 1 and res["exhaustive"]
 
 
-def test_doubling_cokernel_family_and_cap():
+def test_doubling_cokernel_family_and_cap(monkeypatch):
     rng = np.random.default_rng(14)
     dm = sm.DoublingModel(5, 1, [2], [[1, 0]], [
         {"Y": np.array([0, 1], dtype=np.int64),
@@ -308,11 +355,12 @@ def test_doubling_cokernel_family_and_cap():
         {"Y": np.array([0, 2], dtype=np.int64),
          "X": np.array([1], dtype=np.int64), "kind": "cokernel"}])
     res = sm.doubling_solve(dm, np.array([2, 3], dtype=np.int64), rng,
-                            exhaustive=False, cap=200000)
+                            exhaustive=False)
     assert res["verified"]
+    monkeypatch.setattr(sm, "DOUBLING_CAP", 1)
     with pytest.raises(sm.SelmerError) as exc:
         sm.doubling_solve(dm, np.array([2, 3], dtype=np.int64), rng,
-                          exhaustive=False, cap=1)
+                          exhaustive=False)
     assert "frequencies" in str(exc.value)
 
 
