@@ -1,11 +1,15 @@
 """Command-line front end: verification suites, decompositions,
 searches and end-to-end synthetic lifting runs, with machine-readable
-JSON reports.
+JSON reports.  COMMANDS holds one entry per leaf command: its handler
+and the flags that handler reads.  A command's parser, the keys its
+--config file may set and its report's config come from that entry.
 
-Exit codes: 0 all assertions passed, 2 unknown subcommand, 3 invalid
-configuration, 4 assertion failure (a failed check, or a liftlab error
-raised during the run), 5 internal error (any other exception, recorded
-as detail["internal_error"]).  Identical (config, seed) pairs produce
+Exit codes: 0 all assertions passed, 2 unknown subcommand or argument,
+3 invalid configuration (such as a second value for a flag read once,
+a value below a flag's least, or a config key the command does not
+take), 4 assertion failure (a failed check, or a liftlab error raised
+during the run), 5 internal error (any other exception, recorded as
+detail["internal_error"]).  Identical (config, seed) pairs produce
 byte-identical reports: reports carry no timestamps and are serialized
 with sorted keys.
 """
@@ -24,7 +28,7 @@ from . import selmer as sm
 from .chartable import CharTableError
 from .chevgroup import levi_certificate_check, matrix_identity_check
 from .coeffring import LiftlabError, ParameterError
-from .galoismod import GroupPresentation, MatrixModule, cohomology, decompose
+from .galoismod import GroupPresentation, MatrixModule, cohomology
 from .liftdriver import lifting_driver
 from .rootdata import levi_bound, phi_alpha, root_datum
 
@@ -181,38 +185,37 @@ def cmd_oddness(args, run):
                   {"fixed_dim": rep.fixed_dim})
 
 
-def cmd_examples(args, run):
-    if args.family == "f4":
-        reps = od.exceptional_pipeline(args.p[0], data_dir=args.tables)
-        a6, psl = reps
-        run.check("A6 multiplicities (1,3,2)",
-                  a6.multiplicities == [0, 0, 0, 1, 3, 0, 2],
-                  {"multiplicities": a6.multiplicities})
-        run.check("trace of order-2 class = -4",
-                  a6.trace_order2 == -4 and psl.trace_order2 == -4, None)
-        run.check("fixed dim 24 = dim Flag(F4)",
-                  a6.fixed_dim == 24 and a6.dim_flag == 24, None)
-        run.check("PSL2(13) has a multiplicity-2 constituent",
-                  2 in psl.multiplicities, {"multiplicities":
-                                            psl.multiplicities})
-        run.check("multiplicity-free verdict false (both)",
-                  not a6.multiplicity_free and not psl.multiplicity_free,
-                  None)
-        run.detail["reports"] = [vars(r) for r in reps]
-    elif args.family == "sl2":
-        rng = np.random.default_rng(args.seed)
-        for name in args.types:
-            r = od.sym_adjoint_decomposition(name, args.p[0], rng)
-            run.check("sl2 family %s" % name, True, r)
-    elif args.family == "ntorus":
-        rng = np.random.default_rng(args.seed)
-        for name in args.types:
-            r = od.normalizer_decomposition(name, args.p[0], rng)
-            want = 2 if r["simply_laced"] else 3
-            run.check("normalizer %s constituents" % name,
-                      r["count"] == want, r)
-    else:
-        raise ConfigError("unknown example family %r" % args.family)
+def cmd_examples_f4(args, run):
+    reps = od.exceptional_pipeline(args.p[0], data_dir=args.tables)
+    a6, psl = reps
+    run.check("A6 multiplicities (1,3,2)",
+              a6.multiplicities == [0, 0, 0, 1, 3, 0, 2],
+              {"multiplicities": a6.multiplicities})
+    run.check("trace of order-2 class = -4",
+              a6.trace_order2 == -4 and psl.trace_order2 == -4, None)
+    run.check("fixed dim 24 = dim Flag(F4)",
+              a6.fixed_dim == 24 and a6.dim_flag == 24, None)
+    run.check("PSL2(13) has a multiplicity-2 constituent",
+              2 in psl.multiplicities, {"multiplicities":
+                                        psl.multiplicities})
+    run.check("multiplicity-free verdict false (both)",
+              not a6.multiplicity_free and not psl.multiplicity_free, None)
+    run.detail["reports"] = [vars(r) for r in reps]
+
+
+def cmd_examples_sl2(args, run):
+    rng = np.random.default_rng(args.seed)
+    for name in args.types:
+        r = od.sym_adjoint_decomposition(name, args.p[0], rng)
+        run.check("sl2 family %s" % name, True, r)
+
+
+def cmd_examples_ntorus(args, run):
+    rng = np.random.default_rng(args.seed)
+    for name in args.types:
+        r = od.normalizer_decomposition(name, args.p[0], rng)
+        want = 2 if r["simply_laced"] else 3
+        run.check("normalizer %s constituents" % name, r["count"] == want, r)
 
 
 def cmd_levi_bound(args, run):
@@ -227,177 +230,174 @@ def cmd_levi_bound(args, run):
                    "samples": ok})
 
 
-def cmd_selmer(args, run):
-    rng = np.random.default_rng(args.seed)
-    if args.mode == "balance":
-        datum, basis = root_datum(args.types[0])
-        model = sm.build_balanced_model(datum, basis, args.p[0],
-                                        selmer_rank=args.rank,
-                                        seed=args.seed)
-        model = sm.attach_adjoint_eta(model)
-        system = sm.standard_balanced_system(model)
-        sel, dual, rep = sm.selmer_compute(model, system)
-        run.check("balanced", rep["balanced"], rep)
-        run.detail["model"] = json.loads(model.spec_json())
-    elif args.mode == "kill":
-        datum, basis = root_datum(args.types[0])
-        model = sm.build_balanced_model(datum, basis, args.p[0],
-                                        selmer_rank=args.rank,
-                                        seed=args.seed)
-        model = sm.attach_adjoint_eta(model)
-        system = sm.standard_balanced_system(model)
-        trace, model2, _ = sm.annihilation_loop(model, system, rng)
-        run.check("dual Selmer reaches 0", trace[-1] == (0, 0),
-                  {"trace": trace})
-        run.detail["trace"] = trace
-        run.detail["witnesses"] = [
-            {"alpha": list(pl.frame["alpha"]), "t": pl.frame["t"],
-             "c": pl.frame["c"]}
-            for pl in model2.places if pl.frame]
-    elif args.mode == "doubling":
-        p = args.p[0]
-        dm = sm.DoublingModel(p, 1, [2], [[1, 0]], [
-            {"Y": np.array([0, 1], dtype=np.int64),
-             "X": np.array([1], dtype=np.int64), "kind": "gens"},
-        ])
-        z = np.array([args.seed % p, (1 + args.seed) % p], dtype=np.int64)
-        res = sm.doubling_solve(dm, z, rng, exhaustive=True)
-        run.check("h|_T = z_T", res["verified"], res)
-    elif args.mode == "lift":
-        reports, _ = lifting_driver(args.types[0], args.p[0],
-                                    args.max_precision, args.seed)
-        ok = all(pl.get("membership") for r in reports for pl in r["places"])
-        run.check("lifting driver all memberships", ok,
-                  {"levels": [r["level"] for r in reports]})
-        run.detail["levels"] = reports
-    else:
-        raise ConfigError("unknown selmer mode %r" % args.mode)
+def _balanced_model(args):
+    datum, basis = root_datum(args.types[0])
+    model = sm.build_balanced_model(datum, basis, args.p[0],
+                                    selmer_rank=args.rank, seed=args.seed)
+    model = sm.attach_adjoint_eta(model)
+    return model, sm.standard_balanced_system(model)
 
 
-class ConfigError(LiftlabError):
-    pass
+def cmd_selmer_balance(args, run):
+    model, system = _balanced_model(args)
+    sel, dual, rep = sm.selmer_compute(model, system)
+    run.check("balanced", rep["balanced"], rep)
+    run.detail["model"] = json.loads(model.spec_json())
 
 
-def _apply_config_file(args, path):
-    """Set the flags a `key = value` file names; every list flag but
-    --types holds integers."""
+def cmd_selmer_kill(args, run):
+    model, system = _balanced_model(args)
+    trace, model2, _ = sm.annihilation_loop(
+        model, system, np.random.default_rng(args.seed))
+    run.check("dual Selmer reaches 0", trace[-1] == (0, 0), {"trace": trace})
+    run.detail["trace"] = trace
+    run.detail["witnesses"] = [
+        {"alpha": list(pl.frame["alpha"]), "t": pl.frame["t"],
+         "c": pl.frame["c"]}
+        for pl in model2.places if pl.frame]
+
+
+def cmd_selmer_doubling(args, run):
+    p = args.p[0]
+    dm = sm.DoublingModel(p, 1, [2], [[1, 0]], [
+        {"Y": np.array([0, 1], dtype=np.int64),
+         "X": np.array([1], dtype=np.int64), "kind": "gens"},
+    ])
+    z = np.array([args.seed % p, (1 + args.seed) % p], dtype=np.int64)
+    res = sm.doubling_solve(dm, z, np.random.default_rng(args.seed),
+                            exhaustive=True)
+    run.check("h|_T = z_T", res["verified"], res)
+
+
+def cmd_selmer_lift(args, run):
+    reports, _ = lifting_driver(args.types[0], args.p[0],
+                                args.max_precision, args.seed)
+    ok = all(pl.get("membership") for r in reports for pl in r["places"])
+    run.check("lifting driver all memberships", ok,
+              {"levels": [r["level"] for r in reports]})
+    run.detail["levels"] = reports
+
+
+# each flag's argparse spec (a list, with nargs, or one value), and the
+# least value of each integer flag that has one
+FLAGS = {
+    "types": dict(nargs="*", default=["A1", "A2"]),
+    "p": dict(nargs="*", type=int, default=[5]),
+    "m": dict(nargs="*", type=int, default=[3]),
+    "n": dict(type=int, default=8),
+    "samples": dict(type=int, default=100),
+    "seed": dict(type=int, default=0),
+    "f": dict(type=int, default=1),
+    "q": dict(type=int, default=113),
+    "rank": dict(type=int, default=1),
+    "max_precision": dict(type=int, default=5),
+    "tables": dict(default=None),
+}
+LEAST = {"n": 1, "samples": 1, "seed": 0, "f": 1, "rank": 0}
+
+# command: (handler, the flags it reads[, defaults of its own]).  A list
+# flag marked "..." takes several values; an unmarked one takes exactly
+# one, and defaults to the first value of its default.
+COMMANDS = {
+    "check matrix-identity": (cmd_check_matrix_identity,
+                              "p... m... n samples seed"),
+    "check stability": (cmd_check_stability, "types... p... m... seed"),
+    "check duality": (cmd_check_duality, "types... p..."),
+    "spaces": (cmd_spaces, "types... p... f"),
+    "decompose": (cmd_decompose, "types... p seed"),
+    "cohomology": (cmd_cohomology, "p"),
+    "oddness": (cmd_oddness, "types... p"),
+    "examples f4": (cmd_examples_f4, "p tables"),
+    "examples sl2": (cmd_examples_sl2, "types... p seed",
+                     {"types": ["A1", "G2"]}),
+    "examples ntorus": (cmd_examples_ntorus, "types... p seed",
+                        {"types": ["A1", "G2"]}),
+    "levi-bound": (cmd_levi_bound, "types... q samples seed"),
+    "selmer balance": (cmd_selmer_balance, "types p rank seed"),
+    "selmer kill": (cmd_selmer_kill, "types p rank seed"),
+    "selmer doubling": (cmd_selmer_doubling, "p seed"),
+    "selmer lift": (cmd_selmer_lift, "types p max_precision seed"),
+}
+
+
+def command_flags(command):
+    """(name, takes several values) for each flag `command` reads."""
+    return [(f.rstrip("."), f.endswith("..."))
+            for f in COMMANDS[command][1].split()]
+
+
+def _apply_config_file(args, path, flags):
+    """Set the flags of `flags`, and out, that a `key = value` file
+    names, each typed as its FLAGS spec says."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     for ln in lines:
         if not ln or ln.startswith("#"):
             continue
         key, _, val = (x.strip() for x in ln.partition("="))
-        if not hasattr(args, key):
-            raise ConfigError("unknown key %r" % key)
-        cur = getattr(args, key)
+        if key not in dict(flags) and key != "out":
+            raise ParameterError("unknown key %r" % key)
+        spec = FLAGS.get(key, {})
+        typed = spec.get("type", str)
         try:
-            if isinstance(cur, list):
-                val = [x if key == "types" else int(x) for x in val.split()]
-            elif isinstance(cur, int):
-                val = int(val)
+            val = ([typed(x) for x in val.split()] if "nargs" in spec
+                   else typed(val))
         except ValueError:
-            raise ConfigError("%s takes integers: %r" % (key, val)) from None
+            raise ParameterError("%s takes integers: %r"
+                                 % (key, val)) from None
         setattr(args, key, val)
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="liftlab")
-    sub = ap.add_subparsers(dest="cmd")
-
-    def common(sp, types=("A1", "A2")):
-        sp.add_argument("--config", help="key=value file mirroring the flags")
-        sp.add_argument("--types", nargs="*", default=list(types))
-        sp.add_argument("--p", nargs="*", type=int, default=[5])
-        sp.add_argument("--m", nargs="*", type=int, default=[3])
-        sp.add_argument("--samples", type=int, default=100)
-        sp.add_argument("--seed", type=int, default=0)
+    subs = {"": ap.add_subparsers(required=True, metavar="command")}
+    for command, (_, _, *own) in COMMANDS.items():
+        group, _, leaf = command.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group).add_subparsers(
+                required=True, metavar="command")
+        sp = subs[group].add_parser(leaf)
+        sp.add_argument("--config", help="key = value file setting flags")
         sp.add_argument("--out", default="report.json")
-
-    chk = sub.add_parser("check")
-    chk_sub = chk.add_subparsers(dest="what")
-    for what in ("matrix-identity", "stability", "duality"):
-        spx = chk_sub.add_parser(what)
-        common(spx)
-        spx.add_argument("--n", type=int, default=8)
-
-    for name in ("spaces", "decompose", "cohomology", "oddness",
-                 "levi-bound"):
-        spx = sub.add_parser(name)
-        common(spx)
-        spx.add_argument("--f", type=int, default=1)
-        spx.add_argument("--q", type=int, default=113)
-
-    spx = sub.add_parser("examples")
-    spx.add_argument("family", choices=["f4", "sl2", "ntorus"])
-    common(spx, types=("A1", "G2"))
-    spx.add_argument("--tables", default=None)
-
-    spx = sub.add_parser("selmer")
-    spx.add_argument("mode", choices=["balance", "kill", "doubling", "lift"])
-    common(spx)
-    spx.add_argument("--rank", type=int, default=1)
-    spx.add_argument("--max-precision", type=int, default=5)
-    spx.add_argument("--model", default=None)
+        for name, several in command_flags(command):
+            spec = FLAGS[name]
+            if "nargs" in spec and not several:
+                spec = dict(spec, default=spec["default"][:1])
+            sp.add_argument("--" + name.replace("_", "-"), **spec)
+        sp.set_defaults(command=command, **(own[0] if own else {}))
     return ap
-
-
-_DISPATCH = {
-    ("check", "matrix-identity"): cmd_check_matrix_identity,
-    ("check", "stability"): cmd_check_stability,
-    ("check", "duality"): cmd_check_duality,
-    ("spaces", None): cmd_spaces,
-    ("decompose", None): cmd_decompose,
-    ("cohomology", None): cmd_cohomology,
-    ("oddness", None): cmd_oddness,
-    ("examples", None): cmd_examples,
-    ("levi-bound", None): cmd_levi_bound,
-    ("selmer", None): cmd_selmer,
-}
 
 
 def main(argv=None):
     ap = build_parser()
     try:
-        args, unknown = ap.parse_known_args(argv)
+        args = ap.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit status 2 for usage errors
         return EXIT_UNKNOWN if exc.code else EXIT_OK
-    if unknown:
-        print("unknown arguments: %s" % " ".join(unknown), file=sys.stderr)
-        return EXIT_UNKNOWN
-    if args.cmd is None:
-        ap.print_help()
-        return EXIT_UNKNOWN
-    key = (args.cmd, getattr(args, "what", None))
-    if args.cmd == "check" and key not in _DISPATCH:
-        print("unknown check subcommand", file=sys.stderr)
-        return EXIT_UNKNOWN
-    fn = _DISPATCH.get(key) or _DISPATCH.get((args.cmd, None))
-    if fn is None:
-        print("unknown subcommand %r" % args.cmd, file=sys.stderr)
-        return EXIT_UNKNOWN
+    flags = command_flags(args.command)
     try:
         if args.config:
-            _apply_config_file(args, args.config)
-        # values every subcommand would misread
-        for key, val in vars(args).items():
+            _apply_config_file(args, args.config, flags)
+        # values every handler would misread
+        for name, several in flags:
+            val = getattr(args, name)
             if isinstance(val, list) and not val:
-                raise ConfigError("--%s needs at least one value" % key)
-        if getattr(args, "f", 1) < 1:
-            raise ConfigError("--f must be at least 1, not %d" % args.f)
-    except (ConfigError, OSError) as exc:
+                raise ParameterError("--%s needs at least one value" % name)
+            if isinstance(val, list) and len(val) > 1 and not several:
+                raise ParameterError("--%s takes one value here" % name)
+            if name in LEAST and val < LEAST[name]:
+                raise ParameterError("--%s must be at least %d, not %d"
+                                     % (name, LEAST[name], val))
+    except (ParameterError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("cmd", "what", "out", "config")}
-    run = Runner(" ".join(x for x in (args.cmd, getattr(args, "what", None),
-                                      getattr(args, "family", None),
-                                      getattr(args, "mode", None)) if x),
-                 config)
+    run = Runner(args.command, {name: getattr(args, name)
+                                for name, _ in flags})
     internal = False
     try:
-        fn(args, run)
-    except (ConfigError, ParameterError, CharTableError) as exc:
+        COMMANDS[args.command][0](args, run)
+    except (ParameterError, CharTableError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except LiftlabError as exc:  # a failed check inside a suite

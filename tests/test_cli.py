@@ -38,6 +38,10 @@ def test_examples_f4(tmp_path):
 
 def test_unknown_subcommand():
     assert main(["nonsense"]) == EXIT_UNKNOWN
+    # a group with no leaf, and a flag no command takes
+    assert main(["check"]) == EXIT_UNKNOWN
+    assert main(["selmer"]) == EXIT_UNKNOWN
+    assert main(["selmer", "balance", "--model", "foo"]) == EXIT_UNKNOWN
 
 
 def test_exit_code_on_failure(tmp_path):
@@ -67,6 +71,16 @@ def test_exit_code_on_failure(tmp_path):
     # inputs that would pass without checking anything
     ["spaces", "--types", "A1", "--f", "0"],
     ["selmer", "lift", "--types", "A1", "--max-precision", "1"],
+    # a second value for a flag the command reads once
+    ["decompose", "--types", "A1", "--p", "13", "7"],
+    ["selmer", "balance", "--types", "A1", "A2"],
+    # a value below its flag's least
+    ["check", "matrix-identity", "--samples", "0"],
+    ["check", "matrix-identity", "--samples", "-3"],
+    ["check", "matrix-identity", "--n", "0"],
+    ["levi-bound", "--types", "A1", "--samples", "0"],
+    ["selmer", "kill", "--rank", "-1"],
+    ["check", "matrix-identity", "--seed", "-1"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
@@ -164,7 +178,8 @@ def test_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["seed = abc\n", "p = 5 x\n",
-                                  "types =\n"])
+                                  "types =\n", "cmd = oddness\n",
+                                  "model = foo\n"])
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = os.path.join(tmp_path, "cfg.txt")
     with open(cfg, "w") as fh:
@@ -173,6 +188,15 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     assert code == EXIT_CONFIG and rep is None
     out = capsys.readouterr()
     assert out.out == "" and "config error:" in out.err
+
+
+def test_defaults_echo_what_runs(tmp_path):
+    # selmer reads --types once, so its default is the first of the
+    # shared default; examples has a --types default of its own
+    code, rep = run(["selmer", "balance"], str(tmp_path))
+    assert code == EXIT_OK and rep["config"]["types"] == ["A1"]
+    code, rep = run(["examples", "sl2", "--p", "13"], str(tmp_path))
+    assert code == EXIT_OK and rep["config"]["types"] == ["A1", "G2"]
 
 
 def test_exit_zero_iff_no_failures(tmp_path):
@@ -185,10 +209,10 @@ def test_exit_zero_iff_no_failures(tmp_path):
 # README and the benchmark do not run; any change to their bytes must be
 # deliberate.
 KILL_SHA256 = {
-    "G2": "fc40d60edfe02e58cf4d6e81578e20ecec9e07ea506ea4bc647814e9baf24dd9",
-    "A3": "34e36e58c0221c272851d1bbfce03e7057dc48623afcf94a1ec7b37e9354a0f4",
-    "B3": "cde125cf896c08351d0bca99fd2931fbc3e4395cbbb7f40913de24c65bce2805",
-    "F4": "971f3298cfe32622abd50f5517576b62c1e4d7fde8d2662db62984c8e46ca476",
+    "G2": "2329d9fbf14e7c2aeff37687f67b7fea203e84f59c099de355fdfe93d9d5e543",
+    "A3": "92db33b73fbabb26c052fe93997cb041e1c733b86ad30544e064c734ab8e9806",
+    "B3": "30f227ffbca3b42efa6eb6dd7543848518c98846561945410451d5b320679fdd",
+    "F4": "10368348d299599fcb3e6697eb872fde7efa52baa03e5f6219c7f8c7d2968e5a",
 }
 
 

@@ -10,28 +10,29 @@ import sys
 
 import pytest
 
-from liftlab.cli import EXIT_OK, main
+from liftlab.cli import (COMMANDS, EXIT_OK, Runner, build_parser,
+                         command_flags, main)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 # SHA-256 of each README command's JSON report, in README order; any
 # change to a report's bytes must be deliberate.
 REPORT_SHA256 = [
-    "b5cfc277be7901cb929f0e43cb5a81be9c47884fc08fb3b15278ebe4f8e9ea34",
-    "3a8279cd4eeb891cfdcdd6ec9b1f9e33f689f4a21d6bca07012f01d0613fc5de",
-    "14bfcb60828a76c85861bc651228f34a56a4cc0ae84aac842dde27f5691b700d",
-    "e07b13ce1ad9eadb2d0fd20217d1be24d3af8078eefacd49c4606547a8a6bef1",
-    "b0735a84fd568ea2c3ac745ed7e5c0d88e2894398e19ee067180a6d9089f851b",
-    "0d952d344bd2d1cc4c04086e918f4d7957a627f192f1013694e2a113b8b2f513",
-    "0cb82090165fa28217764e3bca6307caad31531c0d30529b4e34b877b36679e1",
-    "e0a271d02bb18bfea667fbf8f3df8f55cd2ca70eab307cc161f575f8d3157090",
-    "81b9061be855693ee985ed5a17d59f49135c9340252e27792e77d2fda49c200d",
-    "09bb8aa27f9ff07980bbaf2eb6270ebb07a6687fa690e76440f35d314b1b8cc7",
-    "93df3a127eddd3c2d72003a7539282ef751744723564fa0b1abd3da6f7d8724a",
-    "0e05d02b0656384f1b3ddf09ebc8fb9e6205307f3a8f11811bdb5ef98719f8be",
-    "f38d1173959057e55d493e052b0c6b9b9ba2a29e5995f179343c202419e8f499",
-    "6a3a29fb62d44102cfb3738df8189ccfa22cafa493b4ca1f7b3a01a59900156a",
-    "bc0dc49b38bf9b99acf7e4a5c2026d814dda427887ea72ab1127bd76a52371e8",
+    "e6867ca2ded6d4968af169e7c3e709a7062982f93db436eb9dd9ddb7faeca430",
+    "67647132bdc1d4ac459176aa270bd6f68dba37850f786a3be71492cb55357ef2",
+    "807a7f7cf278fa9afa11ae6b6d143f9c9accf95af9bd1e284a5166215442c517",
+    "0fec2c1aa0ca0ef5e04f95dd0b641afa63765fb2feb8ba440bdeb451c0870f65",
+    "e474768c593c7dcbe12a410fe76b4951235372732765dbe2a121c84805b4abf3",
+    "2b321a7f67bc2b6c2ae9683f9ab3cd6c00939945b38cb492935efeeece3972b0",
+    "f65d4984a28b9f7f5801ddaa46d7fa42be06dae4d3689f2369f0a1ee38af06fe",
+    "31b31489979b54b178d7ffaf7f515d04046276f1b4ac8c0c9d6c82ea7aef5977",
+    "631e1ec5713bc63b4653f0ddd8a8eb0817481ae5ec517cb0d52c8ac822286320",
+    "ebf6330ac2fe876c16188e2bcca33573d5bd1499b03b3e39983562498978c87c",
+    "e845c321a72e5c4b7b9b441b9ab025f5fdd1bd8579f2ba24ce6e3adee1cdb2dd",
+    "eb7a59c7ced56d252c1f17659a3af1f5b794db833b9edcb9b88dd0a13df71285",
+    "d320402e7d1bb6dc7e7e32007ff77ef585cbee789061d34ed0da4a965bdac009",
+    "3d63a99ec8ac1c3ffcc36275a045c33329c2c8d71892a3232e5df048906d5f95",
+    "7a32eab3ca3e963538e5bf8d0f04aca1d5bb0bd3b0819c61a58de56648d23593",
 ]
 
 
@@ -53,6 +54,57 @@ def test_readme_reports_are_pinned(tmp_path, monkeypatch):
             assert main(args + ["--out", out]) == EXIT_OK, args
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == want, args
+
+
+def test_readme_lists_each_commands_flags():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[3]
+    listed = {}
+    for ln in block.splitlines():
+        command, _, flags = ln.partition(" --")
+        if command:
+            listed[command.strip()] = [f.lstrip("-").replace("-", "_")
+                                       for f in ("--" + flags).split()]
+    assert listed == {command: COMMANDS[command][1].split()
+                      for command in COMMANDS}
+
+
+class ReadRecorder:
+    """Stands in for the parsed flags and records which a handler reads,
+    and which list flags it iterates over rather than reading [0]."""
+
+    def __init__(self, args):
+        self._args, self.read, self.iterated = args, set(), set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        val = getattr(self._args, name)
+        if not isinstance(val, list):
+            return val
+        iterated = self.iterated
+
+        class Values(list):
+            def __iter__(self):
+                iterated.add(name)
+                return super().__iter__()
+        return Values(val)
+
+
+def test_each_command_reads_exactly_its_flags(monkeypatch):
+    # a flag a command accepts and echoes but never reads misstates
+    # what ran; so does a list flag it declares as taking several values
+    # but reads only the first of
+    monkeypatch.delenv("LIFTLAB_DATA", raising=False)
+    runs = [(args, build_parser().parse_args(args))
+            for args in readme_commands()]
+    assert sorted(parsed.command for _, parsed in runs) == sorted(COMMANDS)
+    for args, parsed in runs:
+        rec = ReadRecorder(parsed)
+        COMMANDS[parsed.command][0](rec, Runner(parsed.command, {}))
+        flags = command_flags(parsed.command)
+        assert rec.read - {"out", "config"} == {n for n, _ in flags}, args
+        assert rec.iterated == {n for n, several in flags if several}, args
 
 
 DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos"))
