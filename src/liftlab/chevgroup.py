@@ -27,10 +27,12 @@ torus_from_root_values puts the values on the diagonal.
 
 Inverses: u_alpha(x)^-1 = u_alpha(-x) exactly, so root_product builds
 a product of root elements together with its inverse, the reversed
-product of negated factors, and GroupElement.inv returns it; other
-elements are inverted by the Hensel-lifted CoeffRing.mat_inv.  The
-local verification identities are checked without inverses (sigma tau
-= tau^q sigma, lhs g = g rho), which is equivalent for invertible
+product of negated factors, and GroupElement.inv returns it; adjacent
+factors on one root are merged first by u_alpha(x) u_alpha(y) =
+u_alpha(x + y), also exact, so a run of one root costs one factor.
+Other elements are inverted by the Hensel-lifted CoeffRing.mat_inv.
+The local verification identities are checked without inverses (sigma
+tau = tau^q sigma, lhs g = g rho), which is equivalent for invertible
 elements; GroupElement.check_invertible decides invertibility mod p.
 """
 
@@ -221,12 +223,10 @@ class GroupElement:
     def check_invertible(self):
         """Raise CoeffRingError unless the operator is invertible.
 
-        Over O/p^m that is decided mod p.  An operator = 1 mod p (every
-        lift of the trivial representation) is invertible; any other
-        takes one elimination mod p and no Hensel lift."""
-        R = self.alg.ring
-        if np.any((self.mat - R.mat_id(self.alg.dim)) % R.p):
-            R.mat_inv_modp(self.mat)
+        Over O/p^m that is decided mod p, by CoeffRing.mat_inv_modp: an
+        operator = 1 mod p takes no elimination, any other one, and
+        neither a Hensel lift."""
+        self.alg.ring.mat_inv_modp(self.mat)
 
     def pow(self, e):
         return GroupElement(self.alg, self.alg.ring.mat_pow(self.mat, e),
@@ -271,12 +271,22 @@ def u_alpha(alg, alpha, x):
 def root_product(alg, factors):
     """prod u_beta(x) over (beta, x) in factors, in order, carrying its
     inverse prod u_beta(-x) in reverse order (exact over Z, since
-    u_beta(x) u_beta(-x) = 1)."""
+    u_beta(x) u_beta(-x) = 1).
+
+    Adjacent factors on one root are merged first, u_beta(x) u_beta(y)
+    = u_beta(x + y), so a run of one root costs one root element and
+    its inverse; the product starts from the first merged factor, and
+    no factors give the identity."""
     R = alg.ring
-    g = ginv = R.mat_id(alg.dim)
-    for beta, x in factors:
-        g = R.mat_mul(g, u_alpha(alg, beta, x).mat)
-        ginv = R.mat_mul(u_alpha(alg, beta, R.neg(x)).mat, ginv)
+    g = ginv = None
+    for beta, run in itertools.groupby(factors, lambda f: tuple(f[0])):
+        x = sum(x for _, x in run) % R.q
+        u = u_alpha(alg, beta, x).mat
+        uinv = u_alpha(alg, beta, R.neg(x)).mat
+        g = u if g is None else R.mat_mul(g, u)
+        ginv = uinv if ginv is None else R.mat_mul(uinv, ginv)
+    if g is None:
+        g = ginv = R.mat_id(alg.dim)
     return GroupElement(alg, g, "product", ginv)
 
 

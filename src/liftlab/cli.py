@@ -6,12 +6,12 @@ and the flags that handler reads.  A command's parser, the keys its
 
 Exit codes: 0 all assertions passed, 2 unknown subcommand or argument,
 3 invalid configuration (such as a second value for a flag read once,
-a value below a flag's least, or a config key the command does not
-take), 4 assertion failure (a failed check, or a liftlab error raised
-during the run), 5 internal error (any other exception, recorded as
-detail["internal_error"]).  Identical (config, seed) pairs produce
-byte-identical reports: reports carry no timestamps and are serialized
-with sorted keys.
+a value below a flag's least, a --p that is not prime, or a config key
+the command does not take), 4 assertion failure (a failed check, or a
+liftlab error raised during the run), 5 internal error (any other
+exception, recorded as detail["internal_error"]).  Identical (config,
+seed) pairs produce byte-identical reports: reports carry no
+timestamps and are serialized with sorted keys.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import oddness as od
 from . import selmer as sm
 from .chartable import CharTableError
 from .chevgroup import levi_certificate_check, matrix_identity_check
-from .coeffring import LiftlabError, ParameterError
+from .coeffring import LiftlabError, ParameterError, is_prime
 from .galoismod import GroupPresentation, MatrixModule, cohomology
 from .liftdriver import lifting_driver
 from .rootdata import levi_bound, phi_alpha, root_datum
@@ -389,6 +389,9 @@ def main(argv=None):
             if name in LEAST and val < LEAST[name]:
                 raise ParameterError("--%s must be at least %d, not %d"
                                      % (name, LEAST[name], val))
+            if name == "p" and not all(map(is_prime, val)):
+                raise ParameterError("p must be prime, got %s"
+                                     % " ".join(map(str, val)))
     except (ParameterError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

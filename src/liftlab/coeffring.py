@@ -66,7 +66,7 @@ def int64_exact(p, m, r=1, n=1):
     return max(n, r * r) * (p ** m - 1) ** 2 < 2 ** 63
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     d = 2
@@ -108,7 +108,7 @@ class CoeffRing:
     """
 
     def __init__(self, p, m, r=1):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise RingParameterError("p must be prime, got %r" % (p,))
         if p == 2:
             raise RingParameterError("p = 2 is not supported (odd p required)")
@@ -296,7 +296,12 @@ class CoeffRing:
 
     def mat_inv_modp(self, A):
         """The inverse of A over the residue field F_{p^r}, entries in
-        [0, p); raises CoeffRingError when A is singular mod p."""
+        [0, p); raises CoeffRingError when A is singular mod p.  An
+        A = 1 mod p (every lift of the trivial representation) is its
+        own inverse there and takes no elimination."""
+        one = self.mat_id(A.shape[0])
+        if not np.any((A - one) % self.p):
+            return one
         # regular() is an injective ring map, so the inverse of
         # regular(A) is regular(A^-1), whose rows (i, 0) are A^-1
         X = modp.inverse(self.regular(A), self.p)

@@ -22,7 +22,11 @@ level the driver runs each step once over all places:
      exactly, and the membership tests pass at every place.
 
 Trivial residual action means cocycles are plain generator tuples and
-no coboundary bookkeeping is needed.
+no coboundary bookkeeping is needed.  The matrices solved against in
+every step are fixed once the model is built (the Poitou-Tate solve
+matrix, the map x -> ad(x) and each place's L_v basis), so each is
+factored once per model (modp.LeftSolver) and a step makes no
+elimination.
 """
 
 from __future__ import annotations
@@ -253,19 +257,20 @@ class EndToEndModel:
         # L bases [tangent rows; extra cocycles c_beta], so a solved
         # coefficient vector splits positionally and its extra part is
         # read against the c_beta themselves
-        self.local_bases = []
+        self.local_bases, self.local_solvers = [], []
         for st in self.places:
             raw = np.vstack([st.tangent()[..., 0],
                              st.extra.rows[..., 0]]) % p
-            if modp.rank(raw, p) != raw.shape[0]:
-                raise DriverError("L basis degenerate (bug)")
+            solver = _left_solver(raw.T, p, "L basis degenerate (bug)")
             if raw.shape[0] != st.dim_l:
                 raise DriverError("sabotaged %sL_v: dim %d != %d"
                                   % (st.label, raw.shape[0], st.dim_l))
             self.local_bases.append(raw)
+            self.local_solvers.append(solver)
         # x -> vec(ad x) over F_p, for recovering x from 1 + p^m ad(x)
         ad = self.places[0].model.alg._ad_int
-        self.admat = ad.reshape(w, w * w).T % p
+        self.ad_solver = _left_solver(ad.reshape(w, w * w).T, p,
+                                      "ad map not injective mod p (bug)")
         for s in range(MODEL_SEED_TRIES):
             model = sm.build_synthetic_model(p, gplaces, arch_h0=[dim_n],
                                              seed=seed + 1000 + s,
@@ -288,10 +293,11 @@ class EndToEndModel:
         model = self.global_model
         self.anns = self.system.ann_L
         Q = sm.local_quotients(model, model.A, self.anns).T
-        if Q.shape[0] != Q.shape[1] or modp.rank(Q, p) != Q.shape[0]:
-            raise DriverError("Poitou-Tate solve matrix not bijective "
-                              "(Selmer groups not vanished?)")
-        self.Q = Q
+        refusal = ("Poitou-Tate solve matrix not bijective "
+                   "(Selmer groups not vanished?)")
+        if Q.shape[0] != Q.shape[1]:
+            raise DriverError(refusal)
+        self.q_solver = _left_solver(Q, p, refusal)
 
     # -- one level step
 
@@ -320,7 +326,7 @@ class EndToEndModel:
             zs.append(z)
             targets.append(self.anns[k] @ d % p)
         # 3. solve for the global class
-        coeffs = modp.solve(self.Q, np.concatenate(targets) % p, p)
+        coeffs = self.q_solver.solve(np.concatenate(targets))
         if coeffs is None:
             raise DriverError("global correction solve failed")
         X = coeffs @ self.global_model.A % p
@@ -344,7 +350,7 @@ class EndToEndModel:
                 raise DriverError("discrepancy not at top order (bug)")
             rinv = r.alg.ring.mat_inv_modp(r.mat)[..., 0]
             cols.append((D // scale @ rinv % p).reshape(-1))
-        x = modp.solve(self.admat, np.stack(cols, axis=1), p)
+        x = self.ad_solver.solve(np.stack(cols, axis=1))
         if x is None:
             raise DriverError("discrepancy not an ad image (bug)")
         return x.T.reshape(-1)
@@ -355,7 +361,7 @@ class EndToEndModel:
         p = self.p
         st = self.places[k]
         raw = self.local_bases[k]
-        coeff = modp.solve(raw.T % p, ell, p)
+        coeff = self.local_solvers[k].solve(ell)
         if coeff is None:
             raise DriverError("correction not in L_v at place %d" % k)
         extra = st.extra
@@ -386,6 +392,14 @@ class EndToEndModel:
             raise DriverError("%scorrected lift failed membership at place %d"
                               % (st.label, k))
         return st.report(lam)
+
+
+def _left_solver(A, p, refusal):
+    """modp.LeftSolver of A, or DriverError(refusal) when it refuses A."""
+    try:
+        return modp.LeftSolver(A, p)
+    except ValueError as exc:
+        raise DriverError("%s: %s" % (refusal, exc)) from None
 
 
 def _perturb(model, values, scale, z):

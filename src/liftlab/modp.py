@@ -9,6 +9,8 @@ A row space grown one vector at a time is kept in an incremental
 echelon (`Echelon`): a new vector is reduced against the rows kept so
 far and kept when its residue is nonzero.  A reduction sums at most n
 products below p^2, so it is exact in int64 while n (p-1)^2 < 2^63.
+A matrix solved against many times is factored once (`LeftSolver`):
+each solve is then two products, under the same bound in its row count.
 Polynomials are int lists, low degree first.  Factorization is
 distinct-degree followed by Cantor-Zassenhaus equal-degree splitting
 (p odd), which is all the MeatAxe needs.
@@ -103,12 +105,53 @@ def solve(A, b, p):
 
 
 def inverse(A, p):
-    """Inverse of a square matrix (row reduction of [A | I]), or None."""
-    n = A.shape[0]
-    R, piv = rref(np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1), p)
-    if piv != list(range(n)):
+    """A left inverse L of A (L A = 1), or None when the columns of A
+    are dependent; for a square A, its inverse.
+
+    One row reduction of [A | I]: the left block reduces to the top of
+    the identity exactly when the columns are independent, and the top
+    rows of the right block are then L.  A pivot row only ever receives
+    multiples of other pivot rows, so L is supported on A's pivot rows,
+    where it is the inverse of A.
+    """
+    rows, cols = A.shape
+    R, piv = rref(np.concatenate([A % p, np.eye(rows, dtype=np.int64)],
+                                 axis=1), p)
+    if piv[:cols] != list(range(cols)):
         return None
-    return R[:, n:]
+    return R[:cols, cols:]
+
+
+class LeftSolver:
+    """A x = b for one fixed A of full column rank, factored once.
+
+    Construction takes a left inverse L of A (`inverse`) and refuses,
+    with ValueError, an A whose columns are dependent or whose products
+    could leave int64: a solve sums at most rows products below p^2, so
+    it is exact while rows (p-1)^2 < 2^63.  `solve(b)` returns x = L b
+    after the exact check A x = b.  A solution of A x = b is unique, so
+    it returns None exactly when the function `solve` does, and
+    otherwise the solution that function returns; a 2-D b holds one
+    right-hand side per column, as there.
+    """
+
+    def __init__(self, A, p):
+        A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % p
+        if A.shape[0] * (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError("%d rows mod %d are past the exact int64 range"
+                             % (A.shape[0], p))
+        L = inverse(A, p)
+        if L is None:
+            raise ValueError("the columns are dependent mod %d" % p)
+        self.A, self.L, self.p = A, L, p
+
+    def solve(self, b):
+        p = self.p
+        b = np.asarray(b, dtype=np.int64) % p
+        x = self.L @ b % p
+        if np.any((self.A @ x - b) % p):
+            return None
+        return x
 
 
 def row_space_contains(B, v, p):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liftlab import chevgroup
 from liftlab.coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
 from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
                                _tables, ad_eigenvalues_on_roots, exp_hat,
@@ -321,6 +324,37 @@ def test_root_groups_over_rings_sharing_one_basis(name):
             assert np.array_equal(g.inv().mat, want.mat)
             assert (g @ g.inv()).eq(one) and g.inv().inv().eq(g)
     assert all(a._ad_int is algs[0]._ad_int for a in algs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([1, 2]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)),
+                max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_root_product_merges_runs_of_one_root(name, r, runs, seed):
+    # runs of one root drawn from three roots, so neighbouring runs
+    # often share their root (one longer run) or alternate
+    d, b, alg = alg_for(name, 7, 3, r)
+    R = alg.ring
+    rng = np.random.default_rng(seed)
+    pool = [d.roots[0], d.neg(d.roots[0]), d.roots[1]]
+    factors = [(pool[i], R.random(rng)) for i, n in runs for _ in range(n)]
+    want = R.mat_id(alg.dim)
+    for beta, x in factors:
+        want = R.mat_mul(want, u_alpha(alg, beta, x).mat)
+    calls = []
+    right = chevgroup.u_alpha
+    chevgroup.u_alpha = lambda *args: calls.append(1) or right(*args)
+    try:
+        g = root_product(alg, factors)
+    finally:
+        chevgroup.u_alpha = right
+    assert np.array_equal(g.mat, want)
+    assert R.mat_eq(R.mat_mul(g.inv().mat, g.mat), R.mat_id(alg.dim))
+    # one root element and its inverse per maximal run of one root
+    merged = [beta for k, (beta, _) in enumerate(factors)
+              if k == 0 or factors[k - 1][0] != beta]
+    assert len(calls) == 2 * len(merged)
 
 
 def test_basis_tables_are_integral_and_read_only():

@@ -81,6 +81,13 @@ def test_exit_code_on_failure(tmp_path):
     ["levi-bound", "--types", "A1", "--samples", "0"],
     ["selmer", "kill", "--rank", "-1"],
     ["check", "matrix-identity", "--seed", "-1"],
+    # a p that is not prime, where no ring over p is built to refuse it
+    ["cohomology", "--p", "4"],
+    ["cohomology", "--p", "1"],
+    ["examples", "f4", "--p", "4"],
+    ["examples", "f4", "--p", "9"],
+    ["check", "matrix-identity", "--p", "4"],
+    ["selmer", "doubling", "--p", "9"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))

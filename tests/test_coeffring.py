@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from liftlab import modp
 from liftlab.coeffring import (CoeffRing, CoeffRingError, _find_modulus,
                                int64_exact, sqrt_one_mod_p)
 
@@ -158,6 +159,26 @@ def test_matrix_inverse_and_reduction():
         assert np.array_equal(R.mat_mul(A, B) % 7 ** 2,
                               R2.mat_mul(A % 7 ** 2, B % 7 ** 2))
         done += 1
+
+
+def test_residually_trivial_inverse_takes_no_elimination(monkeypatch):
+    # A = 1 mod p is its own inverse mod p, at r = 2 as at r = 1
+    R = CoeffRing(7, 3, 2)
+    rng = np.random.default_rng(4)
+    n = 5
+    A = R.mat_id(n) + 7 * rng.integers(0, R.q, size=(n, n, R.r))
+    B = R.mat_id(n) + rng.integers(0, R.q, size=(n, n, R.r))
+    Binv = R.mat_inv_modp(B)                    # eliminates
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(modp, "inverse", no_elimination)
+    assert np.array_equal(R.mat_inv_modp(A), R.mat_id(n))
+    assert R.mat_eq(R.mat_mul(A, R.mat_inv(A)), R.mat_id(n))
+    with pytest.raises(AssertionError, match="eliminated"):
+        R.mat_inv_modp(B)
+    assert R.mat_eq(R.mat_mul(B, Binv) % 7, R.mat_id(n))
 
 
 def test_serialization_roundtrip():

@@ -6,6 +6,7 @@ import pytest
 
 from liftlab import liftdriver as ld
 from liftlab import localconds as lc
+from liftlab import modp
 from liftlab import selmer as sm
 from liftlab.chevgroup import u_alpha
 from liftlab.coeffring import CoeffRing, ParameterError
@@ -85,6 +86,19 @@ def test_driver_uses_no_hensel_inverse(monkeypatch):
     monkeypatch.setattr(CoeffRing, "mat_inv", no_inverse)
     got, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
     assert got == want
+
+
+def test_a_step_makes_no_elimination(monkeypatch):
+    # the matrices a step solves against are factored when the model is
+    # built, and the references are = 1 mod p, so a step eliminates
+    # nothing
+    e2e = EndToEndModel("A1", 5, seed=0)
+    calls = []
+    right = modp.rref
+    monkeypatch.setattr(modp, "rref",
+                        lambda *args: calls.append(1) or right(*args))
+    rep = e2e.step(np.random.default_rng(5))
+    assert rep["level"] == 3 and calls == []
 
 
 # SHA-256 of the sorted-key JSON of lifting_driver's A1 reports at

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -327,3 +328,55 @@ def test_first_lazy_factor_is_the_first_listed(p, deg, power, seed):
         want = reference_factor_squarefree_part(F, p)
         assert next(modp.squarefree_factors(F, p)) == want[0]
         assert list(modp.squarefree_factors(F, p)) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.sampled_from(["square", "tall"]),
+       st.integers(1, 8), st.integers(1, 4), st.sampled_from([0, 1, 3]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_left_solver_matches_solve(p, shape, cols, extra, k, consistent,
+                                   seed):
+    # k = 0 is a 1-D b, k > 0 a 2-D b of k columns; an inconsistent b
+    # has a column moved off the column space of A, which only a tall A
+    # has room for
+    rng = np.random.default_rng(seed)
+    rows = cols if shape == "square" else cols + extra
+    A = rng.integers(0, p, size=(rows, cols))
+    while modp.rank(A, p) < cols:
+        A = rng.integers(0, p, size=(rows, cols))
+    X = rng.integers(0, p, size=(cols, k) if k else cols)
+    b = A @ X % p
+    if not consistent:
+        assume(shape == "tall")
+        y = modp.kernel_basis(A.T, p)[0]           # y A = 0
+        i = int(np.flatnonzero(y)[0])
+        if k:
+            b[i, int(rng.integers(0, k))] += 1     # y b != 0 there
+        else:
+            b[i] += 1
+    # entries outside [0, p) on both sides
+    solver = modp.LeftSolver(A - p * rng.integers(0, 3, size=A.shape), p)
+    got = solver.solve(b + p * rng.integers(-2, 3, size=b.shape))
+    want = modp.solve(A, b, p)
+    if not consistent:
+        assert got is None and want is None
+    else:
+        assert np.array_equal(got, want) and np.array_equal(got, X)
+    assert np.array_equal(solver.L @ A % p, np.eye(cols, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_left_solver_refuses_dependent_columns(p):
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(6, 3))
+    A[:, 2] = (2 * A[:, 0] + 3 * A[:, 1]) % p
+    with pytest.raises(ValueError, match="dependent"):
+        modp.LeftSolver(A, p)
+    with pytest.raises(ValueError, match="dependent"):
+        modp.LeftSolver(A[:2], p)                  # wide
+    with pytest.raises(ValueError, match="dependent"):
+        modp.LeftSolver(np.zeros((3, 3), dtype=np.int64), p)
+    # a call sums rows products below p^2, so 3 rows at p = 2^31 - 1
+    # would leave int64
+    with pytest.raises(ValueError, match="int64"):
+        modp.LeftSolver(np.eye(3, dtype=np.int64), 2 ** 31 - 1)
