@@ -12,11 +12,12 @@ division occurs there; exp of any other ad-nilpotent element divides
 by k! up to the first vanishing power ad(x)^k and therefore needs that
 k <= p, which holds for every p-divisible x when m <= p.
 
-The integral tables of a Chevalley basis (ad matrices of the basis
-vectors, the invariant form, the divided powers of each root vector)
-are computed once per basis and shared, read-only and never reduced
-mod q, by every LieAlgebra on it, whatever its ring.  The bracket is
-[x, y] = ad(x) y, one ring matrix-vector product on those tables.
+The integral tables (ad matrices of the basis vectors, the invariant
+form, the divided powers of each root vector) are owned by the
+rootdata.ChevalleyBasis, which builds each once on first use; every
+LieAlgebra on that basis reads them, read-only and never reduced mod
+q, whatever its ring.  The bracket is [x, y] = ad(x) y, one ring
+matrix-vector product on those tables.
 
 Torus elements are built from their values on the root lines:
 torus_root_values evaluates prod_i t_i^(E[k, i]) for every root k from
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 
 import numpy as np
 
@@ -55,75 +55,6 @@ class ChevGroupError(LiftlabError):
 
 class GroupParameterError(ChevGroupError, ParameterError):
     pass
-
-
-def _trace_form_matrix(basis):
-    """Normalized invariant form: B(X_b, X_-b) = (long,long)/(b,b),
-    B(g_a, g_b) = 0 otherwise, B on the Cartan induced by
-    invariance: B(h_ai, h) = l_i <a_i, h>."""
-    d = basis.datum
-    dim = d.dim
-    B = np.zeros((dim, dim), dtype=np.int64)
-    dmax = max(d.norms)
-    for r in d.roots:
-        lr = dmax // d.norm2(r)
-        i = basis.root_basis_index(r)
-        j = basis.root_basis_index(d.neg(r))
-        B[i, j] = lr
-    for i in range(d.rank):
-        li = dmax // d.norms[i]
-        for j in range(d.rank):
-            # B(h_i, h_j) = l_i <alpha_i, alpha_j^vee>
-            B[i, j] = li * d.cartan[j][i]
-    if (B != B.T).any():
-        raise ChevGroupError("trace form asymmetric (bug)")
-    return B
-
-
-class _BasisTables:
-    """The integral tables of one ChevalleyBasis: ad matrices of the
-    basis vectors, (dim, dim, dim) with ad[i] = ad of basis vector i,
-    the invariant form, and per root basis index the divided powers
-    ad(X_alpha)^k / k! for k >= 1 up to the last non-zero one, stacked
-    as (K, dim, dim).  All are int64 over Z and read-only."""
-
-    def __init__(self, basis):
-        self.ad = np.stack([basis.ad_int(i) for i in range(basis.dim)])
-        self.trace_form = _trace_form_matrix(basis)
-        for table in (self.ad, self.trace_form):
-            table.flags.writeable = False
-        self._divided = {}
-
-    def divided_powers(self, i):
-        D = self._divided.get(i)
-        if D is None:
-            A = self.ad[i]
-            Ak = np.eye(A.shape[0], dtype=np.int64)
-            terms = []
-            k = 0
-            while True:
-                k += 1
-                Ak = Ak @ A
-                if not Ak.any():
-                    break
-                if np.any(Ak % math.factorial(k)):
-                    raise ChevGroupError("divided power not integral (bug)")
-                terms.append(Ak // math.factorial(k))
-            D = np.stack(terms)      # ad(X_alpha) != 0, so k = 1 occurs
-            D.flags.writeable = False
-            self._divided[i] = D
-        return D
-
-
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def _tables(basis):
-    """The shared integral tables of a ChevalleyBasis, built on first use."""
-    tables = _TABLES.get(basis)
-    if tables is None:
-        tables = _TABLES[basis] = _BasisTables(basis)
-    return tables
 
 
 class LieAlgebra:
@@ -148,10 +79,6 @@ class LieAlgebra:
         self.ring = ring
         self.dim = datum.dim
         self.rank = datum.rank
-        # integer ad matrices and invariant form, shared per basis
-        tables = _tables(basis)
-        self._ad_int = tables.ad
-        self._trace_form = tables.trace_form
 
     # -- elements
 
@@ -178,18 +105,15 @@ class LieAlgebra:
         q = self.ring.q
         x = x % q
         nz = np.flatnonzero(np.any(x, axis=-1))
-        return np.einsum("ijk,il->jkl", self._ad_int[nz], x[nz]) % q
+        return np.einsum("ijk,il->jkl", self.basis.ad[nz], x[nz]) % q
 
     # -- trace form
 
     def trace_form(self, x, y):
         """B(x, y) in the ring."""
         R = self.ring
-        Bx = R.mat_vec(R.mat_from_int(self._trace_form), x)
+        Bx = R.mat_vec(R.mat_from_int(self.basis.trace_form), x)
         return R.mul(Bx, y).sum(axis=0) % R.q
-
-    def trace_form_matrix(self):
-        return self._trace_form.copy()
 
 
 class GroupElement:
@@ -259,7 +183,7 @@ def u_alpha(alg, alpha, x):
     """
     R = alg.ring
     alpha = tuple(alpha)
-    D = _tables(alg.basis).divided_powers(alg.basis.root_basis_index(alpha))
+    D = alg.basis.divided_powers(alg.basis.root_basis_index(alpha))
     x = R.el(x) if np.isscalar(x) else np.asarray(x, dtype=np.int64) % R.q
     xk = [x]                          # x^k for k = 1 .. len(D)
     while len(xk) < len(D):

@@ -116,6 +116,9 @@ class CoeffRing:
             raise RingParameterError("precision m must be >= 1")
         if r < 1:
             raise RingParameterError("residue degree r must be >= 1")
+        if not int64_exact(p, m, r):
+            raise RingParameterError("GR(%d^%d, %d) is past the exact int64 "
+                                     "range" % (p, m, r))
         self.p = p
         self.m = m
         self.r = r

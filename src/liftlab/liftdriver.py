@@ -268,7 +268,7 @@ class EndToEndModel:
             self.local_bases.append(raw)
             self.local_solvers.append(solver)
         # x -> vec(ad x) over F_p, for recovering x from 1 + p^m ad(x)
-        ad = self.places[0].model.alg._ad_int
+        ad = basis.ad
         self.ad_solver = _left_solver(ad.reshape(w, w * w).T, p,
                                       "ad map not injective mod p (bug)")
         for s in range(MODEL_SEED_TRIES):

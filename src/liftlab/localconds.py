@@ -26,7 +26,8 @@ import numpy as np
 
 from . import fieldlinalg as fl
 from . import modp
-from .coeffring import CoeffRing, LiftlabError, sqrt_one_mod_p
+from .coeffring import (CoeffRing, LiftlabError, ParameterError,
+                        sqrt_one_mod_p)
 from .chevgroup import (GroupElement, LieAlgebra, frobenius_b_search,
                         identity, one_plus, torus_elt, torus_from_coroot_data,
                         u_alpha)
@@ -39,6 +40,10 @@ class LocalCondError(LiftlabError):
     pass
 
 
+class LocalCondParameterError(LocalCondError, ParameterError):
+    pass
+
+
 class InvalidLiftError(LocalCondError):
     pass
 
@@ -48,7 +53,8 @@ class TameLocalModel:
 
     def __init__(self, datum, basis, p, m, q, r=1):
         if q % p != 1 or q % (p * p) == 1:
-            raise LocalCondError("q must be 1 mod p and not 1 mod p^2")
+            raise LocalCondParameterError(
+                "q must be 1 mod p and not 1 mod p^2")
         self.p, self.m, self.q = p, m, q
         self.ring = CoeffRing(p, m, r)
         self.alg = LieAlgebra(datum, basis, self.ring)
@@ -227,7 +233,8 @@ def membership(lift, alpha, variant="plain", conjugator=None):
         return True
     # mod p^2 conditions
     if R.m < 2:
-        raise LocalCondError("variant %s needs precision >= 2" % variant)
+        raise LocalCondParameterError("variant %s needs precision >= 2"
+                                      % variant)
     p2 = model.p ** 2
     s2 = lift.sigma.mat % p2
     if not is_torus_matrix(model, s2, upto=2):
@@ -462,7 +469,7 @@ def stability_check(lift, alpha, variant, coeffs):
     model = lift.model
     R, K = model.ring, model.residue
     if R.m < 3:
-        raise LocalCondError("stability needs m >= 3")
+        raise LocalCondParameterError("stability needs m >= 3")
     if variant not in ("unr", "ram"):
         raise LocalCondError("variant must be unr or ram here")
     alpha = tuple(alpha)
@@ -674,7 +681,7 @@ def ordinary_stability_check(lift, beta, lam=1):
     model = lift.model
     R = model.ring
     if R.m < 3:
-        raise LocalCondError("stability needs m >= 3")
+        raise LocalCondParameterError("stability needs m >= 3")
     beta = tuple(beta)
     row = ordinary_extra_cocycles(model, [beta]).rows[0]
     g = stability_conjugator(model.alg, [(beta, R.el(lam))])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import modp
 from .chartable import CharacterTable, CharTableError, brauer_restrict
-from .coeffring import CoeffRing, LiftlabError
+from .coeffring import CoeffRing, LiftlabError, ParameterError
 from .chevgroup import (LieAlgebra, exp_hat, identity, principal_sl2,
                         torus_elt, u_alpha)
 from .galoismod import MatrixModule, decompose
@@ -26,6 +26,10 @@ from .rootdata import root_datum
 
 
 class OddnessError(LiftlabError):
+    pass
+
+
+class OddnessParameterError(OddnessError, ParameterError):
     pass
 
 
@@ -77,8 +81,9 @@ def principal_involution_check(datum, basis, p):
     otherwise oddness needs the outer opposition involution in
     G x Out(G), which the adjoint-inner model here does not carry."""
     if not _minus_one_in_weyl(datum):
-        raise OddnessError("-1 not in W(%s%d): the odd involution is outer"
-                           % (datum.family, datum.rank))
+        raise OddnessParameterError(
+            "-1 not in W(%s%d): the odd involution is outer"
+            % (datum.family, datum.rank))
     R = CoeffRing(p, 1, 1)
     alg = LieAlgebra(datum, basis, R)
     principal_sl2(alg)  # enforces p > Coxeter number
@@ -101,8 +106,8 @@ def sym_adjoint_decomposition(cartan_type, p, rng=None):
     datum, basis = root_datum(cartan_type)
     exps = datum.exponents()
     if p <= 2 * max(exps) + 1:
-        raise OddnessError("p must exceed 2 max exponent + 1 = %d"
-                           % (2 * max(exps) + 1))
+        raise OddnessParameterError("p must exceed 2 max exponent + 1 = %d"
+                                    % (2 * max(exps) + 1))
     symbolic = sorted(2 * m for m in exps)
     R = CoeffRing(p, 1, 1)
     alg = LieAlgebra(datum, basis, R)
@@ -130,7 +135,7 @@ def normalizer_decomposition(cartan_type, p, rng=None):
     irreducible and pairwise non-isomorphic."""
     datum, basis = root_datum(cartan_type)
     if datum.weyl_order % p == 0:
-        raise OddnessError("p divides |W|")
+        raise OddnessParameterError("p divides |W|")
     R = CoeffRing(p, 1, 1)
     alg = LieAlgebra(datum, basis, R)
     gens = []

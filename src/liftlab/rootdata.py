@@ -24,11 +24,15 @@ identity; the recursion below computes them exactly over Q and checks
 integrality and |N_{a,b}| = p_{a,b} + 1.
 
 RootDatum/ChevalleyBasis instances are immutable after construction
-and safe to share between threads.
+and safe to share between threads, except that a ChevalleyBasis builds
+its integral tables (ad, trace_form, divided_powers) on first use; two
+threads that race to build one build equal read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -278,12 +282,15 @@ class RootDatum:
 
 
 class ChevalleyBasis:
-    """Signed structure constants and the integral bracket table.
+    """Signed structure constants and the integral tables of the basis.
 
     Basis order: h_1..h_rank (simple coroots), then e_beta for beta in
     the fixed root order (positives by (height, lex), then negatives in
-    the mirrored order).  The bracket is encoded as a sparse table
-    mapping basis pairs to integer combinations of basis vectors.
+    the mirrored order).  This basis owns its integral tables, the ad
+    matrices, the invariant form and the divided powers of the root
+    vectors, which every LieAlgebra on it reads whatever its ring; they
+    are int64 over Z, read-only, never reduced, and built on first use,
+    since ad alone takes dim^3 entries (122 MB at E8).
     """
 
     def __init__(self, datum):
@@ -310,7 +317,9 @@ class ChevalleyBasis:
                         raise RootDataError("non-integral constant (bug)")
                     self._N[(x, y)] = int(v)
         self._check_chain_lengths()
-        self._build_bracket_table()
+        self.dim = d.dim
+        self.idx_root = {r: d.rank + i for i, r in enumerate(d.roots)}
+        self._divided = {}
 
     # -- recursive determination of the constants
 
@@ -384,64 +393,76 @@ class ChevalleyBasis:
                 raise RootDataError(
                     "constant %d at %s,%s violates chain length %d" % (v, x, y, p))
 
-    # -- bracket table on the integral basis
+    # -- integral tables of the basis, built on first use
 
-    def _build_bracket_table(self):
+    @functools.cached_property
+    def ad(self):
+        """ad of every basis vector, a read-only (dim, dim, dim) int64
+        array with ad[i][:, j] = [b_i, b_j]: [h_j, e_r] = <r, alpha_j^vee>
+        e_r, [e_r, e_-r] = h_r in simple coroots, and [e_r, e_s] =
+        N_{r,s} e_{r+s}."""
         d = self.datum
-        rank, dim = d.rank, d.dim
-        self.dim = dim
-        idx_root = {r: rank + i for i, r in enumerate(d.roots)}
-        self.idx_root = idx_root
-        table = {}
+        rank, idx = d.rank, self.idx_root
+        ad = np.zeros((self.dim,) * 3, dtype=np.int64)
+        k = rank + np.arange(d.nroots)
+        ad[:rank, k, k] = d.simple_pairings.T
+        ad[k, k, :rank] = -d.simple_pairings
+        for r in d.roots:
+            ad[idx[r], :rank, idx[d.neg(r)]] = d.coroot_coords(r)
+        for (r, s), n in self._N.items():
+            ad[idx[r], idx[d.add_roots(r, s)], idx[s]] = n
+        ad.flags.writeable = False
+        return ad
 
-        def put(i, j, vec):
-            if vec:
-                table[(i, j)] = vec
+    @functools.cached_property
+    def trace_form(self):
+        """The normalized invariant form as a read-only int64 matrix:
+        B(X_b, X_-b) = (long,long)/(b,b), B(g_a, g_b) = 0 otherwise, and
+        on the Cartan B(h_i, h_j) = l_i <alpha_i, alpha_j^vee>, as
+        invariance forces."""
+        d = self.datum
+        B = np.zeros((self.dim, self.dim), dtype=np.int64)
+        dmax = max(d.norms)
+        for r in d.roots:
+            B[self.idx_root[r], self.idx_root[d.neg(r)]] = dmax // d.norm2(r)
+        for i in range(d.rank):
+            for j in range(d.rank):
+                B[i, j] = dmax // d.norms[i] * d.cartan[j][i]
+        if (B != B.T).any():
+            raise RootDataError("trace form asymmetric (bug)")
+        B.flags.writeable = False
+        return B
 
-        for i, r in enumerate(d.roots):
-            ir = idx_root[r]
-            # [h_j, e_r] = <r, alpha_j^vee> e_r
-            for j in range(rank):
-                c = d.pair_simple_coroot(r, j)
-                if c:
-                    put(j, ir, ((ir, c),))
-                    put(ir, j, ((ir, -c),))
-            for s in d.roots:
-                js = idx_root[s]
-                tot = d.add_roots(r, s)
-                if all(c == 0 for c in tot):
-                    cc = d.coroot_coords(r)
-                    vec = tuple((k, cc[k]) for k in range(rank) if cc[k])
-                    put(ir, js, vec)
-                elif d.is_root(tot):
-                    put(ir, js, ((idx_root[tot], self._N[(r, s)]),))
-        self.table = table
+    def divided_powers(self, i):
+        """ad(b_i)^k / k! for k >= 1 up to the last non-zero power,
+        stacked as a read-only (K, dim, dim) int64 array and checked
+        integral over Z; built once per basis index i (a root vector's,
+        as ad(b_i) must be nilpotent)."""
+        D = self._divided.get(i)
+        if D is None:
+            A = self.ad[i]
+            Ak = np.eye(self.dim, dtype=np.int64)
+            terms = []
+            for k in itertools.count(1):
+                Ak = Ak @ A
+                if not Ak.any():
+                    break
+                if np.any(Ak % math.factorial(k)):
+                    raise RootDataError("divided power not integral (bug)")
+                terms.append(Ak // math.factorial(k))
+            D = np.stack(terms)      # ad(X_alpha) != 0, so k = 1 occurs
+            D.flags.writeable = False
+            self._divided[i] = D
+        return D
 
     def N(self, a, b):
         return self._N.get((tuple(a), tuple(b)), 0)
 
     def bracket_int(self, x, y):
-        """Bracket of integer coefficient vectors (exact over Z)."""
-        out = np.zeros(self.dim, dtype=np.int64)
-        xi = np.nonzero(x)[0]
-        yi = np.nonzero(y)[0]
-        for i in xi:
-            for j in yi:
-                vec = self.table.get((int(i), int(j)))
-                if vec:
-                    for k, c in vec:
-                        out[k] += c * int(x[i]) * int(y[j])
-        return out
-
-    def ad_int(self, i):
-        """ad of the i-th basis vector as a dense integer matrix."""
-        M = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j in range(self.dim):
-            vec = self.table.get((i, j))
-            if vec:
-                for k, c in vec:
-                    M[k, j] += c
-        return M
+        """Bracket of integer coefficient vectors (exact over Z), read
+        from ad on the nonzero coordinates of x and y only."""
+        xi, yi = np.flatnonzero(x), np.flatnonzero(y)
+        return x[xi] @ (self.ad[xi][:, :, yi] @ y[yi])
 
     def root_basis_index(self, r):
         return self.idx_root[tuple(r)]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import modp
 from .chevgroup import LieAlgebra, exp_hat, identity, torus_elt, u_alpha
-from .coeffring import CoeffRing, LiftlabError
+from .coeffring import CoeffRing, LiftlabError, ParameterError, int64_exact
 from .localconds import (corollary_in_frame, dual_rows, frame_subspace,
                          read_local_ledger)
 from .rootdata import phi_alpha
@@ -41,6 +41,10 @@ DOUBLING_CAP = 100000           # sampler draws outside exhaustive mode
 
 
 class SelmerError(LiftlabError):
+    pass
+
+
+class SelmerParameterError(SelmerError, ParameterError):
     pass
 
 
@@ -91,8 +95,14 @@ class LedgerPlace:
 
 def _big_pairing(places, p):
     """The summed local pairing: each place's pairing matrix on the
-    diagonal, in the order of the places' blocks."""
+    diagonal, in the order of the places' blocks.  Every model builds it
+    before any product over F_p, so a model whose products of its total
+    local dimension would leave the exact int64 range is refused here."""
     total = sum(pl.h1 for pl in places)
+    if not int64_exact(p, 1, n=total):
+        raise SelmerParameterError(
+            "%d local coordinates over F_%d are past the exact int64 range"
+            % (total, p))
     J = np.zeros((total, total), dtype=np.int64)
     pos = 0
     for pl in places:
@@ -202,12 +212,12 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     target dimension.
     """
     rng = np.random.default_rng(seed)
-    total = sum(pl.h1 for pl in places)
+    J = _big_pairing(places, p)
+    total = J.shape[0]
     target = sum(pl.h1 - pl.h0 for pl in places) - sum(arch_h0) \
         + h0_glob - h0_glob_star
     if target < 0 or target > total:
         raise SelmerError("infeasible ledger: dim A = %d" % target)
-    J = _big_pairing(places, p)
     A0 = np.array(prescribed_w if prescribed_w is not None else [],
                   dtype=np.int64).reshape(-1, total) % p
     B0 = np.array(prescribed_wstar if prescribed_wstar is not None else [],
@@ -438,7 +448,7 @@ def larsen_search(eta, alg1, rng):
     p = alg1.ring.p
     if not np.any(eta % p):
         raise SelmerError("eta must be nonzero")
-    Bform = alg1.trace_form_matrix() % p
+    Bform = alg1.basis.trace_form % p
     rank = alg1.datum.rank
     for trial, g, gm, eta_g in _cartan_frames(eta, alg1, rng,
                                               LARSEN_BUDGET):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from liftlab import chevgroup
 from liftlab.coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
 from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
-                               _tables, ad_eigenvalues_on_roots, exp_hat,
+                               ad_eigenvalues_on_roots, exp_hat,
                                identity, image_growth_check,
                                levi_certificate_check, matrix_identity_check,
                                principal_sl2, root_product,
@@ -97,7 +97,7 @@ def test_bracket_and_form_match_integer_tables():
                           ("G2", 7, 3, 2), ("G2", 13, 1, 3)]:
         d, b, alg = alg_for(name, p, m, r)
         R = alg.ring
-        B = alg.trace_form_matrix()
+        B = b.trace_form
         t = np.eye(r, dtype=np.int64)
         for _ in range(4):
             x, y = alg.random_vec(rng), alg.random_vec(rng)
@@ -323,7 +323,7 @@ def test_root_groups_over_rings_sharing_one_basis(name):
             want = GroupElement(alg, g.mat).inv()     # Hensel-lifted
             assert np.array_equal(g.inv().mat, want.mat)
             assert (g @ g.inv()).eq(one) and g.inv().inv().eq(g)
-    assert all(a._ad_int is algs[0]._ad_int for a in algs)
+    assert all(a.basis.ad is b.ad for a in algs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -362,21 +362,20 @@ def test_basis_tables_are_integral_and_read_only():
     for p, m, r in RING_ORDER:
         alg = LieAlgebra(d, b, CoeffRing(p, m, r))
         u_alpha(alg, d.roots[0], alg.ring.el(1))
-    t = _tables(b)
-    assert not t.ad.flags.writeable and not t.trace_form.flags.writeable
-    assert np.array_equal(t.ad, np.stack([b.ad_int(i) for i in range(d.dim)]))
-    assert (t.ad < 0).any()      # kept over Z: entries not reduced mod q
+    assert not b.ad.flags.writeable and not b.trace_form.flags.writeable
+    assert b.ad is b.ad and b.trace_form is b.trace_form   # built once
+    assert (b.ad < 0).any()      # kept over Z: entries not reduced mod q
     with pytest.raises(ValueError):
-        t.ad[0, 0, 0] = 1
+        b.ad[0, 0, 0] = 1
     negative = False
     for al in d.roots:
         i = b.root_basis_index(al)
-        D = t.divided_powers(i)
+        D = b.divided_powers(i)
         negative |= bool((D < 0).any())
         assert not D.flags.writeable
-        assert D is t.divided_powers(i)
+        assert D is b.divided_powers(i)
         # ad(X_alpha)^k / k! over the integers, k = 1 .. nilpotency - 1
-        A = [[int(c) for c in row] for row in b.ad_int(i)]
+        A = [[int(c) for c in row] for row in b.ad[i]]
         Ak = [[int(j == k) for k in range(d.dim)] for j in range(d.dim)]
         for k in range(1, len(D) + 2):
             Ak = [[sum(Ak[j][l] * A[l][c] for l in range(d.dim))

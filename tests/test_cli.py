@@ -88,6 +88,19 @@ def test_exit_code_on_failure(tmp_path):
     ["examples", "f4", "--p", "9"],
     ["check", "matrix-identity", "--p", "4"],
     ["selmer", "doubling", "--p", "9"],
+    # a precondition on p or m of the computation asked for
+    ["decompose", "--types", "A1", "--p", "3"],
+    ["examples", "sl2", "--p", "3"],
+    ["decompose", "--types", "B2", "--p", "7"],
+    ["examples", "ntorus", "--types", "A2", "--p", "3"],
+    ["oddness", "--types", "A2", "--p", "7"],
+    ["check", "stability", "--types", "A1", "--p", "5", "--m", "2"],
+    ["check", "stability", "--types", "A1", "--p", "5", "--m", "1"],
+    # a p past the int64 range: F_p products of the local coordinates,
+    # and the ring itself
+    ["selmer", "balance", "--types", "A1", "--p", "2147483647"],
+    ["selmer", "kill", "--types", "A1", "--p", "2147483647"],
+    ["spaces", "--types", "A1", "--p", "2147483647"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))

@@ -14,9 +14,13 @@ def test_prime_field_and_z25():
 
 
 def test_rejects_bad_parameters():
-    for bad in [(2, 2, 1), (4, 1, 1), (9, 1, 1)]:
+    # the last three are past the exact int64 range, by (q - 1)^2 or,
+    # at r = 2, by r^2 (q - 1)^2
+    for bad in [(2, 2, 1), (4, 1, 1), (9, 1, 1), (5, 14, 1),
+                (2147483647, 2, 1), (1163, 3, 2)]:
         with pytest.raises(CoeffRingError):
             CoeffRing(*bad)
+    assert CoeffRing(5, 13, 1).q == 5 ** 13 and CoeffRing(1163, 3, 1).m == 3
     with pytest.raises(CoeffRingError):
         CoeffRing(5, 0, 1)
     with pytest.raises(CoeffRingError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from liftlab.intlinalg import smith_normal_form
-from liftlab.rootdata import (RootDataError, closed_symmetric_subsystems,
-                              levi_bound, load_cache, phi_alpha, root_datum,
-                              save_cache)
+from liftlab.rootdata import (ChevalleyBasis, RootDataError, RootDatum,
+                              closed_symmetric_subsystems, levi_bound,
+                              load_cache, phi_alpha, root_datum, save_cache)
 
 TYPE_DATA = {
     # dim g, |Phi^+|, Weyl order
@@ -63,18 +63,35 @@ def test_structure_constant_chain_lengths():
 
 
 def test_bracket_self_consistency():
-    # N_{a,b} X_{a+b} = [X_a, X_b] recomputed from the table
-    d, b = root_datum("B2")
-    eye = np.eye(d.dim, dtype=np.int64)
-    for a in d.roots:
-        for c in d.roots:
-            s = d.add_roots(a, c)
-            if d.is_root(s):
-                out = b.bracket_int(eye[b.root_basis_index(a)],
-                                    eye[b.root_basis_index(c)])
+    # the dense ad table against N and the Cartan matrix, every type up
+    # to rank 4: N_{a,b} X_{a+b} = [X_a, X_b], [h_j, X_r] =
+    # <r, alpha_j^vee> X_r, and ad[i][:, j] = -ad[j][:, i]
+    for name in [t for t in TYPE_DATA if int(t[1:]) <= 4]:
+        d, b = root_datum(name)
+        eye = np.eye(d.dim, dtype=np.int64)
+        assert np.array_equal(b.ad.transpose(2, 1, 0), -b.ad)
+        for a in d.roots:
+            ia = b.root_basis_index(a)
+            for j in range(d.rank):
                 want = np.zeros(d.dim, dtype=np.int64)
-                want[b.root_basis_index(s)] = b.N(a, c)
-                assert np.array_equal(out, want)
+                want[ia] = sum(a[k] * d.cartan[j][k] for k in range(d.rank))
+                assert np.array_equal(b.bracket_int(eye[j], eye[ia]), want)
+            for c in d.roots:
+                s = d.add_roots(a, c)
+                if d.is_root(s):
+                    out = b.bracket_int(eye[ia], eye[b.root_basis_index(c)])
+                    want = np.zeros(d.dim, dtype=np.int64)
+                    want[b.root_basis_index(s)] = b.N(a, c)
+                    assert np.array_equal(out, want)
+
+
+def test_roots_alone_build_no_ad_table():
+    # a fresh basis, so no earlier test can have built its table
+    b = ChevalleyBasis(RootDatum("E", 8))
+    alpha = b.datum.roots[0]
+    assert len(phi_alpha(b, alpha)) == 1 + sum(
+        b.N(alpha, c) != 0 for c in b.datum.roots)
+    assert "ad" not in vars(b)
 
 
 def test_exponents():

@@ -78,6 +78,18 @@ def test_model_consistency_guard():
                                 np.zeros((0, 2), dtype=np.int64), [])
 
 
+def test_models_past_the_int64_range_are_refused():
+    # 2 (p-1)^2 < 2^63 <= 4 (p-1)^2: one more trivial place, as a
+    # witness search would install, pushes the model past the bound
+    p = 2147483647
+    model = sm.build_synthetic_model(p, [sm.TrivialPlace(1)], seed=1)
+    places = model.places + [sm.TrivialPlace(1)]
+    with pytest.raises(sm.SelmerParameterError, match="int64"):
+        sm.SyntheticGlobalModel(p, places, model.A, None, [])
+    with pytest.raises(sm.SelmerParameterError, match="int64"):
+        sm.build_synthetic_model(p, places)
+
+
 def test_model_guard_rejects_row_outside_annihilator():
     d, b = root_datum("A1")
     model = sm.build_balanced_model(d, b, 7, seed=4)
