@@ -367,7 +367,7 @@ def principal_sl2(alg):
     d = alg.datum
     hcox = d.coxeter_number()
     if alg.ring.p <= hcox:
-        raise ChevGroupError(
+        raise GroupParameterError(
             "principal sl2 needs p > Coxeter number %d" % hcox)
     R = alg.ring
     h = alg.zero_vec()

@@ -24,6 +24,9 @@ mod p; mat_mul forms the block with one matmul per coefficient pair.
 int64 keeps every product exact while max(n, r^2) (q - 1)^2 < 2^63 for
 inner dimension n: a matmul sums n products below q^2, the fold r^2.
 
+A ring builds its n x n identity matrix once per n, on first use;
+mat_id hands out a copy, which the caller may write into.
+
 Inverses are Newton (Hensel) lifts of an inverse mod p.  The inverse
 mod p of a matrix, and at r > 1 of a scalar, is modp.inverse applied to
 its regular representation (CoeffRing.regular), the F_p matrix of
@@ -132,6 +135,7 @@ class CoeffRing:
             powers[j, 1:] = powers[j - 1, :-1]
             powers[j] = (powers[j] + powers[j - 1, -1] * top) % self.q
         self._xtab = powers[np.add.outer(np.arange(r), np.arange(r))]
+        self._eye = {}
 
     # -- element constructors
 
@@ -248,9 +252,12 @@ class CoeffRing:
     # -- matrices: int64 arrays of shape (n, n, r) (adjoint operators etc.)
 
     def mat_id(self, n):
-        M = np.zeros((n, n, self.r), dtype=np.int64)
-        M[np.arange(n), np.arange(n), 0] = 1
-        return M
+        """A fresh, writable copy of the ring's n x n identity."""
+        eye = self._eye.get(n)
+        if eye is None:
+            eye = self._eye[n] = np.zeros((n, n, self.r), dtype=np.int64)
+            eye[np.arange(n), np.arange(n), 0] = 1
+        return eye.copy()
 
     def mat_from_int(self, A):
         A = np.asarray(A)

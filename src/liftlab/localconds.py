@@ -11,6 +11,14 @@ Residual representations here are trivial, so coboundaries vanish and
 one-cocycles are plain homomorphisms: a cocycle is the tuple of its
 generator values over the residue field.
 
+A model is built for one precision; at_precision(m2) returns the model
+of the same place at precision m2.  Those models are shared: every
+at_precision call with the same datum, basis, p, m2, ring degree r and
+place data (q at a trivial prime; f and chi at p) returns one model,
+kept for the life of the process with its tables (sqrt q, alpha^vee(sqrt
+q), the chi tables), which are read-only.  The constructors always build
+a new model.
+
 Membership in the lifting sets is tested in a caller-supplied torus
 frame (normal form); an explicitly known conjugator may be passed in,
 which covers every construction in this package.  Full conjugacy
@@ -34,6 +42,18 @@ from .chevgroup import (GroupElement, LieAlgebra, frobenius_b_search,
 from .rootdata import phi_alpha
 
 SAMPLE_MEMBER_TRIES = 200       # sample_member's draws
+
+
+# at_precision's shared models, keyed on the model class and the
+# constructor's arguments (chi as a sorted tuple of its items)
+_MODELS = {}
+
+
+def _shared_model(key, build):
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS[key] = build()
+    return model
 
 
 class LocalCondError(LiftlabError):
@@ -81,8 +101,10 @@ class TameLocalModel:
         return t
 
     def at_precision(self, m2):
-        return TameLocalModel(self.datum, self.basis, self.p, m2, self.q,
-                              r=self.ring.r)
+        """The shared model of this place at precision m2."""
+        key = (TameLocalModel, self.datum, self.basis, self.p, m2, self.q,
+               self.ring.r)
+        return _shared_model(key, lambda: TameLocalModel(*key[1:]))
 
 
 class LocalLift:
@@ -509,8 +531,13 @@ class OrdinaryLocalModel:
         self._chi_tables = {}
 
     def at_precision(self, m2):
-        return OrdinaryLocalModel(self.datum, self.basis, self.p, m2, self.f,
-                                  self.chi, r=self.ring.r)
+        """The shared model of this place at precision m2."""
+        chi = tuple(sorted(self.chi.items()))
+        key = (OrdinaryLocalModel, self.datum, self.basis, self.p, m2,
+               self.f, chi, self.ring.r)
+        return _shared_model(key, lambda: OrdinaryLocalModel(
+            self.datum, self.basis, self.p, m2, self.f, self.chi,
+            r=self.ring.r))
 
     def chi_table(self, gen, modulus=None):
         """beta(chi(gen)) mod p^m (or a given modulus) for every root

@@ -469,16 +469,26 @@ class ChevalleyBasis:
 
     def verify_jacobi(self, rng=None, samples=None):
         """Jacobi identity on basis triples; exhaustive when samples is
-        None, else on random triples."""
+        None, else on random triples.
+
+        The exhaustive check reads the dense ad table: it is antisymmetric
+        and ad([b_i, b_j]) = ad(b_i) ad(b_j) - ad(b_j) ad(b_i) for i < j,
+        which together are Jacobi on every basis triple."""
         dim = self.dim
         if samples is None:
-            triples = ((i, j, k) for i in range(dim)
-                       for j in range(i + 1, dim) for k in range(j + 1, dim))
-        else:
-            triples = (tuple(sorted(rng.choice(dim, size=3, replace=False)))
-                       for _ in range(samples))
+            ad = self.ad
+            if not np.array_equal(ad, -ad.transpose(2, 1, 0)):
+                return False
+            flat = ad.reshape(dim, dim * dim)
+            for i in range(dim - 1):
+                A, rest = ad[i], ad[i + 1:]
+                lhs = (A[:, i + 1:].T @ flat).reshape(rest.shape)
+                if not np.array_equal(lhs, A @ rest - rest @ A):
+                    return False
+            return True
         eye = np.eye(dim, dtype=np.int64)
-        for i, j, k in triples:
+        for _ in range(samples):
+            i, j, k = sorted(rng.choice(dim, size=3, replace=False))
             a = self.bracket_int(eye[i], self.bracket_int(eye[j], eye[k]))
             b = self.bracket_int(eye[j], self.bracket_int(eye[k], eye[i]))
             c = self.bracket_int(eye[k], self.bracket_int(eye[i], eye[j]))

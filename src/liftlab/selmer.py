@@ -126,12 +126,13 @@ class SyntheticGlobalModel:
     B=None takes B = kernel_basis(A J) from the elimination that
     check_consistency does anyway; an explicit B is checked against it.
     J, the summed local pairing, is built once with the model, whose
-    places never change.  eta, when set, is the matrix of eta on the
-    adjoint module (entries in [0, p)) that the witness search reads.
+    places never change, or passed in by a builder that has built it.
+    eta, when set, is the matrix of eta on the adjoint module (entries
+    in [0, p)) that the witness search reads.
     """
 
     def __init__(self, p, places, A, B, arch_h0, h0_glob=0, h0_glob_star=0,
-                 eta=None, datum=None, basis=None, seed=None):
+                 eta=None, datum=None, basis=None, seed=None, J=None):
         self.p = p
         self.places = places
         self.A = A % p
@@ -143,7 +144,7 @@ class SyntheticGlobalModel:
         self.datum = datum
         self.basis = basis
         self.seed = seed
-        self.J = _big_pairing(places, p)
+        self.J = _big_pairing(places, p) if J is None else J
         self.check_consistency()
 
     # -- block bookkeeping
@@ -250,7 +251,8 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     if np.any(A @ J % p @ B0.T % p):
         raise SelmerError("prescribed dual class lost (infeasible spec)")
     return SyntheticGlobalModel(p, list(places), A, None, list(arch_h0),
-                                h0_glob, h0_glob_star, seed=seed, **extra)
+                                h0_glob, h0_glob_star, seed=seed, J=J,
+                                **extra)
 
 
 # ---------------------------------------------------------------------------

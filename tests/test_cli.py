@@ -94,6 +94,10 @@ def test_exit_code_on_failure(tmp_path):
     ["decompose", "--types", "B2", "--p", "7"],
     ["examples", "ntorus", "--types", "A2", "--p", "3"],
     ["oddness", "--types", "A2", "--p", "7"],
+    # p at or below the Coxeter number of the principal sl2
+    ["oddness", "--types", "G2", "--p", "5"],
+    ["oddness", "--types", "B3", "--p", "5"],
+    ["oddness", "--types", "C3", "--p", "5"],
     ["check", "stability", "--types", "A1", "--p", "5", "--m", "2"],
     ["check", "stability", "--types", "A1", "--p", "5", "--m", "1"],
     # a p past the int64 range: F_p products of the local coordinates,
@@ -106,6 +110,14 @@ def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
     assert code == EXIT_CONFIG and rep is None
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_selmer_doubling_solves_every_seed(tmp_path, p, seed):
+    code, rep = run(["selmer", "doubling", "--p", str(p), "--seed",
+                     str(seed)], str(tmp_path))
+    assert code == EXIT_OK and rep["failures"] == 0
 
 
 def _edited_tables(tmp_path, edit):

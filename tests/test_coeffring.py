@@ -165,6 +165,22 @@ def test_matrix_inverse_and_reduction():
         done += 1
 
 
+@pytest.mark.parametrize("r", [1, 3])
+def test_mat_id_is_a_fresh_writable_identity(r):
+    R = CoeffRing(7, 3, r)
+    want = np.zeros((4, 4, r), dtype=np.int64)
+    want[np.arange(4), np.arange(4), 0] = 1
+    first = R.mat_id(4)
+    assert first.flags.writeable and np.array_equal(first, want)
+    first[0, 1] = 5
+    first[2, 2] = 0
+    second = R.mat_id(4)
+    assert second is not first and np.array_equal(second, want)
+    second += 1
+    assert np.array_equal(R.mat_id(4), want)
+    assert R.mat_id(2).shape == (2, 2, r)
+
+
 def test_residually_trivial_inverse_takes_no_elimination(monkeypatch):
     # A = 1 mod p is its own inverse mod p, at r = 2 as at r = 1
     R = CoeffRing(7, 3, 2)

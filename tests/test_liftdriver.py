@@ -120,6 +120,23 @@ def test_driver_reports_are_pinned(p, top, seed):
         DRIVER_SHA256[p, top, seed]
 
 
+def test_models_at_one_p_share_their_level_models(monkeypatch):
+    # an empty cache of shared models, so the first run builds its own
+    monkeypatch.setattr(lc, "_MODELS", {})
+
+    def digest(reports):
+        text = json.dumps(reports, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    cold, first = lifting_driver("A1", p=7, max_precision=6, seed=2)
+    _, other = lifting_driver("A1", p=7, max_precision=6, seed=0)
+    warm, again = lifting_driver("A1", p=7, max_precision=6, seed=2)
+    for e2e in (other, again):
+        assert all(a.model is b.model
+                   for a, b in zip(first.places, e2e.places))
+    assert digest(cold) == digest(warm) == DRIVER_SHA256[7, 6, 2]
+
+
 def test_ordinary_extra_rows_are_the_cocycles(monkeypatch):
     # A2 at p = 5: the driver's extra row for beta = -a1-a2 is c_beta,
     # while the echelonized S basis of ordinary_spaces holds c_beta/2;

@@ -36,6 +36,53 @@ def test_sqrt_q_is_computed_once_per_model(monkeypatch):
         assert R.eq(R.mul(s, s), R.el(8)) and R.eq(s, sqrt(R, 8))
         assert not s.flags.writeable
 
+def test_at_precision_shares_one_model_per_place_and_precision(monkeypatch):
+    monkeypatch.setattr(lc, "_MODELS", {})
+    calls = []
+    sqrt = lc.sqrt_one_mod_p
+    monkeypatch.setattr(lc, "sqrt_one_mod_p",
+                        lambda R, q: calls.append(q) or sqrt(R, q))
+    d, b = root_datum("A2")
+    model = lc.TameLocalModel(d, b, 7, 3, 8)
+    up = model.at_precision(4)
+    assert (up.ring.m, up.q, up.ring.r) == (4, 8, 1)
+    assert model.at_precision(4) is up
+    assert lc.TameLocalModel(d, b, 7, 2, 8).at_precision(4) is up
+    for _ in range(3):
+        model.at_precision(4).sqrt_q
+    assert len(calls) == 1
+    # another q or r is another model; a constructor builds its own
+    others = [up, lc.TameLocalModel(d, b, 7, 3, 22).at_precision(4),
+              lc.TameLocalModel(d, b, 7, 3, 8, r=2).at_precision(4),
+              lc.TameLocalModel(d, b, 7, 4, 8)]
+    assert len(set(map(id, others))) == 4
+
+    chi = lc.find_regular_chi(d, 7, 1)
+    om = lc.OrdinaryLocalModel(d, b, 7, 3, 1, chi)
+    oup = om.at_precision(4)
+    assert oup.chi == om.chi and oup.ring.m == 4
+    # chi is compared by value, whatever its order
+    reordered = dict(reversed(list(chi.items())))
+    assert lc.OrdinaryLocalModel(d, b, 7, 2, 1, reordered) \
+        .at_precision(4) is oup
+    chi2 = dict(chi, u1=tuple(c + 7 for c in chi["u1"]))
+    others = [oup, lc.OrdinaryLocalModel(d, b, 7, 3, 1, chi2).at_precision(4),
+              lc.OrdinaryLocalModel(d, b, 7, 3, 1, chi, r=2).at_precision(4)]
+    assert len(set(map(id, others))) == 3
+
+
+def test_shared_model_tables_are_read_only(monkeypatch):
+    monkeypatch.setattr(lc, "_MODELS", {})
+    d, b = root_datum("B2")
+    for r in (1, 2):
+        up = lc.TameLocalModel(d, b, 7, 3, 8, r=r).at_precision(4)
+        assert not up.sqrt_q.flags.writeable
+        for alpha in up.datum.roots:
+            assert not up.covee_sqrt_q(alpha).mat.flags.writeable
+        with pytest.raises(ValueError):
+            up.sqrt_q[0] = 0
+
+
 def test_q_conditions_enforced():
     d, b = root_datum("A1")
     with pytest.raises(lc.LocalCondError):

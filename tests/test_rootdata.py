@@ -44,6 +44,21 @@ def test_jacobi_f4_exhaustive():
     assert b.verify_jacobi()
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_jacobi_catches_one_corrupted_constant(name):
+    d, b = root_datum(name)
+    i, j, k = (b.root_basis_index(d.positive_roots[n]) for n in (0, 1, 2))
+    assert b.ad[i, k, j] != 0     # [e_a1, e_a2] = N e_(a1+a2)
+    for antisymmetric in (True, False):
+        fresh = ChevalleyBasis(d)
+        ad = b.ad.copy()
+        ad[i, k, j] *= 2
+        if antisymmetric:
+            ad[j, k, i] *= 2
+        fresh.__dict__["ad"] = ad
+        assert not fresh.verify_jacobi()
+
+
 def test_jacobi_rank6_random():
     rng = np.random.default_rng(0)
     _, b = root_datum("E6")

@@ -587,6 +587,17 @@ def test_big_pairing_built_once_per_model(monkeypatch):
     assert calls == list(range(n + 1, len(model2.places) + 1))
 
 
+def test_big_pairing_built_once_per_built_model(monkeypatch):
+    real = sm._big_pairing
+    calls = []
+    monkeypatch.setattr(sm, "_big_pairing", lambda places, p: (
+        calls.append(len(places)) or real(places, p)))
+    d, b = root_datum("A1")
+    model = sm.build_balanced_model(d, b, 7, selmer_rank=1, seed=0)
+    assert calls == [len(model.places)]
+    assert np.array_equal(model.J, real(model.places, 7))
+
+
 def test_with_place_requires_an_extension():
     model, system = _loop_model("A1", 7, seed=43)
     other, _ = _loop_model("A1", 7, seed=44)
