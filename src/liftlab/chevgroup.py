@@ -132,8 +132,14 @@ class GroupElement:
             else inverse_mat % alg.ring.q
 
     def __matmul__(self, other):
-        return GroupElement(self.alg, self.alg.ring.mat_mul(self.mat, other.mat),
-                            "product")
+        # mat_mul's result is reduced mod q already, so the product is
+        # built without __init__, which would reduce it again
+        g = object.__new__(GroupElement)
+        g.alg = self.alg
+        g.mat = self.alg.ring.mat_mul(self.mat, other.mat)
+        g.tag = "product"
+        g.inverse_mat = None
+        return g
 
     def inv(self):
         """The inverse: the closed form when known, else the

@@ -169,8 +169,17 @@ def cmd_decompose(args, run):
         run.detail[name] = r
 
 
+# cohomology spells the relation x^p as a word of p letters: about 2 s
+# at this p, and time and memory grow linearly past it
+COHOMOLOGY_MAX_P = 100000
+
+
 def cmd_cohomology(args, run):
     p = args.p[0]
+    if p > COHOMOLOGY_MAX_P:
+        raise ParameterError("cohomology spells x^p as a word of p letters; "
+                             "p must be at most %d, not %d"
+                             % (COHOMOLOGY_MAX_P, p))
     pres = GroupPresentation(1, (tuple([1] * p),))
     mod = MatrixModule(p, [np.eye(1, dtype=np.int64)], pres)
     d1, _ = cohomology(pres, mod, 1)

@@ -3,14 +3,22 @@
 numpy int64 matrices with entries in [0, p).  Row reduction loops over
 pivot columns in Python; a pivot step updates only the rows with a
 nonzero entry in its column (the whole matrix when more than half the
-rows are hit).  Entries return to [0, p) after every step, so every
-product stays below p^2, exact in int64 for any p < 3.03e9.
+rows are hit).  Entries do not return to [0, p) after every step: a
+whole-matrix update moves an entry by at most (p-1)^2 and is left
+unreduced, and int64 holds (2^63 - p) // (p-1)^2 such updates after a
+reduction (`_update_budget`: about 2^63 / p^2, so one at p near
+3.03e9, two at 2^31 - 1, eight just below 2^30).  The pivot column and
+the pivot row are reduced before they are read or scaled, the whole
+matrix when the next update would pass the budget and once at the end.
 A row space grown one vector at a time is kept in an incremental
 echelon (`Echelon`): a new vector is reduced against the rows kept so
 far and kept when its residue is nonzero.  A reduction sums at most n
 products below p^2, so it is exact in int64 while n (p-1)^2 < 2^63.
 A matrix solved against many times is factored once (`LeftSolver`):
 each solve is then two products, under the same bound in its row count.
+A product of reduced matrices (`matmul`) goes through float64, so BLAS,
+while its inner dimension n has n (p-1)^2 < 2^53, and through int64
+otherwise.
 Polynomials are int lists, low degree first.  Factorization is
 distinct-degree followed by Cantor-Zassenhaus equal-degree splitting
 (p odd), which is all the MeatAxe needs.
@@ -25,42 +33,64 @@ def _inv(a, p):
     return pow(int(a), -1, p)
 
 
+def _update_budget(p):
+    """How many whole-matrix updates int64 holds after a reduction: each
+    moves an entry in [0, p) by at most (p-1)^2, and the entry must stay
+    within 2^63 - 1."""
+    return (2 ** 63 - p) // (p - 1) ** 2
+
+
 def rref(A, p):
     """Reduced row echelon form; returns (R, pivot_columns).
 
     A pivot step scales the pivot row unless its pivot is already 1,
     and updates only the rows whose entry in the pivot column is
     nonzero (none, when the column is already clear), or the whole
-    matrix when more than half the rows are hit.  Entries return to
-    [0, p) after every step, so each product stays below p^2: exact in
-    int64 for any p < 3.03e9.  The caller's array is not modified.
+    matrix when more than half the rows are hit.  A whole-matrix update
+    is left unreduced while `_update_budget(p)` of them fit in int64:
+    the pivot column is reduced before it is read, the pivot row before
+    it is scaled, and the whole matrix when the next update would pass
+    the budget and at the end.  Every product then stays below p^2 and
+    every sum within int64, for any p < 3.03e9.  R is reduced, so it
+    equals the RREF of a step-by-step reduction.  The caller's array is
+    not modified.
     """
     A = np.array(A, dtype=np.int64) % p
     rows, cols = A.shape
+    budget = left = _update_budget(p)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
+        if left < budget:
+            A[:, c] %= p
         if not A[r, c]:
             below = A[r:, c].nonzero()[0]
             if not below.size:
                 continue
             piv = r + int(below[0])
             A[[r, piv]] = A[[piv, r]]
+        if left < budget:
+            A[r] %= p
         a = A[r, c]
         if a != 1:
             A[r] = A[r] * _inv(a, p) % p
         m = A[:, c].copy()
         m[r] = 0
         hit = m.nonzero()[0]
+        if hit.size and not left:
+            A %= p
+            left = budget
         if 2 * hit.size > rows:
             A -= m[:, None] * A[r]
-            A %= p
+            left -= 1
         elif hit.size:
             A[hit] = (A[hit] - m[hit, None] * A[r]) % p
         pivots.append(c)
         r += 1
+    if left < budget:
+        A %= p
     return A, pivots
 
 
@@ -69,17 +99,38 @@ def rank(A, p):
 
 
 def kernel_basis(A, p):
-    """Basis (rows) of the right kernel of A."""
+    """Basis (rows) of the right kernel of A: one row per free column
+    of the RREF R, 1 at that column and -R's column on the pivots."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     R, piv = rref(A, p)
     cols = A.shape[1]
-    free = [c for c in range(cols) if c not in piv]
+    pivset = set(piv)
+    free = [c for c in range(cols) if c not in pivset]
     out = np.zeros((len(free), cols), dtype=np.int64)
+    R = R[:len(piv)]
     for k, fc in enumerate(free):
         out[k, fc] = 1
-        for i, pc in enumerate(piv):
-            out[k, pc] = (-R[i, fc]) % p
+        out[k, piv] = -R[:, fc] % p
     return out
+
+
+def matmul(A, B, p):
+    """A B mod p for int64 matrices (or vectors) with entries in [0, p).
+
+    The product goes through float64, so BLAS, while its inner
+    dimension n has n (p-1)^2 < 2^53: every partial sum is then an
+    integer below 2^53, exact in float64 in any summation order.  Past
+    that it goes through int64, exact while n (p-1)^2 < 2^63; a product
+    past both raises ValueError.
+    """
+    bound = A.shape[-1] * (p - 1) ** 2
+    if bound < 2 ** 53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(
+            np.int64) % p
+    if bound >= 2 ** 63:
+        raise ValueError("inner dimension %d mod %d is past the exact "
+                         "int64 range" % (A.shape[-1], p))
+    return A @ B % p
 
 
 def solve(A, b, p):

@@ -165,14 +165,15 @@ class SyntheticGlobalModel:
         p = self.p
         # ann is the full right kernel of M = A J, so a row of B lies in
         # its span exactly when M row = 0: one product tests all of B
-        M = self.A @ self.J % p
+        M = modp.matmul(self.A, self.J, p)
         ann = modp.kernel_basis(M, p) if self.A.shape[0] else \
             np.eye(self.total_dim, dtype=np.int64)
         if self.B is None:
             self.B = ann
         # rows of B inside the kernel span all of it exactly when there
         # are dim-many independent ones
-        elif self.B.shape[0] != ann.shape[0] or np.any(M @ self.B.T % p) \
+        elif self.B.shape[0] != ann.shape[0] or \
+                np.any(modp.matmul(M, self.B.T, p)) \
                 or modp.rank(self.B, p) != self.B.shape[0]:
             raise ModelInconsistencyError(
                 "B is not the exact annihilator of A")
@@ -224,7 +225,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     B0 = np.array(prescribed_wstar if prescribed_wstar is not None else [],
                   dtype=np.int64).reshape(-1, total) % p
     if A0.shape[0] and B0.shape[0]:
-        if np.any(A0 @ J @ B0.T % p):
+        if np.any(modp.matmul(modp.matmul(A0, J, p), B0.T, p)):
             raise SelmerError("prescribed classes are not isotropic "
                               "(reciprocity violated)")
     span = modp.Echelon(total, p)
@@ -232,7 +233,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
         raise SelmerError("prescribed classes not extendable")
     # allowed ambient for A: annihilator of B0 (v with v J B0^t = 0)
     if B0.shape[0]:
-        allowed = modp.kernel_basis(B0 @ J.T % p, p)
+        allowed = modp.kernel_basis(modp.matmul(B0, J.T, p), p)
     else:
         allowed = np.eye(total, dtype=np.int64)
     rows = list(A0)
@@ -248,7 +249,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     A = np.array(rows, dtype=np.int64).reshape(-1, total)
     # the model's B is the full right kernel of A J, so B0 lies in it
     # exactly when A J B0^t = 0
-    if np.any(A @ J % p @ B0.T % p):
+    if np.any(modp.matmul(modp.matmul(A, J, p), B0.T, p)):
         raise SelmerError("prescribed dual class lost (infeasible spec)")
     return SyntheticGlobalModel(p, list(places), A, None, list(arch_h0),
                                 h0_glob, h0_glob_star, seed=seed, J=J,
@@ -321,8 +322,9 @@ def local_quotients(model, image, annihilators):
     i tested against that place's annihilator (SelmerSystem.ann_L or
     ann_L_perp), concatenated over the places."""
     p = model.p
-    return np.concatenate([image[:, a:b] @ ann.T % p for (a, b), ann
-                           in zip(model.offsets(), annihilators)], axis=1)
+    return np.concatenate([modp.matmul(image[:, a:b], ann.T, p)
+                           for (a, b), ann in zip(model.offsets(),
+                                                  annihilators)], axis=1)
 
 
 def _selmer_of(model, image, annihilators):
@@ -351,9 +353,9 @@ def _selmer_with_coeffs(model, system):
     p = model.p
     sel_coeff = _selmer_of(model, model.A, system.ann_L)
     dual_coeff = _selmer_of(model, model.B, system.ann_L_perp)
-    sel = sel_coeff @ model.A % p if sel_coeff.shape[0] else \
+    sel = modp.matmul(sel_coeff, model.A, p) if sel_coeff.shape[0] else \
         np.zeros((0, model.total_dim), dtype=np.int64)
-    dual = dual_coeff @ model.B % p if dual_coeff.shape[0] else \
+    dual = modp.matmul(dual_coeff, model.B, p) if dual_coeff.shape[0] else \
         np.zeros((0, model.total_dim), dtype=np.int64)
     h1l, h1ld = sel.shape[0], dual.shape[0]
     ledger = sum(Lv.shape[0] - pl.h0 for Lv, pl in zip(system.L, model.places))
@@ -655,7 +657,7 @@ def extend_model_at_witness(model, system, witness, rng):
     # new classes: tau-part x (a basis of W), old part solving the
     # reciprocity constraint <y, b>_old = -x . b(sigma_q) for all b in B;
     # row b of M is the functional y -> <y, b>_old
-    M = (model.B @ model.J.T) % p
+    M = modp.matmul(model.B, model.J.T, p)
     # x runs over the unit vectors e_k, so column k of the right-hand
     # side is -evalB e_k and column k of Y is the old part of class k
     Y = modp.solve(M, -evalB % p, p)
@@ -674,7 +676,7 @@ def extend_model_at_witness(model, system, witness, rng):
                                   seed=model.seed)
     # model2's B is the full right kernel of A2 J2 (J2 = model2.J), so
     # the embedded classes lie in it exactly when A2 J2 B_embed^t = 0
-    if np.any(A2 @ model2.J % p @ B_embed.T % p):
+    if np.any(modp.matmul(modp.matmul(A2, model2.J, p), B_embed.T, p)):
         raise ModelInconsistencyError("embedded dual classes lost (bug)")
     gm, alpha = witness["g_mat"], witness["alpha"]
     frame = witness["frame_subspace"]

@@ -45,6 +45,29 @@ def test_u_alpha_classical_sl2_matrix():
     assert np.array_equal(M, want)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_product_is_reduced_once(monkeypatch, r):
+    # mat_mul reduces mod q, and the product is built without __init__,
+    # which would reduce the same matrix again
+    d, b, alg = alg_for("A2", 5, 3, r)
+    R = alg.ring
+    g = u_alpha(alg, d.roots[0], R.el(7))
+    h = torus_elt(alg, [2, 3])
+    init = GroupElement.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    gh = g @ h
+    assert not calls
+    assert gh.alg is alg and gh.tag == "product" and gh.inverse_mat is None
+    assert np.array_equal(gh.mat, R.mat_mul(g.mat, h.mat))
+    assert gh.mat.min() >= 0 and gh.mat.max() < R.q
+
+
 def test_torus_conjugation_scales_by_alpha():
     d, b, alg = alg_for("A2", 7, 3)
     R = alg.ring

@@ -105,6 +105,10 @@ def test_exit_code_on_failure(tmp_path):
     ["selmer", "balance", "--types", "A1", "--p", "2147483647"],
     ["selmer", "kill", "--types", "A1", "--p", "2147483647"],
     ["spaces", "--types", "A1", "--p", "2147483647"],
+    # cohomology spells x^p as a word of p letters: refused past its cap,
+    # before a word too long for memory is built
+    ["cohomology", "--p", "100003"],
+    ["cohomology", "--p", "2147483647"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
@@ -245,6 +249,7 @@ KILL_SHA256 = {
     "A3": "92db33b73fbabb26c052fe93997cb041e1c733b86ad30544e064c734ab8e9806",
     "B3": "30f227ffbca3b42efa6eb6dd7543848518c98846561945410451d5b320679fdd",
     "F4": "10368348d299599fcb3e6697eb872fde7efa52baa03e5f6219c7f8c7d2968e5a",
+    "E6": "6382bd9dfe4ad426a0da9316cb3ffe8bbfd425419f7a6b1dd8d3749270ae9654",
 }
 
 

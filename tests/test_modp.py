@@ -44,7 +44,8 @@ def _rref_input(family, p, rows, cols, rng):
         return keep * rng.integers(1, p, size=(rows, cols))
     if family == "low-rank":
         k = int(rng.integers(0, 4))
-        return rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+        # reduced, so the product stays within int64 at large p too
+        return rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
     if family == "near-echelon":
         # [I | X] with its rows permuted and one entry changed
         k = min(rows, cols)
@@ -67,10 +68,17 @@ def _rref_input(family, p, rows, cols, rng):
     return A
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.sampled_from([3, 5, 7, 13, 101]),
-       st.sampled_from(["dense", "sparse", "low-rank", "near-echelon",
-                        "zero-columns", "half"]),
+FAMILIES = ["dense", "sparse", "low-rank", "near-echelon", "zero-columns",
+            "half"]
+# int64 holds one whole-matrix update past a reduction at the first, two
+# at the second, and eight at the third, which a dense 30 x 30
+# elimination spends part-way
+LARGE_PRIMES = [3037000493, 2147483647, 1073741789]
+
+
+@settings(max_examples=640, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 13, 101] + LARGE_PRIMES),
+       st.sampled_from(FAMILIES),
        st.sampled_from(["empty-rows", "empty-cols", "row", "column", "tall",
                         "wide", "square"]),
        st.integers(1, 30), st.integers(1, 30), st.booleans(),
@@ -90,6 +98,24 @@ def test_rref_matches_reference(p, family, shape, a, b, unreduced, seed):
     assert np.array_equal(A, before)
     assert piv == wpiv
     assert R.dtype == want.dtype and np.array_equal(R, want)
+
+
+@pytest.mark.parametrize("p, budget", zip(LARGE_PRIMES, [1, 2, 8]))
+def test_rref_update_budget_at_large_p(p, budget):
+    # budget updates of at most (p-1)^2 each fit above an entry in
+    # [0, p), and one more would not
+    assert modp._update_budget(p) == budget
+    assert (p - 1) + budget * (p - 1) ** 2 < 2 ** 63 \
+        <= (p - 1) + (budget + 1) * (p - 1) ** 2
+    rng = np.random.default_rng(p)
+    for unreduced in (False, True):
+        # dense: 30 whole-matrix updates, past every budget here
+        A = rng.integers(0, p, size=(30, 30))
+        if unreduced:
+            A = A + p * rng.integers(-3, 4, size=A.shape)
+        R, piv = modp.rref(A, p)
+        want, wpiv = reference_rref(A, p)
+        assert piv == wpiv == list(range(30)) and np.array_equal(R, want)
 
 
 def test_rref_branch_boundary():
@@ -118,6 +144,71 @@ def test_rref_kernel_solve():
         b = A @ x0 % p
         x = modp.solve(A, b, p)
         assert x is not None and not np.any((A @ x - b) % p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 7, 101] + LARGE_PRIMES), st.sampled_from(FAMILIES),
+       st.integers(0, 12), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_basis_is_identity_on_free_columns(p, family, rows, cols,
+                                                  unreduced, seed):
+    rng = np.random.default_rng(seed)
+    A = _rref_input(family, p, rows, cols, rng).astype(np.int64)
+    if unreduced:
+        A = A + p * rng.integers(-3, 4, size=A.shape)
+    K = modp.kernel_basis(A, p)
+    R, piv = modp.rref(A, p)
+    free = [c for c in range(cols) if c not in piv]
+    assert K.dtype == np.int64 and K.shape == (len(free), cols)
+    assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(K[:, piv], (-R[:len(piv), free]).T % p)
+    # exact products, past int64 at the large primes
+    assert not np.any(A.astype(object) @ K.T.astype(object) % p)
+
+
+# p - 1 = 2^25 - 40: 8 (p-1)^2 < 2^53 <= 9 (p-1)^2, so the product
+# goes through float64 up to inner dimension 8 and through int64 past it
+MATMUL_P = 33554393
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 7, 101, MATMUL_P]), st.integers(0, 6),
+       st.integers(0, 16), st.integers(0, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_matmul_matches_int64(p, rows, inner, cols, extreme, seed):
+    rng = np.random.default_rng(seed)
+    if extreme:
+        # every entry p - 1: the largest sums the bound allows
+        A = np.full((rows, inner), p - 1, dtype=np.int64)
+        B = np.full((inner, cols), p - 1, dtype=np.int64)
+    else:
+        A = rng.integers(0, p, size=(rows, inner))
+        B = rng.integers(0, p, size=(inner, cols))
+    C = modp.matmul(A, B, p)
+    assert C.dtype == np.int64 and C.shape == (rows, cols)
+    assert np.array_equal(C, A @ B % p)
+    assert np.array_equal(C, A.astype(object) @ B.astype(object) % p)
+    # vector operands, on either side
+    if rows:
+        assert np.array_equal(modp.matmul(A[0], B, p), A[0] @ B % p)
+    if cols:
+        assert np.array_equal(modp.matmul(A, B[:, 0], p), A @ B[:, 0] % p)
+
+
+def test_matmul_bounds():
+    p = MATMUL_P
+    assert 8 * (p - 1) ** 2 < 2 ** 53 <= 9 * (p - 1) ** 2
+    # entries p - 2: at inner dimension 9 each sum is odd and above
+    # 2^53, where float64 would round it
+    assert float(9 * (p - 2) ** 2) != 9 * (p - 2) ** 2
+    for inner in (8, 9):
+        A = np.full((2, inner), p - 2, dtype=np.int64)
+        B = np.full((inner, 3), p - 2, dtype=np.int64)
+        assert np.all(modp.matmul(A, B, p) == inner * (p - 2) ** 2 % p)
+    # past int64 as well: refused
+    with pytest.raises(ValueError):
+        modp.matmul(np.ones((1, 2), dtype=np.int64),
+                    np.ones((2, 1), dtype=np.int64), 3037000493)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
