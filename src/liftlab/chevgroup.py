@@ -1,7 +1,7 @@
 """The adjoint Chevalley group over a truncated Witt coefficient ring.
 
 Group elements are invertible operators on g tensor R in the Chevalley
-basis, stored as (dim x dim x r) int64 arrays beside a provenance tag.
+basis, stored as (dim x dim x r) int64 arrays.
 The center is invisible in the adjoint representation; central and
 similitude directions are tracked as formal direct-sum data by the
 local-condition and Selmer modules.
@@ -12,12 +12,12 @@ division occurs there; exp of any other ad-nilpotent element divides
 by k! up to the first vanishing power ad(x)^k and therefore needs that
 k <= p, which holds for every p-divisible x when m <= p.
 
-The integral tables (ad matrices of the basis vectors, the invariant
-form, the divided powers of each root vector) are owned by the
-rootdata.ChevalleyBasis, which builds each once on first use; every
-LieAlgebra on that basis reads them, read-only and never reduced mod
-q, whatever its ring.  The bracket is [x, y] = ad(x) y, one ring
-matrix-vector product on those tables.
+The integral tables (ad matrices of the basis vectors, the divided
+powers of each root vector) are owned by the rootdata.ChevalleyBasis,
+which builds each once on first use; every LieAlgebra on that basis
+reads them, read-only and never reduced mod q, whatever its ring.  The
+bracket is [x, y] = ad(x) y, one ring matrix-vector product on those
+tables.
 
 Torus elements are built from their values on the root lines:
 torus_root_values evaluates prod_i t_i^(E[k, i]) for every root k from
@@ -107,27 +107,20 @@ class LieAlgebra:
         nz = np.flatnonzero(np.any(x, axis=-1))
         return np.einsum("ijk,il->jkl", self.basis.ad[nz], x[nz]) % q
 
-    # -- trace form
-
-    def trace_form(self, x, y):
-        """B(x, y) in the ring."""
-        R = self.ring
-        Bx = R.mat_vec(R.mat_from_int(self.basis.trace_form), x)
-        return R.mul(Bx, y).sum(axis=0) % R.q
-
 
 class GroupElement:
-    """Adjoint operator with constructor provenance.
+    """Adjoint operator.
 
     inverse_mat is the inverse matrix when the constructor knows it in
-    closed form (root_product), else None."""
+    closed form (root_product), else None.  A third positional argument
+    is accepted and ignored: the benchmark's workloads still pass a
+    constructor name there."""
 
-    __slots__ = ("alg", "mat", "tag", "inverse_mat")
+    __slots__ = ("alg", "mat", "inverse_mat")
 
-    def __init__(self, alg, mat, tag="product", inverse_mat=None):
+    def __init__(self, alg, mat, tag=None, inverse_mat=None):
         self.alg = alg
         self.mat = mat % alg.ring.q
-        self.tag = tag
         self.inverse_mat = None if inverse_mat is None \
             else inverse_mat % alg.ring.q
 
@@ -137,7 +130,6 @@ class GroupElement:
         g = object.__new__(GroupElement)
         g.alg = self.alg
         g.mat = self.alg.ring.mat_mul(self.mat, other.mat)
-        g.tag = "product"
         g.inverse_mat = None
         return g
 
@@ -146,9 +138,8 @@ class GroupElement:
         Hensel-lifted matrix inverse."""
         if self.inverse_mat is not None:
             return GroupElement(self.alg, self.inverse_mat,
-                                "inverse:" + self.tag, self.mat)
-        return GroupElement(self.alg, self.alg.ring.mat_inv(self.mat),
-                            "inverse:" + self.tag)
+                                inverse_mat=self.mat)
+        return GroupElement(self.alg, self.alg.ring.mat_inv(self.mat))
 
     def check_invertible(self):
         """Raise CoeffRingError unless the operator is invertible.
@@ -159,8 +150,7 @@ class GroupElement:
         self.alg.ring.mat_inv_modp(self.mat)
 
     def pow(self, e):
-        return GroupElement(self.alg, self.alg.ring.mat_pow(self.mat, e),
-                            "power:" + self.tag)
+        return GroupElement(self.alg, self.alg.ring.mat_pow(self.mat, e))
 
     def apply(self, vec):
         return self.alg.ring.mat_vec(self.mat, vec)
@@ -171,11 +161,11 @@ class GroupElement:
     def reduce(self, m2):
         alg2 = LieAlgebra(self.alg.datum, self.alg.basis,
                           CoeffRing(self.alg.ring.p, m2, self.alg.ring.r))
-        return GroupElement(alg2, self.mat, self.tag, self.inverse_mat)
+        return GroupElement(alg2, self.mat, inverse_mat=self.inverse_mat)
 
 
 def identity(alg):
-    return GroupElement(alg, alg.ring.mat_id(alg.dim), "identity")
+    return GroupElement(alg, alg.ring.mat_id(alg.dim))
 
 
 def u_alpha(alg, alpha, x):
@@ -195,7 +185,7 @@ def u_alpha(alg, alpha, x):
     while len(xk) < len(D):
         xk.append(R.mul(xk[-1], x))
     M = R.mat_id(alg.dim) + np.einsum("kij,kl->ijl", D, np.array(xk))
-    return GroupElement(alg, M, "root:%s" % (alpha,))
+    return GroupElement(alg, M)
 
 
 def root_product(alg, factors):
@@ -217,7 +207,7 @@ def root_product(alg, factors):
         ginv = uinv if ginv is None else R.mat_mul(uinv, ginv)
     if g is None:
         g = ginv = R.mat_id(alg.dim)
-    return GroupElement(alg, g, "product", ginv)
+    return GroupElement(alg, g, inverse_mat=ginv)
 
 
 def torus_root_values(R, units, exponents):
@@ -253,7 +243,7 @@ def torus_from_root_values(alg, values):
     M = alg.ring.mat_id(alg.dim)
     k = alg.rank + np.arange(len(alg.datum.roots))
     M[k, k] = values
-    return GroupElement(alg, M, "torus")
+    return GroupElement(alg, M)
 
 
 def torus_elt(alg, values):
@@ -298,14 +288,14 @@ def exp_hat(alg, x):
             raise ChevGroupError("exp_hat needs ad(x)^k = 0 for some k <= p")
         # 1/k! is an integer mod q because k < p
         M = R.add(M, R.scalar_mul(pow(math.factorial(k), -1, R.q), term))
-    return GroupElement(alg, M, "exp")
+    return GroupElement(alg, M)
 
 
 def one_plus(alg, scale, x):
     """1 + scale * ad(x) as an operator (no exp series)."""
     R = alg.ring
     M = R.add(R.mat_id(alg.dim), R.scalar_mul(scale, alg.ad(x)))
-    return GroupElement(alg, M, "affine")
+    return GroupElement(alg, M)
 
 
 def matrix_identity_check(p, m, n, samples, rng):

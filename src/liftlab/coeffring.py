@@ -246,9 +246,6 @@ class CoeffRing:
     def eq(self, a, b):
         return bool(np.all((np.asarray(a) - np.asarray(b)) % self.q == 0))
 
-    def is_zero(self, a):
-        return not np.any(np.asarray(a) % self.q)
-
     # -- matrices: int64 arrays of shape (n, n, r) (adjoint operators etc.)
 
     def mat_id(self, n):

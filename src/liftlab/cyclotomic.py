@@ -152,9 +152,6 @@ class CycloContext:
                              % (s, self.n, s, self.n))
         return a @ self.pw[np.arange(self.deg) * s % self.n]
 
-    def conj(self, a):
-        return self.galois(a, self.n - 1)
-
     def gram(self, F, H, weights):
         """sum_c weights[c] F[i, c] conj(H[j, c]) for every i, j.
 

@@ -199,7 +199,7 @@ class OrdinaryPlaceState(PlaceState):
         rows = d.simple_indices
         out = []
         for gname, v in zip(model2.generators, self.values):
-            el = GroupElement(model2.alg, v.mat, "lift")
+            el = GroupElement(model2.alg, v.mat)
             # torus correction on the diagonal: target chi mod p^(m+1)
             chi = model2.chi_table(gname)
             have = el.mat[d.rank + rows, d.rank + rows, 0]

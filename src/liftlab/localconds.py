@@ -382,13 +382,6 @@ def dual_rows(basis):
     return np.concatenate([basis[:, n:], -basis[:, :n]], axis=1)
 
 
-def duality_pairing(K, phi, psi):
-    """inv(phi cup psi) for the tame model with trivial coefficients:
-    <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)>, the bilinear
-    extension of the two unramified rules of local duality."""
-    return pairing_gram(K, phi[None], psi[None])[0, 0]
-
-
 def pairing_gram(K, basis1, basis2):
     """The matrix of duality pairings <basis1[i], basis2[j]>."""
     return K.mat_mul(dual_rows(basis1), basis2.transpose(1, 0, 2))
@@ -599,8 +592,8 @@ def chi_torus_lift(model):
     model's precision."""
     return OrdinaryLift(model, {
         g: GroupElement(model.alg,
-                        _torus_matrix_from_chi(model, g, model.ring.q),
-                        "torus") for g in model.generators})
+                        _torus_matrix_from_chi(model, g, model.ring.q))
+        for g in model.generators})
 
 
 def _torus_matrix_from_chi(model, gen, modulus):
@@ -921,25 +914,3 @@ def find_regular_chi(datum, p, f):
     for i, c in enumerate(chosen):
         chi["u%d" % (i + 1)] = tuple(1 + int(x) * p for x in c)
     return chi
-
-
-def write_local_ledger(path, entries):
-    """Local-ledger text format: one line `PLACE kind dimL h0 h0star`
-    per place, consumed by the global Selmer engine."""
-    with open(path, "w") as fh:
-        for e in entries:
-            fh.write("%s %s %d %d %d\n" % (e["place"], e["kind"], e["dim_l"],
-                                           e["h0"], e["h0star"]))
-
-
-def read_local_ledger(path):
-    out = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            place, kind, dim_l, h0, h0star = ln.split()
-            out.append({"place": place, "kind": kind, "dim_l": int(dim_l),
-                        "h0": int(h0), "h0star": int(h0star)})
-    return out

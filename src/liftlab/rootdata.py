@@ -25,7 +25,7 @@ integrality and |N_{a,b}| = p_{a,b} + 1.
 
 RootDatum/ChevalleyBasis instances are immutable after construction
 and safe to share between threads, except that a ChevalleyBasis builds
-its integral tables (ad, trace_form, divided_powers) on first use; two
+its integral tables (ad, divided_powers) on first use; two
 threads that race to build one build equal read-only arrays.
 """
 
@@ -287,10 +287,10 @@ class ChevalleyBasis:
     Basis order: h_1..h_rank (simple coroots), then e_beta for beta in
     the fixed root order (positives by (height, lex), then negatives in
     the mirrored order).  This basis owns its integral tables, the ad
-    matrices, the invariant form and the divided powers of the root
-    vectors, which every LieAlgebra on it reads whatever its ring; they
-    are int64 over Z, read-only, never reduced, and built on first use,
-    since ad alone takes dim^3 entries (122 MB at E8).
+    matrices and the divided powers of the root vectors, which every
+    LieAlgebra on it reads whatever its ring; they are int64 over Z,
+    read-only, never reduced, and built on first use, since ad alone
+    takes dim^3 entries (122 MB at E8).
     """
 
     def __init__(self, datum):
@@ -413,25 +413,6 @@ class ChevalleyBasis:
             ad[idx[r], idx[d.add_roots(r, s)], idx[s]] = n
         ad.flags.writeable = False
         return ad
-
-    @functools.cached_property
-    def trace_form(self):
-        """The normalized invariant form as a read-only int64 matrix:
-        B(X_b, X_-b) = (long,long)/(b,b), B(g_a, g_b) = 0 otherwise, and
-        on the Cartan B(h_i, h_j) = l_i <alpha_i, alpha_j^vee>, as
-        invariance forces."""
-        d = self.datum
-        B = np.zeros((self.dim, self.dim), dtype=np.int64)
-        dmax = max(d.norms)
-        for r in d.roots:
-            B[self.idx_root[r], self.idx_root[d.neg(r)]] = dmax // d.norm2(r)
-        for i in range(d.rank):
-            for j in range(d.rank):
-                B[i, j] = dmax // d.norms[i] * d.cartan[j][i]
-        if (B != B.T).any():
-            raise RootDataError("trace form asymmetric (bug)")
-        B.flags.writeable = False
-        return B
 
     def divided_powers(self, i):
         """ad(b_i)^k / k! for k >= 1 up to the last non-zero power,
@@ -655,54 +636,3 @@ def levi_bound(datum):
         "pairs_enumerated": npairs,
         "subsystems": len(systems),
     }
-
-
-# -- cache files
-
-
-def save_cache(datum, basis, path):
-    """Root-datum cache: header `TYPE RANK ISOGENY`, then roots and
-    coroots as integer rows, then constants as `alpha_idx beta_idx N`."""
-    lines = ["%s %d %s" % (datum.family, datum.rank, datum.isogeny)]
-    lines.append("ROOTS %d" % len(datum.roots))
-    for r in datum.roots:
-        lines.append(" ".join(str(c) for c in r))
-    lines.append("COROOTS %d" % len(datum.roots))
-    for r in datum.roots:
-        lines.append(" ".join(str(c) for c in datum.coroot_coords(r)))
-    items = sorted(basis._N.items(),
-                   key=lambda kv: (datum.root_index[kv[0][0]],
-                                   datum.root_index[kv[0][1]]))
-    lines.append("CONSTANTS %d" % len(items))
-    for (a, b), n in items:
-        lines.append("%d %d %d" % (datum.root_index[a], datum.root_index[b], n))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_cache(path):
-    """Parse a cache file and rebuild + cross-check against regeneration.
-
-    Regeneration is deterministic, so the cache must agree exactly."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    family, rank, isogeny = lines[0].split()
-    datum, basis = root_datum((family, int(rank)), isogeny)
-    k = 1
-    nroots = int(lines[k].split()[1]); k += 1
-    roots = [tuple(int(c) for c in lines[k + i].split()) for i in range(nroots)]
-    k += nroots
-    ncor = int(lines[k].split()[1]); k += 1
-    coroots = [tuple(int(c) for c in lines[k + i].split()) for i in range(ncor)]
-    k += ncor
-    ncon = int(lines[k].split()[1]); k += 1
-    if roots != list(datum.roots):
-        raise RootDataError("cache roots disagree with regeneration")
-    for i, r in enumerate(datum.roots):
-        if coroots[i] != datum.coroot_coords(r):
-            raise RootDataError("cache coroots disagree with regeneration")
-    for i in range(ncon):
-        ai, bi, n = (int(x) for x in lines[k + i].split())
-        if basis._N[(datum.roots[ai], datum.roots[bi])] != n:
-            raise RootDataError("cache constants disagree with regeneration")
-    return datum, basis

@@ -29,11 +29,9 @@ import numpy as np
 from . import modp
 from .chevgroup import LieAlgebra, exp_hat, identity, torus_elt, u_alpha
 from .coeffring import CoeffRing, LiftlabError, ParameterError, int64_exact
-from .localconds import (corollary_in_frame, dual_rows, frame_subspace,
-                         read_local_ledger)
+from .localconds import corollary_in_frame, dual_rows, frame_subspace
 from .rootdata import phi_alpha
 
-LARSEN_BUDGET = 200             # Cartan frames
 SPLITCASE_BUDGET = 200          # Cartan frames, and psi draws per frame
 TORUS_WITNESS_TRIES = 400       # torus draws per root and frame
 ANNIHILATION_MAX_STEPS = 64     # witness places
@@ -428,57 +426,6 @@ def random_group_element(alg, rng):
     return g
 
 
-def _cartan_frames(eta, alg1, rng, budget):
-    """The frames a Cartan search tries, as (trial, g, g mod p,
-    g^-1 eta g mod p): g is the identity at trial 0 and a
-    random_group_element draw after that.  A generator, so each draw is
-    made only when the search asks for the next frame."""
-    p = alg1.ring.p
-    for trial in range(budget):
-        g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
-        gm = g.mat[..., 0] % p
-        gi = modp.inverse(gm, p)
-        if gi is None:
-            raise SelmerError("matrix not invertible mod p")
-        yield trial, g, gm, gi @ eta @ gm % p
-
-
-def larsen_search(eta, alg1, rng):
-    """Find a Cartan frame where the matrix eta has a nonzero Cartan
-    component: an element g and a witness x in the standard Cartan with
-    B(x, (Ad g)^-1 eta (Ad g) x) != 0; equivalent to
-    p_{t_g} eta(t_g) != 0 since the B-annihilator of a Cartan is the
-    sum of the root spaces."""
-    p = alg1.ring.p
-    if not np.any(eta % p):
-        raise SelmerError("eta must be nonzero")
-    Bform = alg1.basis.trace_form % p
-    rank = alg1.datum.rank
-    for trial, g, gm, eta_g in _cartan_frames(eta, alg1, rng,
-                                              LARSEN_BUDGET):
-        # quadratic form Q(x) = B(x, eta_g x) on the Cartan block
-        S = (Bform @ eta_g) % p
-        St = S[:rank, :rank]
-        sym = (St + St.T) % p
-        if not np.any(sym) and not np.any(np.diag(St) % p):
-            continue
-        # find a witness
-        for i in range(rank):
-            if St[i, i] % p:
-                x = np.zeros(rank, dtype=np.int64)
-                x[i] = 1
-                return g, x, {"trial": trial, "value": int(St[i, i] % p)}
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                val = (St[i, i] + St[j, j] + St[i, j] + St[j, i]) % p
-                if val:
-                    x = np.zeros(rank, dtype=np.int64)
-                    x[i] = x[j] = 1
-                    return g, x, {"trial": trial, "value": int(val)}
-    raise SelmerError("larsen search exhausted after LARSEN_BUDGET = %d "
-                      "trials (p too small for this eta?)" % LARSEN_BUDGET)
-
-
 # ---------------------------------------------------------------------------
 # Chebotarev sampler
 
@@ -537,8 +484,15 @@ def splitcase_search(model, phi, psi, rng):
     sampler = ChebotarevSampler(p, d.dim, model.A.shape[0], model.B.shape[0],
                                 d.dim)
     c = sampler.draw(rng)["c"]
-    for _, g, gm, eta_g in _cartan_frames(model.eta, alg1, rng,
-                                          SPLITCASE_BUDGET):
+    # the Cartan frames: g is the identity at trial 0 and a
+    # random_group_element draw after that
+    for trial in range(SPLITCASE_BUDGET):
+        g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
+        gm = g.mat[..., 0] % p
+        gi = modp.inverse(gm, p)
+        if gi is None:
+            raise SelmerError("matrix not invertible mod p")
+        eta_g = gi @ model.eta @ gm % p
         # row k: the functional t |-> alpha_k(p_t(eta_g t)) on the Cartan
         # block, for the k-th root alpha_k
         funcs = d.simple_pairings @ eta_g[:rank, :rank] % p
@@ -982,14 +936,3 @@ def standard_balanced_system(model):
     return SelmerSystem(model, [
         np.eye(pl.w if pl.kind == "trivial" else pl.dim_l, pl.h1,
                dtype=np.int64) for pl in model.places])
-
-
-def ledger_places_from_file(path):
-    """LedgerPlace list from the localconds ledger text format, with
-    local h1 = h0 + h0star + dim_l - h0 (the balanced bookkeeping)."""
-    out = []
-    for e in read_local_ledger(path):
-        h1 = e["h0"] + e["h0star"] + (e["dim_l"] - e["h0"])
-        out.append(LedgerPlace(h1, e["h0"], e["h0star"], dim_l=e["dim_l"],
-                               kind=e["kind"]))
-    return out

@@ -219,7 +219,7 @@ def test_cyclotomic_arithmetic():
     prod = ctx.mul(b5, ctx.add(b5, ctx.one()))
     assert np.array_equal(prod, ctx.one())
     # conjugation fixes the real b5
-    assert np.array_equal(ctx.conj(b5), b5)
+    assert np.array_equal(ctx.galois(b5, ctx.n - 1), b5)
 
 
 def test_galois_requires_s_coprime_to_n():
@@ -265,7 +265,7 @@ def test_array_arithmetic_matches_list_reference(case):
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     assert ctx.mul(A, B).tolist() == ref.mul(a, b)
     assert ctx.galois(A, s).tolist() == ref.galois(a, s)
-    assert ctx.conj(B).tolist() == ref.conj(b)
+    assert ctx.galois(B, n - 1).tolist() == ref.conj(b)
     assert ctx.zeta(j).tolist() == ref.zeta(j)
     # the Gram of two one-class functions is a weighted product
     G = ctx.gram(A[None, None], B[None, None], [7])

@@ -23,6 +23,13 @@ def alg_for(name, p, m, r=1):
     return d, b, LieAlgebra(d, b, CoeffRing(p, m, r))
 
 
+def killing_form(alg, x, y):
+    """tr(ad(x) ad(y)) in the ring."""
+    R = alg.ring
+    M = R.mat_mul(alg.ad(x), alg.ad(y))
+    return M[np.arange(alg.dim), np.arange(alg.dim)].sum(axis=0) % R.q
+
+
 def test_u_alpha_identity_and_homomorphism():
     d, b, alg = alg_for("A1", 5, 3)
     R = alg.ring
@@ -63,7 +70,7 @@ def test_product_is_reduced_once(monkeypatch, r):
     monkeypatch.setattr(GroupElement, "__init__", counted)
     gh = g @ h
     assert not calls
-    assert gh.alg is alg and gh.tag == "product" and gh.inverse_mat is None
+    assert gh.alg is alg and gh.inverse_mat is None
     assert np.array_equal(gh.mat, R.mat_mul(g.mat, h.mat))
     assert gh.mat.min() >= 0 and gh.mat.max() < R.q
 
@@ -108,8 +115,8 @@ def test_group_elements_preserve_bracket_and_form():
             x, y = alg.random_vec(rng), alg.random_vec(rng)
             assert np.array_equal(g.apply(alg.bracket(x, y)),
                                   alg.bracket(g.apply(x), g.apply(y)))
-            assert R.eq(alg.trace_form(g.apply(x), g.apply(y)),
-                        alg.trace_form(x, y))
+            assert R.eq(killing_form(alg, g.apply(x), g.apply(y)),
+                        killing_form(alg, x, y))
 
 
 def test_bracket_and_form_match_integer_tables():
@@ -120,7 +127,7 @@ def test_bracket_and_form_match_integer_tables():
                           ("G2", 7, 3, 2), ("G2", 13, 1, 3)]:
         d, b, alg = alg_for(name, p, m, r)
         R = alg.ring
-        B = b.trace_form
+        B = np.einsum("ijk,lkj->il", b.ad, b.ad)      # tr(ad b_i ad b_l)
         t = np.eye(r, dtype=np.int64)
         for _ in range(4):
             x, y = alg.random_vec(rng), alg.random_vec(rng)
@@ -134,7 +141,7 @@ def test_bracket_and_form_match_integer_tables():
                           % R.q * tt) % R.q
                     form = (form + int(x[:, c] @ B @ y[:, e]) % R.q * tt) % R.q
             assert np.array_equal(alg.bracket(x, y), br)
-            assert np.array_equal(alg.trace_form(x, y), form)
+            assert np.array_equal(killing_form(alg, x, y), form)
 
 
 def test_reduction_functoriality():
@@ -385,8 +392,8 @@ def test_basis_tables_are_integral_and_read_only():
     for p, m, r in RING_ORDER:
         alg = LieAlgebra(d, b, CoeffRing(p, m, r))
         u_alpha(alg, d.roots[0], alg.ring.el(1))
-    assert not b.ad.flags.writeable and not b.trace_form.flags.writeable
-    assert b.ad is b.ad and b.trace_form is b.trace_form   # built once
+    assert not b.ad.flags.writeable
+    assert b.ad is b.ad                                    # built once
     assert (b.ad < 0).any()      # kept over Z: entries not reduced mod q
     with pytest.raises(ValueError):
         b.ad[0, 0, 0] = 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -260,3 +261,31 @@ def test_selmer_kill_reports_are_pinned(types, tmp_path):
                  "2", "--seed", "3", "--out", out]) == EXIT_OK
     with open(out, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == KILL_SHA256[types]
+
+
+# the exit-code grid: every command but the F4 pipeline (slow, and
+# pinned on its own) over small types, primes and precisions, with the
+# least value of every other flag that has one
+EXIT_GRID = {"types": ["A1"], "p": ["2", "3", "4", "5"], "m": ["1", "3"]}
+
+
+def test_exit_codes_over_the_command_grid(tmp_path, capsys):
+    bad = []
+    for command in cli.COMMANDS:
+        if command == "examples f4":
+            continue
+        names = [name for name, _ in cli.command_flags(command)]
+        grid = [[(name, v) for v in EXIT_GRID[name]]
+                for name in names if name in EXIT_GRID]
+        least = [("--" + name, str(cli.LEAST[name])) for name in names
+                 if name in cli.LEAST]
+        for values in itertools.product(*grid):
+            args = command.split() + [
+                x for name, v in values for x in ("--" + name, v)]
+            args += [x for pair in least for x in pair]
+            code = main(args + ["--out", str(tmp_path / "r.json")])
+            err = capsys.readouterr().err
+            if code != EXIT_OK and not (code == EXIT_CONFIG
+                                        and "config error:" in err):
+                bad.append((args, code, err[-200:]))
+    assert not bad

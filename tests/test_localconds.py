@@ -213,27 +213,29 @@ def test_ram_spaces_and_degenerate_denominator():
 
 
 def test_duality_pairing_rules():
-    # phi unramified: inv = -<phi(sigma), psi(tau)>
     model = tame("A1")
     K = model.residue
     n = model.datum.dim
     rng = np.random.default_rng(1)
     w = rng.integers(0, 5, size=(n, 1), dtype=np.int64)
     wstar = rng.integers(0, 5, size=(n, 1), dtype=np.int64)
-    phi = np.concatenate([w, np.zeros_like(w)], axis=0)
-    psi = np.concatenate([np.zeros_like(wstar), wstar], axis=0)
-    val = lc.duality_pairing(K, phi, psi)
     dot = K.zero()
     for i in range(n):
         dot = K.add(dot, K.mul(w[i], wstar[i]))
-    assert K.eq(val, K.neg(dot))
-    # psi unramified: inv = +<phi(tau), psi(sigma)>
+    # rows are (c(sigma), c(tau)); phi and psi2 are unramified
+    phi = np.concatenate([w, np.zeros_like(w)], axis=0)
+    psi = np.concatenate([np.zeros_like(wstar), wstar], axis=0)
     phi2 = np.concatenate([np.zeros_like(w), w], axis=0)
     psi2 = np.concatenate([wstar, np.zeros_like(wstar)], axis=0)
-    assert K.eq(lc.duality_pairing(K, phi2, psi2), dot)
+    gram = lc.pairing_gram(K, np.stack([phi, phi2, np.zeros_like(phi)]),
+                           np.stack([psi, psi2]))
+    # phi unramified: inv = -<phi(sigma), psi(tau)>
+    assert K.eq(gram[0, 0], K.neg(dot))
+    # psi unramified: inv = +<phi(tau), psi(sigma)>
+    assert K.eq(gram[1, 1], dot)
     # both unramified -> 0; zero arguments -> 0
-    assert K.is_zero(lc.duality_pairing(K, phi, psi2))
-    assert K.is_zero(lc.duality_pairing(K, np.zeros_like(phi), psi))
+    assert K.eq(gram[0, 1], K.zero())
+    assert K.eq(gram[2, 0], K.zero())
 
 
 def reference_duality_pairing(K, phi, psi):
@@ -262,7 +264,6 @@ def test_pairing_gram_matches_scalar_loop(p, m, r, n, k1, k2, seed):
         for j in range(k2):
             want = reference_duality_pairing(K, b1[i], b2[j])
             assert np.array_equal(gram[i, j], want)
-            assert np.array_equal(lc.duality_pairing(K, b1[i], b2[j]), want)
 
 
 def test_duality_perfect():

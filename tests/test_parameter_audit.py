@@ -1,13 +1,16 @@
-"""Every defaulted parameter of liftlab is set by some caller.
+"""Every defaulted parameter of liftlab is set by some caller, and every
+public definition is named by one.
 
 A parameter that only its default reaches is a configuration no caller
-runs: it belongs in the code as a constant.  The callers are the
-library itself, the demos and the benchmark; the tests are not callers
-here.  The few parameters kept for their own reasons are listed below
-with the reason.
+runs: it belongs in the code as a constant.  A public function, class
+or method that no caller names is code that only its tests run.  The
+callers are the library itself, the demos and the benchmark; the tests
+are not callers here.  The few parameters and definitions kept for
+their own reasons are listed below with the reason.
 """
 
 import ast
+import collections
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -37,6 +40,28 @@ KEPT = {
         "a test compares it with a reference under many random streams",
     ("localconds", "smoothness_probe", "corrupt"):
         "the probe's own detection test",
+    ("rootdata", "root_datum", "isogeny"):
+        "the simply-connected lattice, whose Levi torsion (Z/3 at A2) "
+        "a test checks",
+}
+
+# (module, qualified name): why a public definition that no caller
+# names stays
+KEPT_UNCALLED = {
+    ("localconds", "augment_with_center"):
+        "acceptance criterion 3 checks dim L^{nu,alpha} on the central "
+        "augmentation it builds",
+    ("localconds", "fixed_multiplier_restrict"):
+        "acceptance criterion 3 checks dim L^{nu,alpha}, which it computes",
+    ("selmer", "eta_build"):
+        "the paper's multiplicity-free eta, which is to replace the "
+        "identity eta of the annihilation loop",
+    ("rootdata", "RootDatum.pair_root_coroot"):
+        "the scalar reference the tests check coroot_pairings against",
+    ("cyclotomic", "CycloContext.galois"):
+        "the Galois action zeta -> zeta^s, the reference the tests check "
+        "complex conjugation (s = n - 1) and its refusal of a non-unit "
+        "s against",
 }
 
 
@@ -121,3 +146,56 @@ def test_every_defaulted_parameter_has_a_caller():
     # kept parameter the audit cannot see unset means the audit is blind
     assert sorted(set(KEPT) - unset) == []
 
+
+def _spelled_names(tree):
+    """Every name a tree spells: Name ids, Attribute attrs and the
+    imported names of import statements."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def public_definitions():
+    """(module, qualified name, node) of every public module-level
+    function or class and every public method of a module-level
+    class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path, tree in _python_files(LIBRARY):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            if not node.name.startswith("_"):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, kinds) and \
+                            not sub.name.startswith("_"):
+                        yield module, "%s.%s" % (node.name, sub.name), sub
+
+
+def uncalled_definitions():
+    """(module, qualified name) of every public definition whose name
+    no caller spells outside the definition itself."""
+    spelled = collections.Counter(
+        name for top in CALLERS for _, tree in _python_files(top)
+        for name in _spelled_names(tree))
+    return {(module, qual) for module, qual, node in public_definitions()
+            if spelled[node.name]
+            == sum(name == node.name for name in _spelled_names(node))}
+
+
+def test_every_public_definition_has_a_caller():
+    uncalled = uncalled_definitions()
+    unlisted = sorted(uncalled - set(KEPT_UNCALLED))
+    assert not unlisted, (
+        "public definitions that only the tests call; give each a caller, "
+        "delete it, or list it with its reason: %r" % unlisted)
+    # a kept definition that a caller now names needs no entry, and a
+    # kept definition the audit cannot see uncalled means the audit is
+    # blind
+    assert sorted(set(KEPT_UNCALLED) - uncalled) == []

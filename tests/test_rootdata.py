@@ -1,12 +1,10 @@
-import os
-
 import numpy as np
 import pytest
 
 from liftlab.intlinalg import smith_normal_form
 from liftlab.rootdata import (ChevalleyBasis, RootDataError, RootDatum,
                               closed_symmetric_subsystems, levi_bound,
-                              load_cache, phi_alpha, root_datum, save_cache)
+                              phi_alpha, root_datum)
 
 TYPE_DATA = {
     # dim g, |Phi^+|, Weyl order
@@ -194,28 +192,6 @@ def test_closed_subsystems_g2_contains_long_a2():
     assert 0 in sizes and 12 in sizes
     # the long-root A2 is a closed symmetric subsystem of size 6
     assert 6 in sizes
-
-
-def test_cache_roundtrip(tmp_path):
-    d, b = root_datum("B2")
-    path = os.path.join(tmp_path, "b2.rd")
-    save_cache(d, b, path)
-    d2, b2 = load_cache(path)
-    assert d2.dim == d.dim
-    # corrupting a constant is detected
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("CONSTANTS"):
-            parts = lines[i + 1].split()
-            parts[2] = str(int(parts[2]) + 1)
-            lines[i + 1] = " ".join(parts)
-            break
-    bad = os.path.join(tmp_path, "bad.rd")
-    with open(bad, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with pytest.raises(RootDataError):
-        load_cache(bad)
 
 
 def test_lattice_torsion_examples():
