@@ -22,11 +22,11 @@ alpha = datum.positive_roots[0]
 u2, u5 = u_alpha(alg, alpha, R.el(2)), u_alpha(alg, alpha, R.el(5))
 print("u(2) u(5) = u(7):", (u2 @ u5).eq(u_alpha(alg, alpha, R.el(7))))
 
-# torus conjugation scales the parameter by alpha(t)
+# torus conjugation scales the parameter by alpha(t), checked as
+# t u(x) = u(alpha(t) x) t, without an inverse
 t = torus_elt(alg, [R.el(2), R.el(3)])
-lhs = t @ u2 @ t.inv()
 rhs = u_alpha(alg, alpha, R.mul(root_value_of_torus(alg, t, alpha), R.el(2)))
-print("t u(x) t^-1 = u(alpha(t) x):", lhs.eq(rhs))
+print("t u(x) t^-1 = u(alpha(t) x):", (t @ u2).eq(rhs @ t))
 
 # exp of a p-divisible element truncates: mod p^2 it is 1 + ad
 R2 = CoeffRing(7, 2, 1)

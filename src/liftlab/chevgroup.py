@@ -31,10 +31,11 @@ a product of root elements together with its inverse, the reversed
 product of negated factors, and GroupElement.inv returns it; adjacent
 factors on one root are merged first by u_alpha(x) u_alpha(y) =
 u_alpha(x + y), also exact, so a run of one root costs one factor.
-Other elements are inverted by the Hensel-lifted CoeffRing.mat_inv.
-The local verification identities are checked without inverses (sigma
-tau = tau^q sigma, lhs g = g rho), which is equivalent for invertible
-elements; GroupElement.check_invertible decides invertibility mod p.
+No other element is inverted: GroupElement.inv refuses one without a
+closed form.  The verification identities are checked without inverses
+(sigma tau = tau^q sigma, lhs g = g rho, t u = u' t), which is
+equivalent for invertible elements; GroupElement.check_invertible
+decides invertibility mod p.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ import math
 
 import numpy as np
 
+from . import modp
 from .coeffring import (CoeffRing, LiftlabError, ParameterError, int64_exact,
                         sqrt_one_mod_p)
+from .intlinalg import in_rational_span
 from .rootdata import phi_alpha
 
 
@@ -134,19 +137,18 @@ class GroupElement:
         return g
 
     def inv(self):
-        """The inverse: the closed form when known, else the
-        Hensel-lifted matrix inverse."""
-        if self.inverse_mat is not None:
-            return GroupElement(self.alg, self.inverse_mat,
-                                inverse_mat=self.mat)
-        return GroupElement(self.alg, self.alg.ring.mat_inv(self.mat))
+        """The inverse in closed form, as its constructor (root_product)
+        built it; raises ChevGroupError for an element without one,
+        such as a product formed by @."""
+        if self.inverse_mat is None:
+            raise ChevGroupError("no closed-form inverse for this element")
+        return GroupElement(self.alg, self.inverse_mat, inverse_mat=self.mat)
 
     def check_invertible(self):
         """Raise CoeffRingError unless the operator is invertible.
 
         Over O/p^m that is decided mod p, by CoeffRing.mat_inv_modp: an
-        operator = 1 mod p takes no elimination, any other one, and
-        neither a Hensel lift."""
+        operator = 1 mod p takes no elimination, any other one."""
         self.alg.ring.mat_inv_modp(self.mat)
 
     def pow(self, e):
@@ -458,8 +460,6 @@ def levi_certificate_check(datum, n_prime, m_g, q, samples, rng):
     equals the Levi subalgebra of Psi; both are compared exactly.  q
     must be an odd prime (F_q = Z/q).  Returns the number of successes
     (must equal samples)."""
-    from . import modp
-    from .intlinalg import in_rational_span
     ok = 0
     dim = datum.dim
     rank = datum.rank

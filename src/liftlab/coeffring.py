@@ -27,11 +27,14 @@ inner dimension n: a matmul sums n products below q^2, the fold r^2.
 A ring builds its n x n identity matrix once per n, on first use;
 mat_id hands out a copy, which the caller may write into.
 
-Inverses are Newton (Hensel) lifts of an inverse mod p.  The inverse
-mod p of a matrix, and at r > 1 of a scalar, is modp.inverse applied to
-its regular representation (CoeffRing.regular), the F_p matrix of
-multiplication by it; at r = 1 a scalar is an integer unit mod q and is
-inverted directly by Python's modular inverse.
+A scalar inverse is the Newton (Hensel) lift of an inverse mod p.  A
+matrix is inverted only mod p (mat_inv_modp), which decides whether it
+is invertible over the ring; group elements whose inverse is needed
+carry it in closed form.  The inverse mod p of a matrix, and at r > 1
+of a scalar, is modp.inverse applied to its regular representation
+(CoeffRing.regular), the F_p matrix of multiplication by it; at r = 1 a
+scalar is an integer unit mod q and is inverted directly by Python's
+modular inverse.
 """
 
 from __future__ import annotations
@@ -276,30 +279,17 @@ class CoeffRing:
         return self.mat_mul(A, v[..., None, :])[..., 0, :]
 
     def mat_pow(self, A, e):
-        n = A.shape[0]
-        result = self.mat_id(n)
-        base = A
         e = int(e)
         if e < 0:
-            base = self.mat_inv(A)
-            e = -e
+            raise CoeffRingError("negative matrix power %d" % e)
+        result = self.mat_id(A.shape[0])
+        base = A
         while e:
             if e & 1:
                 result = self.mat_mul(result, base)
             base = self.mat_mul(base, base)
             e >>= 1
         return result
-
-    def mat_inv(self, A):
-        """Inverse of a matrix invertible mod p, by Hensel lifting."""
-        n = A.shape[0]
-        X = self.mat_inv_modp(A)
-        prec = 1
-        while prec < self.m:
-            AX = self.mat_mul(A, X)
-            X = self.mat_mul(X, (2 * self.mat_id(n) - AX) % self.q)
-            prec *= 2
-        return X
 
     def mat_inv_modp(self, A):
         """The inverse of A over the residue field F_{p^r}, entries in

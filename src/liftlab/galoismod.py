@@ -26,7 +26,7 @@ import numpy as np
 
 from . import modp
 from .coeffring import LiftlabError
-from .intlinalg import lattice_torsion
+from .intlinalg import smith_normal_form
 
 MAX_COSETS = 100000             # coset_enumeration's table budget
 
@@ -517,7 +517,8 @@ def abelianization(pres):
     if not cols:
         return [0] * g
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(g)]
-    return lattice_torsion(mat)
+    diag = smith_normal_form(mat)
+    return diag + [0] * (g - len(diag))
 
 
 def coset_enumeration(pres):

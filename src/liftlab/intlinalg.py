@@ -8,21 +8,22 @@ entries in {-2, ..., 3} (numpy seeds 0-5) the largest entry had 35 to
 116105 bits at the seventh pivot, and one matrix, at 466 bits after
 six pivots, was still running after 20 s.  Its callers stay far
 below that: levi_bound refuses rank > 4, so its matrices have at most
-4 rows, and abelianization has one row per generator.
+4 rows and in_rational_span's, root sets of the same types, at most 4
+columns; abelianization has one row per generator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def smith_normal_form(mat):
     """Invariant factors of an integer matrix.
 
-    Returns the diagonal of the Smith normal form as a list of
-    non-negative integers d_1 | d_2 | ... (zeros trail).  Row/column
-    operations only; no transform matrices are kept.
+    Returns the nonzero diagonal entries of the Smith normal form,
+    positive integers d_1 | d_2 | ..., so their number is the rank
+    over Q.  Row/column operations only; no transform matrices are
+    kept.
     """
     A = [[int(x) for x in row] for row in mat]
     if not A or not A[0]:
@@ -94,60 +95,9 @@ def smith_normal_form(mat):
     return diag
 
 
-def lattice_torsion(mat):
-    """Invariant factors of Z^n / (column span of mat), torsion part first.
-
-    Returns the full SNF diagonal padded with zeros for the free part:
-    for an n x k matrix the quotient is Z^n/L with L spanned by the
-    columns; invariant factors d_i with d_i | d_{i+1}; missing pivots
-    mean free Z summands (reported as 0).
-    """
-    A = [[int(x) for x in row] for row in mat]
-    if not A:
-        return []
-    n = len(A)
-    diag = smith_normal_form(A)
-    out = [d for d in diag]
-    while len(out) < n:
-        out.append(0)
-    return out
-
-
 def torsion_exponent(mat):
     """Exponent of the torsion subgroup of Z^n / column-span(mat)."""
-    facs = [d for d in lattice_torsion(mat) if d != 0]
-    exp = 1
-    for d in facs:
-        exp = exp * d // math.gcd(exp, d)
-    return exp
-
-
-def rational_rank(mat):
-    """Rank over Q by fraction-free Gaussian elimination."""
-    A = [[Fraction(int(x)) for x in row] for row in mat]
-    if not A or not A[0]:
-        return 0
-    rows, cols = len(A), len(A[0])
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for row in range(rank, rows):
-            if A[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = A[rank][col]
-        A[rank] = [x / inv for x in A[rank]]
-        for row in range(rows):
-            if row != rank and A[row][col] != 0:
-                c = A[row][col]
-                A[row] = [x - c * y for x, y in zip(A[row], A[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return math.lcm(*smith_normal_form(mat))
 
 
 def in_rational_span(vectors, v):
@@ -155,4 +105,5 @@ def in_rational_span(vectors, v):
     if not vectors:
         return all(x == 0 for x in v)
     base = [list(u) for u in vectors]
-    return rational_rank(base) == rational_rank(base + [list(v)])
+    rank = len(smith_normal_form(base))
+    return len(smith_normal_form(base + [list(v)])) == rank

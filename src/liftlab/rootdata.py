@@ -121,20 +121,16 @@ def _root_norms(family, rank):
 
 
 class RootDatum:
-    """Root system plus lattice data for one isogeny type.
+    """Root system plus lattice data of the adjoint group of one type.
 
-    cartan_type: (family, rank); isogeny in {"adjoint", "simply-connected"}.
-    X^bullet(T) is the root lattice for adjoint type and the weight
-    lattice for simply-connected type; roots are expressed in the
-    chosen basis by `root_in_lattice`.
+    The group is adjoint, so X^bullet(T) is the root lattice, with the
+    simple roots as its basis: a root's simple-root coordinates are its
+    coordinates in X^bullet(T).
     """
 
-    def __init__(self, family, rank, isogeny="adjoint"):
-        if isogeny not in ("adjoint", "simply-connected"):
-            raise RootDataError("unknown isogeny %r" % isogeny)
+    def __init__(self, family, rank):
         self.family = family
         self.rank = rank
-        self.isogeny = isogeny
         self.cartan = cartan_matrix(family, rank)
         self.norms = _root_norms(family, rank)
         # symmetrized form (alpha_i, alpha_j) = a[i][j] d_i / 2
@@ -225,9 +221,6 @@ class RootDatum:
         cc = self.coroot_coords(g)
         return sum(cc[i] * self.pair_simple_coroot(x, i) for i in range(self.rank))
 
-    def height(self, r):
-        return sum(r)
-
     def is_root(self, r):
         return tuple(r) in self.root_index
 
@@ -257,28 +250,8 @@ class RootDatum:
     def coxeter_number(self):
         return max(sum(r) for r in self.positive_roots) + 1
 
-    # -- lattice X^bullet(T) per isogeny
-
-    def root_in_lattice(self, g):
-        """Coordinates of the root g in the X^bullet(T) basis."""
-        if self.isogeny == "adjoint":
-            return tuple(g)
-        # weight basis: alpha_j = sum_i a[i][j] omega_i
-        return tuple(self.pair_simple_coroot(g, i) for i in range(self.rank))
-
-    def coroot_pairing_on_lattice(self, g):
-        """The functional <., gamma^vee> on the X^bullet(T) basis, as a
-        coefficient vector."""
-        cc = self.coroot_coords(g)
-        if self.isogeny == "adjoint":
-            # basis alpha_j: <alpha_j, gamma^vee> = sum_i cc_i a[i][j]
-            return tuple(sum(cc[i] * self.cartan[i][j] for i in range(self.rank))
-                         for j in range(self.rank))
-        # basis omega_j: <omega_j, alpha_i^vee> = delta_ij
-        return tuple(cc)
-
     def __repr__(self):
-        return "RootDatum(%s%d, %s)" % (self.family, self.rank, self.isogeny)
+        return "RootDatum(%s%d)" % (self.family, self.rank)
 
 
 class ChevalleyBasis:
@@ -481,12 +454,12 @@ class ChevalleyBasis:
 _CACHE = {}
 
 
-def root_datum(cartan_type, isogeny="adjoint"):
+def root_datum(cartan_type):
     """Build (RootDatum, ChevalleyBasis) for one simple type.
 
     cartan_type is a string like "F4" or a (family, rank) pair.  Rank
-    is capped at 8.  Results are cached per (type, isogeny); the
-    construction is deterministic so regeneration always agrees.
+    is capped at 8.  Results are cached per type; the construction is
+    deterministic so regeneration always agrees.
     """
     if isinstance(cartan_type, str):
         family, rank = cartan_type[0].upper(), int(cartan_type[1:])
@@ -494,9 +467,9 @@ def root_datum(cartan_type, isogeny="adjoint"):
         family, rank = cartan_type[0].upper(), int(cartan_type[1])
     if rank > 8:
         raise RootDataError("rank %d > 8 unsupported" % rank)
-    key = (family, rank, isogeny)
+    key = (family, rank)
     if key not in _CACHE:
-        datum = RootDatum(family, rank, isogeny)
+        datum = RootDatum(family, rank)
         basis = ChevalleyBasis(datum)
         _CACHE[key] = (datum, basis)
     return _CACHE[key]
@@ -560,11 +533,10 @@ def closed_symmetric_subsystems(datum):
             frontier = new
         return tuple(sorted(mask))
 
-    from itertools import combinations
     pos_idx = [idx[r] for r in d.positive_roots]
     out = {tuple()}
     for k in range(1, d.rank + 1):
-        for gens in combinations(pos_idx, k):
+        for gens in itertools.combinations(pos_idx, k):
             out.add(closure(gens))
     return sorted(out)
 
@@ -589,25 +561,21 @@ def levi_bound(datum):
     systems = closed_symmetric_subsystems(d)
     roots = d.roots
     rank = d.rank
-    basis_lattice = [tuple(1 if j == i else 0 for j in range(rank))
-                     for i in range(rank)]
-    # g_beta = gcd over the lattice basis of <x, beta^vee>
+    # g_beta = gcd over the simple roots, the lattice basis, of
+    # <alpha_j, beta^vee>
     gb = {}
     for r in roots:
-        func = d.coroot_pairing_on_lattice(r)
-        g = 0
-        for c in func:
-            g = math.gcd(g, abs(c))
+        g = math.gcd(*d.coroot_pairings(r)[d.simple_indices].tolist())
         gb[r] = g if g else 1
 
     def lattice_columns(sys_w, sys_l):
         cols = []
         for i in sys_l:
-            cols.append(d.root_in_lattice(roots[i]))
+            cols.append(roots[i])
         for i in sys_w:
             r = roots[i]
             if d._is_positive(r):
-                cols.append(tuple(gb[r] * c for c in d.root_in_lattice(r)))
+                cols.append(tuple(gb[r] * c for c in r))
         return cols
 
     n_prime = 1

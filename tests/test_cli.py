@@ -266,7 +266,8 @@ def test_selmer_kill_reports_are_pinned(types, tmp_path):
 # the exit-code grid: every command but the F4 pipeline (slow, and
 # pinned on its own) over small types, primes and precisions, with the
 # least value of every other flag that has one
-EXIT_GRID = {"types": ["A1"], "p": ["2", "3", "4", "5"], "m": ["1", "3"]}
+EXIT_GRID = {"types": ["A1", "A2", "B2", "G2"],
+             "p": ["2", "3", "4", "5", "7", "11", "13"], "m": ["1", "3"]}
 
 
 def test_exit_codes_over_the_command_grid(tmp_path, capsys):

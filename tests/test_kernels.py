@@ -1,8 +1,10 @@
 """The shared kernels against the loops they replaced: the scalar
 Gauss-Jordan loops and the extended Euclid inverse that CoeffRing and
-fieldlinalg used before every residue field went through modp.rref,
-and the r x r coefficient convolution with its reduction by the
-modulus that CoeffRing's products used before the x^(k+l) table."""
+fieldlinalg used before every residue field went through modp.rref
+(the matrix loop and the Euclid inverse live in conftest, which other
+tests share), and the r x r coefficient convolution with its reduction
+by the modulus that CoeffRing's products used before the x^(k+l)
+table."""
 
 from functools import lru_cache
 
@@ -15,30 +17,7 @@ from liftlab import fieldlinalg as fl
 from liftlab import modp
 from liftlab.coeffring import CoeffRing, CoeffRingError
 
-
-def _invert_modp(self, f):
-    # extended euclid: find g with f g = 1 mod (modulus, p)
-    p = self.p
-    r0, r1 = list(self.modulus), modp.poly_trim(f)
-    s0, s1 = [0], [1]
-    while r1 != [0]:
-        qq, rr = modp.poly_divmod(r0, r1, p)
-        r0, r1 = r1, rr
-        t = modp.poly_mul(qq, s1, p)
-        ln = max(len(s0), len(t))
-        s2 = s0 + [0] * (ln - len(s0))
-        t = t + [0] * (ln - len(t))
-        s0, s1 = s1, modp.poly_trim([(x - y) % p for x, y in zip(s2, t)])
-    if len(r0) != 1:
-        raise CoeffRingError("element not invertible mod p")
-    c = pow(r0[0], p - 2, p)
-    return [(c * x) % p for x in s0]
-
-
-def reference_inv_modp(R, a):
-    """Inverse mod p of a unit of R by the extended Euclid above."""
-    g = _invert_modp(R, [int(c) % R.p for c in a])
-    return np.array(g + [0] * (R.r - len(g)), dtype=np.int64)
+from conftest import reference_inv_modp, reference_mat_inv
 
 
 def reference_inv(R, a):
@@ -77,41 +56,6 @@ def reference_rref_f(K, A):
         pivots.append(c)
         r += 1
     return A, pivots
-
-
-def _mat_inv_modp(self, A):
-    # Gauss-Jordan over the residue field F_{p^r}
-    n = A.shape[0]
-    Rp = self if self.m == 1 else CoeffRing(self.p, 1, self.r)
-    M = np.concatenate([A % self.p, Rp.mat_id(n)], axis=1).astype(np.int64)
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if Rp.is_unit(M[row, col]):
-                piv = row
-                break
-        if piv is None:
-            raise CoeffRingError("matrix not invertible mod p")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        inv = reference_inv_modp(Rp, M[col, col])
-        M[col] = Rp.mul(M[col], inv[None, :])
-        for row in range(n):
-            if row != col and np.any(M[row, col] % self.p):
-                M[row] = Rp.sub(M[row], Rp.mul(M[row, col][None, :], M[col]))
-    return M[:, n:] % self.q
-
-
-def reference_mat_inv(R, A):
-    """The reference residue inverse, Newton-lifted as in CoeffRing.mat_inv."""
-    n = A.shape[0]
-    X = _mat_inv_modp(R, A)
-    prec = 1
-    while prec < R.m:
-        AX = R.mat_mul(A, X)
-        X = R.mat_mul(X, (2 * R.mat_id(n) - AX) % R.q)
-        prec *= 2
-    return X
 
 
 def _reduction_rows(R):
@@ -178,7 +122,9 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(rings, st.integers(1, 5), seeds)
-def test_mat_inv_matches_reference(prm, n, seed):
+def test_mat_inv_modp_matches_reference(prm, n, seed):
+    # the library's one matrix inverse is the residue inverse; the
+    # reference lifts it to a full inverse over O/p^m
     R = ring(*prm)
     A = np.random.default_rng(seed).integers(0, R.q, size=(n, n, R.r),
                                              dtype=np.int64)
@@ -186,11 +132,11 @@ def test_mat_inv_matches_reference(prm, n, seed):
         want = reference_mat_inv(R, A)
     except CoeffRingError:
         with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-            R.mat_inv(A)
+            R.mat_inv_modp(A)
         return
-    X = R.mat_inv(A)
-    assert X.dtype == want.dtype and np.array_equal(X, want)
-    assert R.mat_eq(R.mat_mul(A, X), R.mat_id(n))
+    assert R.mat_eq(R.mat_mul(A, want), R.mat_id(n))
+    X = R.mat_inv_modp(A)
+    assert X.dtype == want.dtype and np.array_equal(X, want % R.p)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -203,7 +149,7 @@ def test_singular_mod_p_raises(prm, n, seed):
     noise = R.p * rng.integers(0, R.q, size=(n, R.r), dtype=np.int64)
     A[0] = (R.mul(R.random(rng)[None, :], A[1]) + noise) % R.q
     with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-        R.mat_inv(A)
+        R.mat_inv_modp(A)
     with pytest.raises(CoeffRingError):
         reference_mat_inv(R, A)
 

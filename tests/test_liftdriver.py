@@ -9,7 +9,7 @@ from liftlab import localconds as lc
 from liftlab import modp
 from liftlab import selmer as sm
 from liftlab.chevgroup import u_alpha
-from liftlab.coeffring import CoeffRing, ParameterError
+from liftlab.coeffring import ParameterError
 from liftlab.liftdriver import (DriverError, EndToEndModel,
                                 OrdinaryPlaceState, lifting_driver)
 from liftlab.rootdata import root_datum
@@ -73,19 +73,6 @@ def test_wrong_conjugator_in_correction_is_caught(monkeypatch, place):
     monkeypatch.setattr(EndToEndModel, "_correct", patched)
     with pytest.raises(DriverError, match="does not match"):
         e2e.step(np.random.default_rng(5))
-
-
-def test_driver_uses_no_hensel_inverse(monkeypatch):
-    # conjugators carry closed-form inverses and the discrepancy needs
-    # only the inverse mod p
-    want, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
-
-    def no_inverse(self, A):
-        raise AssertionError("Hensel-lifted inverse called")
-
-    monkeypatch.setattr(CoeffRing, "mat_inv", no_inverse)
-    got, _ = lifting_driver("A1", p=5, max_precision=5, seed=3)
-    assert got == want
 
 
 def test_a_step_makes_no_elimination(monkeypatch):

@@ -40,9 +40,6 @@ KEPT = {
         "a test compares it with a reference under many random streams",
     ("localconds", "smoothness_probe", "corrupt"):
         "the probe's own detection test",
-    ("rootdata", "root_datum", "isogeny"):
-        "the simply-connected lattice, whose Levi torsion (Z/3 at A2) "
-        "a test checks",
 }
 
 # (module, qualified name): why a public definition that no caller
