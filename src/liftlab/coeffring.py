@@ -27,14 +27,16 @@ inner dimension n: a matmul sums n products below q^2, the fold r^2.
 A ring builds its n x n identity matrix once per n, on first use;
 mat_id hands out a copy, which the caller may write into.
 
-A scalar inverse is the Newton (Hensel) lift of an inverse mod p.  A
-matrix is inverted only mod p (mat_inv_modp), which decides whether it
-is invertible over the ring; group elements whose inverse is needed
-carry it in closed form.  The inverse mod p of a matrix, and at r > 1
-of a scalar, is modp.inverse applied to its regular representation
-(CoeffRing.regular), the F_p matrix of multiplication by it; at r = 1 a
-scalar is an integer unit mod q and is inverted directly by Python's
-modular inverse.
+A matrix is inverted only mod p (mat_inv_modp), which decides whether
+it is invertible over the ring; group elements whose inverse is needed
+carry it in closed form.  An inverse lies in the ring generated by its
+argument, so data in a prime ring are inverted there: a scalar in Z/q
+(every scalar at r = 1) by Python's modular inverse mod q, a matrix
+with entries in F_p mod p (every matrix at r = 1) by modp.inverse on
+its coordinate-0 plane.  Any other scalar is the Newton (Hensel) lift
+of its inverse mod p; that inverse, and the inverse mod p of any other
+matrix, is modp.inverse applied to the regular representation
+(CoeffRing.regular), the F_p matrix of multiplication by it.
 """
 
 from __future__ import annotations
@@ -224,17 +226,20 @@ class CoeffRing:
         return self.m
 
     def inv(self, a):
-        """Inverse of a unit; Hensel lift of the mod-p inverse.
+        """Inverse of a unit.  A unit of Z/q (coordinates past 0 zero
+        mod q) is inverted mod q directly; any other unit is the Hensel
+        lift of its mod-p inverse.
 
         Division by a non-unit is an error, never a silent truncation.
         """
         if not self.is_unit(a):
             raise CoeffRingError("division by non-unit")
-        if self.r == 1:
-            return np.array([pow(int(a[0]), -1, self.q)], dtype=np.int64)
+        a = np.asarray(a)
+        if self.r == 1 or not np.any(a[1:] % self.q):
+            return self.el(pow(int(a[0]), -1, self.q))
         # inverse mod p: row 0 of the inverse of the regular
         # representation (multiplication by a)
-        x = modp.inverse(self.regular(np.asarray(a)[None, None]), self.p)[0]
+        x = modp.inverse(self.regular(a[None, None]), self.p)[0]
         # Newton: x <- x (2 - a x), doubles p-adic precision each step
         prec = 1
         while prec < self.m:
@@ -295,16 +300,23 @@ class CoeffRing:
         """The inverse of A over the residue field F_{p^r}, entries in
         [0, p); raises CoeffRingError when A is singular mod p.  An
         A = 1 mod p (every lift of the trivial representation) is its
-        own inverse there and takes no elimination."""
+        own inverse there and takes no elimination.  An A with entries
+        in F_p mod p has its inverse in F_p: it is modp.inverse of
+        A[..., 0], embedded in the ring."""
         one = self.mat_id(A.shape[0])
         if not np.any((A - one) % self.p):
             return one
-        # regular() is an injective ring map, so the inverse of
-        # regular(A) is regular(A^-1), whose rows (i, 0) are A^-1
-        X = modp.inverse(self.regular(A), self.p)
-        if X is None:
-            raise CoeffRingError("matrix not invertible mod p")
-        return X[:: self.r].reshape(A.shape)
+        if self.r == 1 or not np.any(A[..., 1:] % self.p):
+            X = modp.inverse(A[..., 0], self.p)
+            if X is not None:
+                return self.mat_from_int(X)
+        else:
+            # regular() is an injective ring map, so the inverse of
+            # regular(A) is regular(A^-1), whose rows (i, 0) are A^-1
+            X = modp.inverse(self.regular(A), self.p)
+            if X is not None:
+                return X[:: self.r].reshape(A.shape)
+        raise CoeffRingError("matrix not invertible mod p")
 
     def regular(self, A):
         """The F_p matrix of v -> vA on row vectors over F_{p^r}.

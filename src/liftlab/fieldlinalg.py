@@ -1,8 +1,13 @@
 """Row reduction over the residue field GF(p^r) of a CoeffRing.
 
 Vectors carry ring coordinates in trailing axes: a matrix has shape
-(rows, cols, r).  Every r takes one path: modp.rref on the regular
-representation K.regular(A), the F_p matrix of v -> vA.
+(rows, cols, r).  A matrix whose entries lie in F_p mod p (every
+matrix at r = 1, and every space built from integral structure
+constants) is reduced by modp.rref on its coordinate-0 plane: its RREF
+over F_{p^r} is unique and has entries in F_p, so it is that of the F_p
+matrix.  Any other matrix is reduced by modp.rref on the regular
+representation K.regular(A), the F_p matrix of v -> vA, which has r^2
+times the cells.
 """
 
 from __future__ import annotations
@@ -19,10 +24,15 @@ def rref_f(K, A):
 
     The row space V of A is an F_{p^r}-space, so the F_p pivots of its
     regular representation come in whole column blocks (c, 0..r-1), and
-    the F_p row with pivot (c, 0) is the F_{p^r} row with pivot c.
+    the F_p row with pivot (c, 0) is the F_{p^r} row with pivot c.  An
+    A with every coordinate past 0 divisible by p skips that expansion:
+    its RREF is modp.rref of A[..., 0], embedded in the ring.
     """
     A = np.asarray(A)
     rows, cols, r = A.shape
+    if r == 1 or not np.any(A[..., 1:] % K.p):
+        R, piv = modp.rref(A[..., 0], K.p)
+        return K.mat_from_int(R), piv
     R, piv = modp.rref(K.regular(A), K.p)
     keep = [i for i, c in enumerate(piv) if c % r == 0]
     out = np.zeros((rows, cols, r), dtype=np.int64)

@@ -4,7 +4,6 @@ pass/fail line printed per criterion (run pytest -s to see them)."""
 import time
 
 import numpy as np
-import pytest
 
 from liftlab import localconds as lc
 from liftlab import oddness as od

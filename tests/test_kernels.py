@@ -7,6 +7,7 @@ by the modulus that CoeffRing's products used before the x^(k+l)
 table."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,16 +119,44 @@ ext_rings = st.tuples(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
 rings = st.tuples(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
                   st.sampled_from([1, 2, 3]))
 seeds = st.integers(0, 2 ** 32 - 1)
+# how the coordinates past 0 of a drawn input are set (_with_planes)
+kinds = st.sampled_from(["any", "rational", "p-multiple", "one-entry"])
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(rings, st.integers(1, 5), seeds)
-def test_mat_inv_modp_matches_reference(prm, n, seed):
+def regular_calls(f, *args):
+    """f(*args) and the number of CoeffRing.regular calls it made."""
+    with mock.patch.object(CoeffRing, "regular", autospec=True,
+                           side_effect=CoeffRing.regular) as reg:
+        out = f(*args)
+    return out, reg.call_count
+
+
+def _with_planes(K, rng, A, kind):
+    """A with its coordinates past 0 replaced according to kind:
+    "rational" zeroes them, "p-multiple" draws multiples of p (F_p data
+    mod p that at m > 1 are not in Z/q), and "one-entry" zeroes them
+    except coordinate 1 of one entry, which is a unit; "any" keeps A."""
+    if kind == "any":
+        return A
+    A = A.copy()
+    A[..., 1:] = 0
+    if kind == "p-multiple":
+        A[..., 1:] = K.p * rng.integers(0, K.q // K.p, size=A[..., 1:].shape)
+    elif kind == "one-entry" and A.size and K.r > 1:
+        at = tuple(int(rng.integers(0, s)) for s in A.shape[:-1])
+        A[at + (1,)] = rng.integers(1, K.p)
+    return A
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rings, st.integers(0, 5), kinds, seeds)
+def test_mat_inv_modp_matches_reference(prm, n, kind, seed):
     # the library's one matrix inverse is the residue inverse; the
     # reference lifts it to a full inverse over O/p^m
     R = ring(*prm)
-    A = np.random.default_rng(seed).integers(0, R.q, size=(n, n, R.r),
-                                             dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    A = _with_planes(R, rng, rng.integers(0, R.q, size=(n, n, R.r),
+                                          dtype=np.int64), kind)
     try:
         want = reference_mat_inv(R, A)
     except CoeffRingError:
@@ -135,8 +164,11 @@ def test_mat_inv_modp_matches_reference(prm, n, seed):
             R.mat_inv_modp(A)
         return
     assert R.mat_eq(R.mat_mul(A, want), R.mat_id(n))
-    X = R.mat_inv_modp(A)
+    X, calls = regular_calls(R.mat_inv_modp, A)
     assert X.dtype == want.dtype and np.array_equal(X, want % R.p)
+    # F_p data mod p are inverted over F_p, without the regular
+    # representation
+    assert calls == int(bool(np.any(A[..., 1:] % R.p)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -167,37 +199,54 @@ def test_rref_f_at_r1_is_modp_rref(p, rows, cols, k, seed):
     assert Rf.shape == R.shape + (1,) and np.array_equal(Rf[..., 0], R)
 
 
-def _low_rank(K, rng, rows, cols, k):
-    """A rows x cols matrix over K of rank at most k, with one zero
-    column, so zero rows and pivot-free columns occur."""
+def _low_rank(K, rng, rows, cols, k, kind="any"):
+    """A rows x cols matrix over K of rank at most k mod p (k + 1 for
+    kind "one-entry"), with one zero column if it has columns, so zero
+    rows and pivot-free columns occur; any kind but "any" is a product
+    of F_p matrices with its coordinates past 0 set by _with_planes."""
     L = rng.integers(0, K.p, size=(rows, k, K.r), dtype=np.int64)
     M = rng.integers(0, K.p, size=(k, cols, K.r), dtype=np.int64)
+    if kind != "any":
+        L[..., 1:] = M[..., 1:] = 0
     A = K.mat_mul(L, M) if k else np.zeros((rows, cols, K.r), dtype=np.int64)
-    A[:, rng.integers(0, cols)] = 0
-    return A
+    if cols:
+        A[:, rng.integers(0, cols)] = 0
+    return _with_planes(K, rng, A, kind)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from([5, 7, 13]), st.sampled_from([2, 3]), st.integers(0, 6),
-       st.integers(1, 8), st.integers(0, 4), seeds)
-def test_rref_f_matches_reference(p, r, rows, cols, k, seed):
-    K = ring(p, 1, r)
-    A = _low_rank(K, np.random.default_rng(seed), rows, cols, k)
-    want, wpiv = reference_rref_f(K, A)
-    R, piv = fl.rref_f(K, A)
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([2, 3]), st.integers(0, 6), st.integers(0, 8),
+       st.integers(0, 4), kinds, seeds)
+def test_rref_f_matches_reference(p, m, r, rows, cols, k, kind, seed):
+    # rref_f reads A mod p at every m: the reference is the loop over
+    # F_{p^r} on A mod p
+    K = ring(p, m, r)
+    A = _low_rank(K, np.random.default_rng(seed), rows, cols, k, kind)
+    want, wpiv = reference_rref_f(ring(p, 1, r), A % p)
+    (R, piv), calls = regular_calls(fl.rref_f, K, A)
     assert piv == wpiv
     assert R.shape == want.shape == A.shape and R.dtype == want.dtype
     assert np.array_equal(R, want)
+    # F_p data mod p are reduced over F_p, without the regular
+    # representation
+    assert calls == int(bool(np.any(A[..., 1:] % p)))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(ext_rings, seeds)
-def test_inv_matches_reference(prm, seed):
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ext_rings, kinds, seeds)
+def test_inv_matches_reference(prm, kind, seed):
     R = ring(*prm)
-    a = R.random_unit(np.random.default_rng(seed))
-    x = R.inv(a)
+    rng = np.random.default_rng(seed)
+    a = _with_planes(R, rng, R.random(rng), kind)
+    while not R.is_unit(a):
+        a = _with_planes(R, rng, R.random(rng), kind)
+    x, calls = regular_calls(R.inv, a)
     assert x.dtype == np.int64 and np.array_equal(x, reference_inv(R, a))
     assert R.eq(R.mul(a, x), R.one())
+    # only a unit of Z/q is inverted mod q directly; a0 + p y with y not
+    # 0 mod q is F_p data mod p but takes the Hensel lift
+    assert calls == int(bool(np.any(a[1:] % R.q)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -513,6 +513,33 @@ def test_conditions_over_unramified_extension():
     assert c.ramified and g.mat.shape == (n, n, 2)
 
 
+def test_unramified_spaces_skip_the_regular_representation(monkeypatch):
+    # every unr space is spanned by F_p rows (Chevalley structure
+    # constants), so at r = 3 none is expanded to the regular
+    # representation (9 times the cells); the ram cocycles
+    # y/u_beta [X_beta, X_alpha] lie outside F_p and still are
+    d, b = root_datum("A2")
+    model = lc.TameLocalModel(d, b, 5, 3, 6, r=3)
+    n = d.dim
+    al = d.positive_roots[0]
+    lift, _ = lc.sample_member(model, al, "ram2", np.random.default_rng(1))
+    calls = []
+    regular = CoeffRing.regular
+
+    def counted(self, A):
+        calls.append(A.shape)
+        return regular(self, A)
+
+    monkeypatch.setattr(CoeffRing, "regular", counted)
+    for alpha in d.roots:
+        sp = lc.condition_spaces(model, alpha, "unr")
+        assert sp["l"].dim == n and sp["l_perp"].dim == n
+    assert calls == []
+    sp = lc.condition_spaces(model, al, "ram", rho2=lift)
+    assert calls
+    assert sp["l"].dim == n and sp["l_perp"].dim == n
+
+
 # -- the inverse-free relation check and its invertibility guard
 
 
