@@ -103,12 +103,17 @@ class LieAlgebra:
         return self.ring.mat_vec(self.ad(x), y)
 
     def ad(self, x):
-        """ad(x) = sum_i x_i ad(basis vector i) as a ring matrix; an
-        integer matrix scales every coordinate of x_i alike."""
-        q = self.ring.q
+        """ad(x) = sum_i x_i ad(basis vector i) as a ring matrix: one
+        integer product of x's nonzero rows with the same rows of the
+        structure-constant table, flattened to (dim, dim^2).  An integer
+        matrix scales every coordinate of x_i alike, and the int64 sums
+        are those of the ring's matrix product, so they are exact.  The
+        nonzero filter keeps a root vector at dim^2 products, not dim^3."""
+        q, n = self.ring.q, self.dim
         x = x % q
-        nz = np.flatnonzero(np.any(x, axis=-1))
-        return np.einsum("ijk,il->jkl", self.basis.ad[nz], x[nz]) % q
+        nz = x.any(axis=-1).nonzero()[0]
+        A = x[nz].T @ self.basis.ad.reshape(n, n * n)[nz]
+        return A.T.reshape(n, n, self.ring.r) % q
 
 
 class GroupElement:
@@ -171,23 +176,25 @@ def identity(alg):
 
 
 def u_alpha(alg, alpha, x):
-    """Root group element exp(ad(x X_alpha)) = sum_k x^k D_k.
+    """Root group element exp(ad(x X_alpha)) = 1 + sum_k x^k D_k.
 
     The divided powers D_k = ad(X_alpha)^k / k! are integer matrices,
     computed and checked integral over Z once per Chevalley basis, so
     this is defined at every p, no ring division occurs, and
     u_alpha(x) u_alpha(y) = u_alpha(x+y) holds exactly; in particular
-    u_alpha(x)^-1 = u_alpha(-x).
+    u_alpha(x)^-1 = u_alpha(-x).  The sum is one integer product of
+    the powers x^k with the table of the D_k flattened to (K, dim^2).
     """
     R = alg.ring
-    alpha = tuple(alpha)
-    D = alg.basis.divided_powers(alg.basis.root_basis_index(alpha))
-    x = R.el(x) if np.isscalar(x) else np.asarray(x, dtype=np.int64) % R.q
+    D = alg.basis.divided_powers(alg.basis.root_basis_index(tuple(alpha)))
+    x = R.el(x) if isinstance(x, (int, np.integer)) \
+        else np.asarray(x, dtype=np.int64) % R.q
     xk = [x]                          # x^k for k = 1 .. len(D)
     while len(xk) < len(D):
         xk.append(R.mul(xk[-1], x))
-    M = R.mat_id(alg.dim) + np.einsum("kij,kl->ijl", D, np.array(xk))
-    return GroupElement(alg, M)
+    K, n = D.shape[:2]
+    S = np.array(xk).T @ D.reshape(K, n * n)
+    return GroupElement(alg, R.mat_id(n) + S.T.reshape(n, n, R.r))
 
 
 def root_product(alg, factors):
@@ -255,7 +262,8 @@ def torus_elt(alg, values):
     on the Cartan; in the adjoint group any tuple of units occurs.
     """
     R = alg.ring
-    vals = [v if not np.isscalar(v) else R.el(v) for v in values]
+    vals = [R.el(v) if isinstance(v, (int, np.integer)) else v
+            for v in values]
     for v in vals:
         if not R.is_unit(v):
             raise ChevGroupError("torus values must be units")
@@ -329,7 +337,7 @@ def matrix_identity_check(p, m, n, samples, rng):
         lhs = (left @ mid % q) @ right % q
         comm = (X @ A - A @ X) % q
         rhs = ((one + p ** (m - 1) * comm) % q) @ mid % q
-        if np.any((lhs - rhs) % q):
+        if ((lhs - rhs) % q).any():
             fails += 1
     return fails
 
@@ -349,7 +357,7 @@ def image_growth_check(p, n, nmat, samples, rng):
         A = (np.eye(nmat, dtype=np.int64) + p ** (n - 1) * X + p ** n * Y) % q
         P = R.mat_pow(A[:, :, None], p)[:, :, 0]
         tgt = (np.eye(nmat, dtype=np.int64) + p ** n * X) % q
-        if np.any((P - tgt) % q):
+        if ((P - tgt) % q).any():
             fails += 1
     return fails
 
@@ -430,7 +438,7 @@ def frobenius_b_search(datum, basis, alpha, p, q, seed=0):
     # != 1 mod p^2 iff beta(b) + c m / 2 != 0 mod p
     shift = c * d.coroot_pairings(alpha)[rows] % p * pow(2, p - 2, p)
     hits = np.flatnonzero(
-        np.all((B @ d.simple_pairings[rows].T + shift) % p, axis=1))
+        ((B @ d.simple_pairings[rows].T + shift) % p).all(axis=1))
     if not len(hits):
         raise ChevGroupError("search space exhausted (p too small for %s)" %
                              (alpha,))

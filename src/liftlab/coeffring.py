@@ -34,8 +34,9 @@ argument, so data in a prime ring are inverted there: a scalar in Z/q
 (every scalar at r = 1) by Python's modular inverse mod q, a matrix
 with entries in F_p mod p (every matrix at r = 1) by modp.inverse on
 its coordinate-0 plane.  Any other scalar is the Newton (Hensel) lift
-of its inverse mod p; that inverse, and the inverse mod p of any other
-matrix, is modp.inverse applied to the regular representation
+of its inverse mod p.  For a scalar a0 + p y in F_p mod p that inverse
+is pow(a0, -1, p); for any other scalar, and for any other matrix, it
+is modp.inverse applied to the regular representation
 (CoeffRing.regular), the F_p matrix of multiplication by it.
 """
 
@@ -146,7 +147,7 @@ class CoeffRing:
 
     def el(self, v):
         """Coerce an int or length-r sequence to a ring element."""
-        if np.isscalar(v):
+        if isinstance(v, (int, np.integer)):
             out = np.zeros(self.r, dtype=np.int64)
             out[0] = int(v) % self.q
             return out
@@ -215,31 +216,35 @@ class CoeffRing:
 
     def is_unit(self, a):
         """Unit iff the reduction mod p is non-zero."""
-        return bool(np.any(np.asarray(a) % self.p))
+        return bool((np.asarray(a) % self.p).any())
 
     def valuation(self, a):
         """v(x) in {0, ..., m}, with v(0) = m."""
         a = np.asarray(a)
         for v in range(self.m):
-            if np.any(a % self.p ** (v + 1)):
+            if (a % self.p ** (v + 1)).any():
                 return v
         return self.m
 
     def inv(self, a):
         """Inverse of a unit.  A unit of Z/q (coordinates past 0 zero
         mod q) is inverted mod q directly; any other unit is the Hensel
-        lift of its mod-p inverse.
+        lift of its mod-p inverse, which is pow(a0, -1, p) when the
+        coordinates past 0 are zero mod p (a = a0 + p y).
 
         Division by a non-unit is an error, never a silent truncation.
         """
         if not self.is_unit(a):
             raise CoeffRingError("division by non-unit")
         a = np.asarray(a)
-        if self.r == 1 or not np.any(a[1:] % self.q):
+        if self.r == 1 or not (a[1:] % self.q).any():
             return self.el(pow(int(a[0]), -1, self.q))
-        # inverse mod p: row 0 of the inverse of the regular
-        # representation (multiplication by a)
-        x = modp.inverse(self.regular(a[None, None]), self.p)[0]
+        if (a[1:] % self.p).any():
+            # row 0 of the inverse of the regular representation
+            # (multiplication by a)
+            x = modp.inverse(self.regular(a[None, None]), self.p)[0]
+        else:
+            x = self.el(pow(int(a[0]), -1, self.p))
         # Newton: x <- x (2 - a x), doubles p-adic precision each step
         prec = 1
         while prec < self.m:
@@ -252,7 +257,7 @@ class CoeffRing:
         return self.mul(a, self.inv(b))
 
     def eq(self, a, b):
-        return bool(np.all((np.asarray(a) - np.asarray(b)) % self.q == 0))
+        return bool(((np.asarray(a) - np.asarray(b)) % self.q == 0).all())
 
     # -- matrices: int64 arrays of shape (n, n, r) (adjoint operators etc.)
 
@@ -304,9 +309,9 @@ class CoeffRing:
         in F_p mod p has its inverse in F_p: it is modp.inverse of
         A[..., 0], embedded in the ring."""
         one = self.mat_id(A.shape[0])
-        if not np.any((A - one) % self.p):
+        if not ((A - one) % self.p).any():
             return one
-        if self.r == 1 or not np.any(A[..., 1:] % self.p):
+        if self.r == 1 or not (A[..., 1:] % self.p).any():
             X = modp.inverse(A[..., 0], self.p)
             if X is not None:
                 return self.mat_from_int(X)
@@ -332,7 +337,7 @@ class CoeffRing:
         return M.reshape(rows * r, cols * r)
 
     def mat_eq(self, A, B):
-        return bool(np.all((A - B) % self.q == 0))
+        return bool(((A - B) % self.q == 0).all())
 
     # -- display: GR(p^m,r):[c_0,...,c_{r-1}]
 
@@ -352,10 +357,10 @@ def sqrt_one_mod_p(R, q):
     since p is odd.  Requires a unit q = 1 mod p; works at any
     precision m (the spec's primary use is m = 2).
     """
-    q = R.el(q) if np.isscalar(q) else q
+    q = R.el(q) if isinstance(q, (int, np.integer)) else q
     if not R.is_unit(q):
         raise CoeffRingError("q must be a unit")
-    if np.any(R.sub(q, R.one()) % R.p):
+    if (R.sub(q, R.one()) % R.p).any():
         raise CoeffRingError("q must be = 1 mod p")
     s = R.one()
     inv2 = R.inv(R.el(2))

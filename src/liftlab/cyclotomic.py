@@ -187,7 +187,7 @@ class CycloContext:
         return G.reshape(m, k, d)
 
     def is_rational(self, a):
-        return not np.any(a[1:])
+        return not a[1:].any()
 
     def rational_value(self, a):
         if not self.is_rational(a):

@@ -30,7 +30,7 @@ def rref_f(K, A):
     """
     A = np.asarray(A)
     rows, cols, r = A.shape
-    if r == 1 or not np.any(A[..., 1:] % K.p):
+    if r == 1 or not (A[..., 1:] % K.p).any():
         R, piv = modp.rref(A[..., 0], K.p)
         return K.mat_from_int(R), piv
     R, piv = modp.rref(K.regular(A), K.p)
@@ -81,7 +81,7 @@ def intersect_f(K, B1, B2):
     bot = np.concatenate([B2, np.zeros_like(B2)], axis=1)
     R, piv = rref_f(K, np.concatenate([top, bot], axis=0))
     out = [R[i, n:] for i in range(R.shape[0])
-           if not np.any(R[i, :n]) and np.any(R[i, n:])]
+           if not R[i, :n].any() and R[i, n:].any()]
     if not out:
         return np.zeros((0, n, K.r), dtype=np.int64)
     return np.stack(out)

@@ -59,8 +59,8 @@ class MatrixModule:
         self.presentation = presentation
         if check and presentation is not None:
             for rel in presentation.relations:
-                if np.any((word_matrix(self, rel)
-                           - np.eye(self.dim, dtype=np.int64)) % p):
+                if ((word_matrix(self, rel)
+                     - np.eye(self.dim, dtype=np.int64)) % p).any():
                     raise GaloisModError("generators violate a relation")
 
     def transpose_module(self):
@@ -201,7 +201,7 @@ def _standard_basis(module):
                     for gi, g in enumerate(module.gens) for i in level]
         else:
             # the first unit vector with a nonzero residue mod the span
-            j = int(np.flatnonzero(np.any(span.reduce(eye), axis=1))[0])
+            j = int(np.flatnonzero(span.reduce(eye).any(axis=1))[0])
             cand = [(eye[j], (-1, k))]
             k += 1
         level = []
@@ -240,7 +240,7 @@ def _hom_by_spin(src, spun, tgt):
         blocks.append((g2 @ Q - np.einsum("li,lak->iak", C, Q)) % p)
     A = np.concatenate(blocks).reshape(-1, k * d2)
     # the relations g b_i = b_l met while spinning hold identically
-    X = modp.kernel_basis(A[np.any(A, axis=1)], p)
+    X = modp.kernel_basis(A[A.any(axis=1)], p)
     return np.einsum("iak,hk->hai", Q, X) % p @ BTinv % p
 
 
@@ -305,11 +305,11 @@ def _endo_field_degree(module, p):
     d = len(E)
     for i, a in enumerate(E):
         for b in E[i:]:
-            if np.any((a @ b - b @ a) % p):
+            if ((a @ b - b @ a) % p).any():
                 raise GaloisModError("endo algebra not commutative")
-            if not np.any(a) or not np.any(b):
+            if not a.any() or not b.any():
                 continue
-            if not np.any(a @ b % p):
+            if not (a @ b % p).any():
                 raise GaloisModError("zero divisor in endo algebra")
     return d
 
@@ -499,7 +499,7 @@ def cohomology(pres, module, degree):
     for z in basis:
         for rel in pres.relations:
             val = _relation_block(module, rel) @ z % p
-            if np.any(val):
+            if val.any():
                 raise GaloisModError("cocycle violates a relation (bug)")
     return dimh1, np.array(basis, dtype=np.int64) if basis else \
         np.zeros((0, pres.ngens * module.dim), dtype=np.int64)

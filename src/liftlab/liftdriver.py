@@ -57,12 +57,14 @@ class PlaceState:
     the factors of the conjugator carrying its normal form to the
     current lift.
 
-    A kind supplies `values` (the normal form), `tangent()`,
-    `lift_up(rng)`, `check_relation(values)`, `is_member(values,
-    conjugator)`, `fold_tangent(tan, scale)`, `extra` (the extra
-    cocycles of its condition with their units, built once at the first
-    level), `dim_l` and `variant`; messages name the ordinary place by
-    `label`.
+    A kind supplies `member` (the normal form as a local lift of its
+    model), `values` (its generator values), `tangent()`,
+    `lift_up(rng)`, `check_relation(values)` (the local lift of the
+    values, its relation verified where the model has one),
+    `is_member(lift, conjugator)`, `fold_tangent(tan, scale)`, `extra`
+    (the extra cocycles of its condition with their units, built once
+    at the first level), `dim_l` and `variant`; messages name the
+    ordinary place by `label`.
     """
 
     label = ""
@@ -95,7 +97,8 @@ class PlaceState:
 
 class TamePlaceState(PlaceState):
     """A trivial prime: normal-form member coordinates, the member
-    (sigma, tau) assembled once per change of coordinates."""
+    (sigma, tau) assembled, and its relation verified, once per change
+    of coordinates."""
 
     def __init__(self, datum, basis, p, q, alpha, variant, rng):
         super().__init__(lc.TameLocalModel(datum, basis, p, START_M, q))
@@ -127,11 +130,13 @@ class TamePlaceState(PlaceState):
         self._assemble()
 
     def check_relation(self, values):
-        lc.LocalLift(self.model, *values)
+        """The verified lift of (sigma, tau); InvalidLiftError when the
+        tame relation fails."""
+        return lc.LocalLift(self.model, *values)
 
-    def is_member(self, values, conjugator=None):
-        return lc.membership(lc.LocalLift(self.model, *values, check=False),
-                             self.alpha, self.variant, conjugator=conjugator)
+    def is_member(self, lift, conjugator=None):
+        return lc.membership(lift, self.alpha, self.variant,
+                             conjugator=conjugator)
 
     def fold_tangent(self, tan, scale):
         """Merge exp(scale * tan) into the normal-form coordinates."""
@@ -182,10 +187,13 @@ class OrdinaryPlaceState(PlaceState):
         super().__init__(lc.OrdinaryLocalModel(datum, basis, p, START_M, 1,
                                                chi))
         self.model.check_regularity()
-        lift = lc.chi_torus_lift(self.model)
-        self.values = [lift.values[g] for g in self.model.generators]
+        self.member = lc.chi_torus_lift(self.model)
         self.extra = lc.ordinary_extra_cocycles(self.model)
         self.dim_l = datum.dim + self.model.f * len(datum.positive_roots)
+
+    @property
+    def values(self):
+        return [self.member.values[g] for g in self.model.generators]
 
     def tangent(self):
         return lc.ordinary_spaces(self.model)["tan"].basis
@@ -206,21 +214,24 @@ class OrdinaryPlaceState(PlaceState):
             tvals = [R2.el(chi[k] * pow(int(h), -1, R2.q) % R2.q)
                      for k, h in zip(rows.tolist(), have)]
             out.append(torus_elt(model2.alg, tvals) @ el)
-        self.model, self.values = model2, out
-        if not self.is_member(out):
+        self.model = model2
+        self.member = self.check_relation(out)
+        if not self.is_member(self.member):
             raise DriverError("ordinary coordinate lift left the set (bug)")
 
     def check_relation(self, values):
-        pass
-
-    def is_member(self, values, conjugator=None):
-        lift = lc.OrdinaryLift(self.model,
+        """The lift of the generator values: the free model has no
+        relation to check."""
+        return lc.OrdinaryLift(self.model,
                                dict(zip(self.model.generators, values)),
                                check=False)
+
+    def is_member(self, lift, conjugator=None):
         return lc.membership_ordinary(lift, conjugator=conjugator)
 
     def fold_tangent(self, tan, scale):
-        self.values = _perturb(self.model, self.values, scale, tan)
+        self.member = self.check_relation(
+            _perturb(self.model, self.values, scale, tan))
 
 
 class EndToEndModel:
@@ -321,7 +332,7 @@ class EndToEndModel:
             tampered = _perturb(st.model, ref, scale, z)
             st.check_relation(tampered)
             d = self._measure(tampered, ref, scale)
-            if np.any((d - z) % p):
+            if ((d - z) % p).any():
                 raise DriverError("discrepancy measurement failed (bug)")
             zs.append(z)
             targets.append(self.anns[k] @ d % p)
@@ -346,7 +357,7 @@ class EndToEndModel:
             # t r^-1 - 1 = (t - r) r^-1 with t - r divisible by scale, so
             # its top digit needs r^-1 only mod p
             D = (t.mat - r.mat)[..., 0] % (scale * p)
-            if np.any(D % scale):
+            if (D % scale).any():
                 raise DriverError("discrepancy not at top order (bug)")
             rinv = r.alg.ring.mat_inv_modp(r.mat)[..., 0]
             cols.append((D // scale @ rinv % p).reshape(-1))
@@ -368,7 +379,7 @@ class EndToEndModel:
         ntan = len(raw) - len(extra.betas)
         tan = coeff[:ntan] @ raw[:ntan] % p
         corrected = _perturb(st.model, ref, scale, ell)
-        st.check_relation(corrected)
+        corrected_lift = st.check_relation(corrected)
         # the extra part lambda becomes stability conjugator factors
         # u_beta(lambda p^{m-2} / u_beta), the tangent part folds into
         # the normal form
@@ -380,7 +391,7 @@ class EndToEndModel:
                 st.conj_factors.append(
                     (beta, pow(int(u[0]), -1, p) * c % p * p ** (st.m - 2)))
         st.fold_tangent(tan, scale)
-        if not st.is_member(st.values):
+        if not st.is_member(st.member):
             raise DriverError("%snormal form failed membership"
                               % (st.label or "new "))
         # corrected = G new G^-1, checked as G new = corrected G
@@ -388,7 +399,7 @@ class EndToEndModel:
         if not all((G @ v).eq(c @ G) for v, c in zip(st.values, corrected)):
             raise DriverError("%scorrected lift does not match the "
                               "conjugated normal form (falsified)" % st.label)
-        if not st.is_member(corrected, conjugator=G.inv()):
+        if not st.is_member(corrected_lift, conjugator=G.inv()):
             raise DriverError("%scorrected lift failed membership at place %d"
                               % (st.label, k))
         return st.report(lam)

@@ -22,7 +22,9 @@ a new model.
 Membership in the lifting sets is tested in a caller-supplied torus
 frame (normal form); an explicitly known conjugator may be passed in,
 which covers every construction in this package.  Full conjugacy
-search is out of scope by design.
+search is out of scope by design.  A tame lift's relation is checked
+once: a LocalLift verified when it was built keeps read-only matrices,
+and membership re-checks only lifts that were not.
 """
 
 from __future__ import annotations
@@ -108,14 +110,27 @@ class TameLocalModel:
 
 
 class LocalLift:
-    """A pair (rho(sigma), rho(tau)) satisfying the tame relation."""
+    """A pair (rho(sigma), rho(tau)) satisfying the tame relation.
+
+    A lift built with check=True is verified once, here: its relation
+    is checked (InvalidLiftError when it fails), `verified` records
+    that, and the matrices of sigma and tau are made read-only, so the
+    record cannot go stale.  A lift built with check=False, as
+    conjugate() and reduce() build theirs, is not verified, and
+    membership checks its relation.
+    """
 
     def __init__(self, model, rho_sigma, rho_tau, check=True):
         self.model = model
         self.sigma = rho_sigma
         self.tau = rho_tau
-        if check and not self.relation_holds():
-            raise InvalidLiftError("tame relation violated")
+        self.verified = False
+        if check:
+            if not self.relation_holds():
+                raise InvalidLiftError("tame relation violated")
+            rho_sigma.mat.flags.writeable = False
+            rho_tau.mat.flags.writeable = False
+            self.verified = True
 
     def relation_holds(self):
         """The tame relation sigma tau sigma^-1 = tau^q, checked as
@@ -154,7 +169,7 @@ class Cocycle:
 
     @property
     def ramified(self):
-        return bool(np.any(self.tau))
+        return bool(self.tau.any())
 
 
 class ConditionSpace:
@@ -217,9 +232,9 @@ def is_torus_matrix(model, M, upto=None):
     D = M % q
     off = D.copy()
     off[np.arange(n), np.arange(n)] = 0
-    if np.any(off % q):
+    if (off % q).any():
         return False
-    return bool(np.all(D[np.arange(rank), np.arange(rank)] == R.one() % q))
+    return bool((D[np.arange(rank), np.arange(rank)] == R.one() % q).all())
 
 
 def membership(lift, alpha, variant="plain", conjugator=None):
@@ -231,18 +246,20 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     y a unit, same torus constraints).  A known conjugator may be
     supplied and is applied before testing (the sets are G-hat-stable);
     its inverse is the closed form when it was built by root_product.
+    The tame relation of a lift is checked here unless the lift is
+    verified (LocalLift): a violation raises InvalidLiftError.
     """
     model = lift.model
     R, alg = model.ring, model.alg
     alpha = tuple(alpha)
-    if not lift.relation_holds():
+    if not lift.verified and not lift.relation_holds():
         raise InvalidLiftError("tame relation violated")
     if conjugator is not None:
         lift = lift.conjugate(conjugator)
     # lifts of the trivial representation reduce to 1 mod p
     eye = R.mat_id(alg.dim)
-    if np.any((lift.sigma.mat - eye) % model.p) or \
-            np.any((lift.tau.mat - eye) % model.p):
+    if ((lift.sigma.mat - eye) % model.p).any() or \
+            ((lift.tau.mat - eye) % model.p).any():
         return False
     # sigma: in T Z(g_alpha) with alpha-image q  <=>  sigma X_alpha = q X_alpha
     Xa = alg.root_vector(alpha)
@@ -263,10 +280,10 @@ def membership(lift, alpha, variant="plain", conjugator=None):
         return False
     # beta(sigma) != 1 mod p^2 for every beta in Phi^alpha
     k = [alg.basis.root_basis_index(b) for b in phi_alpha(model.basis, alpha)]
-    if not np.all(np.any((s2[k, k] - R.one()) % p2, axis=-1)):
+    if not ((s2[k, k] - R.one()) % p2).any(axis=-1).all():
         return False
     if variant == "unr2":
-        return bool(np.all((lift.tau.mat - R.mat_id(alg.dim)) % p2 == 0))
+        return bool(((lift.tau.mat - R.mat_id(alg.dim)) % p2 == 0).all())
     if variant == "ram2":
         return R.valuation(x) == 1
     raise LocalCondError("unknown variant %r" % variant)
@@ -290,10 +307,10 @@ def _beta_unit_quotient(model, sigma_mat_p2, beta):
     one = np.zeros(model.ring.r, dtype=np.int64)
     one[0] = 1
     diff = (one - val) % (p * p)
-    if np.any(diff % p):
+    if (diff % p).any():
         raise LocalCondError("beta(rho2(sigma)) not 1 mod p at %s" % (beta,))
     u = (diff // p) % p
-    if not np.any(u):
+    if not u.any():
         raise LocalCondError("degenerate denominator: beta(rho2(sigma)) "
                              "= 1 mod p^2 at %s" % (beta,))
     return u
@@ -576,7 +593,7 @@ class OrdinaryLift:
         p2 = self.model.p ** 2
         for g in self.model.generators:
             tor = _torus_matrix_from_chi(self.model, g, p2)
-            if np.any((self.values[g].mat - tor) % p2):
+            if ((self.values[g].mat - tor) % p2).any():
                 return False
         return True
 
@@ -624,14 +641,14 @@ def membership_ordinary(lift, conjugator=None):
     off = np.ones(alg.dim, dtype=bool)
     off[bidx] = False
     for gname in model.generators:
-        if np.any(lift.values[gname].mat[off][:, bidx] % R.q):
+        if (lift.values[gname].mat[off][:, bidx] % R.q).any():
             return False
     rows = model.datum.simple_indices
     ii = model.datum.rank + rows
     for gname in model.generators[1:]:
         M = lift.values[gname].mat
         want = np.array(model.chi_table(gname), dtype=np.int64)[rows]
-        if np.any(M[ii, ii, 0] % R.q != want) or np.any(M[ii, ii, 1:] % R.q):
+        if (M[ii, ii, 0] % R.q != want).any() or (M[ii, ii, 1:] % R.q).any():
             return False
     return True
 
@@ -835,8 +852,8 @@ def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
         lift, coords = sample_member(model, alpha, variant, rng)
         up = _assemble_member(model_up, alpha,
                               lift_coordinates(model, alpha, coords, rng))
-        if np.any(up.sigma.mat % model.ring.q != lift.sigma.mat) or \
-                np.any(up.tau.mat % model.ring.q != lift.tau.mat):
+        if (up.sigma.mat % model.ring.q != lift.sigma.mat).any() or \
+                (up.tau.mat % model.ring.q != lift.tau.mat).any():
             raise LocalCondError("coordinate lift does not reduce back (bug)")
         if corrupt:
             # push tau off U_alpha: a u_{-alpha}(kp) factor changes the

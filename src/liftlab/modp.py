@@ -200,7 +200,7 @@ class LeftSolver:
         p = self.p
         b = np.asarray(b, dtype=np.int64) % p
         x = self.L @ b % p
-        if np.any((self.A @ x - b) % p):
+        if ((self.A @ x - b) % p).any():
             return None
         return x
 
@@ -261,9 +261,12 @@ class Echelon:
 
 
 def poly_trim(f):
-    while len(f) > 1 and f[-1] == 0:
-        f = f[:-1]
-    return f
+    """f without its trailing zeros (a zero f keeps one), in one slice;
+    f itself when it has none."""
+    n = len(f)
+    while n > 1 and f[n - 1] == 0:
+        n -= 1
+    return f if n == len(f) else f[:n]
 
 
 def poly_mul(f, g, p):
@@ -276,20 +279,22 @@ def poly_mul(f, g, p):
 
 
 def poly_divmod(f, g, p):
+    """(q, r) with f = q g + r and deg r < deg g, for reduced f and g
+    (g[-1] a unit); one pass over the coefficients of f from the top,
+    each of degree >= deg g cleared by one multiple of g."""
     f = list(f)
     dg = len(g) - 1
+    if len(f) <= dg:
+        return [0], poly_trim(f)
     inv = _inv(g[-1], p)
-    q = [0] * max(1, len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = f[-1] * inv % p
-        q[len(f) - 1 - dg] = c
-        for i in range(dg + 1):
-            f[len(f) - 1 - dg + i] = (f[len(f) - 1 - dg + i] - c * g[i]) % p
-        f = poly_trim(f)
-    return poly_trim(q), poly_trim(f)
+    q = [0] * (len(f) - dg)
+    low = g[:dg]
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i] * inv % p
+        if c:
+            q[i - dg] = c
+            f[i - dg:i] = [(a - c * b) % p for a, b in zip(f[i - dg:i], low)]
+    return poly_trim(q), poly_trim(f[:dg] or [0])
 
 
 def poly_gcd(f, g, p):
@@ -327,7 +332,12 @@ def poly_eval_matrix(f, M, p):
 
 def min_poly(M, p, rng):
     """Minimal polynomial of M via linear dependence of powers on a few
-    random vectors (lcm of the local minimal polynomials)."""
+    random vectors (lcm of the local minimal polynomials).
+
+    One elimination per vector v: in the RREF R of the matrix with
+    columns v, M v, ..., M^n v the pivots are the first k columns, k the
+    dimension of the Krylov space, and M^k v = sum_{i<k} R[i, k] M^i v,
+    so v's minimal polynomial is x^k - sum_{i<k} R[i, k] x^i."""
     n = M.shape[0]
     mp = [1]
     for _ in range(4):
@@ -335,16 +345,9 @@ def min_poly(M, p, rng):
         vecs = [v]
         for _ in range(n):
             vecs.append(vecs[-1] @ M.T % p)  # row vector times M^T = M v
-        V = np.array(vecs)
-        # first k with linear dependence among rows 0..k
-        R, piv = rref(V, p)
+        R, piv = rref(np.array(vecs).T, p)
         k = len(piv)
-        # coefficients: solve sum_{i<=k} c_i M^i v = 0 with c_k = 1
-        W = V[: k + 1]
-        sol = solve(W[:-1].T, (-W[-1]) % p, p)
-        if sol is None:
-            continue
-        f = poly_trim(list(map(int, sol)) + [1])
+        f = [int(-c % p) for c in R[:k, k]] + [1]
         mp = poly_lcm(mp, f, p)
         if len(mp) == n + 1:
             break

@@ -38,12 +38,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffring import LiftlabError
+from .coeffring import LiftlabError, ParameterError
 from .intlinalg import torsion_exponent
 
 
 class RootDataError(LiftlabError):
     pass
+
+
+class RootDataParameterError(RootDataError, ParameterError):
+    """A refused Cartan type: an unknown family, or a rank the family
+    or this package does not support."""
 
 
 _WEYL_ORDER = {
@@ -61,40 +66,40 @@ def cartan_matrix(family, rank):
     """Bourbaki Cartan matrix, a[i][j] = <alpha_j, alpha_i^vee>."""
     if family == "A":
         if rank < 1:
-            raise RootDataError("A_n needs n >= 1")
+            raise RootDataParameterError("A_n needs n >= 1")
         edges = [(i, i + 1, 1, 1) for i in range(rank - 1)]
     elif family == "B":
         if rank < 2:
-            raise RootDataError("B_n needs n >= 2")
+            raise RootDataParameterError("B_n needs n >= 2")
         edges = [(i, i + 1, 1, 1) for i in range(rank - 2)]
         edges.append((rank - 2, rank - 1, 1, 2))  # alpha_n short
     elif family == "C":
         if rank < 2:
-            raise RootDataError("C_n needs n >= 2")
+            raise RootDataParameterError("C_n needs n >= 2")
         edges = [(i, i + 1, 1, 1) for i in range(rank - 2)]
         edges.append((rank - 2, rank - 1, 2, 1))  # alpha_n long
     elif family == "D":
         if rank < 3:
-            raise RootDataError("D_n needs n >= 3")
+            raise RootDataParameterError("D_n needs n >= 3")
         edges = [(i, i + 1, 1, 1) for i in range(rank - 2)]
         edges.append((rank - 3, rank - 1, 1, 1))
     elif family == "E":
         if rank not in (6, 7, 8):
-            raise RootDataError("E_n needs n in {6,7,8}")
+            raise RootDataParameterError("E_n needs n in {6,7,8}")
         # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 attached to 4
         chain = [(0, 2), (2, 3), (3, 4), (4, 5)] + \
                 ([(5, 6)] if rank >= 7 else []) + ([(6, 7)] if rank == 8 else [])
         edges = [(i, j, 1, 1) for i, j in chain] + [(1, 3, 1, 1)]
     elif family == "F":
         if rank != 4:
-            raise RootDataError("F_n needs n = 4")
+            raise RootDataParameterError("F_n needs n = 4")
         edges = [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)]
     elif family == "G":
         if rank != 2:
-            raise RootDataError("G_n needs n = 2")
+            raise RootDataParameterError("G_n needs n = 2")
         edges = [(0, 1, 3, 1)]  # alpha_1 short: <alpha_2, alpha_1^vee> = -3
     else:
-        raise RootDataError("unknown family %r" % family)
+        raise RootDataParameterError("unknown family %r" % family)
     a = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         a[i][i] = 2
@@ -401,7 +406,7 @@ class ChevalleyBasis:
                 Ak = Ak @ A
                 if not Ak.any():
                     break
-                if np.any(Ak % math.factorial(k)):
+                if (Ak % math.factorial(k)).any():
                     raise RootDataError("divided power not integral (bug)")
                 terms.append(Ak // math.factorial(k))
             D = np.stack(terms)      # ad(X_alpha) != 0, so k = 1 occurs
@@ -446,7 +451,7 @@ class ChevalleyBasis:
             a = self.bracket_int(eye[i], self.bracket_int(eye[j], eye[k]))
             b = self.bracket_int(eye[j], self.bracket_int(eye[k], eye[i]))
             c = self.bracket_int(eye[k], self.bracket_int(eye[i], eye[j]))
-            if np.any(a + b + c):
+            if (a + b + c).any():
                 return False
         return True
 
@@ -466,7 +471,7 @@ def root_datum(cartan_type):
     else:
         family, rank = cartan_type[0].upper(), int(cartan_type[1])
     if rank > 8:
-        raise RootDataError("rank %d > 8 unsupported" % rank)
+        raise RootDataParameterError("rank %d > 8 unsupported" % rank)
     key = (family, rank)
     if key not in _CACHE:
         datum = RootDatum(family, rank)
@@ -556,8 +561,8 @@ def levi_bound(datum):
     """
     d = datum
     if d.rank > 4:
-        raise RootDataError("levi_bound: rank %d > 4 unsupported "
-                            "(exhaustive pair enumeration)" % d.rank)
+        raise RootDataParameterError("levi_bound: rank %d > 4 unsupported "
+                                     "(exhaustive pair enumeration)" % d.rank)
     systems = closed_symmetric_subsystems(d)
     roots = d.roots
     rank = d.rank

@@ -171,7 +171,7 @@ class SyntheticGlobalModel:
         # rows of B inside the kernel span all of it exactly when there
         # are dim-many independent ones
         elif self.B.shape[0] != ann.shape[0] or \
-                np.any(modp.matmul(M, self.B.T, p)) \
+                modp.matmul(M, self.B.T, p).any() \
                 or modp.rank(self.B, p) != self.B.shape[0]:
             raise ModelInconsistencyError(
                 "B is not the exact annihilator of A")
@@ -223,7 +223,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     B0 = np.array(prescribed_wstar if prescribed_wstar is not None else [],
                   dtype=np.int64).reshape(-1, total) % p
     if A0.shape[0] and B0.shape[0]:
-        if np.any(modp.matmul(modp.matmul(A0, J, p), B0.T, p)):
+        if modp.matmul(modp.matmul(A0, J, p), B0.T, p).any():
             raise SelmerError("prescribed classes are not isotropic "
                               "(reciprocity violated)")
     span = modp.Echelon(total, p)
@@ -247,7 +247,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     A = np.array(rows, dtype=np.int64).reshape(-1, total)
     # the model's B is the full right kernel of A J, so B0 lies in it
     # exactly when A J B0^t = 0
-    if np.any(modp.matmul(modp.matmul(A, J, p), B0.T, p)):
+    if modp.matmul(modp.matmul(A, J, p), B0.T, p).any():
         raise SelmerError("prescribed dual class lost (infeasible spec)")
     return SyntheticGlobalModel(p, list(places), A, None, list(arch_h0),
                                 h0_glob, h0_glob_star, seed=seed, J=J,
@@ -408,7 +408,7 @@ def eta_build(module, decomposition, scalars):
         raise SelmerError("matrix not invertible mod p")
     M = T.T * diag % p @ Tt_inv % p
     for g in module.gens:
-        if np.any((g @ M - M @ g) % p):
+        if ((g @ M - M @ g) % p).any():
             raise SelmerError("eta not equivariant (bug)")
     return M
 
@@ -471,9 +471,9 @@ def splitcase_search(model, phi, psi, rng):
     3. <psi(sigma_q), Ad(g) g_alpha> != 0 for a sampler draw.
 
     All three bullets are re-verified on the returned witness."""
-    if not np.any(phi % model.p):
+    if not (phi % model.p).any():
         raise SelmerError("phi must be nonzero")
-    if not np.any(psi % model.p):
+    if not (psi % model.p).any():
         raise SelmerError("psi must be nonzero")
     if model.datum is None or model.eta is None:
         raise SelmerError("model carries no module frame / eta data")
@@ -497,7 +497,7 @@ def splitcase_search(model, phi, psi, rng):
         # block, for the k-th root alpha_k
         funcs = d.simple_pairings @ eta_g[:rank, :rank] % p
         for alpha, f_alpha in zip(d.roots, funcs):
-            if not np.any(f_alpha):
+            if not f_alpha.any():
                 continue
             t = _find_torus_witness(d, alpha, c, f_alpha, p, rng)
             if t is None:
@@ -532,7 +532,7 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng):
     rank = d.rank
     # beta(t) != 0 for all beta in Phi^alpha
     rows = [d.root_index[b] for b in phi_alpha(basis, tuple(alpha))]
-    if not np.all(d.simple_pairings[rows] @ t % p):
+    if not (d.simple_pairings[rows] @ t % p).all():
         return None
     # t lies in the standard Cartan (the first rank coordinates); Ad(g)
     # moves it to the g-frame
@@ -560,7 +560,7 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng):
     off = Mfr.copy()
     off[np.arange(d.dim), np.arange(d.dim)] = 0
     k = rank + np.array(rows, dtype=np.int64)
-    if np.any(off % (p * p)) or np.any(Mfr[k, k] % (p * p) == 1):
+    if (off % (p * p)).any() or (Mfr[k, k] % (p * p) == 1).any():
         return None
     values = np.diagonal(Mfr)[rank:] % (p * p)     # ordered like d.roots
     return {
@@ -630,7 +630,7 @@ def extend_model_at_witness(model, system, witness, rng):
                                   seed=model.seed)
     # model2's B is the full right kernel of A2 J2 (J2 = model2.J), so
     # the embedded classes lie in it exactly when A2 J2 B_embed^t = 0
-    if np.any(modp.matmul(modp.matmul(A2, model2.J, p), B_embed.T, p)):
+    if modp.matmul(modp.matmul(A2, model2.J, p), B_embed.T, p).any():
         raise ModelInconsistencyError("embedded dual classes lost (bug)")
     gm, alpha = witness["g_mat"], witness["alpha"]
     frame = witness["frame_subspace"]
@@ -652,7 +652,7 @@ def _conditioned_eval(image, coeffs, value, w, p, rng):
     class with the given coefficient vector evaluates to `value`."""
     n = image.shape[0]
     E = rng.integers(0, p, size=(n, w), dtype=np.int64)
-    if coeffs is None or not np.any(coeffs % p):
+    if coeffs is None or not (coeffs % p).any():
         return E
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     # adjust one coordinate with nonzero coefficient
@@ -756,7 +756,7 @@ def doubling_solve(dmodel, z_t, rng, exhaustive=None):
         if direct is not None:
             h_T = (direct @ dmodel.im) % p
             return {"Q_empty": True, "h_T": h_T,
-                    "verified": bool(not np.any((h_T - z_t) % p)),
+                    "verified": bool(not ((h_T - z_t) % p).any()),
                     "pairs": 0}
     # step 1: write z_T - sum_A Y_a = Psi(h_old) + sum_B c_b Y_b
     z2 = z_t.copy()
@@ -784,12 +784,12 @@ def doubling_solve(dmodel, z_t, rng, exhaustive=None):
     if not active:
         # z_T already in im(Psi_T): empty Q, direct solve
         return {"Q_empty": True, "h_T": h_old_t, "verified": bool(
-            not np.any((h_old_t - z_t) % p)), "pairs": 0}
+            not ((h_old_t - z_t) % p).any()), "pairs": 0}
     # restriction of h to T is already exact:
     h_T = h_old_t.copy()
     for f, c in active:
         h_T = (h_T + c * f["Y"]) % p
-    if np.any((h_T - z_t) % p):
+    if ((h_T - z_t) % p).any():
         raise SelmerError("h|_T != z_T (bug)")
     n_act = len(active)
     targets = {k: rng.integers(0, p, size=(n_act, w), dtype=np.int64)
@@ -807,10 +807,10 @@ def doubling_solve(dmodel, z_t, rng, exhaustive=None):
     def check(old_at_new, new_at_old):
         for m in range(n_act):
             s1 = new_at_old[:, m].sum(axis=0) % p
-            if np.any((s1 - targets["C"][m]) % p):
+            if ((s1 - targets["C"][m]) % p).any():
                 return False
             s2 = old_at_new[:, m].sum(axis=0) % p
-            if np.any((s2 - targets["C_prime"][m]) % p):
+            if ((s2 - targets["C_prime"][m]) % p).any():
                 return False
         return True
 
@@ -847,7 +847,7 @@ def _doubling_result(dmodel, z_t, h_T, active, targets, arr, v_ids, draws,
     return {
         "Q_empty": False,
         "h_T": h_T,
-        "verified": bool(not np.any((h_T - z_t) % p)),
+        "verified": bool(not ((h_T - z_t) % p).any()),
         "pairs": len(active),
         "v_tuple": v_ids,
         "v_prime_tuple": ["v%d'" % k for k in range(len(active))],

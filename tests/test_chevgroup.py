@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftlab import chevgroup
-from liftlab.coeffring import CoeffRing, ParameterError, sqrt_one_mod_p
+from liftlab.coeffring import (CoeffRing, ParameterError, int64_exact,
+                              sqrt_one_mod_p)
 from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
                                ad_eigenvalues_on_roots, exp_hat,
                                identity, image_growth_check,
@@ -585,3 +586,42 @@ def test_frobenius_search_matches_scalar_scan():
                 assert np.array_equal(
                     t.mat, reference_coroot_torus(alg2, alpha, s, bvec))
     assert exhausted
+
+
+# -- ad and u_alpha as one integer product
+
+
+def top_precision(p, r, dim):
+    """The largest m with GR(p^m, r) matrices of size dim exact in int64."""
+    m = 1
+    while int64_exact(p, m + 1, r, dim):
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ad_and_u_alpha_match_the_einsum_reference(name, r):
+    d, b = root_datum(name)
+    alg = LieAlgebra(d, b, CoeffRing(5, top_precision(5, r, d.dim), r))
+    R = alg.ring
+    rng = np.random.default_rng(11)
+    top = np.full((d.dim, r), R.q - 1, dtype=np.int64)
+    sparse = alg.random_vec(rng)
+    sparse[rng.random(d.dim) < 0.6] = 0
+    for x in (alg.random_vec(rng), top, sparse, alg.root_vector(d.roots[0]),
+              alg.zero_vec(), R.q + alg.random_vec(rng)):
+        want = np.einsum("ijk,il->jkl", b.ad, x % R.q) % R.q
+        got = alg.ad(x)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for al in d.roots:
+        D = b.divided_powers(b.root_basis_index(al))
+        for x in (R.random(rng), R.el([R.q - 1] * r), R.zero(), R.q - 1):
+            xr = R.el(x)
+            xk = [xr]
+            while len(xk) < len(D):
+                xk.append(R.mul(xk[-1], xr))
+            want = (R.mat_id(d.dim)
+                    + np.einsum("kij,kl->ijl", D, np.array(xk))) % R.q
+            got = u_alpha(alg, al, x).mat
+            assert got.dtype == np.int64 and np.array_equal(got, want)

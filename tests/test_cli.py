@@ -89,6 +89,12 @@ def test_exit_code_on_failure(tmp_path):
     ["examples", "f4", "--p", "9"],
     ["check", "matrix-identity", "--p", "4"],
     ["selmer", "doubling", "--p", "9"],
+    # a Cartan type outside the supported families and ranks
+    ["spaces", "--types", "X2"],
+    ["spaces", "--types", "A0"],
+    ["spaces", "--types", "G3"],
+    ["spaces", "--types", "A9"],
+    ["levi-bound", "--types", "E6"],
     # a precondition on p or m of the computation asked for
     ["decompose", "--types", "A1", "--p", "3"],
     ["examples", "sl2", "--p", "3"],

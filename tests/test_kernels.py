@@ -244,9 +244,10 @@ def test_inv_matches_reference(prm, kind, seed):
     x, calls = regular_calls(R.inv, a)
     assert x.dtype == np.int64 and np.array_equal(x, reference_inv(R, a))
     assert R.eq(R.mul(a, x), R.one())
-    # only a unit of Z/q is inverted mod q directly; a0 + p y with y not
-    # 0 mod q is F_p data mod p but takes the Hensel lift
-    assert calls == int(bool(np.any(a[1:] % R.q)))
+    # a unit of Z/q is inverted mod q directly, and a0 + p y (F_p data
+    # mod p) starts its Hensel lift from pow(a0, -1, p): only data
+    # outside F_p mod p eliminate the regular representation
+    assert calls == int(bool(np.any(a[1:] % R.p)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

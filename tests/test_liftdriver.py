@@ -88,6 +88,25 @@ def test_a_step_makes_no_elimination(monkeypatch):
     assert rep["level"] == 3 and calls == []
 
 
+def test_a_step_checks_each_tame_relation_once(monkeypatch):
+    # at each trivial prime a step verifies four lifts, each once: the
+    # lifted normal form, the perturbed and the corrected reference,
+    # and the normal form with the tangent folded in; its two
+    # membership tests read the verified lifts and check no relation
+    e2e = EndToEndModel("A1", 5, seed=0)
+    checked, tested = [], []
+    holds, member = lc.LocalLift.relation_holds, lc.membership
+    monkeypatch.setattr(lc.LocalLift, "relation_holds",
+                        lambda self: checked.append(self) or holds(self))
+    monkeypatch.setattr(lc, "membership", lambda lift, *a, **k: (
+        tested.append(lift) or member(lift, *a, **k)))
+    for level in (3, 4):
+        del checked[:], tested[:]
+        assert e2e.step(np.random.default_rng(level))["level"] == level
+        assert len(checked) == 8 and len(set(map(id, checked))) == 8
+        assert len(tested) == 4 and all(t.verified for t in tested)
+
+
 # SHA-256 of the sorted-key JSON of lifting_driver's A1 reports at
 # (p, max_precision, seed) the README does not run; any change to their
 # bytes must be deliberate.

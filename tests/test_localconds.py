@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from liftlab import fieldlinalg as fl
 from liftlab import localconds as lc
 from liftlab import modp
-from liftlab.chevgroup import (GroupElement, identity, torus_elt,
-                               torus_from_coroot_data, u_alpha)
+from liftlab.chevgroup import (GroupElement, identity, root_product,
+                               torus_elt, torus_from_coroot_data, u_alpha)
 from liftlab.coeffring import CoeffRing, CoeffRingError
 from liftlab.rootdata import phi_alpha, root_datum
 
@@ -779,3 +779,73 @@ def test_find_regular_chi_matches_greedy_reference():
                 assert lc.find_regular_chi(d, p, f) == \
                     reference_find_regular_chi(d, p, f)
     assert lc.find_regular_chi(root_datum("G2")[0], 5, 1) is None
+
+
+# -- one relation check per lift
+
+
+def _relation_calls(monkeypatch):
+    """The lifts whose relation_holds runs, in call order."""
+    calls = []
+    holds = lc.LocalLift.relation_holds
+    monkeypatch.setattr(lc.LocalLift, "relation_holds",
+                        lambda self: calls.append(self) or holds(self))
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["plain", "unr2", "ram2"])
+def test_membership_rechecks_only_unverified_lifts(monkeypatch, variant):
+    model = tame("A2", 7, 3, 8)
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.sample_member(model, al, variant, np.random.default_rng(3))
+    assert lift.verified
+    calls = _relation_calls(monkeypatch)
+    assert lc.membership(lift, al, variant) and calls == []
+    copy = lc.LocalLift(model, lift.sigma, lift.tau, check=False)
+    assert not copy.verified
+    assert lc.membership(copy, al, variant) and calls == [copy]
+    # conjugate() and reduce() build unverified lifts
+    g = root_product(model.alg, [(model.datum.neg(al),
+                                  model.ring.el(model.p))])
+    conj = lift.conjugate(g)
+    down = lift.reduce(2)
+    assert not conj.verified and not down.verified
+    assert lc.membership(conj, al, variant, conjugator=g.inv())
+    assert lc.membership(down, al, variant)
+    assert calls == [copy, conj, down]
+
+
+def test_a_verified_lift_is_read_only():
+    model = tame("B2", 5, 3)
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.frobenius_member(model, al, "unr2", seed=0)
+    for g in (lift.sigma, lift.tau):
+        assert not g.mat.flags.writeable
+        with pytest.raises(ValueError):
+            g.mat[0, 0, 0] = 2
+    # an unverified lift keeps the matrices it is given as they are
+    alg = model.alg
+    free = lc.LocalLift(model, GroupElement(alg, lift.sigma.mat),
+                        GroupElement(alg, lift.tau.mat), check=False)
+    assert free.sigma.mat.flags.writeable and free.tau.mat.flags.writeable
+
+
+def test_membership_refuses_a_tampered_unverified_lift():
+    model = tame("A1", 5, 3, 6)
+    R, alg = model.ring, model.alg
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.frobenius_member(model, al, "ram2", seed=0)
+    free = lc.LocalLift(model, GroupElement(alg, lift.sigma.mat), lift.tau,
+                        check=False)
+    assert lc.membership(free, al, "ram2")
+    # sigma u_{-alpha}(kp) breaks the relation for some k; written into
+    # the unverified lift in place, membership must catch it
+    for k in range(1, model.p):
+        free.sigma.mat[...] = (lift.sigma @ u_alpha(
+            alg, model.datum.neg(al), R.el(k * model.p))).mat
+        if not reference_relation_holds(free):
+            break
+    else:
+        pytest.fail("no u_{-alpha}(kp) factor breaks the relation")
+    with pytest.raises(lc.InvalidLiftError, match="tame relation violated"):
+        lc.membership(free, al, "ram2")

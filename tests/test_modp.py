@@ -346,6 +346,59 @@ def test_min_poly_companion():
     assert modp.min_poly(Z, p, rng) == mp
 
 
+polys = st.lists(st.integers(0, 12), max_size=9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), polys, polys, st.integers(1, 12))
+def test_poly_divmod_is_division_with_remainder(p, f, g, lead):
+    f = [c % p for c in f] or [0]
+    g = [c % p for c in g] + [lead % p or 1]
+    q, r = modp.poly_divmod(f, g, p)
+    assert all(0 <= c < p for c in q + r)
+    assert q == modp.poly_trim(q) and r == modp.poly_trim(r)
+    assert len(r) < len(g) or r == [0]
+    qg = modp.poly_mul(q, g, p)
+    n = max(len(f), len(qg), len(r))
+    f, qg, r = ([*h, *[0] * (n - len(h))] for h in (f, qg, r))
+    assert all((a - b - c) % p == 0 for a, b, c in zip(f, qg, r))
+
+
+def reference_min_poly(M, p, rng):
+    """min_poly by two eliminations per vector: the rank of the Krylov
+    rows for k, then a solve for the coefficients."""
+    n = M.shape[0]
+    mp = [1]
+    for _ in range(4):
+        v = rng.integers(0, p, size=n, dtype=np.int64)
+        vecs = [v]
+        for _ in range(n):
+            vecs.append(vecs[-1] @ M.T % p)
+        V = np.array(vecs)
+        k = len(modp.rref(V, p)[1])
+        sol = modp.solve(V[:k].T, (-V[k]) % p, p)
+        mp = modp.poly_lcm(mp, list(map(int, sol)) + [1], p)
+        if len(mp) == n + 1:
+            break
+    return mp
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 2 ** 32 - 1))
+def test_min_poly_matches_reference(p, n, rank, seed):
+    # low-rank and block matrices give Krylov spaces of every dimension
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n)
+    M = (rng.integers(0, p, size=(n, rank)) @ rng.integers(0, p, size=(rank, n))
+         % p).astype(np.int64)
+    if seed % 3 == 0 and n:
+        M[: n // 2, n // 2:] = M[n // 2:, : n // 2] = 0
+    got = modp.min_poly(M, p, np.random.default_rng(seed))
+    assert got == reference_min_poly(M, p, np.random.default_rng(seed))
+    assert not modp.poly_eval_matrix(got, M, p).any()
+
+
 def reference_factor_squarefree(f, p, rng):
     """The distinct-degree loop computing x^(p^d) mod rest from x for
     every degree d."""

@@ -1,5 +1,6 @@
-"""Every defaulted parameter of liftlab is set by some caller, and every
-public definition is named by one.
+"""Every defaulted parameter of liftlab is set by some caller, every
+public definition is named by one, and no library code calls numpy's
+module-level any, all or isscalar.
 
 A parameter that only its default reaches is a configuration no caller
 runs: it belongs in the code as a constant.  A public function, class
@@ -7,6 +8,11 @@ or method that no caller names is code that only its tests run.  The
 callers are the library itself, the demos and the benchmark; the tests
 are not callers here.  The few parameters and definitions kept for
 their own reasons are listed below with the reason.
+
+np.any(a) and np.all(a) dispatch through numpy's Python-level reduction
+wrapper, about twice the cost of the method a.any() on the small arrays
+liftlab reduces, and np.isscalar(x) costs more than the isinstance test
+that replaces it; the hot paths call them thousands of times a pass.
 """
 
 import ast
@@ -196,3 +202,28 @@ def test_every_public_definition_has_a_caller():
     # kept definition the audit cannot see uncalled means the audit is
     # blind
     assert sorted(set(KEPT_UNCALLED) - uncalled) == []
+
+
+# numpy functions the library spells as ndarray methods or isinstance
+SLOW_NUMPY = {"any", "all", "isscalar"}
+
+
+def numpy_calls():
+    """(file, line, name) of every call np.<name>(...) in the library."""
+    for path, tree in _python_files(LIBRARY):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    isinstance(node.func.value, ast.Name) and \
+                    node.func.value.id in ("np", "numpy"):
+                yield os.path.basename(path), node.lineno, node.func.attr
+
+
+def test_no_module_level_numpy_reductions():
+    calls = list(numpy_calls())
+    slow = [c for c in calls if c[2] in SLOW_NUMPY]
+    assert not slow, (
+        "use a.any() / a.all() and isinstance(x, (int, np.integer)) "
+        "instead: %r" % slow)
+    # the scan sees the library's numpy calls at all
+    assert any(name == "zeros" for _, _, name in calls)
