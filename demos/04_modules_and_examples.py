@@ -1,14 +1,13 @@
 """Finite-group modules and the three example families: MeatAxe
-decomposition with certified irreducibility, presentation cohomology,
-and the exceptional 52-dimensional pipeline from character data."""
+decomposition with certified irreducibility, and the exceptional
+52-dimensional pipeline from character data."""
 
 import numpy as np
 
 from liftlab import oddness as od
 from liftlab.coeffring import CoeffRing
 from liftlab.chevgroup import LieAlgebra, u_alpha
-from liftlab.galoismod import (GroupPresentation, MatrixModule, abelianization,
-                               cohomology, coset_enumeration, decompose)
+from liftlab.galoismod import MatrixModule, decompose
 from liftlab.rootdata import root_datum
 
 rng = np.random.default_rng(3)
@@ -25,17 +24,6 @@ mod = MatrixModule(p, [u_alpha(alg, alpha, R.el(1)).mat[..., 0],
 dec = decompose(mod, rng)
 print("sl2 adjoint over F_7: irreducible =", len(dec.isotypic) == 1,
       " endo field degree =", dec.isotypic[0]["endo_degree"])
-
-# --- presentation cohomology and abelianization -----------------------------
-
-presA5 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
-print("A5 presentation order (coset enumeration):",
-      coset_enumeration(presA5))
-print("A5 abelianization invariant factors:", abelianization(presA5))
-
-pres_zp = GroupPresentation(1, (tuple([1] * p),))
-triv = MatrixModule(p, [np.eye(1, dtype=np.int64)], pres_zp)
-print("H^1(Z/p, F_p) dimension:", cohomology(pres_zp, triv, 1)[0])
 
 # --- the principal-SL2 and normalizer families ------------------------------
 

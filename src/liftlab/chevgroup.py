@@ -51,6 +51,10 @@ from .coeffring import (CoeffRing, LiftlabError, ParameterError, int64_exact,
 from .intlinalg import in_rational_span
 from .rootdata import phi_alpha
 
+# int64 cells (2 GiB) a full scan of F_p^rank may build: frobenius_b_search
+# and localconds.find_regular_chi refuse a larger scan before building it
+SCAN_MAX_CELLS = 2 ** 28
+
 
 class ChevGroupError(LiftlabError):
     pass
@@ -421,14 +425,20 @@ def frobenius_b_search(datum, basis, alpha, p, q, seed=0):
     """The b of trivial_frobenius_search, from the datum's tables, p and
     q alone: b runs over ker(alpha) in the F_p-points of the span of the
     simple coroots, acting by beta(b) = sum_i b_i <beta, alpha_i^vee>;
-    the search is a deterministic scan in seed order and raises if the
-    hyperplane complement is empty (tiny p only).  Returns (b, report).
+    the search is a deterministic scan in seed order, refused past
+    SCAN_MAX_CELLS, and raises if the hyperplane complement is empty
+    (tiny p only).  Returns (b, report).
     """
     d = datum
     alpha = tuple(alpha)
     c = (int(q) - 1) // p % p
     if c % p == 0 or (int(q) - 1) % p != 0:
         raise ChevGroupError("q must be 1 mod p and not 1 mod p^2")
+    cells = p ** d.rank * d.rank
+    if cells > SCAN_MAX_CELLS:
+        raise GroupParameterError(
+            "the scan of F_%d^%d is %d int64 cells, past SCAN_MAX_CELLS = %d"
+            % (p, d.rank, cells, SCAN_MAX_CELLS))
     rows = [d.root_index[beta] for beta in phi_alpha(basis, alpha)]
     # every b in F_p^rank, in seeded order, then those in ker(alpha)
     order = np.random.default_rng(seed).permutation(p ** d.rank)

@@ -28,7 +28,6 @@ from . import selmer as sm
 from .chartable import CharTableError
 from .chevgroup import levi_certificate_check, matrix_identity_check
 from .coeffring import LiftlabError, ParameterError, is_prime
-from .galoismod import GroupPresentation, MatrixModule, cohomology
 from .liftdriver import lifting_driver
 from .rootdata import levi_bound, phi_alpha, root_datum
 
@@ -169,23 +168,6 @@ def cmd_decompose(args, run):
         run.detail[name] = r
 
 
-# cohomology spells the relation x^p as a word of p letters: about 2 s
-# at this p, and time and memory grow linearly past it
-COHOMOLOGY_MAX_P = 100000
-
-
-def cmd_cohomology(args, run):
-    p = args.p[0]
-    if p > COHOMOLOGY_MAX_P:
-        raise ParameterError("cohomology spells x^p as a word of p letters; "
-                             "p must be at most %d, not %d"
-                             % (COHOMOLOGY_MAX_P, p))
-    pres = GroupPresentation(1, (tuple([1] * p),))
-    mod = MatrixModule(p, [np.eye(1, dtype=np.int64)], pres)
-    d1, _ = cohomology(pres, mod, 1)
-    run.check("H1(Z/p, F_p) = F_p", d1 == 1, {"dim": d1})
-
-
 def cmd_oddness(args, run):
     for name in args.types:
         datum, basis = root_datum(name)
@@ -316,7 +298,6 @@ COMMANDS = {
     "check duality": (cmd_check_duality, "types... p..."),
     "spaces": (cmd_spaces, "types... p... f"),
     "decompose": (cmd_decompose, "types... p seed"),
-    "cohomology": (cmd_cohomology, "p"),
     "oddness": (cmd_oddness, "types... p"),
     "examples f4": (cmd_examples_f4, "p tables"),
     "examples sl2": (cmd_examples_sl2, "types... p seed",

@@ -1,10 +1,8 @@
-"""Modules over finite groups: MeatAxe decomposition, presentation
-cohomology in degrees 0 and 1, and abelianization.
+"""Modules over finite groups: MeatAxe decomposition, homomorphism
+spaces and endomorphism fields.
 
-Groups enter as matrix generators plus a presentation; we never compute
-presentations from matrices (the groups of interest are explicitly
-known).  The matrix path works over the prime field F_p; extension
-residue fields only appear as computed endomorphism fields.
+Groups enter as one matrix per generator over the prime field F_p;
+extension residue fields only appear as computed endomorphism fields.
 
 Irreducibility is certified by Norton's criterion, never by heuristics:
 for a singular algebra element z, the module is irreducible iff one
@@ -26,46 +24,22 @@ import numpy as np
 
 from . import modp
 from .coeffring import LiftlabError
-from .intlinalg import smith_normal_form
-
-MAX_COSETS = 100000             # coset_enumeration's table budget
 
 
 class GaloisModError(LiftlabError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Generators 1..n; relations are words in signed generator indices
-    (+i for g_i, -i for its inverse)."""
-    ngens: int
-    relations: tuple
-
-    def __post_init__(self):
-        for rel in self.relations:
-            for s in rel:
-                if s == 0 or abs(s) > self.ngens:
-                    raise GaloisModError("bad letter %d" % s)
-
-
 class MatrixModule:
     """F_p[G]-module given by one invertible matrix per generator."""
 
-    def __init__(self, p, gens, presentation=None, check=True):
+    def __init__(self, p, gens):
         self.p = p
         self.gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
         self.dim = self.gens[0].shape[0] if self.gens else 0
-        self.presentation = presentation
-        if check and presentation is not None:
-            for rel in presentation.relations:
-                if ((word_matrix(self, rel)
-                     - np.eye(self.dim, dtype=np.int64)) % p).any():
-                    raise GaloisModError("generators violate a relation")
 
     def transpose_module(self):
-        return MatrixModule(self.p, [g.T % self.p for g in self.gens],
-                            check=False)
+        return MatrixModule(self.p, [g.T % self.p for g in self.gens])
 
     def restrict(self, basis):
         """Module induced on the row space of `basis` (must be stable)."""
@@ -78,7 +52,7 @@ class MatrixModule:
         if X is None:
             raise GaloisModError("basis does not span a submodule")
         sub = np.hsplit(X, len(self.gens))
-        M = MatrixModule(p, sub, check=False)
+        M = MatrixModule(p, sub)
         M.embedding = B
         return M
 
@@ -92,22 +66,9 @@ class MatrixModule:
         # g[pv, j] times the row with pivot pv), read on the complement
         quots = [(g[np.ix_(comp, comp)] - B[:, comp].T @ g[np.ix_(piv, comp)])
                  % p for g in self.gens]
-        M = MatrixModule(p, quots, check=False)
+        M = MatrixModule(p, quots)
         M.lifted_coords = comp
         return M
-
-
-def word_matrix(module, word):
-    p = module.p
-    M = np.eye(module.dim, dtype=np.int64)
-    for s in word:
-        g = module.gens[abs(s) - 1]
-        if s < 0:
-            g = modp.inverse(g, p)
-            if g is None:
-                raise GaloisModError("generator not invertible")
-        M = M @ g % p
-    return M
 
 
 def spin(module, vectors):
@@ -416,237 +377,3 @@ def composition_factor_modules(module, rng):
         out.append(cur.restrict(W))
         cur = cur.quotient(W)
     return out
-
-
-# -- presentation cohomology (degrees 0 and 1, Fox calculus)
-
-
-def h0(module):
-    """Fixed space: intersection of ker(g - 1)."""
-    p = module.p
-    rows = [((g - np.eye(module.dim, dtype=np.int64)) % p) for g in module.gens]
-    A = np.vstack(rows) % p
-    return modp.kernel_basis(A, p)
-
-
-def _relation_block(module, rel):
-    """Linear map (x_1..x_g) -> phi(rel) from the cocycle rule
-    phi(uv) = phi(u) + u phi(v), phi(g^-1) = -g^-1 phi(g)."""
-    p = module.p
-    d = module.dim
-    g = len(module.gens)
-    block = np.zeros((d, g * d), dtype=np.int64)
-    prefix = np.eye(d, dtype=np.int64)
-    for s in rel:
-        i = abs(s) - 1
-        if s > 0:
-            block[:, i * d:(i + 1) * d] = (block[:, i * d:(i + 1) * d]
-                                           + prefix) % p
-            prefix = prefix @ module.gens[i] % p
-        else:
-            gi = modp.inverse(module.gens[i], p)
-            if gi is None:
-                raise GaloisModError("generator not invertible")
-            block[:, i * d:(i + 1) * d] = (block[:, i * d:(i + 1) * d]
-                                           - prefix @ gi) % p
-            prefix = prefix @ gi % p
-    return block
-
-
-def cocycle_space(pres, module):
-    """Z^1 as tuples of generator values (rows of length ngens*dim)."""
-    p = module.p
-    d = module.dim
-    if not pres.relations:
-        return np.eye(pres.ngens * d, dtype=np.int64)
-    A = np.vstack([_relation_block(module, rel) for rel in pres.relations]) % p
-    return modp.kernel_basis(A, p)
-
-
-def coboundary_space(pres, module):
-    p = module.p
-    d = module.dim
-    rows = []
-    for k in range(d):
-        w = np.zeros(d, dtype=np.int64)
-        w[k] = 1
-        rows.append(np.concatenate([(g @ w - w) % p for g in module.gens]))
-    return modp.echelon_basis(np.array(rows, dtype=np.int64), p)
-
-
-def cohomology(pres, module, degree):
-    """(dimension, basis) of H^degree(G, module) for degree in {0, 1}.
-
-    H^1 comes from the relation-derived linear system on generator
-    values; basis vectors are cocycles (coset representatives mod
-    coboundaries) and each is re-verified against every relation.
-    """
-    if degree == 0:
-        K = h0(module)
-        return K.shape[0], K
-    if degree != 1:
-        raise GaloisModError("only degrees 0 and 1 are supported")
-    p = module.p
-    Z = cocycle_space(pres, module)
-    B = coboundary_space(pres, module)
-    dimh1 = Z.shape[0] - B.shape[0]
-    # choose Z-vectors extending a basis of B: a pivot column of
-    # [B^t | Z^t] is independent of every column to its left, so the
-    # Z-part pivots are the rows a greedy left-to-right extension picks
-    _, piv = modp.rref(np.concatenate([B.T, Z.T], axis=1), p)
-    nb = B.shape[0]
-    basis = [Z[c - nb] for c in piv if c >= nb][:dimh1]
-    for z in basis:
-        for rel in pres.relations:
-            val = _relation_block(module, rel) @ z % p
-            if val.any():
-                raise GaloisModError("cocycle violates a relation (bug)")
-    return dimh1, np.array(basis, dtype=np.int64) if basis else \
-        np.zeros((0, pres.ngens * module.dim), dtype=np.int64)
-
-
-def abelianization(pres):
-    """Invariant factors of the abelianization (0 denotes a Z factor)."""
-    g = pres.ngens
-    cols = []
-    for rel in pres.relations:
-        v = [0] * g
-        for s in rel:
-            v[abs(s) - 1] += 1 if s > 0 else -1
-        cols.append(v)
-    if not cols:
-        return [0] * g
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(g)]
-    diag = smith_normal_form(mat)
-    return diag + [0] * (g - len(diag))
-
-
-def coset_enumeration(pres):
-    """Order of the presented group by HLT coset enumeration over the
-    trivial subgroup.  Raises if the coset table exceeds MAX_COSETS
-    (infinite or too-large group)."""
-    ngens = pres.ngens
-    ncols = 2 * ngens
-
-    def col(s):
-        return (s - 1) if s > 0 else (ngens + (-s) - 1)
-
-    def inv_col(c):
-        return c + ngens if c < ngens else c - ngens
-
-    table = [[0] * ncols for _ in range(2)]  # row 0 unused; cosets 1-based
-    rep = [0, 1]
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    pending = []
-
-    def merge(x, y):
-        x, y = find(x), find(y)
-        if x != y:
-            if x > y:
-                x, y = y, x
-            rep[y] = x
-            pending.append(y)
-
-    def define(x, c):
-        nonlocal table
-        if len(table) > MAX_COSETS:
-            raise GaloisModError("coset enumeration exceeded MAX_COSETS = "
-                                 "%d cosets" % MAX_COSETS)
-        table.append([0] * ncols)
-        rep.append(len(table) - 1)
-        y = len(table) - 1
-        table[x][c] = y
-        table[y][inv_col(c)] = x
-        return y
-
-    def scan(x, word):
-        # forward
-        f = x
-        i = 0
-        n = len(word)
-        while i < n:
-            c = col(word[i])
-            nxt = table[find(f)][c]
-            if nxt == 0:
-                break
-            f = find(nxt)
-            i += 1
-        if i == n:
-            merge(f, x)
-            return
-        # backward
-        b = x
-        j = n
-        while j > i:
-            c = inv_col(col(word[j - 1]))
-            nxt = table[find(b)][c]
-            if nxt == 0:
-                break
-            b = find(nxt)
-            j -= 1
-        if j == i:
-            merge(f, b)
-        elif j == i + 1:
-            # deduction: f . word[i] = b
-            c = col(word[i])
-            fb, bb = find(f), find(b)
-            table[fb][c] = bb
-            table[bb][inv_col(c)] = fb
-        else:
-            # define one and rescan later
-            c = col(word[i])
-            define(find(f), c)
-
-    def process_coincidences():
-        while pending:
-            y = pending.pop()
-            row = table[y]
-            for c in range(ncols):
-                z = row[c]
-                if z:
-                    # transfer edge y -c-> z to rep(y)
-                    x = find(y)
-                    zz = find(z)
-                    cur = table[x][c]
-                    if cur == 0:
-                        table[x][c] = zz
-                        table[zz][inv_col(c)] = x
-                    else:
-                        merge(cur, zz)
-
-    changed = True
-    passes = 0
-    while changed:
-        passes += 1
-        if passes > 4 * MAX_COSETS:
-            raise GaloisModError("coset enumeration did not close")
-        changed = False
-        live = [x for x in range(1, len(table)) if find(x) == x]
-        for x in live:
-            for rel in pres.relations:
-                scan(find(x), rel)
-                process_coincidences()
-            for c in range(ncols):
-                if table[find(x)][c] == 0:
-                    define(find(x), c)
-                    changed = True
-        # closure check: all entries defined and all relators close
-        if not changed:
-            ok = True
-            live = [x for x in range(1, len(table)) if find(x) == x]
-            for x in live:
-                for c in range(ncols):
-                    if table[x][c] == 0 or find(table[x][c]) != table[x][c]:
-                        if table[x][c] and find(table[x][c]) != table[x][c]:
-                            table[x][c] = find(table[x][c])
-                        else:
-                            ok = False
-            if not ok:
-                changed = True
-    return len([x for x in range(1, len(table)) if find(x) == x])

@@ -9,7 +9,7 @@ entries in {-2, ..., 3} (numpy seeds 0-5) the largest entry had 35 to
 six pivots, was still running after 20 s.  Its callers stay far
 below that: levi_bound refuses rank > 4, so its matrices have at most
 4 rows and in_rational_span's, root sets of the same types, at most 4
-columns; abelianization has one row per generator.
+columns.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from . import fieldlinalg as fl
 from . import modp
 from .coeffring import (CoeffRing, LiftlabError, ParameterError,
                         sqrt_one_mod_p)
-from .chevgroup import (GroupElement, LieAlgebra, frobenius_b_search,
-                        identity, one_plus, torus_elt, torus_from_coroot_data,
-                        u_alpha)
+from .chevgroup import (SCAN_MAX_CELLS, GroupElement, LieAlgebra,
+                        frobenius_b_search, identity, one_plus, torus_elt,
+                        torus_from_coroot_data, u_alpha)
 from .rootdata import phi_alpha
 
 SAMPLE_MEMBER_TRIES = 200       # sample_member's draws
@@ -904,11 +904,17 @@ def find_regular_chi(datum, p, f):
     c_{i,j} p)_j with the covering condition that every beta pairs
     nontrivially with some inertia generator.
 
-    Exhaustive over F_p^rank per generator (desk ranks only).  Returns
+    Exhaustive over F_p^rank per generator, and refused
+    (LocalCondParameterError) past chevgroup.SCAN_MAX_CELLS.  Returns
     None when provably infeasible -- e.g. G2 at p = 5 with f = 1, where
     the six root directions are all six lines of F_5^2."""
     rank = datum.rank
     neg = [k for k, r in enumerate(datum.roots) if not datum._is_positive(r)]
+    cells = (p ** rank - 1) * len(neg)
+    if cells > SCAN_MAX_CELLS:
+        raise LocalCondParameterError(
+            "the scan of F_%d^%d over %d roots is %d int64 cells, past "
+            "SCAN_MAX_CELLS = %d" % (p, rank, len(neg), cells, SCAN_MAX_CELLS))
     # every nonzero c in F_p^rank; covers[j, l]: c_j pairs nontrivially
     # with the l-th negative root, sum_i c_i beta_i != 0 mod p
     cands = np.arange(1, p ** rank)[:, None] // p ** np.arange(rank) % p

@@ -43,14 +43,20 @@ def test_unknown_subcommand():
     assert main(["check"]) == EXIT_UNKNOWN
     assert main(["selmer"]) == EXIT_UNKNOWN
     assert main(["selmer", "balance", "--model", "foo"]) == EXIT_UNKNOWN
+    # a command liftlab no longer has
+    assert main(["cohomology", "--p", "5"]) == EXIT_UNKNOWN
 
 
-def test_exit_code_on_failure(tmp_path):
-    # a composite p is refused as an invalid configuration, with no report
-    code, rep = run(["selmer", "lift", "--types", "A1", "--p", "4"],
-                    str(tmp_path))
-    assert code == EXIT_CONFIG
-    assert rep is None
+def test_exit_code_on_failure(tmp_path, capsys):
+    # a p that is not prime is refused as an invalid configuration, with
+    # no report
+    for args in (["selmer", "lift", "--types", "A1", "--p", "4"],
+                 ["oddness", "--types", "A1", "--p", "4"],
+                 ["oddness", "--types", "A1", "--p", "1"]):
+        code, rep = run(args, str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "p must be prime" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -83,8 +89,8 @@ def test_exit_code_on_failure(tmp_path):
     ["selmer", "kill", "--rank", "-1"],
     ["check", "matrix-identity", "--seed", "-1"],
     # a p that is not prime, where no ring over p is built to refuse it
-    ["cohomology", "--p", "4"],
-    ["cohomology", "--p", "1"],
+    ["oddness", "--types", "A1", "--p", "4"],
+    ["oddness", "--types", "A1", "--p", "1"],
     ["examples", "f4", "--p", "4"],
     ["examples", "f4", "--p", "9"],
     ["check", "matrix-identity", "--p", "4"],
@@ -112,10 +118,10 @@ def test_exit_code_on_failure(tmp_path):
     ["selmer", "balance", "--types", "A1", "--p", "2147483647"],
     ["selmer", "kill", "--types", "A1", "--p", "2147483647"],
     ["spaces", "--types", "A1", "--p", "2147483647"],
-    # cohomology spells x^p as a word of p letters: refused past its cap,
-    # before a word too long for memory is built
-    ["cohomology", "--p", "100003"],
-    ["cohomology", "--p", "2147483647"],
+    # a full scan of F_p^rank past chevgroup.SCAN_MAX_CELLS, refused
+    # before its array is built (frobenius_b_search)
+    ["check", "stability", "--types", "E8", "--p", "31"],
+    ["check", "stability", "--types", "E7", "--p", "13"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))

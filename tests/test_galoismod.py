@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 from liftlab import galoismod, modp
 from liftlab.coeffring import CoeffRing
 from liftlab.chevgroup import LieAlgebra, torus_elt, u_alpha
-from liftlab.galoismod import (GaloisModError, GroupPresentation,
-                               MatrixModule, abelianization,
-                               coboundary_space, cocycle_space, cohomology,
-                               coset_enumeration, decompose, hom_space,
-                               modules_isomorphic, spin)
+from liftlab.galoismod import (GaloisModError, MatrixModule, decompose,
+                               hom_space, modules_isomorphic, spin)
 from liftlab.rootdata import root_datum
 
-# A6 on standard generators a (order 2), b (order 4), with the verified
-# presentation a^2 = b^4 = (ab)^5 = (ab^2)^5 = 1 (coset enumeration
-# confirms order 360); permutations found by search.
-A6_PRES = GroupPresentation(2, ((1, 1), (2, 2, 2, 2), (1, 2) * 5,
-                                (1, 2, 2) * 5))
+# A6 on standard generators a (order 2), b (order 4), which satisfy the
+# presentation a^2 = b^4 = (ab)^5 = (ab^2)^5 = 1 of A6 and generate a
+# group of order 360 (test_a6_permutations_generate_a6); permutations
+# found by search.
+A6_RELATORS = ("aa", "bbbb", "ab" * 5, "abb" * 5)
 A6_PERM_A = (0, 1, 3, 2, 5, 4)
 A6_PERM_B = (2, 3, 0, 4, 5, 1)
 
@@ -28,6 +25,28 @@ def perm_matrix(perm, p):
     for i, j in enumerate(perm):
         M[j, i] = 1
     return M % p
+
+
+def compose(*perms):
+    """The product of permutations as perm_matrix multiplies them: the
+    last one acts first."""
+    out = tuple(range(len(perms[0])))
+    for perm in perms:
+        out = tuple(out[i] for i in perm)
+    return out
+
+
+def test_a6_permutations_generate_a6():
+    gens = {"a": A6_PERM_A, "b": A6_PERM_B}
+    identity = tuple(range(6))
+    for word in A6_RELATORS:
+        assert compose(*(gens[x] for x in word)) == identity
+    closure, frontier = {identity}, {identity}
+    while frontier:
+        frontier = {compose(g, h) for h in frontier
+                    for g in gens.values()} - closure
+        closure |= frontier
+    assert len(closure) == 360
 
 
 def sl2_adjoint_module(p, extra_torus=True):
@@ -90,27 +109,6 @@ def test_non_semisimple_detected():
     assert all(f.dim == 1 for f in dec.composition_factors)
 
 
-def test_cohomology_zp_trivial():
-    p = 7
-    pres = GroupPresentation(1, (tuple([1] * p),))
-    M = MatrixModule(p, [np.eye(1, dtype=np.int64)], pres)
-    d0, _ = cohomology(pres, M, 0)
-    d1, basis = cohomology(pres, M, 1)
-    assert d0 == 1 and d1 == 1
-    with pytest.raises(GaloisModError):
-        cohomology(pres, M, 2)
-
-
-def test_cohomology_maschke_a6_at_7():
-    p = 7
-    M = MatrixModule(p, [perm_matrix(A6_PERM_A, p), perm_matrix(A6_PERM_B, p)],
-                     A6_PRES)
-    d0, _ = cohomology(A6_PRES, M, 0)
-    d1, _ = cohomology(A6_PRES, M, 1)
-    assert d0 == 1           # the all-ones fixed line
-    assert d1 == 0           # p does not divide 360
-
-
 def test_h0_of_nontrivial_component():
     # quotient the permutation module by invariants implicitly: the
     # 5-dim constituent has no fixed vectors
@@ -118,34 +116,11 @@ def test_h0_of_nontrivial_component():
     M = MatrixModule(p, [perm_matrix(A6_PERM_A, p), perm_matrix(A6_PERM_B, p)])
     dec = decompose(M)
     W = next(c["module"] for c in dec.isotypic if c["dim"] == 5)
-    from liftlab.galoismod import h0
-    assert h0(W).shape[0] == 0
-
-
-def test_abelianization_examples():
-    assert abelianization(GroupPresentation(2, ())) == [0, 0]
-    presA5 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
-    assert all(f == 1 for f in abelianization(presA5))
-    assert all(f == 1 for f in abelianization(A6_PRES))
-    # PSL2(13) as a Hurwitz-type quotient: a^2, b^3, (ab)^7, ... --
-    # already the exponent data forces a trivial abelianization
-    pres = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7))
-    assert all(f == 1 for f in abelianization(pres))
-
-
-def test_coset_enumeration():
-    assert coset_enumeration(GroupPresentation(2, ((1, 1), (2, 2, 2),
-                                                   (1, 2, 1, 2)))) == 6
-    assert coset_enumeration(GroupPresentation(2, ((1, 1), (2, 2, 2),
-                                                   (1, 2) * 5))) == 60
-    assert coset_enumeration(A6_PRES) == 360
-
-
-def test_coset_enumeration_of_an_infinite_group_is_refused(monkeypatch):
-    # the free group <x | > never closes its coset table
-    monkeypatch.setattr(galoismod, "MAX_COSETS", 50)
-    with pytest.raises(GaloisModError, match="exceeded MAX_COSETS = 50"):
-        coset_enumeration(GroupPresentation(1, ()))
+    stacked = np.vstack([g - np.eye(W.dim, dtype=np.int64) for g in W.gens])
+    assert modp.kernel_basis(stacked % p, p).shape[0] == 0
+    # the same kernel on the whole permutation module is the all-ones line
+    stacked = np.vstack([g - np.eye(6, dtype=np.int64) for g in M.gens])
+    assert modp.kernel_basis(stacked % p, p).tolist() == [[1] * 6]
 
 
 def test_hom_space_schur():
@@ -156,7 +131,7 @@ def test_hom_space_schur():
     assert len(H) == 1  # endo field F_p
 
 
-# -- per-vector reference loops for spin, restrict and the H^1 basis
+# -- per-vector reference loops for spin and restrict
 
 
 def reference_spin(module, vectors):
@@ -190,22 +165,7 @@ def reference_restrict_gens(module, basis):
     return B, out
 
 
-def reference_h1_basis(pres, module):
-    p = module.p
-    Z = cocycle_space(pres, module)
-    B = coboundary_space(pres, module)
-    dimh1 = Z.shape[0] - B.shape[0]
-    basis, cur = [], B
-    for z in Z:
-        if not modp.row_space_contains(cur, z, p):
-            basis.append(z)
-            cur = modp.echelon_basis(np.vstack([cur, z]), p)
-        if len(basis) == dimh1:
-            break
-    return dimh1, basis
-
-
-def random_sum_module(blocks, p, rng, pres=None):
+def random_sum_module(blocks, p, rng):
     """Direct sum of modules with equal generator counts, in a random
     basis (conjugated by a random invertible matrix P).  Returns the
     module and, per block, the rows spanning that summand."""
@@ -224,8 +184,7 @@ def random_sum_module(blocks, p, rng, pres=None):
             pos += b.dim
         gens.append(P @ D @ Pinv % p)
     cuts = np.cumsum([0] + [b.dim for b in blocks])
-    return MatrixModule(p, gens, pres), [P.T[a:b] for a, b in
-                                         zip(cuts, cuts[1:])]
+    return MatrixModule(p, gens), [P.T[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def random_modules_at_7(rng):
@@ -234,11 +193,11 @@ def random_modules_at_7(rng):
     # the trivial line, with as many generators as sl2
     triv = MatrixModule(p, [np.eye(1, dtype=np.int64)] * len(sl2.gens))
     a6 = MatrixModule(p, [perm_matrix(A6_PERM_A, p),
-                          perm_matrix(A6_PERM_B, p)], A6_PRES)
+                          perm_matrix(A6_PERM_B, p)])
     return [random_sum_module([sl2, sl2], p, rng),
             random_sum_module([sl2, triv, triv], p, rng),
-            random_sum_module([a6], p, rng, A6_PRES),
-            random_sum_module([a6, a6], p, rng, A6_PRES)]
+            random_sum_module([a6], p, rng),
+            random_sum_module([a6, a6], p, rng)]
 
 
 def test_spin_and_restrict_match_reference_loops():
@@ -278,27 +237,6 @@ def test_restrict_rejects_unstable_basis():
             M.restrict(v)
         with pytest.raises(GaloisModError):
             reference_restrict_gens(M, v)
-
-
-def test_h1_basis_matches_greedy_reference():
-    rng = np.random.default_rng(7)
-    p = 7
-    U = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    zp = GroupPresentation(1, (tuple([1] * p),))
-    unipotent = MatrixModule(p, [U], zp)
-    triv = MatrixModule(p, [np.eye(1, dtype=np.int64)], zp)
-    modules = [M for M, _ in random_modules_at_7(rng)]
-    cases = [(zp, random_sum_module([unipotent, triv, unipotent], p, rng,
-                                    zp)[0]),
-             (A6_PRES, modules[3])]
-    cases += [(GroupPresentation(len(M.gens), ()), M) for M in modules[:2]]
-    for pres, M in cases:
-        dimh1, want = reference_h1_basis(pres, M)
-        got_dim, got = cohomology(pres, M, 1)
-        assert got_dim == dimh1
-        assert got.shape == (dimh1, pres.ngens * M.dim)
-        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(
-            dimh1, pres.ngens * M.dim))
 
 
 # -- Hom spaces: the Kronecker system as the reference for spinning
@@ -342,9 +280,9 @@ def hom_families_at_7(rng):
     p = 7
     sl2 = sl2_adjoint_module(p)
     a6 = MatrixModule(p, [perm_matrix(A6_PERM_A, p),
-                          perm_matrix(A6_PERM_B, p)], A6_PRES)
+                          perm_matrix(A6_PERM_B, p)])
     sums = [M for M, _ in random_modules_at_7(rng)]
-    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens], check=False)
+    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens])
     return ([sl2, twist, trivial_action(p, 1, 3), trivial_action(p, 4, 3),
              sums[0], sums[1]],
             [a6, trivial_action(p, 1, 2), trivial_action(p, 3, 2),
@@ -362,7 +300,7 @@ def test_hom_space_matches_kronecker_reference(family, i, j, seed):
 def test_hom_space_edges():
     p = 7
     sl2 = sl2_adjoint_module(p)
-    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens], check=False)
+    twist = MatrixModule(p, [g * 3 % p for g in sl2.gens])
     # zero Hom, both ways
     assert assert_hom_matches_reference(sl2, twist) == []
     assert assert_hom_matches_reference(twist, sl2) == []

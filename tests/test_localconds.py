@@ -1,3 +1,4 @@
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftlab import chevgroup
 from liftlab import fieldlinalg as fl
 from liftlab import localconds as lc
 from liftlab import modp
-from liftlab.chevgroup import (GroupElement, identity, root_product,
+from liftlab.chevgroup import (GroupElement, GroupParameterError,
+                               frobenius_b_search, identity, root_product,
                                torus_elt, torus_from_coroot_data, u_alpha)
-from liftlab.coeffring import CoeffRing, CoeffRingError
+from liftlab.coeffring import CoeffRing, CoeffRingError, ParameterError
 from liftlab.rootdata import phi_alpha, root_datum
 
 from conftest import reference_mat_inv
@@ -779,6 +782,32 @@ def test_find_regular_chi_matches_greedy_reference():
                 assert lc.find_regular_chi(d, p, f) == \
                     reference_find_regular_chi(d, p, f)
     assert lc.find_regular_chi(root_datum("G2")[0], 5, 1) is None
+
+
+def test_full_scans_past_the_cap_are_refused_before_they_run(monkeypatch):
+    # E8 at p = 31: the arrays of all of F_31^8 would be terabytes
+    d, b = root_datum("E8")
+    alpha = d.positive_roots[0]
+    start = time.perf_counter()
+    with pytest.raises(lc.LocalCondParameterError, match="SCAN_MAX_CELLS"):
+        lc.find_regular_chi(d, 31, 1)
+    with pytest.raises(GroupParameterError, match="SCAN_MAX_CELLS"):
+        frobenius_b_search(d, b, alpha, 31, 32)
+    assert time.perf_counter() - start < 1
+    # at the cap a scan runs, one cell past it is refused: A2 at p = 5
+    # has 24 nonzero candidates times 3 negative roots, and 25 b's of
+    # rank 2
+    d, b = root_datum("A2")
+    alpha = d.positive_roots[0]
+    for cells, scan in ((72, lambda: lc.find_regular_chi(d, 5, 1)),
+                        (50, lambda: frobenius_b_search(d, b, alpha, 5, 6))):
+        monkeypatch.setattr(lc, "SCAN_MAX_CELLS", cells)
+        monkeypatch.setattr(chevgroup, "SCAN_MAX_CELLS", cells)
+        scan()
+        monkeypatch.setattr(lc, "SCAN_MAX_CELLS", cells - 1)
+        monkeypatch.setattr(chevgroup, "SCAN_MAX_CELLS", cells - 1)
+        with pytest.raises(ParameterError, match="SCAN_MAX_CELLS"):
+            scan()
 
 
 # -- one relation check per lift

@@ -162,10 +162,39 @@ def _spelled_names(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
+def _reached_names(tree, module):
+    """Names of `module` that a tree can reach: imported from it by
+    name (from ...module import name), or read as alias.name where an
+    import binds alias to the module.  An attribute or a field that
+    only shares a name reaches nothing."""
+    bound, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if source == module:
+                    names.add(alias.name)
+                elif alias.name == module:
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname for alias in node.names
+                         if alias.asname and
+                         alias.name.rsplit(".", 1)[-1] == module)
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and
+                 isinstance(node.value, ast.Name) and node.value.id in bound)
+    return names
+
+
+def _loads(tree, name):
+    return sum(isinstance(node, ast.Name) and node.id == name and
+               isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+
+
 def public_definitions():
-    """(module, qualified name, node) of every public module-level
-    function or class and every public method of a module-level
-    class."""
+    """(module, module tree, qualified name, node) of every public
+    module-level function or class and every public method of a
+    module-level class."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path, tree in _python_files(LIBRARY):
         module = os.path.splitext(os.path.basename(path))[0]
@@ -173,23 +202,51 @@ def public_definitions():
             if not isinstance(node, kinds):
                 continue
             if not node.name.startswith("_"):
-                yield module, node.name, node
+                yield module, tree, node.name, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, kinds) and \
                             not sub.name.startswith("_"):
-                        yield module, "%s.%s" % (node.name, sub.name), sub
+                        yield (module, tree,
+                               "%s.%s" % (node.name, sub.name), sub)
 
 
 def uncalled_definitions():
-    """(module, qualified name) of every public definition whose name
-    no caller spells outside the definition itself."""
+    """(module, qualified name) of every public definition no caller
+    reaches.  A module-level function or class is reached by an import
+    of it, by alias.name with alias bound to its module, or by a load
+    of its name in its own module outside its own body; a method, by
+    any spelling of its name outside the method itself."""
+    trees = [tree for top in CALLERS for _, tree in _python_files(top)]
     spelled = collections.Counter(
-        name for top in CALLERS for _, tree in _python_files(top)
-        for name in _spelled_names(tree))
-    return {(module, qual) for module, qual, node in public_definitions()
-            if spelled[node.name]
-            == sum(name == node.name for name in _spelled_names(node))}
+        name for tree in trees for name in _spelled_names(tree))
+    reached = {}
+    uncalled = set()
+    for module, tree, qual, node in public_definitions():
+        if "." in qual:
+            called = spelled[node.name] > sum(
+                name == node.name for name in _spelled_names(node))
+        else:
+            if module not in reached:
+                reached[module] = set().union(
+                    *(_reached_names(t, module) for t in trees))
+            called = node.name in reached[module] or \
+                _loads(tree, node.name) > _loads(node, node.name)
+        if not called:
+            uncalled.add((module, qual))
+    return uncalled
+
+
+def test_reached_names_ignore_homonymous_attributes():
+    tree = ast.parse(
+        "from liftlab import galoismod as gm\n"
+        "from .galoismod import decompose\n"
+        "import liftlab.modp as mp\n"
+        "dec = decompose(gm.spin(mp.rank))\n"
+        "rep = Report(h0=1)\n"
+        "print(rep.h0, dec.hom_space, other.restrict)\n")
+    assert _reached_names(tree, "galoismod") == {"decompose", "spin"}
+    assert _reached_names(tree, "modp") == {"rank"}
 
 
 def test_every_public_definition_has_a_caller():

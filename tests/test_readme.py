@@ -23,7 +23,6 @@ REPORT_SHA256 = [
     "807a7f7cf278fa9afa11ae6b6d143f9c9accf95af9bd1e284a5166215442c517",
     "0fec2c1aa0ca0ef5e04f95dd0b641afa63765fb2feb8ba440bdeb451c0870f65",
     "e474768c593c7dcbe12a410fe76b4951235372732765dbe2a121c84805b4abf3",
-    "2b321a7f67bc2b6c2ae9683f9ab3cd6c00939945b38cb492935efeeece3972b0",
     "f65d4984a28b9f7f5801ddaa46d7fa42be06dae4d3689f2369f0a1ee38af06fe",
     "31b31489979b54b178d7ffaf7f515d04046276f1b4ac8c0c9d6c82ea7aef5977",
     "631e1ec5713bc63b4653f0ddd8a8eb0817481ae5ec517cb0d52c8ac822286320",
