@@ -1,17 +1,17 @@
 """Command-line front end: verification suites, decompositions,
 searches and end-to-end synthetic lifting runs, with machine-readable
 JSON reports.  COMMANDS holds one entry per leaf command: its handler
-and the flags that handler reads.  A command's parser, the keys its
---config file may set and its report's config come from that entry.
+and the flags that handler reads.  A command's parser and its
+report's config come from that entry.
 
 Exit codes: 0 all assertions passed, 2 unknown subcommand or argument,
 3 invalid configuration (such as a second value for a flag read once,
-a value below a flag's least, a --p that is not prime, or a config key
-the command does not take), 4 assertion failure (a failed check, or a
-liftlab error raised during the run), 5 internal error (any other
-exception, recorded as detail["internal_error"]).  Identical (config,
-seed) pairs produce byte-identical reports: reports carry no
-timestamps and are serialized with sorted keys.
+a value below a flag's least, or a --p that is not prime), 4 assertion
+failure (a failed check, or a liftlab error raised during the run), 5
+internal error (any other exception, recorded as
+detail["internal_error"]).  Identical (config, seed) pairs produce
+byte-identical reports: reports carry no timestamps and are serialized
+with sorted keys.
 """
 
 from __future__ import annotations
@@ -318,28 +318,6 @@ def command_flags(command):
             for f in COMMANDS[command][1].split()]
 
 
-def _apply_config_file(args, path, flags):
-    """Set the flags of `flags`, and out, that a `key = value` file
-    names, each typed as its FLAGS spec says."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, val = (x.strip() for x in ln.partition("="))
-        if key not in dict(flags) and key != "out":
-            raise ParameterError("unknown key %r" % key)
-        spec = FLAGS.get(key, {})
-        typed = spec.get("type", str)
-        try:
-            val = ([typed(x) for x in val.split()] if "nargs" in spec
-                   else typed(val))
-        except ValueError:
-            raise ParameterError("%s takes integers: %r"
-                                 % (key, val)) from None
-        setattr(args, key, val)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="liftlab")
     subs = {"": ap.add_subparsers(required=True, metavar="command")}
@@ -349,7 +327,6 @@ def build_parser():
             subs[group] = subs[""].add_parser(group).add_subparsers(
                 required=True, metavar="command")
         sp = subs[group].add_parser(leaf)
-        sp.add_argument("--config", help="key = value file setting flags")
         sp.add_argument("--out", default="report.json")
         for name, several in command_flags(command):
             spec = FLAGS[name]
@@ -369,8 +346,6 @@ def main(argv=None):
         return EXIT_UNKNOWN if exc.code else EXIT_OK
     flags = command_flags(args.command)
     try:
-        if args.config:
-            _apply_config_file(args, args.config, flags)
         # values every handler would misread
         for name, several in flags:
             val = getattr(args, name)
@@ -384,7 +359,7 @@ def main(argv=None):
             if name == "p" and not all(map(is_prime, val)):
                 raise ParameterError("p must be prime, got %s"
                                      % " ".join(map(str, val)))
-    except (ParameterError, OSError) as exc:
+    except ParameterError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     run = Runner(args.command, {name: getattr(args, name)

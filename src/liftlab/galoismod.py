@@ -18,7 +18,7 @@ linear system has k * dim(target) unknowns instead of dim1 * dim2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,24 +51,7 @@ class MatrixModule:
         X = modp.solve(B.T, np.hstack([g @ B.T % p for g in self.gens]), p)
         if X is None:
             raise GaloisModError("basis does not span a submodule")
-        sub = np.hsplit(X, len(self.gens))
-        M = MatrixModule(p, sub)
-        M.embedding = B
-        return M
-
-    def quotient(self, basis):
-        """Module induced on V / row-space(basis)."""
-        p = self.p
-        B = modp.echelon_basis(np.asarray(basis, dtype=np.int64) % p, p)
-        piv = [int(np.nonzero(row)[0][0]) for row in B]
-        comp = [j for j in range(self.dim) if j not in piv]
-        # column j of g reduced modulo the rows of B (RREF: subtract
-        # g[pv, j] times the row with pivot pv), read on the complement
-        quots = [(g[np.ix_(comp, comp)] - B[:, comp].T @ g[np.ix_(piv, comp)])
-                 % p for g in self.gens]
-        M = MatrixModule(p, quots)
-        M.lifted_coords = comp
-        return M
+        return MatrixModule(p, np.hsplit(X, len(self.gens)))
 
 
 def spin(module, vectors):
@@ -256,7 +239,6 @@ class Decomposition:
     semisimple: bool
     multiplicity_free: bool
     contains_trivial: bool
-    composition_factors: list = field(default_factory=list)
 
 
 def _endo_field_degree(module, p):
@@ -280,8 +262,8 @@ def decompose(module, rng=None):
 
     Splits off irreducible summands with explicit complements; if some
     irreducible submodule admits no complement the module is flagged
-    non-semisimple and composition factors are reported instead of a
-    direct-sum decomposition for the remaining part.
+    non-semisimple (and so not multiplicity-free) and splitting stops:
+    the summands are those split off before it.
 
     The direct sum of the claimed summand bases is verified to equal
     the module exactly (change of basis has full rank).
@@ -291,7 +273,6 @@ def decompose(module, rng=None):
     p = module.p
     n = module.dim
     pieces = []
-    comp_factors = []
     semisimple = True
     remaining = np.eye(n, dtype=np.int64)
     while remaining.shape[0]:
@@ -308,11 +289,8 @@ def decompose(module, rng=None):
         target = np.eye(dW, dtype=np.int64).reshape(-1)
         sol = modp.solve(A, target, p)
         if sol is None:
-            # no equivariant projection: not semisimple along W; report
-            # composition factors for what is left and stop splitting
+            # no equivariant projection: not semisimple along W
             semisimple = False
-            comp_factors.extend(composition_factor_modules(cur, rng))
-            remaining = np.zeros((0, n), dtype=np.int64)
             break
         phi = np.zeros((dW, cur.dim), dtype=np.int64)
         for c, h in zip(sol, H):
@@ -358,7 +336,6 @@ def decompose(module, rng=None):
         semisimple=semisimple,
         multiplicity_free=multiplicity_free and semisimple,
         contains_trivial=contains_trivial,
-        composition_factors=comp_factors,
     )
     if semisimple:
         total = np.vstack([b for b, _ in dec.summands]) if pieces else \
@@ -367,13 +344,3 @@ def decompose(module, rng=None):
             raise GaloisModError("summands do not reassemble (bug)")
     return dec
 
-
-def composition_factor_modules(module, rng):
-    """Composition factors (as modules) regardless of semisimplicity."""
-    out = []
-    cur = module
-    while cur.dim:
-        W = irreducible_submodule(cur, rng)
-        out.append(cur.restrict(W))
-        cur = cur.quotient(W)
-    return out

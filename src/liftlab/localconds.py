@@ -44,6 +44,7 @@ from .chevgroup import (SCAN_MAX_CELLS, GroupElement, LieAlgebra,
 from .rootdata import phi_alpha
 
 SAMPLE_MEMBER_TRIES = 200       # sample_member's draws
+TAME_VARIANTS = ("plain", "unr2", "ram2")
 
 
 # at_precision's shared models, keyed on the model class and the
@@ -68,6 +69,13 @@ class LocalCondParameterError(LocalCondError, ParameterError):
 
 class InvalidLiftError(LocalCondError):
     pass
+
+
+def _check_variant(variant):
+    if variant not in TAME_VARIANTS:
+        raise LocalCondParameterError(
+            "unknown tame variant %r: not one of %s"
+            % (variant, ", ".join(TAME_VARIANTS)))
 
 
 class TameLocalModel:
@@ -247,8 +255,10 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     supplied and is applied before testing (the sets are G-hat-stable);
     its inverse is the closed form when it was built by root_product.
     The tame relation of a lift is checked here unless the lift is
-    verified (LocalLift): a violation raises InvalidLiftError.
+    verified (LocalLift): a violation raises InvalidLiftError.  Any
+    other variant is refused before anything is tested.
     """
+    _check_variant(variant)
     model = lift.model
     R, alg = model.ring, model.alg
     alpha = tuple(alpha)
@@ -284,9 +294,7 @@ def membership(lift, alpha, variant="plain", conjugator=None):
         return False
     if variant == "unr2":
         return bool(((lift.tau.mat - R.mat_id(alg.dim)) % p2 == 0).all())
-    if variant == "ram2":
-        return R.valuation(x) == 1
-    raise LocalCondError("unknown variant %r" % variant)
+    return R.valuation(x) == 1
 
 
 def centralizer_of_root_space(model, alpha):
@@ -782,8 +790,10 @@ def _assemble_member(model, alpha, coords):
 
 
 def sample_member(model, alpha, variant, rng):
-    """A random normal-form member of the lifting set (alpha simple);
-    returns (lift, coords) with the generating coordinates."""
+    """A random normal-form member of the lifting set (alpha simple,
+    variant plain, unr2 or ram2); returns (lift, coords) with the
+    generating coordinates."""
+    _check_variant(variant)
     R = model.ring
     d = model.datum
     alpha = tuple(alpha)
@@ -812,8 +822,7 @@ def sample_member(model, alpha, variant, rng):
             xtau = R.scalar_mul(model.p, R.random(rng))
         coords = {"tvals": tvals, "cent": cent, "xa": xa, "xtau": xtau}
         lift = _assemble_member(model, alpha, coords)
-        want = variant if variant in ("unr2", "ram2") else "plain"
-        if membership(lift, alpha, want):
+        if membership(lift, alpha, variant):
             return lift, coords
     raise LocalCondError("could not sample a member in SAMPLE_MEMBER_TRIES "
                          "= %d draws" % SAMPLE_MEMBER_TRIES)
@@ -839,14 +848,14 @@ def lift_coordinates(model, alpha, coords, rng):
             "xtau": up(coords["xtau"])}
 
 
-def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
+def smoothness_probe(model, alpha, variant, samples, rng):
     """Sample members mod p^m and lift each to p^{m+1} by lifting its
     normal-form coordinates (t, centralizer factors, x) with random top
     digits; the relation and the membership are re-verified exactly at
-    the higher precision.  Returns the success count (must equal
-    samples); an unliftable sample raises."""
+    the higher precision.  variant is plain, unr2 or ram2.  Returns the
+    success count (must equal samples); an unliftable sample raises."""
+    _check_variant(variant)
     model_up = model.at_precision(model.ring.m + 1)
-    R_up = model_up.ring
     ok = 0
     for _ in range(samples):
         lift, coords = sample_member(model, alpha, variant, rng)
@@ -855,25 +864,7 @@ def smoothness_probe(model, alpha, variant, samples, rng, corrupt=False):
         if (up.sigma.mat % model.ring.q != lift.sigma.mat).any() or \
                 (up.tau.mat % model.ring.q != lift.tau.mat).any():
             raise LocalCondError("coordinate lift does not reduce back (bug)")
-        if corrupt:
-            # push tau off U_alpha: a u_{-alpha}(kp) factor changes the
-            # relation defect by u_{-alpha}((q^{-1}-q) k p + ...) which
-            # has valuation 2 < m+1, so some k breaks the relation
-            caught = False
-            for k in range(1, model.p):
-                bad_tau = up.tau @ u_alpha(model_up.alg, model.datum.neg(alpha),
-                                           R_up.el(k * model.p))
-                try:
-                    LocalLift(model_up, up.sigma, bad_tau)
-                except InvalidLiftError:
-                    caught = True
-                    break
-            if not caught:
-                raise LocalCondError("corrupted relation went undetected")
-            ok += 1
-            continue
-        want = variant if variant in ("unr2", "ram2") else "plain"
-        if not membership(up, alpha, want):
+        if not membership(up, alpha, variant):
             raise LocalCondError("lifted member failed membership")
         ok += 1
     return ok
@@ -883,7 +874,8 @@ def frobenius_member(model, alpha, variant, seed=0):
     """A normal-form member for any root alpha: sigma is the torus
     element (1 + p b) alpha^vee(q^{1/2}) found by the hyperplane-
     avoiding Frobenius search (so every Phi^alpha denominator is a
-    unit), tau = 1 mod p^2 (unr2) or u_alpha(p) (ram2)."""
+    unit), tau = 1 mod p^2 (unr2) or u_alpha(p) (plain and ram2)."""
+    _check_variant(variant)
     R = model.ring
     alpha = tuple(alpha)
     b, rep = frobenius_b_search(model.datum, model.basis, alpha, model.p,
@@ -892,8 +884,7 @@ def frobenius_member(model, alpha, variant, seed=0):
     x = R.el(0 if variant == "unr2" else model.p)
     tau = u_alpha(model.alg, alpha, x)
     lift = LocalLift(model, sigma, tau)
-    want = variant if variant in ("unr2", "ram2") else "plain"
-    if not membership(lift, alpha, want):
+    if not membership(lift, alpha, variant):
         raise LocalCondError("frobenius member failed membership (bug)")
     return lift, rep
 
@@ -918,7 +909,10 @@ def find_regular_chi(datum, p, f):
     # every nonzero c in F_p^rank; covers[j, l]: c_j pairs nontrivially
     # with the l-th negative root, sum_i c_i beta_i != 0 mod p
     cands = np.arange(1, p ** rank)[:, None] // p ** np.arange(rank) % p
-    covers = cands @ datum.root_matrix[neg].T % p != 0
+    # reduced in place, so that one int64 array of the scan's size exists
+    covers = cands @ datum.root_matrix[neg].T
+    covers %= p
+    covers = covers != 0
     # greedy cover: each generator takes a candidate covering the most
     # of the still-uncovered negative roots
     remaining = np.ones(len(neg), dtype=bool)

@@ -205,9 +205,6 @@ def legendre(a, p):
 
 
 def default_data_dir():
-    env = os.environ.get("LIFTLAB_DATA")
-    if env:
-        return env
     return os.path.join(os.path.dirname(__file__), "data", "atlas")
 
 

@@ -117,24 +117,23 @@ class SyntheticGlobalModel:
     """Global H^1 models with restriction maps to each local block.
 
     A (rows = global W-classes, columns = concatenated local W-blocks)
-    and B (same for W*) satisfy: B is exactly the annihilator of A
-    under the summed local pairing, so the combined image is a maximal
-    isotropic subspace -- the Poitou-Tate consistency invariant.
-
-    B=None takes B = kernel_basis(A J) from the elimination that
-    check_consistency does anyway; an explicit B is checked against it.
-    J, the summed local pairing, is built once with the model, whose
-    places never change, or passed in by a builder that has built it.
+    is given; B (same for W*) is kernel_basis(A J), exactly the
+    annihilator of A under the summed local pairing J, from the
+    elimination that check_consistency does.  The combined image is a
+    maximal isotropic subspace -- the Poitou-Tate consistency invariant
+    -- exactly when dim A + dim B is the total local dimension, which
+    check_consistency checks with the ledger.  J is built once with the
+    model, whose places never change, or passed in by a builder that
+    has built it.
     eta, when set, is the matrix of eta on the adjoint module (entries
     in [0, p)) that the witness search reads.
     """
 
-    def __init__(self, p, places, A, B, arch_h0, h0_glob=0, h0_glob_star=0,
+    def __init__(self, p, places, A, arch_h0, h0_glob=0, h0_glob_star=0,
                  eta=None, datum=None, basis=None, seed=None, J=None):
         self.p = p
         self.places = places
         self.A = A % p
-        self.B = None if B is None else B % p
         self.arch_h0 = list(arch_h0)
         self.h0_glob = h0_glob
         self.h0_glob_star = h0_glob_star
@@ -161,20 +160,9 @@ class SyntheticGlobalModel:
 
     def check_consistency(self):
         p = self.p
-        # ann is the full right kernel of M = A J, so a row of B lies in
-        # its span exactly when M row = 0: one product tests all of B
-        M = modp.matmul(self.A, self.J, p)
-        ann = modp.kernel_basis(M, p) if self.A.shape[0] else \
-            np.eye(self.total_dim, dtype=np.int64)
-        if self.B is None:
-            self.B = ann
-        # rows of B inside the kernel span all of it exactly when there
-        # are dim-many independent ones
-        elif self.B.shape[0] != ann.shape[0] or \
-                modp.matmul(M, self.B.T, p).any() \
-                or modp.rank(self.B, p) != self.B.shape[0]:
-            raise ModelInconsistencyError(
-                "B is not the exact annihilator of A")
+        # B is the full right kernel of A J
+        self.B = modp.kernel_basis(modp.matmul(self.A, self.J, p), p) \
+            if self.A.shape[0] else np.eye(self.total_dim, dtype=np.int64)
         # maximal isotropic: dim A + dim B = total
         if self.A.shape[0] + self.B.shape[0] != self.total_dim:
             raise ModelInconsistencyError("global image not half-dimensional")
@@ -249,7 +237,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     # exactly when A J B0^t = 0
     if modp.matmul(modp.matmul(A, J, p), B0.T, p).any():
         raise SelmerError("prescribed dual class lost (infeasible spec)")
-    return SyntheticGlobalModel(p, list(places), A, None, list(arch_h0),
+    return SyntheticGlobalModel(p, list(places), A, list(arch_h0),
                                 h0_glob, h0_glob_star, seed=seed, J=J,
                                 **extra)
 
@@ -623,7 +611,7 @@ def extend_model_at_witness(model, system, witness, rng):
     place = TrivialPlace(w, frame={"g_mat": witness["g_mat"],
                                    "alpha": witness["alpha"],
                                    "t": witness["t"], "c": witness["c"]})
-    model2 = SyntheticGlobalModel(p, list(model.places) + [place], A2, None,
+    model2 = SyntheticGlobalModel(p, list(model.places) + [place], A2,
                                   model.arch_h0, model.h0_glob,
                                   model.h0_glob_star, eta=model.eta,
                                   datum=model.datum, basis=model.basis,
@@ -736,7 +724,7 @@ class DoublingModel:
             raise SelmerError("family inertia values do not span W")
 
 
-def doubling_solve(dmodel, z_t, rng, exhaustive=None):
+def doubling_solve(dmodel, z_t, rng, exhaustive):
     """Find tuples (v, v') and h = h_old - sum h^(v_n) + 2 sum h^(v'_n)
     with h|_T = z_T exactly and prescribed Frobenius sums
     sum_n h^(v'_n)(sigma_{v_m}) = C_m, sum_n h^(v_n)(sigma_{v'_m}) = C'_m.
@@ -744,9 +732,10 @@ def doubling_solve(dmodel, z_t, rng, exhaustive=None):
     The restriction h|_T is exact by construction (the families' T-
     restrictions are draw-independent) and is re-verified; the
     Frobenius-sum equations are met by conditioned resampling of the
-    second tuple, exhaustively when the draw space is small (the only
-    complete mode), otherwise under the iteration cap with a
-    frequency-table diagnostic on failure."""
+    second tuple: with exhaustive set, by enumerating its whole draw
+    space (the only complete mode, for toy models), otherwise by
+    sampling under the iteration cap with a frequency-table diagnostic
+    on failure."""
     p, w = dmodel.p, dmodel.w
     z_t = np.asarray(z_t, dtype=np.int64) % p
     fams = dmodel.families
@@ -798,9 +787,6 @@ def doubling_solve(dmodel, z_t, rng, exhaustive=None):
     v_ids = ["v%d" % k for k in range(n_act)]
     # conditioned resampling of v': each draw produces, independently and
     # uniformly, h^(v_n)(sigma_{v'_m}) and h^(v'_n)(sigma_{v_m}) in W
-    space = (p ** w) ** (2 * n_act * n_act)
-    if exhaustive is None:
-        exhaustive = space <= 200000
     freq = {}
     draws = 0
 

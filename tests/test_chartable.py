@@ -359,6 +359,38 @@ def test_non_integer_header_is_refused():
         CharacterTable.parse(text)
 
 
+def a6_with(old, new):
+    text = table_text("a6.tbl")
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("", "empty character table"),
+    ("# a comment only\n\n", "empty character table"),
+    (a6_with("A6 360 7", "A6 360"), "line 3: expected `GROUP ORDER NCLASSES`"),
+    (a6_with("A6 360 7", "A6 360 7 1"), "expected `GROUP ORDER NCLASSES`"),
+    (a6_with("1 2 3 3 4 5 5", "1 2 3 3 4 5"), "class line length mismatch"),
+    (a6_with("1 45 40 40 90 72 72", "1 45 40 40 90 72 72 1"),
+     "class line length mismatch"),
+    (a6_with("10 -2 1 1 0 0 0", "10 -2 1 1 0 0"),
+     "character row length mismatch"),
+    (a6_with("9 1 0 0 1 -1 -1", "9 1 0 0 1 -1 +"), "empty value"),
+    # the A6 table's field is Q(zeta_60)
+    (a6_with("9 1 0 0 1 -1 -1", "9 1 0 0 1 -1 z7"),
+     r"z7 outside Q\(zeta_60\)"),
+    (a6_with("9 1 0 0 1 -1 -1", "9 1 0 0 1 -1 b7"),
+     r"b7 outside Q\(zeta_60\)"),
+    (a6_with("9 1 0 0 1 -1 -1", "9 1 0 0 1 -1 c7_1"),
+     r"c7 outside Q\(zeta_60\)"),
+], ids=["empty", "comment-only", "header-2-fields", "header-4-fields",
+        "short-class-orders", "long-class-sizes", "short-character-row",
+        "sign-only", "z-outside", "b-outside", "c-outside"])
+def test_malformed_tables_are_refused(text, match):
+    with pytest.raises(CharTableError, match=match):
+        CharacterTable.parse(text)
+
+
 def test_gauss_period_sums_over_the_nonzero_squares():
     # at composite n the nonzero squares mod n are not the residues
     # Euler's criterion picks: {1, 4} mod 8 and {1, 4, 6, 9, 10} mod 15

@@ -122,7 +122,8 @@ def test_group_elements_preserve_bracket_and_form():
 
 def test_bracket_and_form_match_integer_tables():
     # a ring vector is sum_c x_c t^c over integer vectors x_c, so
-    # [x, y] = sum_{c,d} bracket_int(x_c, y_d) t^c t^d mod q, and B alike
+    # [x, y] = sum_{c,d} [x_c, y_d] t^c t^d mod q, each integer bracket
+    # read from the ad table, and B alike
     rng = np.random.default_rng(5)
     for name, p, m, r in [("A1", 5, 3, 1), ("A2", 7, 2, 2), ("B2", 5, 3, 3),
                           ("G2", 7, 3, 2), ("G2", 13, 1, 3)]:
@@ -138,8 +139,8 @@ def test_bracket_and_form_match_integer_tables():
             for c in range(r):
                 for e in range(r):
                     tt = R.mul(t[c], t[e])
-                    br = (br + b.bracket_int(x[:, c], y[:, e])[:, None]
-                          % R.q * tt) % R.q
+                    xy = np.einsum("i,iak,k->a", x[:, c], b.ad, y[:, e])
+                    br = (br + xy[:, None] % R.q * tt) % R.q
                     form = (form + int(x[:, c] @ B @ y[:, e]) % R.q * tt) % R.q
             assert np.array_equal(alg.bracket(x, y), br)
             assert np.array_equal(killing_form(alg, x, y), form)
@@ -315,11 +316,13 @@ def test_very_good_prime_guard():
     d, b = root_datum("A4")
     with pytest.raises(ChevGroupError):
         LieAlgebra(d, b, CoeffRing(5, 1, 1))  # p | n+1
-    # past the exact int64 range: dim g (q - 1)^2 >= 2^63
+    # past the exact int64 range: dim g (q - 1)^2 >= 2^63 over a ring
+    # that is itself in range, (q - 1)^2 < 2^63 <= 8 (q - 1)^2 at q = 5^13
     d, b = root_datum("A1")
     LieAlgebra(d, b, CoeffRing(5, 13, 1))
-    with pytest.raises(ParameterError):
-        LieAlgebra(d, b, CoeffRing(5, 14, 1))
+    d, b = root_datum("A2")
+    with pytest.raises(ParameterError, match="past the exact int64 range"):
+        LieAlgebra(d, b, CoeffRing(5, 13, 1))
 
 
 # -- root-group tables shared per Chevalley basis

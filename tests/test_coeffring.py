@@ -204,7 +204,9 @@ def test_residually_trivial_inverse_takes_no_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("eliminated")
 
-    monkeypatch.setattr(modp, "inverse", no_elimination)
+    # every elimination of mat_inv_modp is a modp.rref, through
+    # fieldlinalg.rref_f
+    monkeypatch.setattr(modp, "rref", no_elimination)
     assert np.array_equal(R.mat_inv_modp(A), R.mat_id(n))
     with pytest.raises(AssertionError, match="eliminated"):
         R.mat_inv_modp(B)

@@ -465,12 +465,29 @@ def test_smoothness_probes():
 
 
 def test_smoothness_corrupt_path():
+    # a probe's lifted member with tau pushed off U_alpha by a factor
+    # u_{-alpha}(kp): the relation defect is u_{-alpha}((q^-1 - q) k p +
+    # ...), of valuation 2 < m + 1, so some k breaks the relation, and
+    # the lift is refused when it is built
     rng = np.random.default_rng(6)
     d, b = root_datum("A1")
     model = lc.TameLocalModel(d, b, 5, 3, 6)
-    n = lc.smoothness_probe(model, d.positive_roots[0], "plain", 3, rng,
-                            corrupt=True)
-    assert n == 3
+    up_model = model.at_precision(4)
+    al = d.positive_roots[0]
+    for _ in range(3):
+        lift, coords = lc.sample_member(model, al, "plain", rng)
+        up = lc._assemble_member(up_model, al,
+                                 lc.lift_coordinates(model, al, coords, rng))
+        assert lc.membership(up, al, "plain")
+        refused = 0
+        for k in range(1, model.p):
+            bad_tau = up.tau @ u_alpha(up_model.alg, d.neg(al),
+                                       up_model.ring.el(k * model.p))
+            try:
+                lc.LocalLift(up_model, up.sigma, bad_tau)
+            except lc.InvalidLiftError:
+                refused += 1
+        assert refused
 
 
 def test_reduction_compatibility_of_spaces():
@@ -611,24 +628,24 @@ def test_sigma_singular_mod_p_is_refused(name):
 
 def test_invertibility_guard_paths(monkeypatch):
     # sigma = 1 mod p needs no elimination; any other sigma takes one
-    # elimination mod p
+    # elimination mod p, of [sigma | 1]
     model = tame("A2", 7, 4, 8)
     R, alg = model.ring, model.alg
     calls = []
-    inverse = modp.inverse
+    rref = modp.rref
 
     def counted(A, p):
         calls.append(A.shape)
-        return inverse(A, p)
+        return rref(A, p)
 
-    monkeypatch.setattr(modp, "inverse", counted)
+    monkeypatch.setattr(modp, "rref", counted)
     lift, _ = lc.frobenius_member(model, model.datum.positive_roots[0],
                                   "ram2", seed=0)
     assert lift.relation_holds() and calls == []
     t = torus_elt(alg, [R.el(2), R.el(3)])
     assert lc.LocalLift(model, t, identity(alg), check=False) \
         .relation_holds()
-    assert calls == [(alg.dim, alg.dim)]
+    assert calls == [(alg.dim, 2 * alg.dim)]
 
 
 # -- falsification of the rewritten stability comparisons
@@ -878,3 +895,32 @@ def test_membership_refuses_a_tampered_unverified_lift():
         pytest.fail("no u_{-alpha}(kp) factor breaks the relation")
     with pytest.raises(lc.InvalidLiftError, match="tame relation violated"):
         lc.membership(free, al, "ram2")
+
+
+@pytest.mark.parametrize("variant", ["unr", "ram", "bogus"])
+@pytest.mark.parametrize("call", ["sample_member", "smoothness_probe",
+                                  "frobenius_member", "membership"])
+def test_unknown_tame_variants_are_refused(call, variant):
+    # a variant outside plain, unr2 and ram2 is refused before any
+    # member is built or tested: "unr" once gave a ram2 member, and
+    # membership returned False for a plain member
+    model = tame("A2", 5, 3)
+    al = model.datum.positive_roots[0]
+    rng = np.random.default_rng(0)
+    member, _ = lc.sample_member(model, al, "plain", rng)
+    broken = lc.LocalLift(model, member.sigma, member.tau @ u_alpha(
+        model.alg, model.datum.neg(al), model.ring.el(model.p)), check=False)
+    calls = {
+        "sample_member": [lambda: lc.sample_member(model, al, variant, rng)],
+        "smoothness_probe": [
+            lambda: lc.smoothness_probe(model, al, variant, 1, rng)],
+        "frobenius_member": [
+            lambda: lc.frobenius_member(model, al, variant, seed=0)],
+        # a plain member, and a lift whose relation fails: the variant
+        # is refused before the relation is checked
+        "membership": [lambda: lc.membership(member, al, variant),
+                       lambda: lc.membership(broken, al, variant)],
+    }[call]
+    for fn in calls:
+        with pytest.raises(lc.LocalCondParameterError, match="tame variant"):
+            fn()

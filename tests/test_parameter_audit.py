@@ -1,6 +1,6 @@
 """Every defaulted parameter of liftlab is set by some caller, every
-public definition is named by one, and no library code calls numpy's
-module-level any, all or isscalar.
+public definition is named by one, no library code calls numpy's
+module-level any, all or isscalar, and none reads the environment.
 
 A parameter that only its default reaches is a configuration no caller
 runs: it belongs in the code as a constant.  A public function, class
@@ -13,6 +13,10 @@ np.any(a) and np.all(a) dispatch through numpy's Python-level reduction
 wrapper, about twice the cost of the method a.any() on the small arrays
 liftlab reduces, and np.isscalar(x) costs more than the isinstance test
 that replaces it; the hot paths call them thousands of times a pass.
+
+A setting read from an environment variable is one more way to set
+what a flag or a parameter already sets, and one that a report's
+config does not echo.
 """
 
 import ast
@@ -29,11 +33,6 @@ CALLERS = [LIBRARY, os.path.join(ROOT, "demos"),
 KEPT = {
     ("cli", "main", "argv"):
         "the entry point; tests pass argv, the console script does not",
-    ("rootdata", "ChevalleyBasis.verify_jacobi", "rng"):
-        "checking Jacobi exhaustively on the large types is not "
-        "feasible, so the test samples with it",
-    ("rootdata", "ChevalleyBasis.verify_jacobi", "samples"):
-        "the number of triples that test samples",
     ("selmer", "build_synthetic_model", "h0_glob"):
         "a term of the Greenberg-Wiles ledger formula",
     ("selmer", "build_synthetic_model", "h0_glob_star"):
@@ -44,8 +43,6 @@ KEPT = {
         "the refusal of a p dividing |G| is tested through it",
     ("modp", "_factor_squarefree", "rng"):
         "a test compares it with a reference under many random streams",
-    ("localconds", "smoothness_probe", "corrupt"):
-        "the probe's own detection test",
 }
 
 # (module, qualified name): why a public definition that no caller
@@ -284,3 +281,28 @@ def test_no_module_level_numpy_reductions():
         "instead: %r" % slow)
     # the scan sees the library's numpy calls at all
     assert any(name == "zeros" for _, _, name in calls)
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Lines that spell os.environ or os.getenv, as an attribute or as
+    a name imported from os."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT \
+                or isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(a.name in ENVIRONMENT for a in node.names):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    reads = [(os.path.basename(path), line)
+             for path, tree in _python_files(LIBRARY)
+             for line in _environment_reads(tree)]
+    assert not reads, (
+        "a setting is a flag or a parameter, not an environment "
+        "variable: %r" % reads)
+    # the scan sees both spellings
+    tree = ast.parse("import os\nos.environ.get('X')\nfrom os import getenv\n")
+    assert sorted(_environment_reads(tree)) == [2, 3]

@@ -43,8 +43,7 @@ def readme_commands():
             if ln.startswith("liftlab ")]
 
 
-def test_readme_reports_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("LIFTLAB_DATA", raising=False)
+def test_readme_reports_are_pinned(tmp_path):
     cmds = readme_commands()
     assert len(cmds) == len(REPORT_SHA256)
     out = str(tmp_path / "report.json")
@@ -90,11 +89,10 @@ class ReadRecorder:
         return Values(val)
 
 
-def test_each_command_reads_exactly_its_flags(monkeypatch):
+def test_each_command_reads_exactly_its_flags():
     # a flag a command accepts and echoes but never reads misstates
     # what ran; so does a list flag it declares as taking several values
     # but reads only the first of
-    monkeypatch.delenv("LIFTLAB_DATA", raising=False)
     runs = [(args, build_parser().parse_args(args))
             for args in readme_commands()]
     assert sorted(parsed.command for _, parsed in runs) == sorted(COMMANDS)
@@ -102,7 +100,7 @@ def test_each_command_reads_exactly_its_flags(monkeypatch):
         rec = ReadRecorder(parsed)
         COMMANDS[parsed.command][0](rec, Runner(parsed.command, {}))
         flags = command_flags(parsed.command)
-        assert rec.read - {"out", "config"} == {n for n, _ in flags}, args
+        assert rec.read - {"out"} == {n for n, _ in flags}, args
         assert rec.iterated == {n for n, several in flags if several}, args
 
 
