@@ -8,7 +8,8 @@ from liftlab.coeffring import CoeffRing
 from liftlab.chevgroup import (LieAlgebra, ad_eigenvalues_on_roots, exp_hat,
                                image_growth_check, matrix_identity_check,
                                principal_sl2, root_value_of_torus, torus_elt,
-                               trivial_frobenius_search, u_alpha)
+                               u_alpha)
+from liftlab.localconds import TameLocalModel, frobenius_member
 from liftlab.rootdata import phi_alpha, root_datum
 
 rng = np.random.default_rng(1)
@@ -53,13 +54,14 @@ e, h, f = principal_sl2(alg)
 print("G2 principal ad(h) eigenvalues:", sorted(
     v if v <= 6 else v - 13 for v in ad_eigenvalues_on_roots(alg, h)))
 
-# the hyperplane-avoiding torus search for trivial Frobenius elements
+# the hyperplane-avoiding torus search for trivial Frobenius elements:
+# the Frobenius sigma = t_b of a tame member over O/13^2
 datum, basis = root_datum("A2")
-alg2 = LieAlgebra(datum, basis, CoeffRing(13, 2, 1))
+model = TameLocalModel(datum, basis, 13, 2, 14)
 alpha = datum.positive_roots[0]
-tb, b, report = trivial_frobenius_search(alg2, alpha, 14, seed=3)
+lift, report = frobenius_member(model, alpha, "unr2", seed=3)
 print("t_b with alpha(t_b) = 14 and beta(t_b) != 1 mod 169 on Phi^alpha:",
       report)
 for beta in phi_alpha(basis, alpha):
-    assert int(root_value_of_torus(alg2, tb, beta)[0]) % 169 != 1
+    assert int(root_value_of_torus(model.alg, lift.sigma, beta)[0]) % 169 != 1
 print("all Phi^alpha inequations verified")

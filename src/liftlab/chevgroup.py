@@ -24,7 +24,10 @@ torus_root_values evaluates prod_i t_i^(E[k, i]) for every root k from
 units t_i on a character basis and an integer exponent table E read from
 the root datum (root_matrix for values on the simple roots, a column of
 coroot pairings for alpha^vee(s)), inverting each unit at most once, and
-torus_from_root_values puts the values on the diagonal.
+torus_from_root_values puts the values on the diagonal.  torus_elt takes
+the values on the simple roots (an ordinary local model's chi-torus is
+one); torus_from_coroot_data builds (1 + p b) alpha^vee(s), the
+trivial-Frobenius torus once frobenius_b_search has found b.
 
 Inverses: u_alpha(x)^-1 = u_alpha(-x) exactly, so root_product builds
 a product of root elements together with its inverse, the reversed
@@ -46,16 +49,16 @@ import math
 import numpy as np
 
 from . import modp
-from .coeffring import (CoeffRing, LiftlabError, ParameterError, int64_exact,
-                        sqrt_one_mod_p)
+from .coeffring import CoeffRing, LiftlabError, ParameterError, int64_exact
 from .intlinalg import in_rational_span
 from .rootdata import phi_alpha
 
 # int64 cells (2 GiB) a full scan of F_p^rank may build: frobenius_b_search
 # and localconds.find_regular_chi refuse a larger scan before building it.
-# find_regular_chi reduces its product in place, so it holds one int64
-# array of that size and a bool copy: at E6, p = 13 (1.7e8 cells, 1.33 GB)
-# it peaks at 1.74 GB RSS in a fresh process
+# Both reduce their scan mod p in place, so each holds one int64 array of
+# that size at a time: find_regular_chi's product and a bool copy, at E6,
+# p = 13 (1.7e8 cells, 1.33 GB), peak at 1.74 GB RSS in a fresh process;
+# frobenius_b_search's digits of every b (2.9e7 cells, 232 MB) at 366 MB
 SCAN_MAX_CELLS = 2 ** 28
 
 
@@ -410,27 +413,16 @@ def ad_eigenvalues_on_roots(alg, h):
     return sorted(vals.tolist()) + [0] * d.rank
 
 
-def trivial_frobenius_search(alg2, alpha, q, seed=0):
-    """Torus element t_b = (1 + p b) alpha^vee(q^(1/2)) over O/p^2 with
-    alpha(t_b) = q and beta(t_b) != 1 mod p^2 for every beta in
-    Phi^alpha, b from frobenius_b_search.  Returns (element, b, report).
-    """
-    R = alg2.ring
-    if R.m != 2:
-        raise ChevGroupError("search works over precision m = 2")
-    b, report = frobenius_b_search(alg2.datum, alg2.basis, alpha, R.p, q,
-                                   seed)
-    s = sqrt_one_mod_p(R, R.el(q))
-    return torus_from_coroot_data(alg2, alpha, s, b), b, report
-
-
 def frobenius_b_search(datum, basis, alpha, p, q, seed=0):
-    """The b of trivial_frobenius_search, from the datum's tables, p and
-    q alone: b runs over ker(alpha) in the F_p-points of the span of the
-    simple coroots, acting by beta(b) = sum_i b_i <beta, alpha_i^vee>;
-    the search is a deterministic scan in seed order, refused past
-    SCAN_MAX_CELLS, and raises if the hyperplane complement is empty
-    (tiny p only).  Returns (b, report).
+    """The b of a trivial-Frobenius torus element t_b = (1 + p b)
+    alpha^vee(q^(1/2)), which has alpha(t_b) = q and beta(t_b) != 1 mod
+    p^2 for every beta in Phi^alpha, from the datum's tables, p and q
+    alone; torus_from_coroot_data builds t_b at any precision, as
+    localconds.frobenius_member does.  b runs over ker(alpha) in the
+    F_p-points of the span of the simple coroots, acting by beta(b) =
+    sum_i b_i <beta, alpha_i^vee>; the search is a deterministic scan in
+    seed order, refused past SCAN_MAX_CELLS, and raises if the
+    hyperplane complement is empty (tiny p only).  Returns (b, report).
     """
     d = datum
     alpha = tuple(alpha)
@@ -445,7 +437,8 @@ def frobenius_b_search(datum, basis, alpha, p, q, seed=0):
     rows = [d.root_index[beta] for beta in phi_alpha(basis, alpha)]
     # every b in F_p^rank, in seeded order, then those in ker(alpha)
     order = np.random.default_rng(seed).permutation(p ** d.rank)
-    B = order[:, None] // p ** np.arange(d.rank) % p
+    B = order[:, None] // p ** np.arange(d.rank)
+    B %= p
     B = B[B @ d.simple_pairings[d.root_index[alpha]] % p == 0]
     # beta(t_b) = (1 + p beta(b)) q^{m/2} with m = <beta, alpha^vee> is
     # != 1 mod p^2 iff beta(b) + c m / 2 != 0 mod p

@@ -158,9 +158,6 @@ class CoeffRing:
             raise CoeffRingError("element must have %d coefficients" % self.r)
         return a
 
-    def zero(self):
-        return np.zeros(self.r, dtype=np.int64)
-
     def one(self):
         return self.el(1)
 

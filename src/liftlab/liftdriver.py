@@ -208,8 +208,8 @@ class OrdinaryPlaceState(PlaceState):
         out = []
         for gname, v in zip(model2.generators, self.values):
             el = GroupElement(model2.alg, v.mat)
-            # torus correction on the diagonal: target chi mod p^(m+1)
-            chi = model2.chi_table(gname)
+            # torus correction on the diagonal: chi mod p^(m+1), as Python ints
+            chi = model2.chi_table(gname).tolist()
             have = el.mat[d.rank + rows, d.rank + rows, 0]
             tvals = [R2.el(chi[k] * pow(int(h), -1, R2.q) % R2.q)
                      for k, h in zip(rows.tolist(), have)]

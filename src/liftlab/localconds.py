@@ -11,13 +11,16 @@ Residual representations here are trivial, so coboundaries vanish and
 one-cocycles are plain homomorphisms: a cocycle is the tuple of its
 generator values over the residue field.
 
-A model is built for one precision; at_precision(m2) returns the model
-of the same place at precision m2.  Those models are shared: every
-at_precision call with the same datum, basis, p, m2, ring degree r and
-place data (q at a trivial prime; f and chi at p) returns one model,
-kept for the life of the process with its tables (sqrt q, alpha^vee(sqrt
-q), the chi tables), which are read-only.  The constructors always build
-a new model.
+Both models share one skeleton, LocalModel: the ring O/p^m, the residue
+field and their Lie algebras.  A model is built for one precision;
+at_precision(m2) returns the model of the same place at precision m2.
+Those models are shared: every at_precision call with the same datum,
+basis, p, m2, ring degree r and place data (q at a trivial prime; f and
+chi at p) returns one model, kept for the life of the process with its
+read-only tables (sqrt q, alpha^vee(sqrt q), the chi-tori, each a
+torus_elt of chi(gen), and their root diagonals, the chi tables).  The
+constructors always build a new model.  Both conditions satisfy one
+stability identity, checked in one place, _stability.
 
 Membership in the lifting sets is tested in a caller-supplied torus
 frame (normal form); an explicitly known conjugator may be passed in,
@@ -38,7 +41,7 @@ from . import fieldlinalg as fl
 from . import modp
 from .coeffring import (CoeffRing, LiftlabError, ParameterError,
                         sqrt_one_mod_p)
-from .chevgroup import (SCAN_MAX_CELLS, GroupElement, LieAlgebra,
+from .chevgroup import (SCAN_MAX_CELLS, LieAlgebra,
                         frobenius_b_search, identity, one_plus, torus_elt,
                         torus_from_coroot_data, u_alpha)
 from .rootdata import phi_alpha
@@ -78,19 +81,36 @@ def _check_variant(variant):
             % (variant, ", ".join(TAME_VARIANTS)))
 
 
-class TameLocalModel:
+class LocalModel:
+    """The ring O/p^m of degree r, the residue field and their Lie
+    algebras; `place` holds a subclass constructor's arguments between m
+    and r, which key at_precision's shared models with the others."""
+
+    def __init__(self, datum, basis, p, m, r, place):
+        self.datum, self.basis = datum, basis
+        self.p, self.m = p, m
+        self.ring = CoeffRing(p, m, r)
+        self.alg = LieAlgebra(datum, basis, self.ring)
+        self.residue = CoeffRing(p, 1, r)
+        self.alg1 = LieAlgebra(datum, basis, self.residue)
+        self._place = place
+
+    def at_precision(self, m2):
+        """The shared model of this place at precision m2."""
+        key = (type(self), self.datum, self.basis, self.p, m2) \
+            + self._place + (self.ring.r,)
+        return _shared_model(key, lambda: key[0](*key[1:]))
+
+
+class TameLocalModel(LocalModel):
     """Frame data for one trivial prime: ring precision, q, algebra."""
 
     def __init__(self, datum, basis, p, m, q, r=1):
         if q % p != 1 or q % (p * p) == 1:
             raise LocalCondParameterError(
                 "q must be 1 mod p and not 1 mod p^2")
-        self.p, self.m, self.q = p, m, q
-        self.ring = CoeffRing(p, m, r)
-        self.alg = LieAlgebra(datum, basis, self.ring)
-        self.residue = CoeffRing(p, 1, r)
-        self.alg1 = LieAlgebra(datum, basis, self.residue)
-        self.datum, self.basis = datum, basis
+        super().__init__(datum, basis, p, m, r, (q,))
+        self.q = q
         self._covee = {}
 
     @cached_property
@@ -109,12 +129,6 @@ class TameLocalModel:
                 self.alg, alpha, self.sqrt_q, [0] * self.datum.rank)
             t.mat.flags.writeable = False
         return t
-
-    def at_precision(self, m2):
-        """The shared model of this place at precision m2."""
-        key = (TameLocalModel, self.datum, self.basis, self.p, m2, self.q,
-               self.ring.r)
-        return _shared_model(key, lambda: TameLocalModel(*key[1:]))
 
 
 class LocalLift:
@@ -231,18 +245,14 @@ def extract_u_alpha_coordinate(model, g, alpha):
     return None
 
 
-def is_torus_matrix(model, M, upto=None):
-    """Diagonal in the frame with identity Cartan block (mod p^upto)."""
-    R = model.ring
-    q = R.p ** (upto if upto is not None else R.m)
-    n = model.alg.dim
-    rank = model.datum.rank
-    D = M % q
+def is_torus_matrix(model, M):
+    """Diagonal in the frame with identity Cartan block, mod p^2."""
+    D = M % model.p ** 2
+    k = np.arange(model.alg.dim)
     off = D.copy()
-    off[np.arange(n), np.arange(n)] = 0
-    if (off % q).any():
-        return False
-    return bool((D[np.arange(rank), np.arange(rank)] == R.one() % q).all())
+    off[k, k] = 0
+    h = k[:model.datum.rank]
+    return not off.any() and bool((D[h, h] == model.ring.one()).all())
 
 
 def membership(lift, alpha, variant="plain", conjugator=None):
@@ -286,7 +296,7 @@ def membership(lift, alpha, variant="plain", conjugator=None):
                                       % variant)
     p2 = model.p ** 2
     s2 = lift.sigma.mat % p2
-    if not is_torus_matrix(model, s2, upto=2):
+    if not is_torus_matrix(model, s2):
         return False
     # beta(sigma) != 1 mod p^2 for every beta in Phi^alpha
     k = [alg.basis.root_basis_index(b) for b in phi_alpha(model.basis, alpha)]
@@ -311,10 +321,7 @@ def _beta_unit_quotient(model, sigma_mat_p2, beta):
     the valuation is not exactly 1 (degenerate denominator)."""
     p = model.p
     i = model.alg.basis.root_basis_index(tuple(beta))
-    val = sigma_mat_p2[i, i] % (p * p)
-    one = np.zeros(model.ring.r, dtype=np.int64)
-    one[0] = 1
-    diff = (one - val) % (p * p)
+    diff = (model.ring.one() - sigma_mat_p2[i, i]) % (p * p)
     if (diff % p).any():
         raise LocalCondError("beta(rho2(sigma)) not 1 mod p at %s" % (beta,))
     u = (diff // p) % p
@@ -498,81 +505,80 @@ def stability_holds(values, cocycle, g):
                for v, c in zip(values, cs))
 
 
-def stability_check(lift, alpha, variant, coeffs):
-    """Verify exp(p^{m-1} c) rho = g rho g^{-1} exactly, for the cocycle
-    c = sum_beta lambda_beta c_beta of the extra cocycles of S^alpha
-    (tame_extra_cocycles) and g = prod u_beta(z_beta lambda_beta
-    p^{m-2}), z_beta the inverse of the unit u_beta lifted to the
-    model's ring.  Returns (g, cocycle); mismatch raises, since this is
-    a falsifiable theorem check.
-    """
-    model = lift.model
+def _stability(model, values, extra, lams):
+    """exp(p^{m-1} c) rho = g rho g^-1 on a lift's generator values, for
+    c = sum lambda_beta c_beta over the ExtraCocycles and g = prod
+    u_beta(lambda_beta / u_beta p^{m-2}); returns (g, c).  A mismatch
+    raises: this is a falsifiable theorem check."""
     R, K = model.ring, model.residue
     if R.m < 3:
         raise LocalCondParameterError("stability needs m >= 3")
-    if variant not in ("unr", "ram"):
-        raise LocalCondError("variant must be unr or ram here")
-    alpha = tuple(alpha)
-    if not membership(lift, alpha, variant + "2"):
-        raise InvalidLiftError("lift not in the %s2 set" % variant)
-    extra = tame_extra_cocycles(model, alpha, variant, lift, list(coeffs))
-    lams = list(coeffs.values())
     c = np.zeros(extra.rows.shape[1:], dtype=np.int64)
     for lam, row in zip(lams, extra.rows):
         c = K.add(c, K.mul(K.el(lam), row))
     g = stability_conjugator(model.alg, [
         (beta, R.mul(R.inv(R.el(u)), R.el(lam)))
         for beta, u, lam in zip(extra.betas, extra.units, lams)])
-    if not stability_holds([lift.sigma, lift.tau], c, g):
+    if not stability_holds(values, c, g):
         raise LocalCondError("stability identity failed (falsified)")
-    n = model.alg.dim
-    return g, Cocycle(c[:n], c[n:])
+    return g, c
+
+
+def stability_check(lift, alpha, variant, coeffs):
+    """The stability identity (_stability) for the cocycle sum_beta
+    coeffs[beta] c_beta of S^alpha's extra cocycles; returns (g,
+    cocycle)."""
+    model = lift.model
+    if variant not in ("unr", "ram"):
+        raise LocalCondError("variant must be unr or ram here")
+    alpha = tuple(alpha)
+    if not membership(lift, alpha, variant + "2"):
+        raise InvalidLiftError("lift not in the %s2 set" % variant)
+    extra = tame_extra_cocycles(model, alpha, variant, lift, list(coeffs))
+    g, c = _stability(model, [lift.sigma, lift.tau], extra,
+                      list(coeffs.values()))
+    return g, Cocycle(*np.split(c, 2))
 
 
 # -- ordinary model at p
 
 
-class OrdinaryLocalModel:
+class OrdinaryLocalModel(LocalModel):
     """Free local Galois model at p: generators sigma, u_1..u_f; the
-    fixed torus cocharacter data chi assigns every generator an integer
-    tuple of simple-root values (interpreted mod p^m at each level)."""
+    torus data chi (a dict or its sorted items) gives every generator an
+    integer tuple of simple-root values, read mod p^m at each level."""
 
     def __init__(self, datum, basis, p, m, f, chi, r=1):
-        self.datum, self.basis = datum, basis
-        self.p, self.m, self.f = p, m, f
-        self.ring = CoeffRing(p, m, r)
-        self.alg = LieAlgebra(datum, basis, self.ring)
-        self.residue = CoeffRing(p, 1, r)
-        self.alg1 = LieAlgebra(datum, basis, self.residue)
+        if m < 2:
+            raise LocalCondParameterError(
+                "the ordinary normal form is read mod p^2: needs m >= 2")
+        self.f = f
         self.generators = ["s"] + ["u%d" % (i + 1) for i in range(f)]
+        chi = dict(chi)
         self.chi = {g: tuple(int(c) for c in chi[g]) for g in self.generators}
+        super().__init__(datum, basis, p, m, r,
+                         (f, tuple(sorted(self.chi.items()))))
         self._chi_tables = {}
 
-    def at_precision(self, m2):
-        """The shared model of this place at precision m2."""
-        chi = tuple(sorted(self.chi.items()))
-        key = (OrdinaryLocalModel, self.datum, self.basis, self.p, m2,
-               self.f, chi, self.ring.r)
-        return _shared_model(key, lambda: OrdinaryLocalModel(
-            self.datum, self.basis, self.p, m2, self.f, self.chi,
-            r=self.ring.r))
+    @cached_property
+    def chi_tori(self):
+        """gen -> torus_elt of chi(gen) at the model's precision, read-only."""
+        tori = {g: torus_elt(self.alg, self.chi[g]) for g in self.generators}
+        for t in tori.values():
+            t.mat.flags.writeable = False
+        return tori
 
     def chi_table(self, gen, modulus=None):
-        """beta(chi(gen)) mod p^m (or a given modulus) for every root
-        beta, ordered like datum.roots, as Python ints; built once per
+        """beta(chi(gen)) for every root beta, ordered like datum.roots:
+        the root diagonal of chi_tori[gen] mod p^m, or mod a modulus
+        dividing p^m, as a read-only int64 array built once per
         (generator, modulus)."""
         mod = modulus if modulus is not None else self.ring.q
         table = self._chi_tables.get((gen, mod))
         if table is None:
-            units = [c % mod for c in self.chi[gen]]
-            invs = [pow(c, -1, mod) for c in units]
-            table = []
-            for row in self.datum.root_matrix.tolist():
-                val = 1
-                for c, ci, e in zip(units, invs, row):
-                    val = val * pow(c if e >= 0 else ci, abs(e), mod) % mod
-                table.append(val)
-            table = self._chi_tables[(gen, mod)] = tuple(table)
+            table = self._chi_tables[(gen, mod)] = np.diagonal(
+                self.chi_tori[gen].mat[..., 0])[self.datum.rank:] % mod
+            table.flags.writeable = False
         return table
 
     def check_regularity(self):
@@ -599,11 +605,9 @@ class OrdinaryLift:
 
     def mod_p2_normal_form(self):
         p2 = self.model.p ** 2
-        for g in self.model.generators:
-            tor = _torus_matrix_from_chi(self.model, g, p2)
-            if ((self.values[g].mat - tor) % p2).any():
-                return False
-        return True
+        return not any(
+            ((self.values[g].mat - self.model.chi_tori[g].mat) % p2).any()
+            for g in self.model.generators)
 
     def conjugate(self, g):
         ginv = g.inv()
@@ -615,18 +619,12 @@ class OrdinaryLift:
 def chi_torus_lift(model):
     """The lift sending every generator to its chi-torus element at the
     model's precision."""
-    return OrdinaryLift(model, {
-        g: GroupElement(model.alg,
-                        _torus_matrix_from_chi(model, g, model.ring.q))
-        for g in model.generators})
+    return OrdinaryLift(model, {g: model.chi_tori[g]
+                                for g in model.generators})
 
 
 def _torus_matrix_from_chi(model, gen, modulus):
-    n = model.alg.dim
-    M = np.zeros((n, n, model.ring.r), dtype=np.int64)
-    M[np.arange(n), np.arange(n), 0] = \
-        (1,) * model.datum.rank + model.chi_table(gen, modulus)
-    return M % modulus
+    return model.chi_tori[gen].mat % modulus
 
 
 def borel_basis_indices(alg):
@@ -651,12 +649,10 @@ def membership_ordinary(lift, conjugator=None):
     for gname in model.generators:
         if (lift.values[gname].mat[off][:, bidx] % R.q).any():
             return False
-    rows = model.datum.simple_indices
-    ii = model.datum.rank + rows
+    ii = model.datum.rank + model.datum.simple_indices
     for gname in model.generators[1:]:
-        M = lift.values[gname].mat
-        want = np.array(model.chi_table(gname), dtype=np.int64)[rows]
-        if (M[ii, ii, 0] % R.q != want).any() or (M[ii, ii, 1:] % R.q).any():
+        if (lift.values[gname].mat[ii, ii] % R.q
+                != model.chi_tori[gname].mat[ii, ii]).any():
             return False
     return True
 
@@ -720,20 +716,13 @@ def ordinary_extra_cocycles(model, betas=None):
 
 
 def ordinary_stability_check(lift, beta, lam=1):
-    """exp(p^{m-1} lambda c_beta) rho = u_beta(lambda p^{m-2}) rho
-    u_beta(...)^{-1} over every generator, for the extra cocycle c_beta
-    of ordinary_extra_cocycles; returns the conjugator."""
+    """The stability identity (_stability) exp(p^{m-1} lambda c_beta)
+    rho = u_beta(lambda p^{m-2}) rho u_beta(...)^{-1} over every
+    generator, for the extra cocycle c_beta of ordinary_extra_cocycles,
+    whose unit is 1; returns the conjugator."""
     model = lift.model
-    R = model.ring
-    if R.m < 3:
-        raise LocalCondParameterError("stability needs m >= 3")
-    beta = tuple(beta)
-    row = ordinary_extra_cocycles(model, [beta]).rows[0]
-    g = stability_conjugator(model.alg, [(beta, R.el(lam))])
-    values = [lift.values[gname] for gname in model.generators]
-    if not stability_holds(values, row * lam % model.p, g):
-        raise LocalCondError("ordinary stability failed (falsified)")
-    return g
+    return _stability(model, [lift.values[g] for g in model.generators],
+                      ordinary_extra_cocycles(model, [tuple(beta)]), [lam])[0]
 
 
 # -- fixed-multiplier (central augmentation) bookkeeping

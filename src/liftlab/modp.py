@@ -301,10 +301,7 @@ def poly_gcd(f, g, p):
     f, g = poly_trim(list(f)), poly_trim(list(g))
     while g != [0]:
         f, g = g, poly_divmod(f, g, p)[1]
-    if f != [0]:
-        inv = _inv(f[-1], p)
-        f = [c * inv % p for c in f]
-    return f
+    return f if f == [0] else poly_monic(f, p)
 
 
 def poly_powmod(f, e, mod, p):
@@ -360,18 +357,14 @@ def poly_lcm(f, g, p):
     if g == [1]:
         return poly_trim(list(f))
     gcd = poly_gcd(f, g, p)
-    q, r = poly_divmod(poly_mul(f, g, p), gcd, p)
-    inv = _inv(q[-1], p)
-    return [c * inv % p for c in q]
+    return poly_monic(poly_divmod(poly_mul(f, g, p), gcd, p)[0], p)
 
 
 def squarefree_factors(f, p):
     """The distinct irreducible factors of f (multiplicities ignored),
     generated lazily: a caller that takes only the first one does no
     work for the rest."""
-    f = poly_trim(list(f))
-    inv = _inv(f[-1], p)
-    f = [c * inv % p for c in f]
+    f = poly_monic(poly_trim(list(f)), p)
     # squarefree part: f / gcd(f, f')
     df = poly_trim([(i * c) % p for i, c in enumerate(f)][1:] or [0])
     if df == [0]:

@@ -14,8 +14,8 @@ from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
                                levi_certificate_check, matrix_identity_check,
                                principal_sl2, root_product,
                                root_value_of_torus, torus_elt,
-                               torus_from_coroot_data, torus_root_values,
-                               trivial_frobenius_search, u_alpha)
+                               frobenius_b_search, torus_from_coroot_data,
+                               torus_root_values, u_alpha)
 from liftlab.rootdata import levi_bound, phi_alpha, root_datum
 
 
@@ -249,10 +249,21 @@ def test_principal_sl2():
         principal_sl2(alg_for("G2", 5, 1)[2])   # p <= Coxeter number 6
 
 
+def frobenius_torus(alg2, alpha, q, seed=0):
+    """t_b = (1 + p b) alpha^vee(q^(1/2)) over alg2's ring, b from
+    frobenius_b_search: the trivial-Frobenius torus, built directly as
+    localconds.frobenius_member builds it.  Returns (t_b, b, report)."""
+    R = alg2.ring
+    b, report = frobenius_b_search(alg2.datum, alg2.basis, alpha, R.p, q,
+                                   seed)
+    s = sqrt_one_mod_p(R, R.el(q))
+    return torus_from_coroot_data(alg2, alpha, s, b), b, report
+
+
 def test_frobenius_search_a1():
     d, b, alg2 = alg_for("A1", 5, 2)
     al = d.positive_roots[0]
-    t, bvec, rep = trivial_frobenius_search(alg2, al, 6, seed=0)
+    t, bvec, rep = frobenius_torus(alg2, al, 6, seed=0)
     assert int(root_value_of_torus(alg2, t, al)[0]) == 6
     v = int(root_value_of_torus(alg2, t, d.neg(al))[0])
     assert v % 25 != 1   # q^{-1} != 1 mod p^2
@@ -261,7 +272,7 @@ def test_frobenius_search_a1():
 def test_frobenius_search_a2_p13_exhaustive_oracle():
     d, b, alg2 = alg_for("A2", 13, 2)
     al = d.positive_roots[0]
-    t, bvec, rep = trivial_frobenius_search(alg2, al, 14, seed=1)
+    t, bvec, rep = frobenius_torus(alg2, al, 14, seed=1)
     pa = phi_alpha(b, al)
     assert len(pa) == 3
     for beta in pa:
@@ -293,7 +304,7 @@ def test_frobenius_search_g2_p5_error_path():
     d, b, alg2 = alg_for("G2", 5, 2)
     for al in d.roots:
         try:
-            t, bvec, rep = trivial_frobenius_search(alg2, al, 6, seed=0)
+            t, bvec, rep = frobenius_torus(alg2, al, 6, seed=0)
             for beta in phi_alpha(b, al):
                 assert int(root_value_of_torus(alg2, t, beta)[0]) % 25 != 1
         except ChevGroupError as exc:
@@ -579,12 +590,11 @@ def test_frobenius_search_matches_scalar_scan():
                     want = reference_frobenius_search(alg2, alpha, 1 + p, seed)
                 except ChevGroupError as exc:
                     with pytest.raises(ChevGroupError) as got:
-                        trivial_frobenius_search(alg2, alpha, 1 + p, seed)
+                        frobenius_torus(alg2, alpha, 1 + p, seed)
                     assert str(got.value) == str(exc)
                     exhausted += 1
                     continue
-                t, bvec, rep = trivial_frobenius_search(alg2, alpha, 1 + p,
-                                                        seed)
+                t, bvec, rep = frobenius_torus(alg2, alpha, 1 + p, seed)
                 assert (bvec, rep) == want
                 assert np.array_equal(
                     t.mat, reference_coroot_torus(alg2, alpha, s, bvec))
@@ -619,7 +629,7 @@ def test_ad_and_u_alpha_match_the_einsum_reference(name, r):
         assert got.dtype == np.int64 and np.array_equal(got, want)
     for al in d.roots:
         D = b.divided_powers(b.root_basis_index(al))
-        for x in (R.random(rng), R.el([R.q - 1] * r), R.zero(), R.q - 1):
+        for x in (R.random(rng), R.el([R.q - 1] * r), R.el(0), R.q - 1):
             xr = R.el(x)
             xk = [xr]
             while len(xk) < len(D):

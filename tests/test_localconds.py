@@ -86,6 +86,14 @@ def test_shared_model_tables_are_read_only(monkeypatch):
             assert not up.covee_sqrt_q(alpha).mat.flags.writeable
         with pytest.raises(ValueError):
             up.sqrt_q[0] = 0
+        om = lc.OrdinaryLocalModel(d, b, 7, 3, 1, lc.find_regular_chi(d, 7, 1),
+                                   r=r).at_precision(4)
+        for g in om.generators:
+            assert om.chi_tori[g] is om.chi_tori[g]
+            assert not om.chi_tori[g].mat.flags.writeable
+            assert om.chi_table(g) is om.chi_table(g)
+            with pytest.raises(ValueError):
+                om.chi_table(g, 49)[0] = 0
 
 
 def test_q_conditions_enforced():
@@ -117,16 +125,17 @@ def test_membership_normal_forms():
 def test_frobenius_member_matches_precision_two_search(name, p, m, q, r):
     # the reference path: the whole t_b built at precision 2, its b then
     # carried to the model's precision
-    from liftlab.chevgroup import trivial_frobenius_search
+    from liftlab.chevgroup import frobenius_b_search
     d, b = root_datum(name)
     model = lc.TameLocalModel(d, b, p, m, q, r=r)
     model2 = model.at_precision(2)
     for al in d.roots:
         for seed in range(2):
             lift, rep = lc.frobenius_member(model, al, "unr2", seed=seed)
-            _, bb, want = trivial_frobenius_search(model2.alg, al, q % p ** 2,
-                                                   seed=seed)
+            bb, want = frobenius_b_search(d, b, al, p, q % p ** 2, seed=seed)
+            t2 = torus_from_coroot_data(model2.alg, al, model2.sqrt_q, bb)
             assert rep == want and rep["b"] == bb
+            assert np.array_equal(lift.sigma.mat % p ** 2, t2.mat)
             sigma = torus_from_coroot_data(model.alg, al, model.sqrt_q, bb)
             assert np.array_equal(lift.sigma.mat, sigma.mat)
 
@@ -224,7 +233,7 @@ def test_duality_pairing_rules():
     rng = np.random.default_rng(1)
     w = rng.integers(0, 5, size=(n, 1), dtype=np.int64)
     wstar = rng.integers(0, 5, size=(n, 1), dtype=np.int64)
-    dot = K.zero()
+    dot = K.el(0)
     for i in range(n):
         dot = K.add(dot, K.mul(w[i], wstar[i]))
     # rows are (c(sigma), c(tau)); phi and psi2 are unramified
@@ -239,15 +248,15 @@ def test_duality_pairing_rules():
     # psi unramified: inv = +<phi(tau), psi(sigma)>
     assert K.eq(gram[1, 1], dot)
     # both unramified -> 0; zero arguments -> 0
-    assert K.eq(gram[0, 1], K.zero())
-    assert K.eq(gram[2, 0], K.zero())
+    assert K.eq(gram[0, 1], K.el(0))
+    assert K.eq(gram[2, 0], K.el(0))
 
 
 def reference_duality_pairing(K, phi, psi):
     """The scalar loop pairing_gram's ring product replaced:
     <phi(tau), psi(sigma)> - <phi(sigma), psi(tau)>."""
     n = phi.shape[0] // 2
-    acc = K.zero()
+    acc = K.el(0)
     for i in range(n):
         acc = K.add(acc, K.mul(phi[n + i], psi[i]))
         acc = K.sub(acc, K.mul(phi[i], psi[n + i]))
@@ -404,6 +413,13 @@ def test_ordinary_degenerate_chi_rejected():
     with pytest.raises(lc.LocalCondError):
         lc.OrdinaryLocalModel(d, b, 5, 3, 1,
                               {"s": (6,), "u1": (1,)}).check_regularity()
+
+
+def test_ordinary_model_needs_precision_two():
+    # its chi tables mod p^2 are read off the chi-torus at precision m
+    d, b = root_datum("A1")
+    with pytest.raises(lc.LocalCondParameterError, match="m >= 2"):
+        lc.OrdinaryLocalModel(d, b, 5, 1, 1, {"s": (6,), "u1": (11,)})
 
 
 def test_ordinary_extra_cocycles_need_chi_one_mod_p():

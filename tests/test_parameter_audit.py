@@ -17,10 +17,15 @@ that replaces it; the hot paths call them thousands of times a pass.
 A setting read from an environment variable is one more way to set
 what a flag or a parameter already sets, and one that a report's
 config does not echo.
+
+tools/caller_trace.py reports what the static audit cannot see: the
+public definitions that a caller names but no caller runs.  Its report
+is checked here on synthetic traces.
 """
 
 import ast
 import collections
+import importlib.util
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -306,3 +311,38 @@ def test_no_module_reads_the_environment():
     # the scan sees both spellings
     tree = ast.parse("import os\nos.environ.get('X')\nfrom os import getenv\n")
     assert sorted(_environment_reads(tree)) == [2, 3]
+
+
+def _load_caller_trace():
+    path = os.path.join(ROOT, "tools", "caller_trace.py")
+    spec = importlib.util.spec_from_file_location("caller_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_caller_trace_lists_public_definitions_no_caller_reaches():
+    ct = _load_caller_trace()
+    path = os.path.join(ct.LIBRARY, "localconds.py")
+
+    def wholly(hits):
+        return {qual for qual, _, whole in ct.unreached(hits)["localconds"]
+                if whole}
+
+    nothing = wholly({})
+    # functions, methods and dunders count; private names and nested
+    # functions do not
+    assert {"lift_coordinates", "LocalLift.relation_holds",
+            "LocalLift.__init__"} <= nothing
+    assert "_check_variant" not in nothing
+    assert "lift_coordinates.up" not in nothing
+    # one reached statement takes a function off the list, and the
+    # statements it left unreached stay in the first section
+    with open(path) as fh:
+        node = {qual: fn for qual, fn, _ in
+                ct.functions(ast.parse(fh.read()))}["lift_coordinates"]
+    first = min(stmt.lineno for stmt in ct._body_statements(node))
+    partly = ct.unreached({path: {first}})["localconds"]
+    assert "lift_coordinates" not in {q for q, _, whole in partly if whole}
+    missed = {q: lines for q, lines, _ in partly}["lift_coordinates"]
+    assert missed and first not in missed

@@ -104,6 +104,20 @@ def test_each_command_reads_exactly_its_flags():
         assert rec.iterated == {n for n, several in flags if several}, args
 
 
+# SHA-256 of each demo's stdout; any change to a demo's output must be
+# deliberate
+DEMO_SHA256 = {
+    "01_rings_and_root_data.py":
+        "1ae6abcb3b1d6be16c3e0ab1b6c400875373cddc7a36baa8b6127f2902041efc",
+    "02_chevalley_group.py":
+        "87032bc8f7022a119eb4788d659653ac5b52cb2d97a2e963aa251f349a7b0ead",
+    "03_local_conditions.py":
+        "9dda28cc7a1fd7fe8b15ec0dcb4fd2812ebe78d2414c9ea2a53bd9772310859a",
+    "04_modules_and_examples.py":
+        "5af9efeadf3d0ed5a6bb52632a2a95c02a4d49a24727f7d4081717aba9e21513",
+    "05_selmer_engine.py":
+        "818f05ba0d954e85bbb8c05b1c2f70191b797fcc7e0e5f0efcfe00a9a69aa729",
+}
 DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos"))
                if f.endswith(".py"))
 
@@ -118,5 +132,6 @@ def test_demo_runs(demo):
     # the demo's own process
     proc = subprocess.run([sys.executable, "-W", "error",
                            os.path.join(ROOT, "demos", demo)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:].decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo]

@@ -6,7 +6,10 @@ each command of the README's command block with its report written to
 a temporary directory, and each demo.  Then it prints, per function of
 src/liftlab, the statements of its body that no line event reached,
 and their total.  A statement counts once, in the innermost function
-that holds it, and only if its header lines carry bytecode.
+that holds it, and only if its header lines carry bytecode.  A second
+section lists the public functions and methods (outside any function,
+no part of the name private; dunders are public) of which no statement
+was reached at all: a definition that no caller runs.
 
 What it lists runs only under the tests, or never: refusals of bad
 input, guards and falsifiable checks belong there; any other path is a
@@ -30,7 +33,6 @@ import tempfile
 
 ROOT = os.path.realpath(os.path.join(os.path.dirname(__file__), ".."))
 LIBRARY = os.path.join(ROOT, "src", "liftlab")
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 SEED = 1
 
@@ -142,27 +144,37 @@ def _body_statements(fn):
     return out
 
 
+def _public_name(name):
+    return not name.startswith("_") or (name.startswith("__")
+                                        and name.endswith("__"))
+
+
 def functions(tree):
-    """(qualified name, node) of every function, methods and nested
-    functions included."""
+    """(qualified name, node, public) of every function, methods and
+    nested functions included; public means a function or method
+    outside any function with no private part in its name."""
     out = []
 
-    def visit(node, prefix):
+    def visit(node, prefix, public):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((prefix + child.name, child))
-                visit(child, prefix + child.name + ".")
+                out.append((prefix + child.name, child,
+                            public and _public_name(child.name)))
+                visit(child, prefix + child.name + ".", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+                visit(child, prefix + child.name + ".",
+                      public and _public_name(child.name))
             else:
-                visit(child, prefix)
+                visit(child, prefix, public)
 
-    visit(tree, "")
+    visit(tree, "", True)
     return out
 
 
 def unreached(hits):
-    """module -> [(function, [unreached statement lines])]."""
+    """module -> [(function, [unreached statement lines], wholly)], with
+    wholly true for a public function or method of which no statement
+    was reached."""
     report = {}
     for name in sorted(os.listdir(LIBRARY)):
         if not name.endswith(".py"):
@@ -173,32 +185,42 @@ def unreached(hits):
         executable = _executable_lines(compile(source, path, "exec"))
         reached = hits.get(path, set())
         rows = []
-        for qual, fn in functions(ast.parse(source, path)):
-            missed = sorted(
-                stmt.lineno for stmt in _body_statements(fn)
-                if executable.intersection(_header(stmt))
-                and not reached.intersection(_header(stmt)))
+        for qual, fn, public in functions(ast.parse(source, path)):
+            stmts = [stmt for stmt in _body_statements(fn)
+                     if executable.intersection(_header(stmt))]
+            missed = sorted(stmt.lineno for stmt in stmts
+                            if not reached.intersection(_header(stmt)))
             if missed:
-                rows.append((qual, missed))
+                rows.append((qual, missed,
+                             public and len(missed) == len(stmts)))
         if rows:
             report[name[:-3]] = rows
     return report
 
 
 def main():
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     trace = LineTrace()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), trace.active():
         run_workloads()
         run_readme(tmp)
         run_demos()
+    report = unreached(trace.lines())
     total = 0
-    for module, rows in unreached(trace.lines()).items():
-        for qual, lines in rows:
+    for module, rows in report.items():
+        for qual, lines, _ in rows:
             total += len(lines)
             print("%s.%s: %d  (lines %s)" % (module, qual, len(lines),
                                              ", ".join(map(str, lines))))
     print("statements no caller reaches: %d" % total)
+    print()
+    wholly = [module + "." + qual for module, rows in report.items()
+              for qual, _, whole in rows if whole]
+    for name in wholly:
+        print(name)
+    print("public functions and methods no caller reaches: %d"
+          % len(wholly))
     return 0
 
 
