@@ -66,10 +66,11 @@ def kernel_f(K, A):
 
 
 def same_space_f(K, B1, B2):
-    rank1 = rank_f(K, B1)
-    if rank1 != rank_f(K, B2):
-        return False
-    return rank_f(K, np.concatenate([B1, B2], axis=0)) == rank1
+    """Whether the rows of B1 and B2 span the same space: the RREF of a
+    space is unique, so the two echelon_f bases are equal exactly then.
+    Two rank-0 spaces are equal whatever the width of their arrays."""
+    E1, E2 = echelon_f(K, B1), echelon_f(K, B2)
+    return len(E1) == len(E2) == 0 or np.array_equal(E1, E2)
 
 
 def intersect_f(K, B1, B2):

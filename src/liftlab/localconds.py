@@ -136,10 +136,15 @@ class LocalLift:
 
     A lift built with check=True is verified once, here: its relation
     is checked (InvalidLiftError when it fails), `verified` records
-    that, and the matrices of sigma and tau are made read-only, so the
-    record cannot go stale.  A lift built with check=False, as
-    conjugate() and reduce() build theirs, is not verified, and
-    membership checks its relation.
+    that, and the matrices of sigma and tau are made read-only.  Such a
+    lift also records, in `verdicts`, the membership verdict of each
+    (alpha, variant) that membership has tested without a conjugator.
+    Neither record can go stale: a verdict is a function of the model
+    and of the two matrices, the matrices cannot be written, and no
+    library code rebinds `sigma`, `tau` or a `.mat` on a built lift.
+    A lift built with check=False, as conjugate() and reduce() build
+    theirs, is not verified and records nothing, and membership checks
+    its relation on every call.
     """
 
     def __init__(self, model, rho_sigma, rho_tau, check=True):
@@ -147,6 +152,7 @@ class LocalLift:
         self.sigma = rho_sigma
         self.tau = rho_tau
         self.verified = False
+        self.verdicts = {}
         if check:
             if not self.relation_holds():
                 raise InvalidLiftError("tame relation violated")
@@ -267,11 +273,28 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     The tame relation of a lift is checked here unless the lift is
     verified (LocalLift): a violation raises InvalidLiftError.  Any
     other variant is refused before anything is tested.
+
+    On a verified lift without a conjugator the verdict is computed in
+    full once per (alpha, variant) and recorded in `lift.verdicts`;
+    later calls return the record (LocalLift says why it cannot go
+    stale).  A call with a conjugator, or on an unverified lift, is
+    computed in full and not recorded.
     """
     _check_variant(variant)
+    alpha = tuple(alpha)
+    if conjugator is not None or not lift.verified:
+        return _membership(lift, alpha, variant, conjugator)
+    key = (alpha, variant)
+    verdict = lift.verdicts.get(key)
+    if verdict is None:
+        verdict = lift.verdicts[key] = _membership(lift, alpha, variant, None)
+    return verdict
+
+
+def _membership(lift, alpha, variant, conjugator):
+    """The full membership test (membership), with nothing recorded."""
     model = lift.model
     R, alg = model.ring, model.alg
-    alpha = tuple(alpha)
     if not lift.verified and not lift.relation_holds():
         raise InvalidLiftError("tame relation violated")
     if conjugator is not None:

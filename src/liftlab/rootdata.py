@@ -298,6 +298,7 @@ class ChevalleyBasis:
         self.dim = d.dim
         self.idx_root = {r: d.rank + i for i, r in enumerate(d.roots)}
         self._divided = {}
+        self._phi = {}
 
     # -- recursive determination of the constants
 
@@ -465,18 +466,21 @@ def root_datum(cartan_type):
 def phi_alpha(basis, alpha):
     """Phi^alpha: roots beta with [g_alpha, g_beta] != 0, from the
     structure constants (the negative -alpha enters through
-    [X_alpha, X_-alpha] = h_alpha)."""
-    d = basis.datum
+    [X_alpha, X_-alpha] = h_alpha).
+
+    The scan runs once per (basis, alpha) and is kept as a tuple in
+    `basis._phi`; each call returns a fresh list of it.  A non-root is
+    refused on every call."""
     alpha = tuple(alpha)
-    if not d.is_root(alpha):
-        raise RootDataError("%r is not a root" % (alpha,))
-    out = []
-    for b in d.roots:
-        if b == d.neg(alpha):
-            out.append(b)
-        elif basis.N(alpha, b) != 0:
-            out.append(b)
-    return out
+    phi = basis._phi.get(alpha)
+    if phi is None:
+        d = basis.datum
+        if not d.is_root(alpha):
+            raise RootDataError("%r is not a root" % (alpha,))
+        phi = basis._phi[alpha] = tuple(
+            b for b in d.roots
+            if b == d.neg(alpha) or basis.N(alpha, b) != 0)
+    return list(phi)
 
 
 # -- Levi bound (lcm-of-torsion certificate)

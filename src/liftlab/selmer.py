@@ -628,8 +628,8 @@ def extend_model_at_witness(model, system, witness, rng):
     # description in the g-frame
     perp = system2.L_perp[-1]
     desc = corollary_in_frame(model.basis, gm, alpha, p, frame)
-    if not (modp.rank(perp, p) == modp.rank(desc, p) ==
-            modp.rank(np.vstack([perp, desc]), p)):
+    if not np.array_equal(modp.echelon_basis(perp, p),
+                          modp.echelon_basis(desc, p)):
         raise ModelInconsistencyError("installed dual condition does not "
                                       "match the explicit description")
     return model2, system2

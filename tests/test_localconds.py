@@ -309,6 +309,21 @@ def test_perp_of_empty_space_is_everything():
         assert perp.same_space(lc.full_h1_basis(K, n))
 
 
+def test_rank_zero_condition_spaces_compare_equal():
+    for r in (1, 2):
+        K = lc.TameLocalModel(*root_datum("A1"), 7, 2, 8, r=r).residue
+        empty = lc.ConditionSpace("empty", K, [])
+        assert empty.basis.shape == (0, 0, r)
+        for other in (np.zeros((2, 6, r)), np.zeros((0, 6, r)),
+                      np.full((1, 6, r), 7), []):
+            assert empty.same_space(other)
+        line = np.zeros((1, 6, r), dtype=np.int64)
+        line[0, 2, 0] = 1
+        assert not empty.same_space(line)
+        assert not lc.ConditionSpace("line", K, line).same_space(
+            np.zeros((2, 6, r)))
+
+
 def test_perp_matches_corollary_description():
     # computed annihilator of L^alpha equals the explicit description
     # (raises inside perp_space on mismatch); also dim = dim g
@@ -875,6 +890,81 @@ def test_membership_rechecks_only_unverified_lifts(monkeypatch, variant):
     assert lc.membership(conj, al, variant, conjugator=g.inv())
     assert lc.membership(down, al, variant)
     assert calls == [copy, conj, down]
+
+
+def _full_membership_calls(monkeypatch):
+    """(lift, alpha, variant) of each full membership test, in order."""
+    calls = []
+    full = lc._membership
+    monkeypatch.setattr(lc, "_membership", lambda lift, al, v, g: calls.append(
+        (lift, al, v)) or full(lift, al, v, g))
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["plain", "unr2", "ram2"])
+def test_recorded_verdicts_equal_unverified_verdicts(variant):
+    model = tame("B2", 7, 3, 8)
+    d = model.datum
+    lift, _ = lc.frobenius_member(model, d.positive_roots[0], variant)
+    copy = lc.LocalLift(model, lift.sigma, lift.tau, check=False)
+    verdicts = set()
+    for al in d.roots[:4]:
+        for v in ("plain", "unr2", "ram2"):
+            want = lc.membership(copy, al, v)
+            assert lc.membership(lift, al, v) == want
+            assert lc.membership(lift, al, v) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert copy.verdicts == {}
+    # an unr2 member (tau = 1 mod p^2) is no ram2 member, twice
+    if variant == "unr2":
+        al = d.positive_roots[0]
+        assert lift.verdicts[(al, "ram2")] is False
+        assert not lc.membership(lift, al, "ram2")
+
+
+def test_the_full_membership_test_runs_once_per_root_and_variant(
+        monkeypatch):
+    model = tame("A2", 7, 3, 8)
+    al = model.datum.positive_roots[0]
+    calls = _full_membership_calls(monkeypatch)
+    lift, _ = lc.frobenius_member(model, al, "unr2")
+    assert calls == [(lift, al, "unr2")]
+    # stability_check reads the verdict frobenius_member recorded
+    for beta in phi_alpha(model.basis, al):
+        lc.stability_check(lift, al, "unr", {tuple(beta): 1})
+    assert len(calls) == 1
+    keys = [(b, v) for b in model.datum.roots for v in lc.TAME_VARIANTS]
+    for _ in range(3):
+        for b, v in keys:
+            lc.membership(lift, b, v)
+    assert len(calls) == len(set(keys) | {(al, "unr2")})
+    assert set(lift.verdicts) == set(keys)
+    # an unverified lift records nothing and is tested in full each time
+    copy = lc.LocalLift(model, lift.sigma, lift.tau, check=False)
+    del calls[:]
+    for _ in range(3):
+        assert lc.membership(copy, al, "unr2")
+    assert calls == [(copy, al, "unr2")] * 3 and copy.verdicts == {}
+
+
+def test_a_conjugator_bypasses_the_recorded_verdicts(monkeypatch):
+    model = tame("A2", 7, 3, 8)
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.frobenius_member(model, al, "ram2")
+    recorded = dict(lift.verdicts)
+    g = root_product(model.alg, [(model.datum.neg(al),
+                                  model.ring.el(model.p))])
+    conj = lift.conjugate(g)
+    calls = _full_membership_calls(monkeypatch)
+    for _ in range(2):
+        assert lc.membership(conj, al, "ram2", conjugator=g.inv())
+        # a conjugator that moves the lift out of the set is answered
+        # in full, not from the lift's record of its own verdict
+        assert not lc.membership(lift, al, "ram2", conjugator=g)
+    assert len(calls) == 4 and all(v == "ram2" for _, _, v in calls)
+    assert lift.verdicts == recorded == {(al, "ram2"): True}
+    assert conj.verdicts == {}
 
 
 def test_a_verified_lift_is_read_only():

@@ -149,6 +149,22 @@ def test_phi_alpha_bruteforce_oracle():
             assert got == want
 
 
+def test_phi_alpha_is_the_structure_constant_scan_as_a_fresh_list():
+    for name in ["A1", "A2", "A3", "B2", "B3", "G2", "D4"]:
+        d, b = root_datum(name)
+        for al in d.roots:
+            want = [be for be in d.roots
+                    if be == d.neg(al) or b.N(al, be) != 0]
+            got = phi_alpha(b, al)
+            assert got == want
+            got.append("mutated")
+            got.clear()
+            assert phi_alpha(b, list(al)) == want
+    for _ in range(2):
+        with pytest.raises(RootDataError):
+            phi_alpha(b, (3,) * d.rank)
+
+
 def test_neg_alpha_always_in_phi_alpha():
     for name in ["A1", "A3", "F4"]:
         d, b = root_datum(name)
