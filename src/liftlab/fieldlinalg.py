@@ -65,14 +65,6 @@ def kernel_f(K, A):
     return out
 
 
-def same_space_f(K, B1, B2):
-    """Whether the rows of B1 and B2 span the same space: the RREF of a
-    space is unique, so the two echelon_f bases are equal exactly then.
-    Two rank-0 spaces are equal whatever the width of their arrays."""
-    E1, E2 = echelon_f(K, B1), echelon_f(K, B2)
-    return len(E1) == len(E2) == 0 or np.array_equal(E1, E2)
-
-
 def intersect_f(K, B1, B2):
     """Zassenhaus intersection of row spaces."""
     n = B1.shape[1]

@@ -4,11 +4,15 @@ spaces and endomorphism fields.
 Groups enter as one matrix per generator over the prime field F_p;
 extension residue fields only appear as computed endomorphism fields.
 
-Irreducibility is certified by Norton's criterion, never by heuristics:
-for a singular algebra element z, the module is irreducible iff one
-nonzero kernel vector of z spins to the whole space and every vector in
-a basis of ker(z^T) spins to the whole space under the transposed
-action; each failure exhibits an explicit submodule.
+Irreducibility is certified by Norton's criterion in the form of Holt
+and Rees ("Testing modules for irreducibility", 1994), never by
+heuristics: for an irreducible factor f of the minimal polynomial of an
+algebra element z whose kernel ker f(z) has dimension deg f (a single
+F_p[z]-line), the module is irreducible iff one nonzero vector of
+ker f(z) spins to the whole space and one nonzero vector of ker f(z)^T
+spins to the whole space under the transposed action.  Each failure
+exhibits an explicit submodule; a z whose kernel is larger certifies
+nothing, and another z is drawn, at most NORTON_TRIES of them.
 
 Homomorphism spaces are solved by spinning, not by the Kronecker
 system: a map out of a module is fixed by the images of the few seeds
@@ -26,17 +30,26 @@ from . import modp
 from .coeffring import LiftlabError
 
 
+NORTON_TRIES = 64       # algebra elements drawn per find_proper_submodule
+
+
 class GaloisModError(LiftlabError):
     pass
 
 
 class MatrixModule:
-    """F_p[G]-module given by one invertible matrix per generator."""
+    """F_p[G]-module given by one invertible matrix per generator.
+
+    The generators are a tuple of read-only arrays, so what is computed
+    from them once and kept on the module (`_spun`) cannot go stale."""
 
     def __init__(self, p, gens):
         self.p = p
-        self.gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
+        self.gens = tuple(np.asarray(g, dtype=np.int64) % p for g in gens)
+        for g in self.gens:
+            g.flags.writeable = False
         self.dim = self.gens[0].shape[0] if self.gens else 0
+        self._spun = None
 
     def transpose_module(self):
         return MatrixModule(self.p, [g.T % self.p for g in self.gens])
@@ -85,39 +98,55 @@ def _random_algebra_element(module, rng):
 
 def find_proper_submodule(module, rng):
     """Either a proper nonzero submodule basis, or None with a Norton
-    certificate of irreducibility, from one random algebra element."""
+    certificate of irreducibility.
+
+    Each draw takes a random algebra element z and the first irreducible
+    factor f of its minimal polynomial, so f(z) is singular.  One vector
+    of ker f(z) is spun, then vectors of ker f(z)^T under the transposed
+    action.  When nullity f(z) = deg f (Holt-Rees), ker f(z)^T is one
+    F_p[z]-line and every nonzero vector of it spins to the same
+    submodule, so one vector is spun; if both spins fill the space, the
+    module is irreducible.  A larger kernel certifies nothing: each
+    vector of a basis of ker f(z)^T is spun, and if none gives a
+    submodule another z is drawn.  After NORTON_TRIES draws without a
+    verdict, GaloisModError is raised."""
     p = module.p
     n = module.dim
     if n == 0:
         return None
     trans = module.transpose_module()
-    z = _random_algebra_element(module, rng)
-    mp = modp.min_poly(z, p, rng)
-    # f divides the minimal polynomial of z, so f(z) is singular and the
-    # first factor decides
-    f = next(modp.squarefree_factors(mp, p))
-    zf = modp.poly_eval_matrix(f, z, p)
-    K = modp.kernel_basis(zf, p)
-    U = spin(module, K[0])
-    if U.shape[0] < n:
-        return U
-    for w in modp.kernel_basis(zf.T % p, p):
-        W = spin(trans, w)
-        if W.shape[0] < n:
-            # perp of a transposed submodule is a submodule
-            return modp.kernel_basis(W, p)
-    # Norton: irreducible
-    return None
+    for _ in range(NORTON_TRIES):
+        z = _random_algebra_element(module, rng)
+        mp = modp.min_poly(z, p, rng)
+        f = next(modp.squarefree_factors(mp, p))
+        zf = modp.poly_eval_matrix(f, z, p)
+        K = modp.kernel_basis(zf, p)
+        U = spin(module, K[0])
+        if U.shape[0] < n:
+            return U
+        one_line = len(K) == len(f) - 1
+        for w in modp.kernel_basis(zf.T % p, p)[:1 if one_line else None]:
+            W = spin(trans, w)
+            if W.shape[0] < n:
+                # perp of a transposed submodule is a submodule
+                return modp.kernel_basis(W, p)
+        if one_line:
+            # Norton, with the Holt-Rees condition: irreducible
+            return None
+    raise GaloisModError("no Norton certificate or submodule in "
+                         "NORTON_TRIES = %d algebra elements" % NORTON_TRIES)
 
 
 def irreducible_submodule(module, rng):
-    """Basis (in ambient coordinates) of an irreducible submodule."""
+    """(B, W): the echelon basis B (in the module's coordinates) of an
+    irreducible submodule, and W = module.restrict(B), which is the
+    module itself when it is irreducible."""
     B = np.eye(module.dim, dtype=np.int64)
     cur = module
     while True:
         U = find_proper_submodule(cur, rng)
         if U is None:
-            return B
+            return B, cur
         B = modp.echelon_basis(U @ B % module.p, module.p)
         cur = module.restrict(B)
 
@@ -157,9 +186,25 @@ def _standard_basis(module):
     return np.array(rows, dtype=np.int64).reshape(d, d), origin, k
 
 
+def _spun(module):
+    """(B, origin, k, BTinv, C): the standard basis of the module
+    (`_standard_basis`), the inverse of B^T, and per generator g the
+    matrix C_g of g in that basis (g b_i = sum_l C_g[l, i] b_l).
+    Computed on first use and kept on the module, so every Hom space out
+    of it shares them."""
+    if module._spun is None:
+        p = module.p
+        B, origin, k = _standard_basis(module)
+        BT = B.T
+        BTinv = modp.inverse(BT, p)
+        C = [BTinv @ (g @ BT % p) % p for g in module.gens]
+        module._spun = B, origin, k, BTinv, C
+    return module._spun
+
+
 def _hom_by_spin(src, spun, tgt):
     """Basis of Hom(src, tgt) as an (h, dim tgt, dim src) array, from
-    the standard basis `spun` of src.
+    `_spun(src)`.
 
     phi is fixed by the images X of the k seeds: phi(b_i) = Q_i X with
     Q_i the word of b_i evaluated in tgt's generators.  Writing
@@ -168,7 +213,7 @@ def _hom_by_spin(src, spun, tgt):
     system in k * dim(tgt) unknowns; then phi = (Q X) (B^T)^-1.
     """
     p = src.p
-    B, origin, k = spun
+    _, origin, k, BTinv, Cs = spun
     d1, d2 = src.dim, tgt.dim
     Q = np.zeros((d1, d2, k * d2), dtype=np.int64)
     for i, (j, g) in enumerate(origin):
@@ -176,11 +221,8 @@ def _hom_by_spin(src, spun, tgt):
             Q[i, :, g * d2:(g + 1) * d2] = np.eye(d2, dtype=np.int64)
         else:
             Q[i] = tgt.gens[g] @ Q[j] % p
-    BT = B.T
-    BTinv = modp.inverse(BT, p)
     blocks = []
-    for g1, g2 in zip(src.gens, tgt.gens):
-        C = BTinv @ (g1 @ BT % p) % p
+    for C, g2 in zip(Cs, tgt.gens):
         blocks.append((g2 @ Q - np.einsum("li,lak->iak", C, Q)) % p)
     A = np.concatenate(blocks).reshape(-1, k * d2)
     # the relations g b_i = b_l met while spinning hold identically
@@ -201,17 +243,20 @@ def hom_space(m1, m2):
     Kronecker system's kernel_basis gives (identity on its free
     coordinates of the flattened phi), so it does not depend on the
     method: the free coordinates are determined by the space itself.
+    A source's standard basis, the inverse of its transpose and its
+    generators in that basis are computed once and kept on the module
+    (`_spun`), so every Hom space out of one module shares them.
     """
     p = m1.p
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
-    spun = _standard_basis(m1)
+    spun = _spun(m1)
     H = None
     if spun[2] * d2 > d1:
         # one seed of V2^T gives d1 unknowns: spin it and compare
         t2 = m2.transpose_module()
-        spun_t = _standard_basis(t2)
+        spun_t = _spun(t2)
         if spun_t[2] * d1 < spun[2] * d2:
             H = _hom_by_spin(t2, spun_t, m1.transpose_module())
             H = H.transpose(0, 2, 1)
@@ -265,6 +310,16 @@ def decompose(module, rng=None):
     non-semisimple (and so not multiplicity-free) and splitting stops:
     the summands are those split off before it.
 
+    Each piece is computed once.  The first remainder is the module
+    itself.  A summand is restricted once, by `irreducible_submodule`
+    inside the remainder, and that module is the one the isotypic
+    grouping compares: for echelon bases W (of the summand, in the
+    remainder's coordinates) and R (of the remainder), W R is in
+    echelon form and the generators in it are those of the remainder's
+    in W.  A remainder that is irreducible (Norton, with the Holt-Rees
+    condition of `find_proper_submodule`) is the last summand as it
+    stands, with no projection onto it.
+
     The direct sum of the claimed summand bases is verified to equal
     the module exactly (change of basis has full rank).
     """
@@ -272,18 +327,21 @@ def decompose(module, rng=None):
         rng = np.random.default_rng(0)
     p = module.p
     n = module.dim
-    pieces = []
+    pieces, mods = [], []
     semisimple = True
     remaining = np.eye(n, dtype=np.int64)
+    cur = module
     while remaining.shape[0]:
-        cur = module.restrict(remaining)
-        W = irreducible_submodule(cur, rng)
-        Wamb = modp.echelon_basis(W @ remaining % p, p)
-        Wmod = module.restrict(Wamb)
+        W, Wmod = irreducible_submodule(cur, rng)
+        if Wmod is cur:
+            # cur is irreducible: the last summand, its complement zero
+            pieces.append(remaining)
+            mods.append(cur)
+            break
+        Wamb = W @ remaining % p
         H = hom_space(cur, Wmod)
         # want phi with phi|_W = id: solve in the coefficient space
-        Wcur = W  # basis of W inside cur coordinates
-        rest = [h @ Wcur.T % p for h in H]  # each in End(W)-matrix form
+        rest = [h @ W.T % p for h in H]  # each in End(W)-matrix form
         dW = Wmod.dim
         A = np.array([r.reshape(-1) for r in rest], dtype=np.int64).T % p
         target = np.eye(dW, dtype=np.int64).reshape(-1)
@@ -297,9 +355,10 @@ def decompose(module, rng=None):
             phi = (phi + int(c) * h) % p
         C = modp.kernel_basis(phi, p)  # complement inside cur coords
         pieces.append(Wamb)
+        mods.append(Wmod)
         remaining = modp.echelon_basis(C @ remaining % p, p)
+        cur = module.restrict(remaining)
     # group into isotypic classes
-    mods = [module.restrict(b) for b in pieces]
     classes = []
     assign = []
     for i, m in enumerate(mods):

@@ -219,8 +219,13 @@ class ConditionSpace:
         return self.basis.shape[0]
 
     def same_space(self, other_basis):
-        return fl.same_space_f(self.K, self.basis,
-                               np.asarray(other_basis) % self.K.q)
+        """Whether other_basis spans this space: the stored basis is
+        already the space's RREF, which is unique, so it is compared
+        with one echelon_f of the other basis.  Two rank-0 spaces are
+        equal whatever the width of their arrays."""
+        other = fl.echelon_f(self.K, np.asarray(other_basis) % self.K.q)
+        return (len(self.basis) == len(other) == 0
+                or np.array_equal(self.basis, other))
 
 
 class ExtraCocycles(NamedTuple):

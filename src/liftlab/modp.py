@@ -334,10 +334,15 @@ def min_poly(M, p, rng):
     One elimination per vector v: in the RREF R of the matrix with
     columns v, M v, ..., M^n v the pivots are the first k columns, k the
     dimension of the Krylov space, and M^k v = sum_{i<k} R[i, k] M^i v,
-    so v's minimal polynomial is x^k - sum_{i<k} R[i, k] x^i."""
+    so v's minimal polynomial is x^k - sum_{i<k} R[i, k] x^i.
+    For n >= 1, vectors are drawn past the fourth while every one so
+    far was zero (mp still 1): no n x n matrix with n >= 1 has a
+    constant minimal polynomial."""
     n = M.shape[0]
     mp = [1]
-    for _ in range(4):
+    draws = 0
+    while draws < 4 or (n and mp == [1]):
+        draws += 1
         v = rng.integers(0, p, size=n, dtype=np.int64)
         vecs = [v]
         for _ in range(n):
@@ -363,8 +368,10 @@ def poly_lcm(f, g, p):
 def squarefree_factors(f, p):
     """The distinct irreducible factors of f (multiplicities ignored),
     generated lazily: a caller that takes only the first one does no
-    work for the rest."""
+    work for the rest.  A constant has none."""
     f = poly_monic(poly_trim(list(f)), p)
+    if len(f) == 1:
+        return
     # squarefree part: f / gcd(f, f')
     df = poly_trim([(i * c) % p for i, c in enumerate(f)][1:] or [0])
     if df == [0]:

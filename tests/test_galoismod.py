@@ -358,3 +358,143 @@ def test_hom_space_transposed_path(monkeypatch):
     sources.clear()
     assert len(assert_hom_matches_reference(sl2, big)) == 1
     assert sources == [sl2.dim]
+
+
+# -- Norton's certificate needs a one-line kernel (Holt-Rees)
+
+
+def s3_modules(p):
+    """S3's trivial, sign and 2-dim irreducible modules on the
+    generators (12) and (123)."""
+    one = np.eye(1, dtype=np.int64)
+    return [MatrixModule(p, [one, one]),
+            MatrixModule(p, [np.array([[p - 1]]), one]),
+            MatrixModule(p, [np.array([[0, 1], [1, 0]]),
+                             np.array([[0, p - 1], [1, p - 1]])])]
+
+
+def assert_decomposes_into(M, dims, rng):
+    dec = decompose(M, rng)
+    assert dec.semisimple
+    assert sorted(b.shape[0] for b, _ in dec.summands) == sorted(dims)
+    for b, _ in dec.summands:
+        assert spin(M, b).shape[0] == b.shape[0]     # a submodule
+        assert np.array_equal(b, modp.echelon_basis(b, M.p))
+
+
+def test_c2_trivial_plus_sign_splits_at_every_seed():
+    # at the parent, 59 of these seeds gave one 2-dim summand: the only
+    # kernel of f(z) for a scalar z is the whole plane, and a basis of
+    # it under the transposed action spun to the whole space
+    p = 7
+    P = np.array([[1, 1], [1, 2]], dtype=np.int64)
+    g = P @ np.diag([1, 6]) @ modp.inverse(P, p) % p
+    M = MatrixModule(p, [g])
+    for seed in range(400):
+        assert_decomposes_into(M, [1, 1], np.random.default_rng(seed))
+
+
+def test_s3_sum_splits_at_every_seed():
+    p = 7
+    M, _ = random_sum_module(s3_modules(p), p, np.random.default_rng(5))
+    for seed in range(200):
+        assert_decomposes_into(M, [1, 1, 2], np.random.default_rng(seed))
+
+
+def test_a_larger_kernel_certifies_nothing(monkeypatch):
+    # C3 on F_25 = F_5^2: irreducible with endomorphism field F_25; a z
+    # in F_5 has f linear and ker f(z) the whole plane, so the draw
+    # decides nothing and another z is drawn
+    p = 5
+    M = MatrixModule(p, [np.array([[0, p - 1], [1, p - 1]])])
+    for seed in (3, 4, 6):
+        assert galoismod.find_proper_submodule(
+            M, np.random.default_rng(seed)) is None
+    monkeypatch.setattr(galoismod, "NORTON_TRIES", 1)
+    for seed in (3, 4, 6):
+        with pytest.raises(GaloisModError, match="NORTON_TRIES = 1"):
+            galoismod.find_proper_submodule(M, np.random.default_rng(seed))
+
+
+def test_one_dim_module_with_zero_draws():
+    # four zero vectors left min_poly at 1, and the factorization of 1
+    # recursed without end
+    p = 7
+    assert modp.min_poly(np.array([[3]]), p, np.random.default_rng(8074)) \
+        == [4, 1]
+    assert list(modp.squarefree_factors([1], p)) == []
+    assert list(modp.squarefree_factors([5], p)) == []
+    M = MatrixModule(p, [[[3]]])
+    assert galoismod.find_proper_submodule(
+        M, np.random.default_rng(3346)) is None
+
+
+def _cyclic_characters(p, d, js):
+    """Distinct characters g -> zeta^j of the cyclic group of order d
+    (d dividing p - 1), zeta a primitive d-th root of unity mod p."""
+    zeta = next(z for z in range(1, p)
+                if all(pow(z, d // q, p) != 1 for q in range(2, d + 1)
+                       if d % q == 0 and all(q % r for r in range(2, q))))
+    return [MatrixModule(p, [[[pow(zeta, j, p)]]]) for j in js]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 11, 13]), st.booleans(), st.data(),
+       st.integers(0, 2 ** 32 - 1))
+def test_decompose_recovers_a_random_direct_sum(p, cyclic, data, seed):
+    if cyclic:
+        d = data.draw(st.sampled_from([d for d in range(1, p)
+                                       if (p - 1) % d == 0]))
+        js = data.draw(st.lists(st.integers(0, d - 1), min_size=1,
+                                max_size=4, unique=True))
+        blocks = _cyclic_characters(p, d, js)
+    else:
+        mult = data.draw(st.lists(st.integers(0, 2), min_size=3,
+                                  max_size=3).filter(any))
+        blocks = [m for m, k in zip(s3_modules(p), mult) for _ in range(k)]
+    rng = np.random.default_rng(seed)
+    M, _ = random_sum_module(blocks, p, rng)
+    assert_decomposes_into(M, [b.dim for b in blocks], rng)
+
+
+# -- each piece of a decomposition once
+
+
+def test_generators_are_read_only():
+    M = sl2_adjoint_module(7)
+    with pytest.raises(ValueError):
+        M.gens[0][0, 0] = 2
+
+
+def test_decompose_restricts_and_spins_each_module_once(monkeypatch):
+    restricted, spun = [], []
+    restrict = MatrixModule.restrict
+    standard_basis = galoismod._standard_basis
+
+    def restrict_spy(self, basis):
+        restricted.append((id(self), np.asarray(basis).tobytes()))
+        return restrict(self, basis)
+
+    def standard_basis_spy(module):
+        spun.append(module)
+        return standard_basis(module)
+
+    monkeypatch.setattr(MatrixModule, "restrict", restrict_spy)
+    monkeypatch.setattr(galoismod, "_standard_basis", standard_basis_spy)
+    p = 7
+    rng = np.random.default_rng(2)
+    for M, _ in random_modules_at_7(rng):
+        restricted.clear()
+        spun.clear()
+        dec = decompose(M, rng)
+        assert dec.semisimple
+        assert len(set(restricted)) == len(restricted)
+        assert len({id(m) for m in spun}) == len(spun)
+        # every summand's module is the restriction of its basis
+        for c in dec.isotypic:
+            want = restrict(M, c["basis"])
+            for g, h in zip(c["module"].gens, want.gens):
+                assert np.array_equal(g, h)
+    a6 = MatrixModule(p, [perm_matrix(A6_PERM_A, p),
+                          perm_matrix(A6_PERM_B, p)])
+    assert galoismod._spun(a6) is galoismod._spun(a6)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from liftlab import fieldlinalg as fl
 from liftlab import modp
 from liftlab.coeffring import CoeffRing, CoeffRingError
+from liftlab.localconds import ConditionSpace
 
 from conftest import reference_inv_modp, reference_mat_inv
 
@@ -341,7 +342,7 @@ def test_mat_mul_matches_moveaxis_reference(prm, batch, n, k, cols, seed):
     assert np.array_equal(R.mat_vec(A, v), want_v)
 
 
-def reference_same_space_f(K, B1, B2):
+def reference_same_space(K, B1, B2):
     if fl.rank_f(K, B1) != fl.rank_f(K, B2):
         return False
     return (fl.rank_f(K, np.concatenate([B1, B2], axis=0))
@@ -350,7 +351,7 @@ def reference_same_space_f(K, B1, B2):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ext_rings | rings, st.integers(1, 4), st.integers(0, 3), seeds)
-def test_same_space_f_matches_reference(prm, k, extra, seed):
+def test_same_space_matches_reference(prm, k, extra, seed):
     K = ring(*prm)
     rng = np.random.default_rng(seed)
     n = k + 1 + extra
@@ -379,8 +380,8 @@ def test_same_space_f_matches_reference(prm, k, extra, seed):
     for B2, want in [(same, True), (B1[:-1], False), (other, False),
                      (empty, False), (zero, False)]:
         for X, Y in [(B1, B2), (B2, B1)]:
-            assert fl.same_space_f(K, X, Y) is want
-            assert reference_same_space_f(K, X, Y) is want
+            assert ConditionSpace("X", K, X).same_space(Y) is want
+            assert reference_same_space(K, X, Y) is want
     for X, Y in [(empty, empty), (empty, zero), (zero, empty)]:
-        assert fl.same_space_f(K, X, Y) is True
-        assert reference_same_space_f(K, X, Y) is True
+        assert ConditionSpace("X", K, X).same_space(Y) is True
+        assert reference_same_space(K, X, Y) is True
