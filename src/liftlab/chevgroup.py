@@ -37,8 +37,8 @@ u_alpha(x + y), also exact, so a run of one root costs one factor.
 No other element is inverted: GroupElement.inv refuses one without a
 closed form.  The verification identities are checked without inverses
 (sigma tau = tau^q sigma, lhs g = g rho, t u = u' t), which is
-equivalent for invertible elements; GroupElement.check_invertible
-decides invertibility mod p.
+equivalent for invertible elements; the sigma of a tame lift is 1
+mod p, hence invertible (localconds.LocalLift refuses any other).
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ from .rootdata import phi_alpha
 # Both reduce their scan mod p in place, so each holds one int64 array of
 # that size at a time: find_regular_chi's product and a bool copy, at E6,
 # p = 13 (1.7e8 cells, 1.33 GB), peak at 1.74 GB RSS in a fresh process;
-# frobenius_b_search's digits of every b (2.9e7 cells, 232 MB) at 366 MB
+# frobenius_b_search's digits of every b (2.9e7 cells, 232 MB) at 366 MB;
+# OrdinaryLocalModel counts the 7 arrays ordinary_spaces holds at its peak
+# (A1, p = 5, f = 2500: 1.9e7 cells each, 1035 MB peak RSS, fresh process)
 SCAN_MAX_CELLS = 2 ** 28
 
 
@@ -158,13 +160,6 @@ class GroupElement:
         if self.inverse_mat is None:
             raise ChevGroupError("no closed-form inverse for this element")
         return GroupElement(self.alg, self.inverse_mat, inverse_mat=self.mat)
-
-    def check_invertible(self):
-        """Raise CoeffRingError unless the operator is invertible.
-
-        Over O/p^m that is decided mod p, by CoeffRing.mat_inv_modp: an
-        operator = 1 mod p takes no elimination, any other one."""
-        self.alg.ring.mat_inv_modp(self.mat)
 
     def pow(self, e):
         return GroupElement(self.alg, self.alg.ring.mat_pow(self.mat, e))

@@ -27,18 +27,13 @@ inner dimension n: a matmul sums n products below q^2, the fold r^2.
 A ring builds its n x n identity matrix once per n, on first use;
 mat_id hands out a copy, which the caller may write into.
 
-A matrix is inverted only mod p (mat_inv_modp), which decides whether
-it is invertible over the ring; group elements whose inverse is needed
-carry it in closed form.  An inverse lies in the ring generated by its
+No matrix is inverted: group elements whose inverse is needed carry
+it in closed form.  A scalar inverse lies in the ring generated by its
 argument, so data in a prime ring are inverted there: a scalar in Z/q
 (every scalar at r = 1) by Python's modular inverse mod q.  Any other
-scalar is the Newton (Hensel) lift of its inverse mod p.  For a scalar
-a0 + p y in F_p mod p that inverse is pow(a0, -1, p).  Any other
-scalar, and any matrix other than 1 mod p, is inverted mod p by
-fieldlinalg.rref_f on [A | 1], which reduces data in F_p mod p (every
-matrix at r = 1) on their coordinate-0 plane and any other data on
-their regular representation (CoeffRing.regular), the F_p matrix of
-multiplication by them.
+unit is the Newton (Hensel) lift of its inverse mod p, which is
+pow(a0, -1, p) for a scalar a0 + p y in F_p mod p and a^(p^r - 2) for
+any other, since the unit group of F_{p^r} has order p^r - 1.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ import functools
 
 import numpy as np
 
-from . import fieldlinalg as fl
 from . import modp
 
 
@@ -228,9 +222,8 @@ class CoeffRing:
     def inv(self, a):
         """Inverse of a unit.  A unit of Z/q (coordinates past 0 zero
         mod q) is inverted mod q directly; any other unit is the Hensel
-        lift of its mod-p inverse, which is pow(a0, -1, p) when the
-        coordinates past 0 are zero mod p (a = a0 + p y), and is read
-        off the RREF of [a | 1] (fieldlinalg.rref_f) otherwise.
+        lift of its mod-p inverse: pow(a0, -1, p) when the coordinates
+        past 0 are zero mod p (a = a0 + p y), else a^(p^r - 2).
 
         Division by a non-unit is an error, never a silent truncation.
         """
@@ -240,8 +233,7 @@ class CoeffRing:
         if self.r == 1 or not (a[1:] % self.q).any():
             return self.el(pow(int(a[0]), -1, self.q))
         if (a[1:] % self.p).any():
-            # the RREF of the row [a | 1] is [1 | a^-1 mod p]
-            x = fl.rref_f(self, np.stack([a, self.one()])[None])[0][0, 1]
+            x = self.pow(a, self.p ** self.r - 2)
         else:
             x = self.el(pow(int(a[0]), -1, self.p))
         # Newton: x <- x (2 - a x), doubles p-adic precision each step
@@ -299,23 +291,6 @@ class CoeffRing:
             base = self.mat_mul(base, base)
             e >>= 1
         return result
-
-    def mat_inv_modp(self, A):
-        """The inverse of A over the residue field F_{p^r}, entries in
-        [0, p); raises CoeffRingError when A is singular mod p.  An
-        A = 1 mod p (every lift of the trivial representation) is its
-        own inverse there and takes no elimination.  Any other A is
-        eliminated with fieldlinalg.rref_f: the RREF of [A | 1] is
-        [1 | A^-1] exactly when A is invertible."""
-        n = A.shape[0]
-        one = self.mat_id(n)
-        if not ((A - one) % self.p).any():
-            return one
-        R, piv = fl.rref_f(self, np.concatenate([A, one], axis=1))
-        # [A | 1] has rank n, so A is invertible iff every pivot is in A
-        if piv[-1] >= n:
-            raise CoeffRingError("matrix not invertible mod p")
-        return R[:, n:]
 
     def regular(self, A):
         """The F_p matrix of v -> vA on row vectors over F_{p^r}.

@@ -64,17 +64,3 @@ def kernel_f(K, A):
     out[:, piv] = K.neg(R[: len(piv)][:, free]).swapaxes(0, 1)
     return out
 
-
-def intersect_f(K, B1, B2):
-    """Zassenhaus intersection of row spaces."""
-    n = B1.shape[1]
-    if B1.shape[0] == 0 or B2.shape[0] == 0:
-        return np.zeros((0, n, K.r), dtype=np.int64)
-    top = np.concatenate([B1, B1], axis=1)
-    bot = np.concatenate([B2, np.zeros_like(B2)], axis=1)
-    R, piv = rref_f(K, np.concatenate([top, bot], axis=0))
-    out = [R[i, n:] for i in range(R.shape[0])
-           if not R[i, :n].any() and R[i, n:].any()]
-    if not out:
-        return np.zeros((0, n, K.r), dtype=np.int64)
-    return np.stack(out)

@@ -354,13 +354,12 @@ class EndToEndModel:
         p = self.p
         cols = []
         for t, r in zip(tampered, ref):
-            # t r^-1 - 1 = (t - r) r^-1 with t - r divisible by scale, so
-            # its top digit needs r^-1 only mod p
+            # t r^-1 - 1 = (t - r) r^-1 with r = 1 mod p: its top digit
+            # is that of t - r, which scale divides
             D = (t.mat - r.mat)[..., 0] % (scale * p)
             if (D % scale).any():
                 raise DriverError("discrepancy not at top order (bug)")
-            rinv = r.alg.ring.mat_inv_modp(r.mat)[..., 0]
-            cols.append((D // scale @ rinv % p).reshape(-1))
+            cols.append((D // scale).reshape(-1))
         x = self.ad_solver.solve(np.stack(cols, axis=1))
         if x is None:
             raise DriverError("discrepancy not an ad image (bug)")

@@ -132,7 +132,9 @@ class TameLocalModel(LocalModel):
 
 
 class LocalLift:
-    """A pair (rho(sigma), rho(tau)) satisfying the tame relation.
+    """A pair (rho(sigma), rho(tau)) satisfying the tame relation.  Both
+    reduce to 1 mod p, as lifts of the trivial representation do; any
+    other pair is refused (InvalidLiftError), whatever `check` says.
 
     A lift built with check=True is verified once, here: its relation
     is checked (InvalidLiftError when it fails), `verified` records
@@ -148,6 +150,10 @@ class LocalLift:
     """
 
     def __init__(self, model, rho_sigma, rho_tau, check=True):
+        eye = model.ring.mat_id(model.alg.dim)
+        if ((rho_sigma.mat - eye) % model.p).any() or \
+                ((rho_tau.mat - eye) % model.p).any():
+            raise InvalidLiftError("lift does not reduce to 1 mod p")
         self.model = model
         self.sigma = rho_sigma
         self.tau = rho_tau
@@ -162,15 +168,8 @@ class LocalLift:
 
     def relation_holds(self):
         """The tame relation sigma tau sigma^-1 = tau^q, checked as
-        sigma tau = tau^q sigma.
-
-        The two are equivalent for invertible sigma, so sigma is checked
-        first: a sigma = 1 mod p (every residually trivial lift) is
-        invertible, any other takes one elimination mod p, and a sigma
-        singular mod p is refused with CoeffRingError (the inverse in
-        the relation does not exist).
-        """
-        self.sigma.check_invertible()
+        sigma tau = tau^q sigma: the two are equivalent because sigma
+        is 1 mod p, hence invertible."""
         return (self.sigma @ self.tau).eq(
             self.tau.pow(self.model.q) @ self.sigma)
 
@@ -304,11 +303,6 @@ def _membership(lift, alpha, variant, conjugator):
         raise InvalidLiftError("tame relation violated")
     if conjugator is not None:
         lift = lift.conjugate(conjugator)
-    # lifts of the trivial representation reduce to 1 mod p
-    eye = R.mat_id(alg.dim)
-    if ((lift.sigma.mat - eye) % model.p).any() or \
-            ((lift.tau.mat - eye) % model.p).any():
-        return False
     # sigma: in T Z(g_alpha) with alpha-image q  <=>  sigma X_alpha = q X_alpha
     Xa = alg.root_vector(alpha)
     if not np.array_equal(lift.sigma.apply(Xa), R.scalar_mul(model.q, Xa)):
@@ -350,8 +344,6 @@ def _beta_unit_quotient(model, sigma_mat_p2, beta):
     p = model.p
     i = model.alg.basis.root_basis_index(tuple(beta))
     diff = (model.ring.one() - sigma_mat_p2[i, i]) % (p * p)
-    if (diff % p).any():
-        raise LocalCondError("beta(rho2(sigma)) not 1 mod p at %s" % (beta,))
     u = (diff // p) % p
     if not u.any():
         raise LocalCondError("degenerate denominator: beta(rho2(sigma)) "
@@ -571,6 +563,18 @@ def stability_check(lift, alpha, variant, coeffs):
 # -- ordinary model at p
 
 
+def _refuse_large_ordinary(datum, f, r):
+    """Refuse an f whose ordinary condition spaces pass SCAN_MAX_CELLS:
+    ordinary_spaces holds about 7 arrays of (rank + (1+f) dim n) x
+    (1+f) dim g x r int64 cells at its peak."""
+    cells = (datum.rank + (1 + f) * len(datum.positive_roots)) \
+        * (1 + f) * datum.dim * r
+    if 7 * cells > SCAN_MAX_CELLS:
+        raise LocalCondParameterError(
+            "at f = %d the ordinary spaces hold 7 arrays of %d int64 cells, "
+            "past SCAN_MAX_CELLS = %d" % (f, cells, SCAN_MAX_CELLS))
+
+
 class OrdinaryLocalModel(LocalModel):
     """Free local Galois model at p: generators sigma, u_1..u_f; the
     torus data chi (a dict or its sorted items) gives every generator an
@@ -580,6 +584,7 @@ class OrdinaryLocalModel(LocalModel):
         if m < 2:
             raise LocalCondParameterError(
                 "the ordinary normal form is read mod p^2: needs m >= 2")
+        _refuse_large_ordinary(datum, f, r)
         self.f = f
         self.generators = ["s"] + ["u%d" % (i + 1) for i in range(f)]
         chi = dict(chi)
@@ -772,19 +777,17 @@ def augment_with_center(space, adim):
 
 
 def fixed_multiplier_restrict(space, adim):
-    """L^{nu,alpha} = L^alpha intersected with H^1 of g_mu: kills the
-    central directions; for semisimple g (adim = 0) this is the
-    identity operation."""
-    if adim == 0:
+    """L^{nu,alpha} = L^alpha intersected with H^1 of g_mu: {cB : cB = 0
+    on the central columns}, [n, n + adim) in the sigma slot and [2n +
+    adim, 2n + 2 adim) in the tau slot, for the basis B; the identity
+    operation for semisimple g (adim = 0) and on the zero space."""
+    if adim == 0 or space.dim == 0:
         return space
-    K = space.K
-    tot = space.basis.shape[1]
-    n = tot // 2 - adim
-    keep = list(range(n)) + list(range(n + adim, 2 * n + adim))
-    sub = np.zeros((2 * n, tot, K.r), dtype=np.int64)
-    sub[np.arange(2 * n), keep, 0] = 1
-    inter = fl.intersect_f(K, space.basis, sub)
-    return ConditionSpace(space.label + "|mu", K, inter, space.alpha)
+    K, B = space.K, space.basis
+    n = B.shape[1] // 2 - adim
+    central = np.r_[n: n + adim, 2 * n + adim: 2 * n + 2 * adim]
+    c = fl.kernel_f(K, B[:, central].swapaxes(0, 1))
+    return ConditionSpace(space.label + "|mu", K, K.mat_mul(c, B), space.alpha)
 
 
 # -- smoothness probes
@@ -913,7 +916,8 @@ def find_regular_chi(datum, p, f):
     nontrivially with some inertia generator.
 
     Exhaustive over F_p^rank per generator, and refused
-    (LocalCondParameterError) past chevgroup.SCAN_MAX_CELLS.  Returns
+    (LocalCondParameterError) past chevgroup.SCAN_MAX_CELLS, as is a
+    too large f, before the cover is padded to f generators.  Returns
     None when provably infeasible -- e.g. G2 at p = 5 with f = 1, where
     the six root directions are all six lines of F_5^2."""
     rank = datum.rank
@@ -942,8 +946,9 @@ def find_regular_chi(datum, p, f):
             break
     if remaining.any():
         return None
-    while len(chosen) < f:
-        chosen.append(chosen[0])
+    if len(chosen) < f:
+        _refuse_large_ordinary(datum, f, 1)
+        chosen += [chosen[0]] * (f - len(chosen))
     chi = {"s": tuple(1 + p for _ in range(rank))}
     for i, c in enumerate(chosen):
         chi["u%d" % (i + 1)] = tuple(1 + int(x) * p for x in c)

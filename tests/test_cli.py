@@ -122,6 +122,9 @@ def test_exit_code_on_failure(tmp_path, capsys):
     # before its array is built (frobenius_b_search)
     ["check", "stability", "--types", "E8", "--p", "31"],
     ["check", "stability", "--types", "E7", "--p", "13"],
+    # an f whose ordinary spaces would pass chevgroup.SCAN_MAX_CELLS,
+    # refused before anything is built (find_regular_chi)
+    ["spaces", "--f", "1000000000"],
     # a ring in the exact int64 range, with a Lie algebra over it past it
     ["check", "stability", "--types", "A2", "--p", "5", "--m", "13"],
 ])

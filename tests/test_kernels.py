@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from liftlab import fieldlinalg as fl
 from liftlab import modp
-from liftlab.coeffring import CoeffRing, CoeffRingError
-from liftlab.localconds import ConditionSpace
+from liftlab.coeffring import CoeffRing
+from liftlab.localconds import ConditionSpace, fixed_multiplier_restrict
 
-from conftest import reference_inv_modp, reference_mat_inv
+from conftest import reference_inv_modp
 
 
 def reference_inv(R, a):
@@ -149,44 +149,6 @@ def _with_planes(K, rng, A, kind):
     return A
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(rings, st.integers(0, 5), kinds, seeds)
-def test_mat_inv_modp_matches_reference(prm, n, kind, seed):
-    # the library's one matrix inverse is the residue inverse; the
-    # reference lifts it to a full inverse over O/p^m
-    R = ring(*prm)
-    rng = np.random.default_rng(seed)
-    A = _with_planes(R, rng, rng.integers(0, R.q, size=(n, n, R.r),
-                                          dtype=np.int64), kind)
-    try:
-        want = reference_mat_inv(R, A)
-    except CoeffRingError:
-        with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-            R.mat_inv_modp(A)
-        return
-    assert R.mat_eq(R.mat_mul(A, want), R.mat_id(n))
-    X, calls = regular_calls(R.mat_inv_modp, A)
-    assert X.dtype == want.dtype and np.array_equal(X, want % R.p)
-    # F_p data mod p are inverted over F_p, without the regular
-    # representation
-    assert calls == int(bool(np.any(A[..., 1:] % R.p)))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(rings, st.integers(2, 5), seeds)
-def test_singular_mod_p_raises(prm, n, seed):
-    R = ring(*prm)
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, R.q, size=(n, n, R.r), dtype=np.int64)
-    # row 0 = c * row 1 mod p, plus a p-divisible perturbation
-    noise = R.p * rng.integers(0, R.q, size=(n, R.r), dtype=np.int64)
-    A[0] = (R.mul(R.random(rng)[None, :], A[1]) + noise) % R.q
-    with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-        R.mat_inv_modp(A)
-    with pytest.raises(CoeffRingError):
-        reference_mat_inv(R, A)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from([5, 7, 13]), st.integers(0, 6), st.integers(1, 8),
        st.integers(0, 4), seeds)
@@ -242,13 +204,15 @@ def test_inv_matches_reference(prm, kind, seed):
     a = _with_planes(R, rng, R.random(rng), kind)
     while not R.is_unit(a):
         a = _with_planes(R, rng, R.random(rng), kind)
-    x, calls = regular_calls(R.inv, a)
+    with mock.patch.object(modp, "rref", side_effect=AssertionError(
+            "eliminated")):
+        x, calls = regular_calls(R.inv, a)
     assert x.dtype == np.int64 and np.array_equal(x, reference_inv(R, a))
     assert R.eq(R.mul(a, x), R.one())
-    # a unit of Z/q is inverted mod q directly, and a0 + p y (F_p data
-    # mod p) starts its Hensel lift from pow(a0, -1, p): only data
-    # outside F_p mod p eliminate the regular representation
-    assert calls == int(bool(np.any(a[1:] % R.p)))
+    # a unit of Z/q is inverted mod q directly, a0 + p y (F_p data mod
+    # p) starts its Hensel lift from pow(a0, -1, p) and any other unit
+    # from a^(p^r - 2): no unit is eliminated
+    assert calls == 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -385,3 +349,54 @@ def test_same_space_matches_reference(prm, k, extra, seed):
     for X, Y in [(empty, empty), (empty, zero), (zero, empty)]:
         assert ConditionSpace("X", K, X).same_space(Y) is True
         assert reference_same_space(K, X, Y) is True
+
+
+def reference_intersect(K, B1, B2):
+    """Zassenhaus intersection of row spaces: the RREF of [B1 | B1]
+    over [B2 | 0] has rows [0 | v], and those v span the intersection."""
+    n = B1.shape[1]
+    if B1.shape[0] == 0 or B2.shape[0] == 0:
+        return np.zeros((0, n, K.r), dtype=np.int64)
+    top = np.concatenate([B1, B1], axis=1)
+    bot = np.concatenate([B2, np.zeros_like(B2)], axis=1)
+    R, _ = fl.rref_f(K, np.concatenate([top, bot], axis=0))
+    out = [R[i, n:] for i in range(R.shape[0])
+           if not R[i, :n].any() and R[i, n:].any()]
+    if not out:
+        return np.zeros((0, n, K.r), dtype=np.int64)
+    return np.stack(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 6), seeds)
+def test_fixed_multiplier_restrict_matches_zassenhaus(p, r, adim, n, k, seed):
+    # L intersected with the span of the non-central coordinates, on
+    # general F_{p^r} bases whose central columns are nonzero in both
+    # the sigma slot [n, n + adim) and the tau slot [2n + adim, 2n +
+    # 2 adim)
+    K = ring(p, 1, r)
+    rng = np.random.default_rng(seed)
+    tot = 2 * (n + adim)
+    central = list(range(n, n + adim)) + \
+        list(range(2 * n + adim, 2 * n + 2 * adim))
+    keep = [c for c in range(tot) if c not in central]
+    B = rng.integers(0, p, size=(k, tot, r), dtype=np.int64)
+    C = rng.integers(0, p, size=(k, 2 * adim, r), dtype=np.int64)
+    C[~C.any(axis=-1), 0] = 1
+    B[:, central] = C
+    space = ConditionSpace("L", K, B)
+    got = fixed_multiplier_restrict(space, adim)
+    sub = np.zeros((len(keep), tot, r), dtype=np.int64)
+    sub[np.arange(len(keep)), keep, 0] = 1
+    want = ConditionSpace("L|mu", K, reference_intersect(K, space.basis, sub))
+    assert got.dim == want.dim and np.array_equal(got.basis, want.basis)
+    assert got.dim == 0 or not got.basis[:, central].any()
+    # an empty space stays empty, and so does one of central directions
+    # only
+    empty = ConditionSpace("L", K, np.zeros((0, tot, r), dtype=np.int64))
+    assert fixed_multiplier_restrict(empty, adim).dim == 0
+    only = np.zeros((2 * adim, tot, r), dtype=np.int64)
+    only[np.arange(2 * adim), central] = K.random_unit(rng)
+    assert fixed_multiplier_restrict(ConditionSpace("C", K, only),
+                                     adim).dim == 0

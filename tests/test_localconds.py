@@ -13,7 +13,7 @@ from liftlab import modp
 from liftlab.chevgroup import (GroupElement, GroupParameterError,
                                frobenius_b_search, identity, root_product,
                                torus_elt, torus_from_coroot_data, u_alpha)
-from liftlab.coeffring import CoeffRing, CoeffRingError, ParameterError
+from liftlab.coeffring import CoeffRing, ParameterError
 from liftlab.rootdata import phi_alpha, root_datum
 
 from conftest import reference_mat_inv
@@ -591,7 +591,7 @@ def test_unramified_spaces_skip_the_regular_representation(monkeypatch):
     assert sp["l"].dim == n and sp["l_perp"].dim == n
 
 
-# -- the inverse-free relation check and its invertibility guard
+# -- the inverse-free relation check and the refusal of lifts not 1 mod p
 
 
 def reference_relation_holds(lift):
@@ -628,18 +628,25 @@ def test_relation_holds_matches_reference(name, p, m, variant, seed):
                                   check=False))
         cases.append(lc.LocalLift(model, lift.sigma @ bad, lift.tau,
                                   check=False))
-    # sigma not = 1 mod p: a torus element with unit values
-    t = torus_elt(alg, [R.random_unit(rng) for _ in range(model.datum.rank)])
-    cases.append(lc.LocalLift(model, t, identity(alg), check=False))
-    cases.append(lc.LocalLift(model, t, lift.tau, check=False))
     verdicts = [c.relation_holds() for c in cases]
     assert verdicts == [reference_relation_holds(c) for c in cases]
-    assert verdicts[0] and verdicts[-2]
+    assert verdicts[0]
     assert not all(verdicts)
+    # sigma not = 1 mod p (a torus element with unit values, one of
+    # them not 1 mod p) is refused where the lift is built
+    vals = [R.random_unit(rng) for _ in range(model.datum.rank)]
+    vals[0] = R.el(int(rng.integers(2, p)))
+    t = torus_elt(alg, vals)
+    for tau in (identity(alg), lift.tau):
+        for check in (True, False):
+            with pytest.raises(lc.InvalidLiftError, match="1 mod p"):
+                lc.LocalLift(model, t, tau, check=check)
 
 
 @pytest.mark.parametrize("name", ["A1", "B2"])
 def test_sigma_singular_mod_p_is_refused(name):
+    # a sigma singular mod p is not 1 mod p: refused where the lift is
+    # built, verified or not
     model = tame(name, 5, 3)
     R, alg = model.ring, model.alg
     n = alg.dim
@@ -650,20 +657,21 @@ def test_sigma_singular_mod_p_is_refused(name):
     almost = R.mat_id(n)
     almost[0, 0, 0] = 5
     for sigma in (zero, GroupElement(alg, almost)):
-        with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-            lc.LocalLift(model, sigma, tau)
-        with pytest.raises(CoeffRingError, match="matrix not invertible mod p"):
-            lc.LocalLift(model, sigma, identity(alg), check=False) \
-                .relation_holds()
+        for check in (True, False):
+            with pytest.raises(lc.InvalidLiftError, match="1 mod p"):
+                lc.LocalLift(model, sigma, tau, check=check)
+            with pytest.raises(lc.InvalidLiftError, match="1 mod p"):
+                lc.LocalLift(model, tau, sigma, check=check)
 
 
 def test_invertibility_guard_paths(monkeypatch):
-    # sigma = 1 mod p needs no elimination; any other sigma takes one
-    # elimination mod p, of [sigma | 1]
+    # the relation of a lift = 1 mod p is checked without an
+    # elimination; a sigma or tau that is not 1 mod p is refused before
+    # any relation is checked
     model = tame("A2", 7, 4, 8)
     R, alg = model.ring, model.alg
     calls = []
-    rref = modp.rref
+    rref, holds = modp.rref, lc.LocalLift.relation_holds
 
     def counted(A, p):
         calls.append(A.shape)
@@ -673,10 +681,15 @@ def test_invertibility_guard_paths(monkeypatch):
     lift, _ = lc.frobenius_member(model, model.datum.positive_roots[0],
                                   "ram2", seed=0)
     assert lift.relation_holds() and calls == []
+    checked = []
+    monkeypatch.setattr(lc.LocalLift, "relation_holds",
+                        lambda self: checked.append(self) or holds(self))
     t = torus_elt(alg, [R.el(2), R.el(3)])
-    assert lc.LocalLift(model, t, identity(alg), check=False) \
-        .relation_holds()
-    assert calls == [(alg.dim, 2 * alg.dim)]
+    for sigma, tau in ((t, identity(alg)), (identity(alg), t)):
+        for check in (True, False):
+            with pytest.raises(lc.InvalidLiftError, match="1 mod p"):
+                lc.LocalLift(model, sigma, tau, check=check)
+    assert calls == [] and checked == []
 
 
 # -- falsification of the rewritten stability comparisons
@@ -856,6 +869,25 @@ def test_full_scans_past_the_cap_are_refused_before_they_run(monkeypatch):
         monkeypatch.setattr(chevgroup, "SCAN_MAX_CELLS", cells - 1)
         with pytest.raises(ParameterError, match="SCAN_MAX_CELLS"):
             scan()
+
+
+def test_ordinary_spaces_past_the_cap_are_refused_before_they_are_built():
+    # A1: 7 arrays of (f + 2) (f + 1) 3 r cells, within SCAN_MAX_CELLS
+    # up to f = 3573 at r = 1; a refused f builds nothing, not even
+    # find_regular_chi's padded cover
+    d, b = root_datum("A1")
+    chi = lc.find_regular_chi(d, 5, 3573)
+    assert len(lc.OrdinaryLocalModel(d, b, 5, 3, 3573, chi).generators) \
+        == 3574
+    start = time.perf_counter()
+    for refused in (lambda: lc.find_regular_chi(d, 5, 3574),
+                    lambda: lc.OrdinaryLocalModel(d, b, 5, 3, 3574, chi),
+                    lambda: lc.OrdinaryLocalModel(d, b, 5, 3, 3573, chi, 2),
+                    lambda: lc.find_regular_chi(d, 5, 10 ** 9)):
+        with pytest.raises(lc.LocalCondParameterError,
+                           match="SCAN_MAX_CELLS"):
+            refused()
+    assert time.perf_counter() - start < 1
 
 
 # -- one relation check per lift

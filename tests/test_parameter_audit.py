@@ -18,6 +18,9 @@ A setting read from an environment variable is one more way to set
 what a flag or a parameter already sets, and one that a report's
 config does not echo.
 
+The modules form one stack, LAYERS: each imports only modules below
+it, at module level or inside a function.
+
 tools/caller_trace.py reports what the static audit cannot see: the
 public definitions that a caller names but no caller runs.  Its report
 is checked here on synthetic traces.
@@ -311,6 +314,61 @@ def test_no_module_reads_the_environment():
     # the scan sees both spellings
     tree = ast.parse("import os\nos.environ.get('X')\nfrom os import getenv\n")
     assert sorted(_environment_reads(tree)) == [2, 3]
+
+
+# the module order of liftlab, lowest first
+LAYERS = ["modp", "intlinalg", "coeffring", "fieldlinalg", "cyclotomic",
+          "chartable", "rootdata", "chevgroup", "galoismod", "localconds",
+          "oddness", "selmer", "liftdriver", "cli"]
+
+
+def liftlab_imports(tree):
+    """(line, module) of every liftlab module an import statement of
+    the tree names, wherever the statement stands: from . import m,
+    from .m import x, from liftlab import m, from liftlab.m import x
+    and import liftlab.m."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "liftlab":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield node.lineno, parts[0]
+            else:
+                for alias in node.names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "liftlab" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+
+
+def test_imports_follow_the_layer_order():
+    trees = {os.path.splitext(os.path.basename(path))[0]: tree
+             for path, tree in _python_files(LIBRARY)}
+    # every module has its place in the order
+    assert sorted(set(trees) - {"__init__"}) == sorted(LAYERS)
+    upward = [(module, line, name)
+              for module, tree in trees.items()
+              for line, name in liftlab_imports(tree)
+              if module == "__init__" or
+              LAYERS.index(name) >= LAYERS.index(module)]
+    assert not upward, (
+        "imports of a module at or above the importer's layer: %r"
+        % upward)
+    # the scan sees imports inside functions, and every spelling
+    assert "fieldlinalg" in {name for _, name in
+                             liftlab_imports(trees["cli"])}
+    tree = ast.parse("import numpy\nimport liftlab.modp\n"
+                     "from liftlab.selmer import x\nfrom liftlab import cli\n"
+                     "def f():\n    from . import chevgroup as cg\n"
+                     "    from .rootdata import y\n    from os import path\n")
+    assert list(liftlab_imports(tree)) == [
+        (2, "modp"), (3, "selmer"), (4, "cli"), (6, "chevgroup"),
+        (7, "rootdata")]
 
 
 def _load_caller_trace():
