@@ -177,7 +177,15 @@ def cmd_oddness(args, run):
 
 
 def cmd_examples_f4(args, run):
-    reps = od.exceptional_pipeline(args.p[0], data_dir=args.tables)
+    p = args.p[0]
+    reps = od.exceptional_pipeline(p, data_dir=args.tables)
+    # the decompositions are read mod p only for a p prime to |G|, the
+    # sum of the squared degrees
+    bad = ["%s (order %d)" % (r.group, sum(d * d for d in r.degrees))
+           for r in reps if not r.brauer_valid]
+    if bad:
+        raise ParameterError("p = %d divides the order of %s"
+                             % (p, " and ".join(bad)))
     a6, psl = reps
     run.check("A6 multiplicities (1,3,2)",
               a6.multiplicities == [0, 0, 0, 1, 3, 0, 2],

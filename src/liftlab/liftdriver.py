@@ -53,25 +53,37 @@ class DriverParameterError(DriverError, ParameterError):
 
 
 class PlaceState:
-    """One explicit place: its local model at the current precision and
-    the factors of the conjugator carrying its normal form to the
-    current lift.
+    """One explicit place: its local model at the current precision, its
+    global place, its condition L_v, and the factors of the conjugator
+    carrying its normal form to the current lift.
 
-    A kind supplies `member` (the normal form as a local lift of its
-    model), `values` (its generator values), `tangent()`,
-    `lift_up(rng)`, `check_relation(values)` (the local lift of the
-    values, its relation verified where the model has one),
-    `is_member(lift, conjugator)`, `fold_tangent(tan, scale)`, `extra`
-    (the extra cocycles of its condition with their units, built once
-    at the first level), `dim_l` and `variant`; messages name the
-    ordinary place by `label`.
+    A kind passes its first-level model, the tangent rows of L_v, its
+    extra cocycles c_beta with their units (`extra`) and its global
+    place (a selmer place stating dim_l).  The base builds, once, `L`,
+    the F_p basis [tangent rows; c_beta] of L_v, so that a solved
+    coefficient vector splits positionally and its extra part is read
+    against the c_beta themselves; `solver`, its modp.LeftSolver; and
+    the check of dim L_v against `place.dim_l`.  A kind supplies
+    `member` (the normal form as a local lift of its model), `values`
+    (its generator values), `lift_up(rng)`, `check_relation(values)`
+    (the local lift of the values, its relation verified where the
+    model has one), `is_member(lift, conjugator)`, `fold_tangent(tan,
+    scale)` and `variant`; messages name the ordinary place by `label`.
     """
 
     label = ""
 
-    def __init__(self, model):
+    def __init__(self, model, tangent, extra, place):
         self.model = model
+        self.extra = extra
+        self.place = place
         self.conj_factors = []          # (beta, integer value)
+        p = model.p
+        self.L = np.vstack([tangent[..., 0], extra.rows[..., 0]]) % p
+        self.solver = _left_solver(self.L.T, p, "L basis degenerate (bug)")
+        if len(self.L) != place.dim_l:
+            raise DriverError("sabotaged %sL_v: dim %d != %d"
+                              % (self.label, len(self.L), place.dim_l))
 
     @property
     def m(self):
@@ -101,14 +113,16 @@ class TamePlaceState(PlaceState):
     of coordinates."""
 
     def __init__(self, datum, basis, p, q, alpha, variant, rng):
-        super().__init__(lc.TameLocalModel(datum, basis, p, START_M, q))
+        model = lc.TameLocalModel(datum, basis, p, START_M, q)
         self.alpha = tuple(alpha)
         self.variant = variant          # "unr2" or "ram2"
-        self.member, self.coords = lc.sample_member(self.model, self.alpha,
+        self.member, self.coords = lc.sample_member(model, self.alpha,
                                                     variant, rng)
-        self.extra = lc.tame_extra_cocycles(self.model, self.alpha,
-                                            variant[:3], self.member)
-        self.dim_l = datum.dim
+        tangent = lc.condition_spaces(model, self.alpha, variant[:3],
+                                      rho2=self.member)["tan"].basis
+        extra = lc.tame_extra_cocycles(model, self.alpha, variant[:3],
+                                       self.member)
+        super().__init__(model, tangent, extra, sm.TrivialPlace(datum.dim))
 
     @property
     def values(self):
@@ -116,11 +130,6 @@ class TamePlaceState(PlaceState):
 
     def _assemble(self):
         self.member = lc._assemble_member(self.model, self.alpha, self.coords)
-
-    def tangent(self):
-        """The tangent rows of L_v, from the checked condition spaces."""
-        return lc.condition_spaces(self.model, self.alpha, self.variant[:3],
-                                   rho2=self.member)["tan"].basis
 
     def lift_up(self, rng):
         """Random top digits in the free coordinates, at precision m+1."""
@@ -184,19 +193,20 @@ class OrdinaryPlaceState(PlaceState):
     variant = "ordinary"
 
     def __init__(self, datum, basis, p, chi):
-        super().__init__(lc.OrdinaryLocalModel(datum, basis, p, START_M, 1,
-                                               chi))
-        self.model.check_regularity()
-        self.member = lc.chi_torus_lift(self.model)
-        self.extra = lc.ordinary_extra_cocycles(self.model)
-        self.dim_l = datum.dim + self.model.f * len(datum.positive_roots)
+        model = lc.OrdinaryLocalModel(datum, basis, p, START_M, 1, chi)
+        # ordinary_spaces refuses a degenerate chi before anything reads it
+        tangent = lc.ordinary_spaces(model)["tan"].basis
+        self.member = lc.chi_torus_lift(model)
+        w, f = datum.dim, model.f
+        super().__init__(model, tangent, lc.ordinary_extra_cocycles(model),
+                         sm.LedgerPlace(
+                             (1 + f) * w, w, 0,
+                             dim_l=w + f * len(datum.positive_roots),
+                             kind="ordinary-explicit"))
 
     @property
     def values(self):
         return [self.member.values[g] for g in self.model.generators]
-
-    def tangent(self):
-        return lc.ordinary_spaces(self.model)["tan"].basis
 
     def lift_up(self, rng):
         """Canonical-entry lift to precision m+1, with the inertia
@@ -260,33 +270,17 @@ class EndToEndModel:
                                {"s": tuple([1 + p] * datum.rank),
                                 "u1": tuple([1 + 2 * p] * datum.rank)}),
         ]
-        self.f = 1
-        gplaces = [sm.TrivialPlace(w), sm.TrivialPlace(w),
-                   sm.LedgerPlace((1 + self.f) * w, w, 0,
-                                  dim_l=self.places[2].dim_l,
-                                  kind="ordinary-explicit")]
-        # L bases [tangent rows; extra cocycles c_beta], so a solved
-        # coefficient vector splits positionally and its extra part is
-        # read against the c_beta themselves
-        self.local_bases, self.local_solvers = [], []
-        for st in self.places:
-            raw = np.vstack([st.tangent()[..., 0],
-                             st.extra.rows[..., 0]]) % p
-            solver = _left_solver(raw.T, p, "L basis degenerate (bug)")
-            if raw.shape[0] != st.dim_l:
-                raise DriverError("sabotaged %sL_v: dim %d != %d"
-                                  % (st.label, raw.shape[0], st.dim_l))
-            self.local_bases.append(raw)
-            self.local_solvers.append(solver)
         # x -> vec(ad x) over F_p, for recovering x from 1 + p^m ad(x)
         ad = basis.ad
         self.ad_solver = _left_solver(ad.reshape(w, w * w).T, p,
                                       "ad map not injective mod p (bug)")
+        gplaces = [st.place for st in self.places]
+        bases = [st.L for st in self.places]
         for s in range(MODEL_SEED_TRIES):
             model = sm.build_synthetic_model(p, gplaces, arch_h0=[dim_n],
                                              seed=seed + 1000 + s,
                                              datum=datum, basis=basis)
-            system = sm.SelmerSystem(model, self.local_bases)
+            system = sm.SelmerSystem(model, bases)
             sel, dual, rep = sm.selmer_compute(model, system)
             if rep["h1_L"] == 0 and rep["h1_L_perp"] == 0:
                 self.global_model = model
@@ -370,13 +364,12 @@ class EndToEndModel:
         of place k and verify it equals the conjugated new normal form."""
         p = self.p
         st = self.places[k]
-        raw = self.local_bases[k]
-        coeff = self.local_solvers[k].solve(ell)
+        coeff = st.solver.solve(ell)
         if coeff is None:
             raise DriverError("correction not in L_v at place %d" % k)
         extra = st.extra
-        ntan = len(raw) - len(extra.betas)
-        tan = coeff[:ntan] @ raw[:ntan] % p
+        ntan = len(st.L) - len(extra.betas)
+        tan = coeff[:ntan] @ st.L[:ntan] % p
         corrected = _perturb(st.model, ref, scale, ell)
         corrected_lift = st.check_relation(corrected)
         # the extra part lambda becomes stability conjugator factors

@@ -74,11 +74,11 @@ class InvalidLiftError(LocalCondError):
     pass
 
 
-def _check_variant(variant):
-    if variant not in TAME_VARIANTS:
+def _check_variant(variant, allowed):
+    if variant not in allowed:
         raise LocalCondParameterError(
             "unknown tame variant %r: not one of %s"
-            % (variant, ", ".join(TAME_VARIANTS)))
+            % (variant, ", ".join(allowed)))
 
 
 class LocalModel:
@@ -200,14 +200,13 @@ class Cocycle:
 
 
 class ConditionSpace:
-    """A labeled subspace of H^1 with an echelonized cocycle basis.
+    """A subspace of H^1 with an echelonized cocycle basis.
 
     basis has shape (k, nslots*dim, r); slots are (sigma, tau) for the
     tame model and (sigma, u_1..u_f) for the ordinary model.
     """
 
-    def __init__(self, label, K, basis, alpha=None):
-        self.label = label
+    def __init__(self, K, basis, alpha=None):
         self.K = K
         self.basis = fl.echelon_f(K, np.asarray(basis, dtype=np.int64) % K.q) \
             if len(basis) else np.zeros((0, 0, K.r), dtype=np.int64)
@@ -284,7 +283,7 @@ def membership(lift, alpha, variant="plain", conjugator=None):
     stale).  A call with a conjugator, or on an unverified lift, is
     computed in full and not recorded.
     """
-    _check_variant(variant)
+    _check_variant(variant, TAME_VARIANTS)
     alpha = tuple(alpha)
     if conjugator is not None or not lift.verified:
         return _membership(lift, alpha, variant, conjugator)
@@ -361,8 +360,7 @@ def tame_extra_cocycles(model, alpha, variant, lift=None, betas=None):
     The units need the lift rho, a member of the unr2 or ram2 set;
     without one (only possible for "unr") they are None.
     """
-    if variant not in ("unr", "ram"):
-        raise LocalCondError("unknown variant %r" % variant)
+    _check_variant(variant, ("unr", "ram"))
     K, alg1 = model.residue, model.alg1
     alpha = tuple(alpha)
     if betas is None:
@@ -374,7 +372,7 @@ def tame_extra_cocycles(model, alpha, variant, lift=None, betas=None):
         row[alg1.basis.root_basis_index(beta), 0] = 1
     if lift is None:
         if variant == "ram":
-            raise LocalCondError("ram variant needs rho2")
+            raise LocalCondParameterError("tame variant 'ram' needs rho2")
         return ExtraCocycles(betas, rows, None)
     sig2 = lift.sigma.mat % model.p ** 2
     units = [_beta_unit_quotient(model, sig2, beta) for beta in betas]
@@ -406,7 +404,7 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
     Xa = alg1.root_vector(alpha)
     tan_rows = [stack(v, np.zeros_like(v)) for v in cent]
     tan_rows.append(stack(np.zeros_like(Xa), Xa))
-    tan = ConditionSpace("Tan^alpha", K, np.stack(tan_rows), alpha)
+    tan = ConditionSpace(K, np.stack(tan_rows), alpha)
 
     lift2 = None
     if variant == "ram" and rho2 is not None:
@@ -414,10 +412,9 @@ def condition_spaces(model, alpha, variant="unr", rho2=None):
         if not membership(lift2, alpha, "ram2"):
             raise InvalidLiftError("rho2 not in the ram2 set")
     extra = tame_extra_cocycles(model, alpha, variant, lift2)
-    s_space = ConditionSpace("S^alpha_" + variant, K, extra.rows, alpha)
+    s_space = ConditionSpace(K, extra.rows, alpha)
 
-    L = ConditionSpace("L^alpha", K,
-                       np.concatenate([tan.basis, s_space.basis], axis=0),
+    L = ConditionSpace(K, np.concatenate([tan.basis, s_space.basis], axis=0),
                        alpha)
     if L.dim != d.dim:
         raise LocalCondError("dim L^alpha = %d != dim g = %d (bug)"
@@ -458,7 +455,7 @@ def perp_space(model, space, check_description=False):
     # empty space stores a (0, 0, r) basis, hence the reshape
     A = dual_rows(space.basis.reshape(-1, 2 * n, K.r))
     perp_basis = fl.kernel_f(K, A)
-    out = ConditionSpace(space.label + "_perp", K, perp_basis, space.alpha)
+    out = ConditionSpace(K, perp_basis, space.alpha)
     if check_description and space.alpha is not None:
         gm = np.eye(n, dtype=np.int64)
         frame = frame_subspace(model.basis, gm, space.alpha, K.p)
@@ -549,8 +546,7 @@ def stability_check(lift, alpha, variant, coeffs):
     coeffs[beta] c_beta of S^alpha's extra cocycles; returns (g,
     cocycle)."""
     model = lift.model
-    if variant not in ("unr", "ram"):
-        raise LocalCondError("variant must be unr or ram here")
+    _check_variant(variant, ("unr", "ram"))
     alpha = tuple(alpha)
     if not membership(lift, alpha, variant + "2"):
         raise InvalidLiftError("lift not in the %s2 set" % variant)
@@ -708,16 +704,14 @@ def ordinary_spaces(model):
     cols = bidx + [s * n + j for s in range(1, 1 + f) for j in bidx[d.rank:]]
     tan_rows = np.zeros((len(cols), (1 + f) * n, K.r), dtype=np.int64)
     tan_rows[np.arange(len(cols)), cols, 0] = 1
-    tan = ConditionSpace("Tan^chi", K, tan_rows)
+    tan = ConditionSpace(K, tan_rows)
     if tan.dim != dim_b + f * dim_n:
         raise LocalCondError("ordinary tangent dimension mismatch (bug)")
 
-    extra = ConditionSpace("S^chi_ord", K,
-                           ordinary_extra_cocycles(model).rows)
+    extra = ConditionSpace(K, ordinary_extra_cocycles(model).rows)
     if extra.dim != dim_n:
         raise LocalCondError("ordinary extra-cocycle count != dim n")
-    L = ConditionSpace("L^chi_ord", K,
-                       np.concatenate([tan.basis, extra.basis], axis=0))
+    L = ConditionSpace(K, np.concatenate([tan.basis, extra.basis], axis=0))
     if L.dim != d.dim + f * dim_n:
         raise LocalCondError("dim L^chi != dim g + f dim n (bug)")
     return {"tan": tan, "s": extra, "l": L}
@@ -773,7 +767,7 @@ def augment_with_center(space, adim):
     rows[:k, :n] = space.basis[:, :n]
     rows[:k, n + adim: 2 * n + adim] = space.basis[:, n:]
     rows[k:, n: n + adim] = K.mat_id(adim)
-    return ConditionSpace(space.label + "+a", K, rows, space.alpha)
+    return ConditionSpace(K, rows, space.alpha)
 
 
 def fixed_multiplier_restrict(space, adim):
@@ -787,7 +781,7 @@ def fixed_multiplier_restrict(space, adim):
     n = B.shape[1] // 2 - adim
     central = np.r_[n: n + adim, 2 * n + adim: 2 * n + 2 * adim]
     c = fl.kernel_f(K, B[:, central].swapaxes(0, 1))
-    return ConditionSpace(space.label + "|mu", K, K.mat_mul(c, B), space.alpha)
+    return ConditionSpace(K, K.mat_mul(c, B), space.alpha)
 
 
 # -- smoothness probes
@@ -813,7 +807,7 @@ def sample_member(model, alpha, variant, rng):
     """A random normal-form member of the lifting set (alpha simple,
     variant plain, unr2 or ram2); returns (lift, coords) with the
     generating coordinates."""
-    _check_variant(variant)
+    _check_variant(variant, TAME_VARIANTS)
     R = model.ring
     d = model.datum
     alpha = tuple(alpha)
@@ -874,7 +868,7 @@ def smoothness_probe(model, alpha, variant, samples, rng):
     digits; the relation and the membership are re-verified exactly at
     the higher precision.  variant is plain, unr2 or ram2.  Returns the
     success count (must equal samples); an unliftable sample raises."""
-    _check_variant(variant)
+    _check_variant(variant, TAME_VARIANTS)
     model_up = model.at_precision(model.ring.m + 1)
     ok = 0
     for _ in range(samples):
@@ -895,7 +889,7 @@ def frobenius_member(model, alpha, variant, seed=0):
     element (1 + p b) alpha^vee(q^{1/2}) found by the hyperplane-
     avoiding Frobenius search (so every Phi^alpha denominator is a
     unit), tau = 1 mod p^2 (unr2) or u_alpha(p) (plain and ram2)."""
-    _check_variant(variant)
+    _check_variant(variant, TAME_VARIANTS)
     R = model.ring
     alpha = tuple(alpha)
     b, rep = frobenius_b_search(model.datum, model.basis, alpha, model.p,

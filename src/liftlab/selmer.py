@@ -15,6 +15,10 @@ cocycle values (c(sigma), c(tau)) over F_p and the pairing is the tame
 local duality.  p-adic and archimedean contributions enter through
 dimension ledgers only.
 
+Every place states its condition dimension dim_l.  The Greenberg-Wiles
+ledger has no global H^0 terms: rho-bar is absolutely irreducible, so
+neither the adjoint module W nor its Tate dual W* has Galois invariants.
+
 Everything global is linear algebra over F_p (modp); exactness is an
 invariant, not a tolerance.
 """
@@ -56,12 +60,13 @@ class ModelInconsistencyError(SelmerError):
 
 class TrivialPlace:
     """A trivial prime: local H^1 = W^2 on each side (sigma, tau blocks),
-    tame duality pairing, and an optional torus frame (g, alpha, t, c)
-    fixed when the place was installed by a witness search."""
+    tame duality pairing, a condition of dim_l = dim W = h0 (the
+    balanced one), and an optional torus frame (g, alpha, t, c) fixed
+    when the place was installed by a witness search."""
 
     def __init__(self, w, frame=None):
         self.kind = "trivial"
-        self.w = w
+        self.dim_l = w
         self.h1 = 2 * w
         self.h0 = w
         self.h0_star = w
@@ -129,14 +134,12 @@ class SyntheticGlobalModel:
     in [0, p)) that the witness search reads.
     """
 
-    def __init__(self, p, places, A, arch_h0, h0_glob=0, h0_glob_star=0,
-                 eta=None, datum=None, basis=None, seed=None, J=None):
+    def __init__(self, p, places, A, arch_h0, eta=None, datum=None,
+                 basis=None, seed=None, J=None):
         self.p = p
         self.places = places
         self.A = A % p
         self.arch_h0 = list(arch_h0)
-        self.h0_glob = h0_glob
-        self.h0_glob_star = h0_glob_star
         self.eta = eta
         self.datum = datum
         self.basis = basis
@@ -167,8 +170,8 @@ class SyntheticGlobalModel:
         if self.A.shape[0] + self.B.shape[0] != self.total_dim:
             raise ModelInconsistencyError("global image not half-dimensional")
         # ledger consistency: dim A matches the Euler-characteristic data
-        want = sum(pl.h1 - pl.h0 for pl in self.places) - sum(self.arch_h0) \
-            + self.h0_glob - self.h0_glob_star
+        want = _ledger([pl.h1 for pl in self.places], self.places,
+                       self.arch_h0)
         if self.A.shape[0] != want:
             raise ModelInconsistencyError(
                 "global dimension %d does not match the ledger %d"
@@ -187,8 +190,7 @@ class SyntheticGlobalModel:
 
 
 def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
-                          arch_h0=(), h0_glob=0, h0_glob_star=0, seed=0,
-                          **extra):
+                          arch_h0=(), seed=0, **extra):
     """Isotropic completion: a model whose global image contains the
     prescribed classes.
 
@@ -202,8 +204,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     rng = np.random.default_rng(seed)
     J = _big_pairing(places, p)
     total = J.shape[0]
-    target = sum(pl.h1 - pl.h0 for pl in places) - sum(arch_h0) \
-        + h0_glob - h0_glob_star
+    target = _ledger([pl.h1 for pl in places], places, arch_h0)
     if target < 0 or target > total:
         raise SelmerError("infeasible ledger: dim A = %d" % target)
     A0 = np.array(prescribed_w if prescribed_w is not None else [],
@@ -238,8 +239,14 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     if modp.matmul(modp.matmul(A, J, p), B0.T, p).any():
         raise SelmerError("prescribed dual class lost (infeasible spec)")
     return SyntheticGlobalModel(p, list(places), A, list(arch_h0),
-                                h0_glob, h0_glob_star, seed=seed, J=J,
-                                **extra)
+                                seed=seed, J=J, **extra)
+
+
+def _ledger(dims_l, places, arch_h0):
+    """The Greenberg-Wiles count sum_v (dim L_v - h0_v) - sum_inf h0_v
+    of h1_L - h1_{L*}.  With every L_v = H^1_v the dual Selmer group is
+    0, so this is also the dimension of the global image A."""
+    return sum(d - pl.h0 for d, pl in zip(dims_l, places)) - sum(arch_h0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +334,7 @@ def selmer_compute(model, system):
     """(Selmer basis, dual Selmer basis, balance report).
 
     The report re-derives the Greenberg-Wiles ledger
-    h1_L - h1_{L*} = sum_v (dim L_v - h0_v) + h0 - h0* - sum_inf h0_v
+    h1_L - h1_{L*} = sum_v (dim L_v - h0_v) - sum_inf h0_v
     and raises on mismatch (the synthetic model makes the identity a
     theorem, so a mismatch means corrupted data, never tolerance)."""
     return _selmer_with_coeffs(model, system)[:3]
@@ -344,8 +351,7 @@ def _selmer_with_coeffs(model, system):
     dual = modp.matmul(dual_coeff, model.B, p) if dual_coeff.shape[0] else \
         np.zeros((0, model.total_dim), dtype=np.int64)
     h1l, h1ld = sel.shape[0], dual.shape[0]
-    ledger = sum(Lv.shape[0] - pl.h0 for Lv, pl in zip(system.L, model.places))
-    ledger += model.h0_glob - model.h0_glob_star - sum(model.arch_h0)
+    ledger = _ledger(system.dims(), model.places, model.arch_h0)
     if h1l - h1ld != ledger:
         raise ModelInconsistencyError(
             "balance report %d - %d does not match the ledger %d"
@@ -612,8 +618,7 @@ def extend_model_at_witness(model, system, witness, rng):
                                    "alpha": witness["alpha"],
                                    "t": witness["t"], "c": witness["c"]})
     model2 = SyntheticGlobalModel(p, list(model.places) + [place], A2,
-                                  model.arch_h0, model.h0_glob,
-                                  model.h0_glob_star, eta=model.eta,
+                                  model.arch_h0, eta=model.eta,
                                   datum=model.datum, basis=model.basis,
                                   seed=model.seed)
     # model2's B is the full right kernel of A2 J2 (J2 = model2.J), so
@@ -877,10 +882,7 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
         v = np.zeros(total, dtype=np.int64)
         pos = 0
         for pl in places:
-            if pl.kind == "trivial":
-                v[pos:pos + pl.w] = rng.integers(0, p, size=pl.w)
-            else:
-                v[pos:pos + pl.dim_l] = rng.integers(0, p, size=pl.dim_l)
+            v[pos:pos + pl.dim_l] = rng.integers(0, p, size=pl.dim_l)
             pos += pl.h1
         return v
 
@@ -890,7 +892,7 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
         for pl in places:
             if pl.kind == "trivial":
                 # unramified dual classes annihilate unramified classes
-                v[pos:pos + pl.w] = rng.integers(0, p, size=pl.w)
+                v[pos:pos + pl.dim_l] = rng.integers(0, p, size=pl.dim_l)
             else:
                 v[pos + pl.dim_l:pos + pl.h1] = \
                     rng.integers(0, p, size=pl.h1 - pl.dim_l)
@@ -915,10 +917,9 @@ def attach_adjoint_eta(model):
 
 
 def standard_balanced_system(model):
-    """The balanced Selmer system: full-dimension L^alpha-style spaces
-    of dim h0 = w at trivial places (the unramified condition, the
-    sigma-block: the annihilation loop replaces them at new places by
-    honest L^alpha), and the first dim_l coordinates at ledger places."""
-    return SelmerSystem(model, [
-        np.eye(pl.w if pl.kind == "trivial" else pl.dim_l, pl.h1,
-               dtype=np.int64) for pl in model.places])
+    """The balanced Selmer system: the first dim_l coordinates at every
+    place.  At a trivial place that is the sigma-block, the unramified
+    condition of dim h0 = w (the annihilation loop installs honest
+    L^alpha at new places)."""
+    return SelmerSystem(model, [np.eye(pl.dim_l, pl.h1, dtype=np.int64)
+                                for pl in model.places])

@@ -106,6 +106,12 @@ def test_exit_code_on_failure(tmp_path, capsys):
     ["examples", "sl2", "--p", "3"],
     ["decompose", "--types", "B2", "--p", "7"],
     ["examples", "ntorus", "--types", "A2", "--p", "3"],
+    # a p dividing |A6| = 360 or |PSL2(13)| = 1092
+    ["examples", "f4", "--p", "2"],
+    ["examples", "f4", "--p", "3"],
+    ["examples", "f4", "--p", "5"],
+    ["examples", "f4", "--p", "7"],
+    ["examples", "f4", "--p", "13"],
     ["oddness", "--types", "A2", "--p", "7"],
     # p at or below the Coxeter number of the principal sl2
     ["oddness", "--types", "G2", "--p", "5"],

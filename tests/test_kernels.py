@@ -344,10 +344,10 @@ def test_same_space_matches_reference(prm, k, extra, seed):
     for B2, want in [(same, True), (B1[:-1], False), (other, False),
                      (empty, False), (zero, False)]:
         for X, Y in [(B1, B2), (B2, B1)]:
-            assert ConditionSpace("X", K, X).same_space(Y) is want
+            assert ConditionSpace(K, X).same_space(Y) is want
             assert reference_same_space(K, X, Y) is want
     for X, Y in [(empty, empty), (empty, zero), (zero, empty)]:
-        assert ConditionSpace("X", K, X).same_space(Y) is True
+        assert ConditionSpace(K, X).same_space(Y) is True
         assert reference_same_space(K, X, Y) is True
 
 
@@ -385,18 +385,18 @@ def test_fixed_multiplier_restrict_matches_zassenhaus(p, r, adim, n, k, seed):
     C = rng.integers(0, p, size=(k, 2 * adim, r), dtype=np.int64)
     C[~C.any(axis=-1), 0] = 1
     B[:, central] = C
-    space = ConditionSpace("L", K, B)
+    space = ConditionSpace(K, B)
     got = fixed_multiplier_restrict(space, adim)
     sub = np.zeros((len(keep), tot, r), dtype=np.int64)
     sub[np.arange(len(keep)), keep, 0] = 1
-    want = ConditionSpace("L|mu", K, reference_intersect(K, space.basis, sub))
+    want = ConditionSpace(K, reference_intersect(K, space.basis, sub))
     assert got.dim == want.dim and np.array_equal(got.basis, want.basis)
     assert got.dim == 0 or not got.basis[:, central].any()
     # an empty space stays empty, and so does one of central directions
     # only
-    empty = ConditionSpace("L", K, np.zeros((0, tot, r), dtype=np.int64))
+    empty = ConditionSpace(K, np.zeros((0, tot, r), dtype=np.int64))
     assert fixed_multiplier_restrict(empty, adim).dim == 0
     only = np.zeros((2 * adim, tot, r), dtype=np.int64)
     only[np.arange(2 * adim), central] = K.random_unit(rng)
-    assert fixed_multiplier_restrict(ConditionSpace("C", K, only),
+    assert fixed_multiplier_restrict(ConditionSpace(K, only),
                                      adim).dim == 0

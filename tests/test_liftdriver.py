@@ -44,10 +44,29 @@ def test_sabotaged_condition_dimension_detected():
     e2e = EndToEndModel("A1", 5, seed=0)
     # corrupting a local condition's dimension breaks the setup solver
     # (the Poitou-Tate correction matrix stops being bijective)
-    bases = [e2e.local_bases[0][:-1]] + e2e.local_bases[1:]
+    bases = [e2e.places[0].L[:-1]] + [st.L for st in e2e.places[1:]]
     e2e.system = sm.SelmerSystem(e2e.global_model, bases)
     with pytest.raises(DriverError, match="not bijective"):
         e2e._setup_correction_solver()
+
+
+def test_places_carry_their_global_place_and_condition():
+    # each driver place is one record: the global model's places are the
+    # states' own, in order, each Selmer condition spans the state's L
+    # basis, and each place states dim L_v: dim g at a trivial prime and
+    # dim g + f dim n at p
+    e2e = EndToEndModel("A1", 5, seed=0)
+    p, d = e2e.p, e2e.datum
+    assert all(a is st.place for a, st in
+               zip(e2e.global_model.places, e2e.places, strict=True))
+    assert [st.place.kind for st in e2e.places] == \
+        ["trivial", "trivial", "ordinary-explicit"]
+    for st, Lv in zip(e2e.places, e2e.system.L, strict=True):
+        assert np.array_equal(Lv, modp.echelon_basis(st.L, p))
+    f = e2e.places[2].model.f
+    dims = [d.dim, d.dim, d.dim + f * len(d.positive_roots)]
+    assert [st.place.dim_l for st in e2e.places] == dims
+    assert [len(st.L) for st in e2e.places] == dims
 
 
 @pytest.mark.parametrize("place", [0, 1, 2])

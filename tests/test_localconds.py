@@ -294,7 +294,7 @@ def test_perp_of_full_h1_is_zero():
     model = tame("A1")
     K = model.residue
     n = model.datum.dim
-    space = lc.ConditionSpace("full", K, lc.full_h1_basis(K, n))
+    space = lc.ConditionSpace(K, lc.full_h1_basis(K, n))
     assert lc.perp_space(model, space).dim == 0
 
 
@@ -303,7 +303,7 @@ def test_perp_of_empty_space_is_everything():
         model = lc.TameLocalModel(*root_datum("A2"), 7, 2, 8, r=r)
         K = model.residue
         n = model.datum.dim
-        empty = lc.ConditionSpace("empty", K, np.zeros((0, 2 * n, r)))
+        empty = lc.ConditionSpace(K, np.zeros((0, 2 * n, r)))
         perp = lc.perp_space(model, empty)
         assert perp.dim == 2 * n
         assert perp.same_space(lc.full_h1_basis(K, n))
@@ -312,7 +312,7 @@ def test_perp_of_empty_space_is_everything():
 def test_rank_zero_condition_spaces_compare_equal():
     for r in (1, 2):
         K = lc.TameLocalModel(*root_datum("A1"), 7, 2, 8, r=r).residue
-        empty = lc.ConditionSpace("empty", K, [])
+        empty = lc.ConditionSpace(K, [])
         assert empty.basis.shape == (0, 0, r)
         for other in (np.zeros((2, 6, r)), np.zeros((0, 6, r)),
                       np.full((1, 6, r), 7), []):
@@ -320,7 +320,7 @@ def test_rank_zero_condition_spaces_compare_equal():
         line = np.zeros((1, 6, r), dtype=np.int64)
         line[0, 2, 0] = 1
         assert not empty.same_space(line)
-        assert not lc.ConditionSpace("line", K, line).same_space(
+        assert not lc.ConditionSpace(K, line).same_space(
             np.zeros((2, 6, r)))
 
 
@@ -341,7 +341,7 @@ def test_perp_of_unramified_is_unramified():
     rows = np.zeros((n, 2 * n, 1), dtype=np.int64)
     for i in range(n):
         rows[i, i] = K.one()
-    unr = lc.ConditionSpace("unr", K, rows)
+    unr = lc.ConditionSpace(K, rows)
     perp = lc.perp_space(model, unr)
     assert perp.dim == n
     for v in perp.basis:
@@ -1037,11 +1037,14 @@ def test_membership_refuses_a_tampered_unverified_lift():
 
 @pytest.mark.parametrize("variant", ["unr", "ram", "bogus"])
 @pytest.mark.parametrize("call", ["sample_member", "smoothness_probe",
-                                  "frobenius_member", "membership"])
+                                  "frobenius_member", "membership",
+                                  "tame_extra_cocycles", "stability_check"])
 def test_unknown_tame_variants_are_refused(call, variant):
     # a variant outside plain, unr2 and ram2 is refused before any
     # member is built or tested: "unr" once gave a ram2 member, and
-    # membership returned False for a plain member
+    # membership returned False for a plain member.  The condition
+    # variants are unr and ram, so there the lifting-set names unr2 and
+    # ram2 are refused, and so is ram without the lift it reads
     model = tame("A2", 5, 3)
     al = model.datum.positive_roots[0]
     rng = np.random.default_rng(0)
@@ -1058,7 +1061,16 @@ def test_unknown_tame_variants_are_refused(call, variant):
         # is refused before the relation is checked
         "membership": [lambda: lc.membership(member, al, variant),
                        lambda: lc.membership(broken, al, variant)],
+        "tame_extra_cocycles": [
+            lambda: lc.tame_extra_cocycles(model, al, variant + "2", member),
+            lambda: lc.tame_extra_cocycles(model, al, "ram")],
+        "stability_check": [
+            lambda: lc.stability_check(member, al, variant + "2", {})],
     }[call]
+    # stability_check's own refusal names the condition variants, where
+    # the membership test it runs next would name the lifting sets
+    match = {"stability_check": "not one of unr, ram"}.get(call,
+                                                           "tame variant")
     for fn in calls:
-        with pytest.raises(lc.LocalCondParameterError, match="tame variant"):
+        with pytest.raises(lc.LocalCondParameterError, match=match):
             fn()

@@ -41,10 +41,6 @@ CALLERS = [LIBRARY, os.path.join(ROOT, "demos"),
 KEPT = {
     ("cli", "main", "argv"):
         "the entry point; tests pass argv, the console script does not",
-    ("selmer", "build_synthetic_model", "h0_glob"):
-        "a term of the Greenberg-Wiles ledger formula",
-    ("selmer", "build_synthetic_model", "h0_glob_star"):
-        "a term of the Greenberg-Wiles ledger formula",
     ("selmer", "build_balanced_model", "n_ledger"):
         "the balance test with trivial primes only needs it",
     ("chartable", "brauer_restrict", "p"):

@@ -431,9 +431,8 @@ def test_derived_b_is_the_kernel_of_a_j(name, p):
     model, _ = _loop_model(name, p, seed=40)
     M = model.A @ model.J % p
     assert np.array_equal(model.B, modp.kernel_basis(M, p))
-    ledger = (model.arch_h0, model.h0_glob, model.h0_glob_star)
     assert np.array_equal(
-        sm.SyntheticGlobalModel(p, model.places, model.A, *ledger).B,
+        sm.SyntheticGlobalModel(p, model.places, model.A, model.arch_h0).B,
         model.B)
 
 
