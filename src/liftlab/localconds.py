@@ -50,12 +50,15 @@ SAMPLE_MEMBER_TRIES = 200       # sample_member's draws
 TAME_VARIANTS = ("plain", "unr2", "ram2")
 
 
-# at_precision's shared models, keyed on the model class and the
-# constructor's arguments (chi as a sorted tuple of its items)
+# shared models, kept for the life of the process: at_precision's, keyed
+# on the model class and the constructor's arguments (chi as a sorted
+# tuple of its items), and the witness search's Lie algebras, keyed on
+# (LieAlgebra, datum, basis, p, m)
 _MODELS = {}
 
 
-def _shared_model(key, build):
+def shared_model(key, build):
+    """The model stored under `key`, built by `build()` on first use."""
     model = _MODELS.get(key)
     if model is None:
         model = _MODELS[key] = build()
@@ -99,7 +102,7 @@ class LocalModel:
         """The shared model of this place at precision m2."""
         key = (type(self), self.datum, self.basis, self.p, m2) \
             + self._place + (self.ring.r,)
-        return _shared_model(key, lambda: key[0](*key[1:]))
+        return shared_model(key, lambda: key[0](*key[1:]))
 
 
 class TameLocalModel(LocalModel):

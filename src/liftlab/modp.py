@@ -99,11 +99,17 @@ def rank(A, p):
 
 
 def kernel_basis(A, p):
-    """Basis (rows) of the right kernel of A: one row per free column
-    of the RREF R, 1 at that column and -R's column on the pivots."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    R, piv = rref(A, p)
-    cols = A.shape[1]
+    """Basis (rows) of the right kernel of A (`rref_kernel` of its
+    RREF)."""
+    return rref_kernel(*rref(np.atleast_2d(np.asarray(A, dtype=np.int64)),
+                             p), p)
+
+
+def rref_kernel(R, piv, p):
+    """Basis (rows) of the right kernel of a matrix whose RREF is R with
+    pivot columns piv: one row per free column, 1 at that column and
+    -R's column on the pivots.  R may lack its zero rows."""
+    cols = R.shape[1]
     pivset = set(piv)
     free = [c for c in range(cols) if c not in pivset]
     out = np.zeros((len(free), cols), dtype=np.int64)

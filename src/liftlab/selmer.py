@@ -31,15 +31,17 @@ import json
 import numpy as np
 
 from . import modp
-from .chevgroup import LieAlgebra, exp_hat, identity, torus_elt, u_alpha
+from .chevgroup import (GroupElement, LieAlgebra, exp_hat, root_product,
+                        torus_elt)
 from .coeffring import CoeffRing, LiftlabError, ParameterError, int64_exact
-from .localconds import corollary_in_frame, dual_rows, frame_subspace
+from .localconds import (corollary_in_frame, dual_rows, frame_subspace,
+                         shared_model)
 from .rootdata import phi_alpha
 
 SPLITCASE_BUDGET = 200          # Cartan frames, and psi draws per frame
 TORUS_WITNESS_TRIES = 400       # torus draws per root and frame
 ANNIHILATION_MAX_STEPS = 64     # witness places
-DOUBLING_CAP = 100000           # sampler draws outside exhaustive mode
+PRESCRIBED_CLASS_TRIES = 64     # draws per prescribed Selmer class
 
 
 class SelmerError(LiftlabError):
@@ -206,7 +208,7 @@ def build_synthetic_model(p, places, prescribed_w=None, prescribed_wstar=None,
     total = J.shape[0]
     target = _ledger([pl.h1 for pl in places], places, arch_h0)
     if target < 0 or target > total:
-        raise SelmerError("infeasible ledger: dim A = %d" % target)
+        raise SelmerParameterError("infeasible ledger: dim A = %d" % target)
     A0 = np.array(prescribed_w if prescribed_w is not None else [],
                   dtype=np.int64).reshape(-1, total) % p
     B0 = np.array(prescribed_wstar if prescribed_wstar is not None else [],
@@ -292,21 +294,23 @@ class SelmerSystem:
 
 
 def _place_tables(Lv, pl, p):
-    """One place's (L_v echelon basis, L_v^perp, annihilator of L_v,
-    annihilator of L_v^perp) from condition rows Lv."""
+    """One place's (L_v, L_v^perp, annihilator of L_v, annihilator of
+    L_v^perp) from condition rows Lv.  L_v and L_v^perp are kept as
+    their RREFs, and each annihilator (rows spanning the right kernel,
+    all of F_p^h1 for a zero space: a local block lies in the space
+    exactly when these rows all kill it) is read off that RREF."""
     Lv = np.atleast_2d(np.asarray(Lv, dtype=np.int64)) % p \
         if np.asarray(Lv).size else np.zeros((0, pl.h1), dtype=np.int64)
-    Lv = modp.echelon_basis(Lv, p)
-    Pv = _annihilator(Lv @ pl.pairing_matrix(p) % p, pl.h1, p)
-    return Lv, Pv, _annihilator(Lv, pl.h1, p), _annihilator(Pv, pl.h1, p)
+    Lv, piv = _echelon(Lv, p)
+    Pv, ppiv = _echelon(modp.kernel_basis(Lv @ pl.pairing_matrix(p) % p, p),
+                        p)
+    return Lv, Pv, modp.rref_kernel(Lv, piv, p), modp.rref_kernel(Pv, ppiv, p)
 
 
-def _annihilator(cond, h1, p):
-    """Rows spanning the right kernel of a place's rows `cond` (all of
-    F_p^h1 when there are none): a local block lies in the row space of
-    `cond` exactly when these rows all kill it."""
-    return modp.kernel_basis(cond, p) if cond.shape[0] else \
-        np.eye(h1, dtype=np.int64)
+def _echelon(rows, p):
+    """The RREF of `rows` without its zero rows, and its pivot columns."""
+    R, piv = modp.rref(rows, p)
+    return R[:len(piv)], piv
 
 
 def local_quotients(model, image, annihilators):
@@ -409,15 +413,28 @@ def eta_build(module, decomposition, scalars):
 
 def random_group_element(alg, rng):
     """Seeded random constructor-built adjoint element over the residue
-    field (a product of four root elements and a torus element)."""
+    field (a product of four root elements and a torus element), with
+    its inverse in closed form: the root elements' inverses in reverse
+    order after the torus element of the inverted units."""
     R = alg.ring
-    g = identity(alg)
     roots = alg.datum.roots
+    factors = []
     for _ in range(4):
         r = roots[int(rng.integers(len(roots)))]
-        g = g @ u_alpha(alg, r, R.el(int(rng.integers(0, R.q))))
-    g = g @ torus_elt(alg, [R.random_unit(rng) for _ in range(alg.datum.rank)])
-    return g
+        factors.append((r, R.el(int(rng.integers(0, R.q)))))
+    u = root_product(alg, factors)
+    units = [R.random_unit(rng) for _ in range(alg.datum.rank)]
+    t = torus_elt(alg, units).mat
+    tinv = torus_elt(alg, [R.inv(x) for x in units]).mat
+    return GroupElement(alg, R.mat_mul(u.mat, t),
+                        inverse_mat=R.mat_mul(tinv, u.inverse_mat))
+
+
+def _lie_algebra(datum, basis, p, m):
+    """The Lie algebra over Z/p^m, one per (datum, basis, p, m) for the
+    life of the process."""
+    return shared_model((LieAlgebra, datum, basis, p, m),
+                        lambda: LieAlgebra(datum, basis, CoeffRing(p, m, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +490,18 @@ def splitcase_search(model, phi, psi, rng):
         raise SelmerError("model carries no module frame / eta data")
     p = model.p
     d = model.datum
-    alg1 = LieAlgebra(d, model.basis, CoeffRing(p, 1, 1))
+    alg1 = _lie_algebra(d, model.basis, p, 1)
     rank = d.rank
     sampler = ChebotarevSampler(p, d.dim, model.A.shape[0], model.B.shape[0],
                                 d.dim)
     c = sampler.draw(rng)["c"]
     # the Cartan frames: g is the identity at trial 0 and a
-    # random_group_element draw after that
+    # random_group_element draw after that, each with its inverse
     for trial in range(SPLITCASE_BUDGET):
-        g = identity(alg1) if trial == 0 else random_group_element(alg1, rng)
+        g = root_product(alg1, []) if trial == 0 else \
+            random_group_element(alg1, rng)
         gm = g.mat[..., 0] % p
-        gi = modp.inverse(gm, p)
-        if gi is None:
-            raise SelmerError("matrix not invertible mod p")
+        gi = g.inv().mat[..., 0]
         eta_g = gi @ model.eta @ gm % p
         # row k: the functional t |-> alpha_k(p_t(eta_g t)) on the Cartan
         # block, for the k-th root alpha_k
@@ -545,8 +561,8 @@ def _finish_splitcase(model, g, gm, alpha, t, c, rng):
         return None
     # bullet 1 re-verification: exp(p t_g) is diagonal in the g-frame with
     # beta-values 1 + p beta(t) != 1 mod p^2
-    R2 = CoeffRing(p, 2, 1)
-    alg2 = LieAlgebra(d, basis, R2)
+    alg2 = _lie_algebra(d, basis, p, 2)
+    R2 = alg2.ring
     tvec2 = np.zeros((d.dim, 1), dtype=np.int64)
     tvec2[:rank, 0] = t
     rho2_frame = exp_hat(alg2, (p * tvec2) % R2.q)
@@ -630,11 +646,9 @@ def extend_model_at_witness(model, system, witness, rng):
     Lq = l_alpha_in_frame(model.basis, gm, alpha, p, frame)
     system2 = system.with_place(model2, Lq)
     # cross-check: the installed dual condition equals the corollary
-    # description in the g-frame
-    perp = system2.L_perp[-1]
+    # description in the g-frame (L_perp is kept as its RREF)
     desc = corollary_in_frame(model.basis, gm, alpha, p, frame)
-    if not np.array_equal(modp.echelon_basis(perp, p),
-                          modp.echelon_basis(desc, p)):
+    if not np.array_equal(system2.L_perp[-1], modp.echelon_basis(desc, p)):
         raise ModelInconsistencyError("installed dual condition does not "
                                       "match the explicit description")
     return model2, system2
@@ -735,12 +749,12 @@ def doubling_solve(dmodel, z_t, rng, exhaustive):
     sum_n h^(v'_n)(sigma_{v_m}) = C_m, sum_n h^(v_n)(sigma_{v'_m}) = C'_m.
 
     The restriction h|_T is exact by construction (the families' T-
-    restrictions are draw-independent) and is re-verified; the
-    Frobenius-sum equations are met by conditioned resampling of the
-    second tuple: with exhaustive set, by enumerating its whole draw
-    space (the only complete mode, for toy models), otherwise by
-    sampling under the iteration cap with a frequency-table diagnostic
-    on failure."""
+    restrictions are draw-independent) and is re-verified.  The
+    Frobenius values are the second tuple's draw: with exhaustive set,
+    the first point of its whole draw space, enumerated in order, that
+    meets the sums (a complete search, for toy models); otherwise one
+    frobenius_draw, a uniform point of the solutions.  Either is checked
+    by frobenius_sums_hold, and "draws" counts the points looked at."""
     p, w = dmodel.p, dmodel.w
     z_t = np.asarray(z_t, dtype=np.int64) % p
     fams = dmodel.families
@@ -790,21 +804,6 @@ def doubling_solve(dmodel, z_t, rng, exhaustive):
                for k in ("C", "C_prime")}
     # draw the first tuple v (its identities carry no constraints yet)
     v_ids = ["v%d" % k for k in range(n_act)]
-    # conditioned resampling of v': each draw produces, independently and
-    # uniformly, h^(v_n)(sigma_{v'_m}) and h^(v'_n)(sigma_{v_m}) in W
-    freq = {}
-    draws = 0
-
-    def check(old_at_new, new_at_old):
-        for m in range(n_act):
-            s1 = new_at_old[:, m].sum(axis=0) % p
-            if ((s1 - targets["C"][m]) % p).any():
-                return False
-            s2 = old_at_new[:, m].sum(axis=0) % p
-            if ((s2 - targets["C_prime"][m]) % p).any():
-                return False
-        return True
-
     if exhaustive:
         total_cells = 2 * n_act * n_act * w
         for code in range(p ** total_cells):
@@ -814,25 +813,43 @@ def doubling_solve(dmodel, z_t, rng, exhaustive):
                 vals.append(cc % p)
                 cc //= p
             arr = np.array(vals, dtype=np.int64).reshape(2, n_act, n_act, w)
-            if check(arr[0], arr[1]):
+            if frobenius_sums_hold(arr, targets, p):
                 return _doubling_result(dmodel, z_t, h_T, active, targets,
-                                        arr, v_ids, draws=code + 1,
+                                        v_ids, draws=code + 1,
                                         exhaustive=True)
         raise SelmerError("exhaustive doubling search found no solution "
                           "(model spanning defect)")
-    while draws < DOUBLING_CAP:
-        draws += 1
-        arr = rng.integers(0, p, size=(2, n_act, n_act, w), dtype=np.int64)
-        key = (int(arr[1][:, 0].sum(axis=0)[0] % p))
-        freq[key] = freq.get(key, 0) + 1
-        if check(arr[0], arr[1]):
-            return _doubling_result(dmodel, z_t, h_T, active, targets, arr,
-                                    v_ids, draws=draws, exhaustive=False)
-    raise SelmerError("doubling cap DOUBLING_CAP = %d exhausted; empirical "
-                      "class frequencies: %r" % (DOUBLING_CAP, freq))
+    if not frobenius_sums_hold(frobenius_draw(targets, p, rng), targets, p):
+        raise SelmerError("conditioned draw misses its Frobenius sums (bug)")
+    return _doubling_result(dmodel, z_t, h_T, active, targets, v_ids,
+                            draws=1, exhaustive=False)
 
 
-def _doubling_result(dmodel, z_t, h_T, active, targets, arr, v_ids, draws,
+def frobenius_draw(targets, p, rng):
+    """A uniform point of the Frobenius values that meet the targets
+    C and C_prime, (n, w) arrays: a (2, n, n, w) array whose [0][k, m]
+    is h^(v_k)(sigma_{v'_m}) and [1][k, m] is h^(v'_k)(sigma_{v_m}).
+
+    The whole array is drawn uniformly, then the last pair's values are
+    set to each target minus the other pairs' sum.  Each sum has its own
+    last value, so the free values determine exactly one solution and
+    every solution arises from exactly one choice of them."""
+    n, w = targets["C"].shape
+    arr = rng.integers(0, p, size=(2, n, n, w), dtype=np.int64)
+    arr[0, -1] = (targets["C_prime"] - arr[0, :-1].sum(axis=0)) % p
+    arr[1, -1] = (targets["C"] - arr[1, :-1].sum(axis=0)) % p
+    return arr
+
+
+def frobenius_sums_hold(arr, targets, p):
+    """Whether Frobenius values as frobenius_draw returns them meet the
+    targets: sum_n h^(v'_n)(sigma_{v_m}) = C_m and
+    sum_n h^(v_n)(sigma_{v'_m}) = C'_m for every m."""
+    return not ((arr[1].sum(axis=0) - targets["C"]) % p).any() and \
+        not ((arr[0].sum(axis=0) - targets["C_prime"]) % p).any()
+
+
+def _doubling_result(dmodel, z_t, h_T, active, targets, v_ids, draws,
                      exhaustive):
     p = dmodel.p
     return {
@@ -867,7 +884,11 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
     selmer_rank prescribes that many independent global classes inside
     the balanced Selmer condition on each side (unramified at trivial
     places, in L at ledger places), so the annihilation loop has work
-    to do; such prescriptions are automatically isotropic."""
+    to do; such prescriptions are automatically isotropic.  The W-side
+    condition classes span sum_v dim_l dimensions, so a larger
+    selmer_rank is refused; a W-class that lies in the span of those
+    drawn before it is drawn again, up to PRESCRIBED_CLASS_TRIES
+    times."""
     rng = np.random.default_rng(seed + 77)
     w = datum.dim
     dim_n = len(datum.positive_roots)
@@ -877,6 +898,11 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
         places.append(LedgerPlace(3 * w, w, w, dim_l=w + dim_n))
         arch.append(dim_n)
     total = sum(pl.h1 for pl in places)
+    room = sum(pl.dim_l for pl in places)
+    if selmer_rank > room:
+        raise SelmerParameterError(
+            "Selmer rank %d exceeds the %d dimensions of the condition "
+            "classes" % (selmer_rank, room))
 
     def in_condition_class():
         v = np.zeros(total, dtype=np.int64)
@@ -899,7 +925,18 @@ def build_balanced_model(datum, basis, p, n_trivial=2, n_ledger=1,
             pos += pl.h1
         return v
 
-    pres_w = [in_condition_class() for _ in range(selmer_rank)]
+    span = modp.Echelon(total, p)
+    pres_w = []
+    for _ in range(selmer_rank):
+        for _ in range(PRESCRIBED_CLASS_TRIES):
+            v = in_condition_class()
+            if span.add(v):
+                break
+        else:
+            raise SelmerError(
+                "no independent prescribed class in PRESCRIBED_CLASS_TRIES "
+                "= %d draws" % PRESCRIBED_CLASS_TRIES)
+        pres_w.append(v)
     pres_ws = [in_perp_class() for _ in range(selmer_rank)]
     model = build_synthetic_model(p, places, prescribed_w=pres_w,
                                   prescribed_wstar=pres_ws,

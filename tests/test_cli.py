@@ -133,11 +133,22 @@ def test_exit_code_on_failure(tmp_path, capsys):
     ["spaces", "--f", "1000000000"],
     # a ring in the exact int64 range, with a Lie algebra over it past it
     ["check", "stability", "--types", "A2", "--p", "5", "--m", "13"],
+    # a Selmer rank past the dim B = 10 of A1's condition classes
+    ["selmer", "kill", "--types", "A1", "--p", "5", "--rank", "11"],
 ])
 def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
     assert code == EXIT_CONFIG and rep is None
     assert "config error:" in capsys.readouterr().err
+
+
+def test_selmer_rank_at_the_bound_redraws_a_dependent_class(tmp_path):
+    # seed 1 draws ten prescribed classes of A1 that are dependent; the
+    # dependent one is drawn again
+    code, rep = run(["selmer", "kill", "--types", "A1", "--p", "5",
+                     "--rank", "10", "--seed", "1"], str(tmp_path))
+    assert code == EXIT_OK and rep["failures"] == 0
+    assert rep["detail"]["trace"][0] == [10, 10]
 
 
 @pytest.mark.parametrize("p", [5, 7])

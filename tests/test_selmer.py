@@ -313,21 +313,97 @@ def test_doubling_exhaustive_toy():
     assert res["pairs"] == 1 and res["exhaustive"]
 
 
-def test_doubling_cokernel_family_and_cap(monkeypatch):
-    rng = np.random.default_rng(14)
-    dm = sm.DoublingModel(5, 1, [2], [[1, 0]], [
+def _two_pair_model():
+    # z_T = (2, 3) keeps the gens family and the cokernel family active
+    return sm.DoublingModel(5, 1, [2], [[1, 0]], [
         {"Y": np.array([0, 1], dtype=np.int64),
          "X": np.array([1], dtype=np.int64), "kind": "gens"},
         {"Y": np.array([0, 2], dtype=np.int64),
          "X": np.array([1], dtype=np.int64), "kind": "cokernel"}])
-    res = sm.doubling_solve(dm, np.array([2, 3], dtype=np.int64), rng,
+
+
+def test_doubling_cokernel_family():
+    rng = np.random.default_rng(14)
+    res = sm.doubling_solve(_two_pair_model(),
+                            np.array([2, 3], dtype=np.int64), rng,
                             exhaustive=False)
-    assert res["verified"]
-    monkeypatch.setattr(sm, "DOUBLING_CAP", 1)
-    with pytest.raises(sm.SelmerError) as exc:
-        sm.doubling_solve(dm, np.array([2, 3], dtype=np.int64), rng,
-                          exhaustive=False)
-    assert "frequencies" in str(exc.value)
+    assert res["verified"] and res["pairs"] == 2 and res["draws"] == 1
+
+
+def _toy_model(p):
+    return sm.DoublingModel(p, 1, [2], [[1, 0]], [
+        {"Y": np.array([0, 1], dtype=np.int64),
+         "X": np.array([1], dtype=np.int64), "kind": "gens"}])
+
+
+def test_sampled_solve_is_the_exhaustive_one_with_one_pair(monkeypatch):
+    # n = 1 leaves no free Frobenius value, so the one solution the
+    # exhaustive search finds is the one the conditioned draw sets
+    real = sm.frobenius_sums_hold
+    solutions = []
+
+    def recorded(arr, targets, p):
+        ok = real(arr, targets, p)
+        if ok:
+            solutions.append(arr.copy())
+        return ok
+
+    monkeypatch.setattr(sm, "frobenius_sums_hold", recorded)
+    for p in (5, 7):
+        for s in range(p):
+            z = np.array([s, 1], dtype=np.int64)
+            got = {}
+            for exhaustive in (True, False):
+                got[exhaustive] = sm.doubling_solve(
+                    _toy_model(p), z, np.random.default_rng(100 + s),
+                    exhaustive=exhaustive)
+            sampled, full = solutions[-1], solutions[-2]
+            assert np.array_equal(sampled, full)
+            assert got[False]["draws"] == 1 and got[False]["pairs"] == 1
+            for key in set(got[True]) - {"draws", "exhaustive"}:
+                assert str(got[False][key]) == str(got[True][key]), key
+
+
+def test_conditioned_draw_meets_the_sums_uniformly():
+    # every draw meets the two-pair model's targets, and a free value
+    # (pair 0's v-value at v'_1) is uniform over F_5
+    p = 5
+    res = sm.doubling_solve(_two_pair_model(),
+                            np.array([2, 3], dtype=np.int64),
+                            np.random.default_rng(14), exhaustive=False)
+    targets = {k: np.array(v, dtype=np.int64)
+               for k, v in res["frobenius_sums"].items()}
+    assert targets["C"].shape == (2, 1)
+    rng = np.random.default_rng(19)
+    counts = np.zeros(p, dtype=np.int64)
+    for _ in range(5000):
+        arr = sm.frobenius_draw(targets, p, rng)
+        assert arr.shape == (2, 2, 2, 1)
+        assert sm.frobenius_sums_hold(arr, targets, p)
+        assert np.array_equal(arr[1].sum(axis=0) % p, targets["C"])
+        assert np.array_equal(arr[0].sum(axis=0) % p, targets["C_prime"])
+        counts[arr[0, 0, 1, 0]] += 1
+    stat, dof = chi_square_uniform(counts)
+    assert dof == 4 and stat < CHI2_99[dof]
+
+
+def test_doubling_two_pairs_at_dimension_three():
+    # w = 3 with two active pairs: a uniform draw meets its 2 n w = 12
+    # sums with probability 5^-12, the conditioned draw at once
+    e = np.eye(3, dtype=np.int64)
+    dm = sm.DoublingModel(5, 3, [2], [[1, 0]], [
+        {"Y": np.array([0, 1], dtype=np.int64), "X": e[0], "kind": "gens"},
+        {"Y": np.array([0, 2], dtype=np.int64), "X": e[1],
+         "kind": "cokernel"},
+        {"Y": np.array([0, 3], dtype=np.int64), "X": e[2],
+         "kind": "cokernel"}])
+    for seed in range(4):
+        res = sm.doubling_solve(dm, np.array([2, 3], dtype=np.int64),
+                                np.random.default_rng(seed),
+                                exhaustive=False)
+        assert res["verified"] and res["pairs"] == 2
+        assert res["draws"] == 1 and not res["exhaustive"]
+        assert np.array(res["frobenius_sums"]["C"]).shape == (2, 3)
 
 
 def test_doubling_h_t_always_exact():
@@ -357,7 +433,8 @@ def test_doubling_infeasible_model_detected():
 
 # 0.99 quantiles of the chi-square distribution by degrees of freedom
 # (chi2.ppf(0.99, dof), computed once and pinned to full precision)
-CHI2_99 = {3: 11.344866730144373, 5: 15.08627246938899}
+CHI2_99 = {3: 11.344866730144373, 4: 13.276704135987622,
+           5: 15.08627246938899}
 
 
 def sampler_uniformity_histogram(sampler, rng, n):
