@@ -306,11 +306,21 @@ def exp_hat(alg, x):
     return GroupElement(alg, M)
 
 
-def one_plus(alg, scale, x):
-    """1 + scale * ad(x) as an operator (no exp series)."""
+def perturb(v, scale, x):
+    """(1 + scale ad(x)) v, formed as the sum v + scale ad(x).
+
+    The two are equal when v = 1 mod p and scale p = 0 mod q: writing v
+    = 1 + p w, the product is v + scale ad(x) + scale p ad(x) w, and its
+    last term vanishes.  Any other v or scale raises ChevGroupError,
+    since there the sum is not the product."""
+    alg = v.alg
     R = alg.ring
-    M = R.add(R.mat_id(alg.dim), R.scalar_mul(scale, alg.ad(x)))
-    return GroupElement(alg, M)
+    if int(scale) * R.p % R.q:
+        raise ChevGroupError("perturb needs scale * p = 0 mod q, not "
+                             "scale = %d mod %d" % (scale, R.q))
+    if ((v.mat - R.mat_id(alg.dim)) % R.p).any():
+        raise ChevGroupError("perturb needs v = 1 mod p")
+    return GroupElement(alg, v.mat + R.scalar_mul(scale, alg.ad(x)))
 
 
 def matrix_identity_check(p, m, n, samples, rng):

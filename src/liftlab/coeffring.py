@@ -280,17 +280,25 @@ class CoeffRing:
         return self.mat_mul(A, v[..., None, :])[..., 0, :]
 
     def mat_pow(self, A, e):
+        """A^e as a new array reduced mod q, by square-and-multiply that
+        starts from the power of the lowest set bit of e and squares up
+        to the top bit only: floor(log2 e) + popcount(e) - 1 products
+        for e >= 1, and the identity for e = 0."""
         e = int(e)
         if e < 0:
             raise CoeffRingError("negative matrix power %d" % e)
-        result = self.mat_id(A.shape[0])
-        base = A
-        while e:
+        if e == 0:
+            return self.mat_id(A.shape[0])
+        base = A % self.q
+        result = None
+        while True:
             if e & 1:
-                result = self.mat_mul(result, base)
-            base = self.mat_mul(base, base)
+                result = base if result is None \
+                    else self.mat_mul(result, base)
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = self.mat_mul(base, base)
 
     def regular(self, A):
         """The F_p matrix of v -> vA on row vectors over F_{p^r}.

@@ -42,7 +42,7 @@ from . import modp
 from .coeffring import (CoeffRing, LiftlabError, ParameterError,
                         sqrt_one_mod_p)
 from .chevgroup import (SCAN_MAX_CELLS, LieAlgebra,
-                        frobenius_b_search, identity, one_plus, torus_elt,
+                        frobenius_b_search, identity, perturb, torus_elt,
                         torus_from_coroot_data, u_alpha)
 from .rootdata import phi_alpha
 
@@ -517,11 +517,12 @@ def stability_holds(values, cocycle, g):
     """exp(p^{m-1} c) rho = g rho g^-1 for the generator values v_i of a
     lift and the concatenated cocycle values c_i, checked as (1 +
     p^{m-1} ad c_i) v_i g = g v_i: for m >= 3 that factor is the
-    exponential, and g = 1 mod p is invertible."""
+    exponential, and g = 1 mod p is invertible.  Each v_i is 1 mod p,
+    so the left factor is the sum perturb(v_i, p^{m-1}, c_i)."""
     alg = g.alg
     scale = alg.ring.p ** (alg.ring.m - 1)
     cs = np.reshape(cocycle, (len(values), alg.dim, alg.ring.r))
-    return all((one_plus(alg, scale, c) @ v @ g).eq(g @ v)
+    return all((perturb(v, scale, c) @ g).eq(g @ v)
                for v, c in zip(values, cs))
 
 

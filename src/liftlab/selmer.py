@@ -680,17 +680,22 @@ def annihilation_loop(model, system, rng):
 
     Per step the balance is re-verified and the dual dimension must
     strictly decrease (the witness guarantees the (-1, -1) step); a
-    non-decreasing step is a hard error.  Returns the trace of
-    (h1_L, h1_L_perp) from the start to (0, 0)."""
+    non-decreasing step is a hard error.  So the loop takes at most as
+    many steps as the starting dual dimension, and a start above
+    ANNIHILATION_MAX_STEPS is refused (SelmerParameterError) before any
+    witness search.  Returns the trace of (h1_L, h1_L_perp) from the
+    start to (0, 0)."""
     sel, dual, rep, sel_coeff, dual_coeff = _selmer_with_coeffs(model, system)
     trace = [(rep["h1_L"], rep["h1_L_perp"])]
+    if rep["h1_L_perp"] > ANNIHILATION_MAX_STEPS:
+        raise SelmerParameterError(
+            "annihilation loop exceeded max steps (ANNIHILATION_MAX_STEPS "
+            "= %d) before it ran: the dual Selmer dimension %d needs one "
+            "witness place per class" % (ANNIHILATION_MAX_STEPS,
+                                         rep["h1_L_perp"]))
     steps = 0
     while trace[-1][1] > 0:
         steps += 1
-        if steps > ANNIHILATION_MAX_STEPS:
-            raise SelmerError("annihilation loop exceeded max steps "
-                              "(ANNIHILATION_MAX_STEPS = %d)"
-                              % ANNIHILATION_MAX_STEPS)
         if trace[-1][0] == 0:
             raise ModelInconsistencyError(
                 "dual Selmer nonzero with zero Selmer in balanced model")

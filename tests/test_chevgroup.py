@@ -12,7 +12,7 @@ from liftlab.chevgroup import (ChevGroupError, GroupElement, LieAlgebra,
                                ad_eigenvalues_on_roots, exp_hat,
                                identity, image_growth_check,
                                levi_certificate_check, matrix_identity_check,
-                               principal_sl2, root_product,
+                               perturb, principal_sl2, root_product,
                                root_value_of_torus, torus_elt,
                                frobenius_b_search, torus_from_coroot_data,
                                torus_root_values, u_alpha)
@@ -638,3 +638,44 @@ def test_ad_and_u_alpha_match_the_einsum_reference(name, r):
                     + np.einsum("kij,kl->ijl", D, np.array(xk))) % R.q
             got = u_alpha(alg, al, x).mat
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# -- (1 + s ad x) v as a sum
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_perturb_is_the_product_with_one_plus_scale_ad(name, r):
+    # for v = 1 mod p and s p = 0 mod q, v + s ad(x) is (1 + s ad x) v,
+    # the reference product, up to the largest int64-exact q
+    d, b = root_datum(name)
+    p = 5
+    alg = LieAlgebra(d, b, CoeffRing(p, top_precision(p, r, d.dim), r))
+    R = alg.ring
+    rng = np.random.default_rng(23)
+    top = np.full((d.dim, r), R.q - 1, dtype=np.int64)
+    edge = GroupElement(alg, R.mat_id(d.dim) + R.q - p)
+    for v in (edge, identity(alg), GroupElement(alg, R.mat_id(d.dim) + p *
+              rng.integers(0, R.q, size=(d.dim, d.dim, r)))):
+        for s in (R.q // p, R.q - R.q // p, 0, R.q,
+                  R.q // p * int(rng.integers(1, p))):
+            for x in (alg.random_vec(rng), top, alg.root_vector(d.roots[0])):
+                one_plus = R.add(R.mat_id(d.dim),
+                                 R.scalar_mul(s, alg.ad(x)))
+                want = GroupElement(alg, one_plus) @ v
+                got = perturb(v, s, x)
+                assert got.mat.dtype == np.int64
+                assert np.array_equal(got.mat, want.mat)
+
+
+def test_perturb_refuses_where_the_sum_is_not_the_product():
+    d, b, alg = alg_for("B2", 7, 3)
+    R = alg.ring
+    x = alg.random_vec(np.random.default_rng(4))
+    one = identity(alg)
+    # s p != 0 mod q: the product keeps s p ad(x) w
+    with pytest.raises(ChevGroupError, match="scale"):
+        perturb(one, 7, x)
+    # v != 1 mod p
+    with pytest.raises(ChevGroupError, match="1 mod p"):
+        perturb(u_alpha(alg, d.roots[0], R.el(1)), 49, x)

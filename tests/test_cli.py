@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from liftlab import cli
+from liftlab import selmer as sm
 from liftlab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                          EXIT_UNKNOWN, main)
 from liftlab.coeffring import CoeffRingError
@@ -140,6 +141,22 @@ def test_parameter_refusals_are_config_errors(tmp_path, capsys, args):
     code, rep = run(args, str(tmp_path))
     assert code == EXIT_CONFIG and rep is None
     assert "config error:" in capsys.readouterr().err
+
+
+def test_a_dual_rank_past_the_step_budget_exits_3_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # each witness place lowers the dual Selmer dimension by exactly
+    # one, so a start above ANNIHILATION_MAX_STEPS is refused as a
+    # configuration before the loop searches for any witness
+    searches = []
+    monkeypatch.setattr(sm, "ANNIHILATION_MAX_STEPS", 1)
+    monkeypatch.setattr(sm, "splitcase_search",
+                        lambda *args: searches.append(args))
+    code, rep = run(["selmer", "kill", "--types", "A1", "--p", "5",
+                     "--rank", "2"], str(tmp_path))
+    assert code == EXIT_CONFIG and rep is None and searches == []
+    err = capsys.readouterr().err
+    assert "config error:" in err and "ANNIHILATION_MAX_STEPS = 1" in err
 
 
 def test_selmer_rank_at_the_bound_redraws_a_dependent_class(tmp_path):

@@ -169,6 +169,29 @@ def test_mat_pow_refuses_a_negative_exponent():
         R.mat_pow(A, -1)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_mat_pow_squares_only_up_to_the_top_bit(monkeypatch, r):
+    # each power equals repeated multiplication, reduced mod q in a new
+    # array, and takes floor(log2 e) squarings and popcount(e) - 1
+    # multiplications: no product by the identity, no square past the
+    # top bit
+    R = CoeffRing(7, 3, r)
+    A = np.random.default_rng(9).integers(0, R.q, size=(3, 3, r),
+                                          dtype=np.int64)
+    raw = A + R.q                   # an unreduced copy of A
+    right, calls = CoeffRing.mat_mul, []
+    monkeypatch.setattr(CoeffRing, "mat_mul", lambda self, X, Y: (
+        calls.append(1) or right(self, X, Y)))
+    want = R.mat_id(3)
+    for e in range(65):
+        del calls[:]
+        got = R.mat_pow(raw, e)
+        assert np.array_equal(got, want) and got is not raw
+        assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1
+                              if e else 0)
+        want = right(R, want, A)
+
+
 @pytest.mark.parametrize("r", [1, 3])
 def test_mat_id_is_a_fresh_writable_identity(r):
     R = CoeffRing(7, 3, r)

@@ -110,8 +110,9 @@ def test_a_step_makes_no_elimination(monkeypatch):
 def test_a_step_checks_each_tame_relation_once(monkeypatch):
     # at each trivial prime a step verifies four lifts, each once: the
     # lifted normal form, the perturbed and the corrected reference,
-    # and the normal form with the tangent folded in; its two
-    # membership tests read the verified lifts and check no relation
+    # and the normal form with the tangent folded in; its one membership
+    # test, of the new normal form, reads a verified lift and checks no
+    # relation (the corrected lift's verdict is its conjugate's)
     e2e = EndToEndModel("A1", 5, seed=0)
     checked, tested = [], []
     holds, member = lc.LocalLift.relation_holds, lc.membership
@@ -123,7 +124,42 @@ def test_a_step_checks_each_tame_relation_once(monkeypatch):
         del checked[:], tested[:]
         assert e2e.step(np.random.default_rng(level))["level"] == level
         assert len(checked) == 8 and len(set(map(id, checked))) == 8
-        assert len(tested) == 4 and all(t.verified for t in tested)
+        assert len(tested) == 2 and all(t.verified for t in tested)
+
+
+def _conjugated_membership(st, lift, conjugator):
+    """The membership test a step ran on the corrected lift before its
+    verdict was read off the conjugate: the lift conjugated by the
+    given element, then tested in the place's frame."""
+    if isinstance(st, OrdinaryPlaceState):
+        return lc.membership_ordinary(lift, conjugator=conjugator)
+    return lc.membership(lift, st.alpha, st.variant, conjugator=conjugator)
+
+
+def test_the_corrected_lift_is_the_conjugated_normal_form(monkeypatch):
+    # at every place and levels 3-5: G^-1 corrected G is the new normal
+    # form byte for byte, and the conjugated membership test the step
+    # no longer runs passes
+    e2e = EndToEndModel("A1", 5, seed=0)
+    right, seen = EndToEndModel._correct, []
+
+    def oracle(self, k, ref, ell, scale):
+        rep = right(self, k, ref, ell, scale)
+        st = self.places[k]
+        corrected = ld._perturb(st.model, ref, scale, ell)
+        G = st.conjugator()
+        Ginv = G.inv()
+        for v, c in zip(st.values, corrected, strict=True):
+            assert np.array_equal((Ginv @ c @ G).mat, v.mat)
+        assert _conjugated_membership(st, st.check_relation(corrected), Ginv)
+        seen.append((st.m, k))
+        return rep
+
+    monkeypatch.setattr(EndToEndModel, "_correct", oracle)
+    rng = np.random.default_rng(5)
+    for level in (3, 4, 5):
+        assert e2e.step(rng)["level"] == level
+    assert seen == [(m, k) for m in (3, 4, 5) for k in range(3)]
 
 
 # SHA-256 of the sorted-key JSON of lifting_driver's A1 reports at

@@ -47,6 +47,11 @@ KEPT = {
         "the refusal of a p dividing |G| is tested through it",
     ("modp", "_factor_squarefree", "rng"):
         "a test compares it with a reference under many random streams",
+    ("localconds", "membership", "conjugator"):
+        "the tests' oracle for the lifting driver, which reads a corrected "
+        "lift's verdict off the normal form it is proved conjugate to",
+    ("localconds", "membership_ordinary", "conjugator"):
+        "the same oracle at the ordinary place",
 }
 
 # (module, qualified name): why a public definition that no caller
