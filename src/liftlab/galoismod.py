@@ -6,13 +6,16 @@ extension residue fields only appear as computed endomorphism fields.
 
 Irreducibility is certified by Norton's criterion in the form of Holt
 and Rees ("Testing modules for irreducibility", 1994), never by
-heuristics: for an irreducible factor f of the minimal polynomial of an
-algebra element z whose kernel ker f(z) has dimension deg f (a single
-F_p[z]-line), the module is irreducible iff one nonzero vector of
-ker f(z) spins to the whole space and one nonzero vector of ker f(z)^T
-spins to the whole space under the transposed action.  Each failure
-exhibits an explicit submodule; a z whose kernel is larger certifies
-nothing, and another z is drawn, at most NORTON_TRIES of them.
+heuristics: for an irreducible factor f of the characteristic
+polynomial of an algebra element z whose kernel ker f(z) has dimension
+deg f (a single F_p[z]-line), the module is irreducible iff one nonzero
+vector of ker f(z) spins to the whole space and one nonzero vector of
+ker f(z)^T spins to the whole space under the transposed action.  f is
+taken from the Krylov polynomial of z at one random nonzero vector (the
+minimal polynomial of z at it, which divides the characteristic
+polynomial), a root x - lam when F_p has one.  Each failure exhibits an
+explicit submodule; a z whose kernel is larger certifies nothing, and
+another z is drawn, at most NORTON_TRIES of them.
 
 Homomorphism spaces are solved by spinning, not by the Kronecker
 system: a map out of a module is fixed by the images of the few seeds
@@ -70,17 +73,20 @@ class MatrixModule:
 def spin(module, vectors):
     """Smallest submodule (echelon row basis) containing the vectors.
 
-    Built on one `modp.Echelon`: each round reduces only the images of
-    the rows kept in the round before, and the result is the span's
-    RREF, which is unique, so it does not depend on the order in which
-    images were added."""
+    Built on one `modp.Echelon`: each round takes the images of the rows
+    kept in the round before, reduces them against the span in one
+    product and offers only those outside it to `Echelon.add` (a row in
+    the span at the start of the round stays in it).  The result is the
+    span's RREF, which is unique, so it does not depend on the order in
+    which images were added."""
     p = module.p
     V = np.atleast_2d(np.asarray(vectors)) % p
     span = modp.Echelon(V.shape[1], p)
     new = [v for v in V if span.add(v)]
     while new:
         F = np.array(new)
-        new = [w for g in module.gens for w in F @ g.T % p if span.add(w)]
+        imgs = np.concatenate([F @ g.T % p for g in module.gens])
+        new = [w for w in imgs[span.reduce(imgs).any(axis=1)] if span.add(w)]
     return span.basis()
 
 
@@ -100,10 +106,13 @@ def find_proper_submodule(module, rng):
     """Either a proper nonzero submodule basis, or None with a Norton
     certificate of irreducibility.
 
-    Each draw takes a random algebra element z and the first irreducible
-    factor f of its minimal polynomial, so f(z) is singular.  One vector
-    of ker f(z) is spun, then vectors of ker f(z)^T under the transposed
-    action.  When nullity f(z) = deg f (Holt-Rees), ker f(z)^T is one
+    Each draw takes a random algebra element z, a random nonzero vector
+    v (drawn again while zero) and an irreducible factor f of the Krylov
+    polynomial of z at v (`modp.irreducible_factor`: x - lam for its
+    smallest root lam when F_p is scanned and has one).  f divides the
+    minimal polynomial of z, so f(z) is singular.  One vector of ker f(z)
+    is spun, then vectors of ker f(z)^T under the transposed action.
+    When nullity f(z) = deg f (Holt-Rees), ker f(z)^T is one
     F_p[z]-line and every nonzero vector of it spins to the same
     submodule, so one vector is spun; if both spins fill the space, the
     module is irreducible.  A larger kernel certifies nothing: each
@@ -117,8 +126,10 @@ def find_proper_submodule(module, rng):
     trans = module.transpose_module()
     for _ in range(NORTON_TRIES):
         z = _random_algebra_element(module, rng)
-        mp = modp.min_poly(z, p, rng)
-        f = next(modp.squarefree_factors(mp, p))
+        v = rng.integers(0, p, size=n, dtype=np.int64)
+        while not v.any():
+            v = rng.integers(0, p, size=n, dtype=np.int64)
+        f = modp.irreducible_factor(modp.krylov_poly(z, v, p), p)
         zf = modp.poly_eval_matrix(f, z, p)
         K = modp.kernel_basis(zf, p)
         U = spin(module, K[0])

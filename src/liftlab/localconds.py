@@ -143,13 +143,16 @@ class LocalLift:
     is checked (InvalidLiftError when it fails), `verified` records
     that, and the matrices of sigma and tau are made read-only.  Such a
     lift also records, in `verdicts`, the membership verdict of each
-    (alpha, variant) that membership has tested without a conjugator.
-    Neither record can go stale: a verdict is a function of the model
-    and of the two matrices, the matrices cannot be written, and no
-    library code rebinds `sigma`, `tau` or a `.mat` on a built lift.
-    A lift built with check=False, as conjugate() and reduce() build
-    theirs, is not verified and records nothing, and membership checks
-    its relation on every call.
+    (alpha, variant) that membership has tested without a conjugator,
+    and in `tau_coordinates` the u_alpha coordinate of rho(tau) (x with
+    rho(tau) = u_alpha(x), or None) for each alpha it was extracted
+    and checked for (extract_u_alpha_coordinate).  No record can go
+    stale: each is a function of the model and of the two matrices,
+    the matrices cannot be written, and no library code rebinds
+    `sigma`, `tau` or a `.mat` on a built lift.  A lift built with
+    check=False, as conjugate() and reduce() build theirs, is not
+    verified and records nothing, and membership checks its relation on
+    every call.
     """
 
     def __init__(self, model, rho_sigma, rho_tau, check=True):
@@ -162,6 +165,7 @@ class LocalLift:
         self.tau = rho_tau
         self.verified = False
         self.verdicts = {}
+        self.tau_coordinates = {}
         if check:
             if not self.relation_holds():
                 raise InvalidLiftError("tame relation violated")
@@ -257,6 +261,21 @@ def extract_u_alpha_coordinate(model, g, alpha):
     return None
 
 
+def _tau_coordinate(lift, alpha):
+    """extract_u_alpha_coordinate of the lift's rho(tau), extracted and
+    checked once per alpha on a verified lift and read from
+    `lift.tau_coordinates` after that; an unverified lift extracts on
+    every call."""
+    if not lift.verified:
+        return extract_u_alpha_coordinate(lift.model, lift.tau, alpha)
+    if alpha not in lift.tau_coordinates:
+        x = extract_u_alpha_coordinate(lift.model, lift.tau, alpha)
+        if x is not None:
+            x.flags.writeable = False
+        lift.tau_coordinates[alpha] = x
+    return lift.tau_coordinates[alpha]
+
+
 def is_torus_matrix(model, M):
     """Diagonal in the frame with identity Cartan block, mod p^2."""
     D = M % model.p ** 2
@@ -309,7 +328,7 @@ def _membership(lift, alpha, variant, conjugator):
     Xa = alg.root_vector(alpha)
     if not np.array_equal(lift.sigma.apply(Xa), R.scalar_mul(model.q, Xa)):
         return False
-    x = extract_u_alpha_coordinate(model, lift.tau, alpha)
+    x = _tau_coordinate(lift, alpha)
     if x is None:
         return False
     if variant == "plain":
@@ -380,7 +399,7 @@ def tame_extra_cocycles(model, alpha, variant, lift=None, betas=None):
     sig2 = lift.sigma.mat % model.p ** 2
     units = [_beta_unit_quotient(model, sig2, beta) for beta in betas]
     if variant == "ram":
-        x = extract_u_alpha_coordinate(lift.model, lift.tau, alpha)
+        x = _tau_coordinate(lift, alpha)
         y = (np.asarray(x, dtype=np.int64) // model.p) % model.p
         Xa = alg1.root_vector(alpha)
         for row, u in zip(rows, units):

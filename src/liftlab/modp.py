@@ -19,14 +19,28 @@ each solve is then two products, under the same bound in its row count.
 A product of reduced matrices (`matmul`) goes through float64, so BLAS,
 while its inner dimension n has n (p-1)^2 < 2^53, and through int64
 otherwise.
-Polynomials are int lists, low degree first.  Factorization is
-distinct-degree followed by Cantor-Zassenhaus equal-degree splitting
-(p odd), which is all the MeatAxe needs.
+Polynomials are int lists, low degree first.  The MeatAxe needs one
+irreducible factor of the minimal polynomial of a matrix at one vector
+(`krylov_poly`, one elimination).  `irreducible_factor` first scans
+F_p for a root, in one numpy Horner pass, where that costs less than a
+factorization (small p for the degree); with no root, or past that
+crossover, it factors: distinct-degree followed by Cantor-Zassenhaus
+equal-degree splitting (p odd).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# A scan of F_p for a root of a degree-d polynomial grows as p d, and
+# the first factor of `squarefree_factors` about as d^2 log p; the two
+# met near p^2 = ROOT_SCAN_CROSSOVER d for d from 5 to 41 (minimum times
+# on one core of a 2-core x86 VM of the numpy Horner pass and of the
+# factorization of a random polynomial with a root: at d = 21, 0.13
+# against 1.1 ms at p = 1009, 0.9 against 1.6 ms at p = 10007 and 10
+# against 2.1 ms at p = 100003).
+ROOT_SCAN_CROSSOVER = 25_000_000
 
 
 def _inv(a, p):
@@ -333,42 +347,50 @@ def poly_eval_matrix(f, M, p):
     return out
 
 
-def min_poly(M, p, rng):
-    """Minimal polynomial of M via linear dependence of powers on a few
-    random vectors (lcm of the local minimal polynomials).
+def krylov_poly(M, v, p):
+    """The minimal polynomial of M at the vector v: the monic f of least
+    degree with f(M) v = 0.  It divides the minimal polynomial of M, so
+    each of its irreducible factors divides the characteristic
+    polynomial; a zero v gives the constant 1.
 
-    One elimination per vector v: in the RREF R of the matrix with
-    columns v, M v, ..., M^n v the pivots are the first k columns, k the
-    dimension of the Krylov space, and M^k v = sum_{i<k} R[i, k] M^i v,
-    so v's minimal polynomial is x^k - sum_{i<k} R[i, k] x^i.
-    For n >= 1, vectors are drawn past the fourth while every one so
-    far was zero (mp still 1): no n x n matrix with n >= 1 has a
-    constant minimal polynomial."""
-    n = M.shape[0]
-    mp = [1]
-    draws = 0
-    while draws < 4 or (n and mp == [1]):
-        draws += 1
-        v = rng.integers(0, p, size=n, dtype=np.int64)
-        vecs = [v]
-        for _ in range(n):
-            vecs.append(vecs[-1] @ M.T % p)  # row vector times M^T = M v
-        R, piv = rref(np.array(vecs).T, p)
-        k = len(piv)
-        f = [int(-c % p) for c in R[:k, k]] + [1]
-        mp = poly_lcm(mp, f, p)
-        if len(mp) == n + 1:
-            break
-    return mp
+    One elimination: in the RREF R of the matrix with columns v, M v,
+    ..., M^n v the pivots are the first k columns, k the dimension of
+    the Krylov space, and M^k v = sum_{i<k} R[i, k] M^i v, so the
+    polynomial is x^k - sum_{i<k} R[i, k] x^i."""
+    vecs = [np.asarray(v, dtype=np.int64) % p]
+    for _ in range(M.shape[0]):
+        vecs.append(vecs[-1] @ M.T % p)  # row vector times M^T = M v
+    R, piv = rref(np.array(vecs).T, p)
+    k = len(piv)
+    return [int(-c % p) for c in R[:k, k]] + [1]
 
 
-def poly_lcm(f, g, p):
-    if f == [1]:
-        return poly_trim(list(g))
-    if g == [1]:
-        return poly_trim(list(f))
-    gcd = poly_gcd(f, g, p)
-    return poly_monic(poly_divmod(poly_mul(f, g, p), gcd, p)[0], p)
+def _smallest_root(f, p):
+    """The smallest root of f in F_p, or None: f evaluated at every
+    point of F_p in one numpy Horner pass, whose products stay below
+    p^2."""
+    x = np.arange(p, dtype=np.int64)
+    val = np.full(p, f[-1], dtype=np.int64)
+    for c in reversed(f[:-1]):
+        val = (val * x + c) % p
+    roots = np.flatnonzero(val == 0)
+    return int(roots[0]) if roots.size else None
+
+
+def irreducible_factor(f, p):
+    """One monic irreducible factor of a nonconstant f: x - lam for the
+    smallest root lam of f in F_p when F_p is scanned (p^2 at most
+    ROOT_SCAN_CROSSOVER deg f, where the scan costs less than a
+    factorization) and has one, and otherwise the first factor of
+    `squarefree_factors`."""
+    f = poly_monic(poly_trim(list(f)), p)
+    if len(f) == 1:
+        raise ValueError("a constant has no irreducible factor")
+    if p * p <= ROOT_SCAN_CROSSOVER * (len(f) - 1):
+        lam = _smallest_root(f, p)
+        if lam is not None:
+            return [-lam % p, 1]
+    return next(squarefree_factors(f, p))
 
 
 def squarefree_factors(f, p):

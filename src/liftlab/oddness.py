@@ -102,7 +102,9 @@ def sym_adjoint_decomposition(cartan_type, p, rng=None):
     Computational: the MeatAxe decomposition of g as a module over the
     group generated by exp(ad e) and exp(ad f).  The two multisets of
     dimensions must agree exactly; requires p > 2 max(m_i) + 1 so the
-    symmetric powers stay irreducible."""
+    symmetric powers stay irreducible.  The isotypic classes are
+    reported as sorted (dim, multiplicity) pairs, so the report does not
+    depend on the order in which the MeatAxe's draws found them."""
     datum, basis = root_datum(cartan_type)
     exps = datum.exponents()
     if p <= 2 * max(exps) + 1:
@@ -124,7 +126,8 @@ def sym_adjoint_decomposition(cartan_type, p, rng=None):
         "exponents": exps,
         "sym_weights": symbolic,
         "multiplicity_free": dec.multiplicity_free,
-        "isotypic": [(c["dim"], c["multiplicity"]) for c in dec.isotypic],
+        "isotypic": sorted((c["dim"], c["multiplicity"])
+                           for c in dec.isotypic),
     }
 
 

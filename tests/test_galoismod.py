@@ -416,17 +416,44 @@ def test_a_larger_kernel_certifies_nothing(monkeypatch):
             galoismod.find_proper_submodule(M, np.random.default_rng(seed))
 
 
-def test_one_dim_module_with_zero_draws():
-    # four zero vectors left min_poly at 1, and the factorization of 1
-    # recursed without end
+def test_one_dim_module_with_zero_draws(monkeypatch):
+    # a zero vector is drawn again, never taken to the constant Krylov
+    # polynomial 1, which has no irreducible factor (its factorization
+    # once recursed without end)
     p = 7
-    assert modp.min_poly(np.array([[3]]), p, np.random.default_rng(8074)) \
-        == [4, 1]
+    assert modp.krylov_poly(np.array([[3]]), [0], p) == [1]
+    assert modp.krylov_poly(np.array([[3]]), [2], p) == [4, 1]
+    with pytest.raises(ValueError, match="constant"):
+        modp.irreducible_factor([5], p)
     assert list(modp.squarefree_factors([1], p)) == []
     assert list(modp.squarefree_factors([5], p)) == []
+
+    class Recorded:
+        """The stream of a Generator, with its vector draws kept."""
+
+        def __init__(self, rng):
+            self.rng, self.vectors = rng, []
+
+        def integers(self, *args, **kwargs):
+            out = self.rng.integers(*args, **kwargs)
+            if "size" in kwargs:
+                self.vectors.append(out.copy())
+            return out
+
+    krylov, krylov_poly = [], modp.krylov_poly
+
+    def recorded_krylov_poly(M, v, p):
+        krylov.append(v.copy())
+        return krylov_poly(M, v, p)
+
+    monkeypatch.setattr(modp, "krylov_poly", recorded_krylov_poly)
     M = MatrixModule(p, [[[3]]])
-    assert galoismod.find_proper_submodule(
-        M, np.random.default_rng(3346)) is None
+    rng = Recorded(np.random.default_rng(47))
+    assert galoismod.find_proper_submodule(M, rng) is None
+    # three zero draws, then the one vector the polynomial is built from
+    assert [int(v[0]) for v in rng.vectors[:3]] == [0, 0, 0]
+    assert rng.vectors[3].any() and len(krylov) == 1
+    assert np.array_equal(krylov[0], rng.vectors[3])
 
 
 def _cyclic_characters(p, d, js):

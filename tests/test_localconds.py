@@ -980,6 +980,30 @@ def test_the_full_membership_test_runs_once_per_root_and_variant(
     assert calls == [(copy, al, "unr2")] * 3 and copy.verdicts == {}
 
 
+def test_the_tau_coordinate_is_extracted_once_per_root(monkeypatch):
+    model = tame("A2", 7, 3, 8)
+    al = model.datum.positive_roots[0]
+    lift, _ = lc.frobenius_member(model, al, "ram2")
+    copy = lc.LocalLift(model, lift.sigma, lift.tau, check=False)
+    calls, extract = [], lc.extract_u_alpha_coordinate
+    monkeypatch.setattr(lc, "extract_u_alpha_coordinate", lambda m, g, a: (
+        calls.append(g), extract(m, g, a))[1])
+    # the membership test of frobenius_member extracted and checked it
+    x = lift.tau_coordinates[al]
+    assert not x.flags.writeable
+    assert np.array_equal(x, extract(model, lift.tau, al))
+    for beta in phi_alpha(model.basis, al):
+        lc.stability_check(lift, al, "ram", {tuple(beta): 1})
+    extra = lc.tame_extra_cocycles(model, al, "ram", lift)
+    assert calls == []
+    # an unverified lift extracts on every call and records nothing
+    want = lc.tame_extra_cocycles(model, al, "ram", copy)
+    assert np.array_equal(extra.rows, want.rows)
+    for _ in range(2):
+        assert lc.membership(copy, al, "ram2")
+    assert len(calls) == 3 and copy.tau_coordinates == {}
+
+
 def test_a_conjugator_bypasses_the_recorded_verdicts(monkeypatch):
     model = tame("A2", 7, 3, 8)
     al = model.datum.positive_roots[0]

@@ -334,16 +334,21 @@ def test_factorization_roundtrip():
         assert got == want
 
 
-def test_min_poly_companion():
-    rng = np.random.default_rng(2)
+def test_krylov_poly_companion():
+    # e_1 is a cyclic vector of a companion matrix: its Krylov
+    # polynomial is the characteristic polynomial, in both copies of a
+    # block sum and on their diagonal
     p = 13
     M = np.array([[0, 0, 2], [1, 0, 3], [0, 1, 5]], dtype=np.int64)
-    mp = modp.min_poly(M, p, rng)
-    assert mp == [(-2) % p, (-3) % p, (-5) % p, 1]
+    char = [(-2) % p, (-3) % p, (-5) % p, 1]
+    assert modp.krylov_poly(M, [1, 0, 0], p) == char
     Z = np.zeros((6, 6), dtype=np.int64)
     Z[:3, :3] = M
     Z[3:, 3:] = M
-    assert modp.min_poly(Z, p, rng) == mp
+    for v in ([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 0, 0]):
+        assert modp.krylov_poly(Z, v, p) == char
+    # the zero vector has the constant polynomial
+    assert modp.krylov_poly(Z, [0] * 6, p) == [1]
 
 
 polys = st.lists(st.integers(0, 12), max_size=9)
@@ -364,39 +369,154 @@ def test_poly_divmod_is_division_with_remainder(p, f, g, lead):
     assert all((a - b - c) % p == 0 for a, b, c in zip(f, qg, r))
 
 
-def reference_min_poly(M, p, rng):
-    """min_poly by two eliminations per vector: the rank of the Krylov
-    rows for k, then a solve for the coefficients."""
+def reference_poly_lcm(f, g, p):
+    gcd = modp.poly_gcd(f, g, p)
+    return modp.poly_monic(modp.poly_divmod(modp.poly_mul(f, g, p), gcd, p)[0],
+                           p)
+
+
+def reference_min_poly(M, p):
+    """The minimal polynomial of M: the lcm of its minimal polynomials
+    at the unit vectors, each by two eliminations, the rank of the
+    Krylov rows for k and then a solve for the coefficients."""
     n = M.shape[0]
     mp = [1]
-    for _ in range(4):
-        v = rng.integers(0, p, size=n, dtype=np.int64)
+    for v in np.eye(n, dtype=np.int64):
         vecs = [v]
         for _ in range(n):
             vecs.append(vecs[-1] @ M.T % p)
         V = np.array(vecs)
         k = len(modp.rref(V, p)[1])
         sol = modp.solve(V[:k].T, (-V[k]) % p, p)
-        mp = modp.poly_lcm(mp, list(map(int, sol)) + [1], p)
-        if len(mp) == n + 1:
-            break
+        mp = reference_poly_lcm(mp, list(map(int, sol)) + [1], p)
     return mp
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from([5, 7, 13]), st.integers(0, 7), st.integers(0, 7),
-       st.integers(0, 2 ** 32 - 1))
-def test_min_poly_matches_reference(p, n, rank, seed):
-    # low-rank and block matrices give Krylov spaces of every dimension
+@given(st.sampled_from([5, 7, 13]), st.integers(0, 7),
+       st.sampled_from(["singular", "nilpotent", "block"]),
+       st.integers(0, 7), st.integers(0, 2 ** 32 - 1))
+def test_krylov_poly_divides_reference_min_poly(p, n, kind, rank, seed):
+    # low-rank, nilpotent and block matrices give Krylov spaces of
+    # every dimension
     rng = np.random.default_rng(seed)
     rank = min(rank, n)
-    M = (rng.integers(0, p, size=(n, rank)) @ rng.integers(0, p, size=(rank, n))
-         % p).astype(np.int64)
-    if seed % 3 == 0 and n:
-        M[: n // 2, n // 2:] = M[n // 2:, : n // 2] = 0
-    got = modp.min_poly(M, p, np.random.default_rng(seed))
-    assert got == reference_min_poly(M, p, np.random.default_rng(seed))
-    assert not modp.poly_eval_matrix(got, M, p).any()
+    if kind == "nilpotent":
+        # a strictly upper triangular N in a random basis L U
+        N = np.triu(rng.integers(0, p, size=(n, n)), 1)
+        L, U = (tri(rng.integers(0, p, size=(n, n)), k) + np.eye(n, dtype=int)
+                for tri, k in ((np.tril, -1), (np.triu, 1)))
+        P = (L @ U % p).astype(np.int64)
+        M = P @ N @ modp.inverse(P, p) % p
+    else:
+        M = rng.integers(0, p, size=(n, rank)) @ rng.integers(
+            0, p, size=(rank, n)) % p
+        if kind == "block" and n:
+            M[: n // 2, n // 2:] = M[n // 2:, : n // 2] = 0
+    M = M.astype(np.int64)
+    v = rng.integers(0, p, size=n) if seed % 5 else np.zeros(n, dtype=int)
+    f = modp.krylov_poly(M, v, p)
+    assert f[-1] == 1 and all(0 <= c < p for c in f)
+    # f(M) v = 0, and deg f is the dimension of the Krylov space
+    assert not (modp.poly_eval_matrix(f, M, p) @ v % p).any()
+    krylov = [v % p]
+    for _ in range(n):
+        krylov.append(krylov[-1] @ M.T % p)
+    assert len(f) - 1 == modp.rank(np.array(krylov).reshape(n + 1, n), p)
+    mp = reference_min_poly(M, p)
+    assert not modp.poly_eval_matrix(mp, M, p).any()
+    assert modp.poly_divmod(mp, f, p)[1] == [0]
+    if kind == "nilpotent":
+        assert f == [0] * (len(f) - 1) + [1]
+
+
+def poly_from_roots(roots, cofactor, p):
+    f = list(cofactor)
+    for r in roots:
+        f = modp.poly_mul(f, [-r % p, 1], p)
+    return f
+
+
+def assert_irreducible_factor_of(f, F, p):
+    assert f[-1] == 1 and all(0 <= c < p for c in f)
+    assert list(modp.squarefree_factors(f, p)) == [f]
+    assert modp.poly_divmod(F, f, p)[1] == [0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([13, 17]), st.lists(st.integers(0, 16), max_size=4),
+       st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_irreducible_factor_is_the_smallest_root(p, roots, deg, seed):
+    # roots times a random monic cofactor, which may add roots of its own
+    rng = np.random.default_rng(seed)
+    cofactor = [int(c) for c in rng.integers(0, p, size=deg)] + [1]
+    F = poly_from_roots([r % p for r in roots], cofactor, p)
+    assume(len(F) > 1)
+    lead = int(rng.integers(1, p))
+    f = modp.irreducible_factor([c * lead % p for c in F], p)
+    assert_irreducible_factor_of(f, F, p)
+    zeros = [x for x in range(p)
+             if sum(c * pow(x, i, p) for i, c in enumerate(F)) % p == 0]
+    if zeros:
+        assert f == [-min(zeros) % p, 1]
+    else:
+        assert f == next(modp.squarefree_factors(F, p))
+
+
+def _counted(monkeypatch, name):
+    calls, fn = [], getattr(modp, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(modp, name, counted)
+    return calls
+
+
+def test_irreducible_factor_without_a_root_factors(monkeypatch):
+    # an irreducible quadratic times an irreducible cubic mod 13: the
+    # scan runs, finds no root, and the factorization decides
+    p = 13
+    quad = [-2 % p, 0, 1]           # 2 is not a square mod 13
+    cubic = next(f for f in ([c, 1, 0, 1] for c in range(p))
+                 if all((x ** 3 + x + f[0]) % p for x in range(p)))
+    F = modp.poly_mul(quad, cubic, p)
+    scans = _counted(monkeypatch, "_smallest_root")
+    factorizations = _counted(monkeypatch, "squarefree_factors")
+    f = modp.irreducible_factor(F, p)
+    assert len(scans) == 1 and len(factorizations) == 1
+    assert f in (quad, cubic)
+    assert_irreducible_factor_of(f, F, p)
+
+
+def test_irreducible_factor_at_a_large_prime_does_not_scan(monkeypatch):
+    p = 65537
+    rng = np.random.default_rng(4)
+    for deg in (0, 3, 19):
+        cofactor = [int(c) for c in rng.integers(0, p, size=deg)] + [1]
+        F = poly_from_roots([5, 3], cofactor, p)
+        monkeypatch.setattr(modp, "_smallest_root", None)
+        f = modp.irreducible_factor(F, p)
+        monkeypatch.undo()
+        assert f == next(modp.squarefree_factors(F, p))
+        assert_irreducible_factor_of(f, F, p)
+    # the same polynomial at p = 17 is scanned
+    scans = _counted(monkeypatch, "_smallest_root")
+    assert modp.irreducible_factor(poly_from_roots([5, 3], [1], 17), 17) \
+        == [-3 % 17, 1]
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("p, scanned", [(1009, True), (10007, True),
+                                        (100003, False)])
+def test_root_scan_crossover_at_degree_20(monkeypatch, p, scanned):
+    rng = np.random.default_rng(p)
+    cofactor = [int(c) for c in rng.integers(0, p, size=19)] + [1]
+    F = poly_from_roots([7], cofactor, p)
+    scans = _counted(monkeypatch, "_smallest_root")
+    f = modp.irreducible_factor(F, p)
+    assert len(scans) == scanned
+    assert_irreducible_factor_of(f, F, p)
 
 
 def reference_factor_squarefree(f, p, rng):

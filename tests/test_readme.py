@@ -22,10 +22,10 @@ REPORT_SHA256 = [
     "67647132bdc1d4ac459176aa270bd6f68dba37850f786a3be71492cb55357ef2",
     "807a7f7cf278fa9afa11ae6b6d143f9c9accf95af9bd1e284a5166215442c517",
     "0fec2c1aa0ca0ef5e04f95dd0b641afa63765fb2feb8ba440bdeb451c0870f65",
-    "e474768c593c7dcbe12a410fe76b4951235372732765dbe2a121c84805b4abf3",
+    "060df954e158d66e863925281e07ca22f259fd5d9da69fd7245b99ccdada3e9d",
     "f65d4984a28b9f7f5801ddaa46d7fa42be06dae4d3689f2369f0a1ee38af06fe",
     "31b31489979b54b178d7ffaf7f515d04046276f1b4ac8c0c9d6c82ea7aef5977",
-    "631e1ec5713bc63b4653f0ddd8a8eb0817481ae5ec517cb0d52c8ac822286320",
+    "39852a5845814dbd7df590417f59294edcf31e3b64b2ad53fcadb35943f067f3",
     "ebf6330ac2fe876c16188e2bcca33573d5bd1499b03b3e39983562498978c87c",
     "e845c321a72e5c4b7b9b441b9ab025f5fdd1bd8579f2ba24ce6e3adee1cdb2dd",
     "eb7a59c7ced56d252c1f17659a3af1f5b794db833b9edcb9b88dd0a13df71285",
