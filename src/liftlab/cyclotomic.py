@@ -2,19 +2,18 @@
 
 An element is an int64 coefficient array of length phi(N) in the power
 basis 1, x, ..., x^{phi(N)-1} of Z[x]/Phi_N(x).  One table per N,
-`pw[k] = x^k mod Phi_N` for k < max(N, 2 phi(N) - 1), carries all the
-arithmetic: `zeta(j)` is a row, a product is the convolution of the
-two coefficient arrays folded through the first 2 phi(N) - 1 rows, and
-the Galois map sigma_s: zeta -> zeta^s is the row gather
+`pw[k] = x^k mod Phi_N` for k < N, carries all the arithmetic:
+`zeta(j)` is a row, the Gram products fold through its rows, and the
+Galois map sigma_s: zeta -> zeta^s is the row gather
 `a @ pw[(arange(phi(N)) s) % N]`.  Phi_n and the table are built once
 per n; nothing else is cached.
 
 The int64 bound.  Write d = phi(N) and w = max |pw| (the largest
 coefficient of any x^k mod Phi_N; w = 1 at N = 60 and 2 at N = 546).
 For elements with coefficients at most A and B in absolute value,
-`galois` is exact while d w A < 2^63 and `mul` while
-(2d - 1) d w A B < 2^63.  `gram` sums class-weighted products over
-classes of total weight S; every partial sum it forms is bounded by
+`galois` is exact while d w A < 2^63.  `gram` sums class-weighted
+products over classes of total weight S; every partial sum it forms is
+bounded by
 
     d^2 w S A B,
 
@@ -91,11 +90,10 @@ def _height(a):
 
 @functools.lru_cache(maxsize=None)
 def _power_table(n):
-    """x^k mod Phi_n for k < max(n, 2 phi(n) - 1), one read-only int64
-    row per k."""
+    """x^k mod Phi_n for k < n, one read-only int64 row per k."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    pw = np.zeros((max(n, 2 * d - 1), d), dtype=np.int64)
+    pw = np.zeros((n, d), dtype=np.int64)
     pw[:d] = np.eye(d, dtype=np.int64)
     top = -phi[:d]                        # x^d mod Phi_n
     for k in range(d, len(pw)):
@@ -108,7 +106,7 @@ def _power_table(n):
 
 
 class CycloContext:
-    """Fixed-N context: elements, products, Galois maps and Gram sums."""
+    """Fixed-N context: elements, Galois maps and Gram sums."""
 
     def __init__(self, n):
         self.n = n
@@ -139,9 +137,6 @@ class CycloContext:
 
     def scal(self, c, a):
         return int(c) * a
-
-    def mul(self, a, b):
-        return np.convolve(a, b) @ self.pw[:2 * self.deg - 1]
 
     def galois(self, a, s):
         """The map zeta -> zeta^s (s coprime to n) on an element or on

@@ -21,6 +21,14 @@ Homomorphism spaces are solved by spinning, not by the Kronecker
 system: a map out of a module is fixed by the images of the few seeds
 of a spun standard basis (one seed for an irreducible module), so the
 linear system has k * dim(target) unknowns instead of dim1 * dim2.
+The smaller side is spun: Hom(V1, V2) is solved from V1 when
+dim V1 <= dim V2, and as Hom(V2^T, V1^T) from V2^T otherwise.
+
+End(W) of an irreducible W comes from its certificate when it can:
+ker f(z) is a vector space over the division algebra End(W) (Schur),
+so dim End(W) divides deg f, and a certificate with deg f = 1 proves
+End(W) = F_p.  Any other End(W) is computed as Hom(W, W) and checked
+to be a field.
 """
 
 from __future__ import annotations
@@ -44,7 +52,10 @@ class MatrixModule:
     """F_p[G]-module given by one invertible matrix per generator.
 
     The generators are a tuple of read-only arrays, so what is computed
-    from them once and kept on the module (`_spun`) cannot go stale."""
+    from them once and kept on the module cannot go stale: its standard
+    basis (`_spun`), and `norton_degree`, deg f of the Norton
+    certificate `find_proper_submodule` found for it (None until one is
+    found), which dim End(W) divides (`_endo_field_degree`)."""
 
     def __init__(self, p, gens):
         self.p = p
@@ -53,6 +64,7 @@ class MatrixModule:
             g.flags.writeable = False
         self.dim = self.gens[0].shape[0] if self.gens else 0
         self._spun = None
+        self.norton_degree = None
 
     def transpose_module(self):
         return MatrixModule(self.p, [g.T % self.p for g in self.gens])
@@ -118,7 +130,8 @@ def find_proper_submodule(module, rng):
     module is irreducible.  A larger kernel certifies nothing: each
     vector of a basis of ker f(z)^T is spun, and if none gives a
     submodule another z is drawn.  After NORTON_TRIES draws without a
-    verdict, GaloisModError is raised."""
+    verdict, GaloisModError is raised.  A certified module records
+    deg f as its `norton_degree`."""
     p = module.p
     n = module.dim
     if n == 0:
@@ -143,6 +156,7 @@ def find_proper_submodule(module, rng):
                 return modp.kernel_basis(W, p)
         if one_line:
             # Norton, with the Holt-Rees condition: irreducible
+            module.norton_degree = len(f) - 1
             return None
     raise GaloisModError("no Norton certificate or submodule in "
                          "NORTON_TRIES = %d algebra elements" % NORTON_TRIES)
@@ -242,37 +256,39 @@ def _hom_by_spin(src, spun, tgt):
 
 
 def hom_space(m1, m2):
-    """Basis of Hom_{F_p[G]}(V1, V2) as (dim2 x dim1) matrices; the
-    generator lists must be aligned.
+    """Basis of Hom_{F_p[G]}(V1, V2) as (dim2 x dim1) matrices.  The two
+    modules must be over the same prime with aligned generator lists of
+    the same length; otherwise GaloisModError is raised.
 
     Solved by spinning (Parker's MeatAxe; Lux-Szoke): a homomorphism is
-    fixed by the images of the seeds of a standard basis of V1, so the
-    system has k * dim2 unknowns for k seeds instead of the dim1 * dim2
-    of the Kronecker system.  If V1 needs many seeds, Hom(V2^T, V1^T)
-    is solved instead when its seeds give fewer unknowns: psi = phi^T
-    satisfies psi g2^T = g1^T psi.  The returned basis is the one the
-    Kronecker system's kernel_basis gives (identity on its free
-    coordinates of the flattened phi), so it does not depend on the
-    method: the free coordinates are determined by the space itself.
-    A source's standard basis, the inverse of its transpose and its
-    generators in that basis are computed once and kept on the module
-    (`_spun`), so every Hom space out of one module shares them.
+    fixed by the images of the seeds of a standard basis of its source,
+    so the system has k * dim(target) unknowns for k seeds instead of
+    the dim1 * dim2 of the Kronecker system.  The smaller side is spun:
+    V1 when dim V1 <= dim V2, and otherwise V2^T, solving
+    Hom(V2^T, V1^T), since psi = phi^T satisfies psi g2^T = g1^T psi.
+    The returned basis is the one the Kronecker system's kernel_basis
+    gives (identity on its free coordinates of the flattened phi), so
+    it does not depend on the side spun: the free coordinates are
+    determined by the space itself.  A source's standard basis, the
+    inverse of its transpose and its generators in that basis are
+    computed once and kept on the module (`_spun`), so every Hom space
+    out of one module shares them.
     """
+    if m1.p != m2.p or len(m1.gens) != len(m2.gens):
+        raise GaloisModError(
+            "Hom needs modules over one prime with as many generators: "
+            "p = %d with %d generators, p = %d with %d"
+            % (m1.p, len(m1.gens), m2.p, len(m2.gens)))
     p = m1.p
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
-    spun = _spun(m1)
-    H = None
-    if spun[2] * d2 > d1:
-        # one seed of V2^T gives d1 unknowns: spin it and compare
+    if d2 < d1:
         t2 = m2.transpose_module()
-        spun_t = _spun(t2)
-        if spun_t[2] * d1 < spun[2] * d2:
-            H = _hom_by_spin(t2, spun_t, m1.transpose_module())
-            H = H.transpose(0, 2, 1)
-    if H is None:
-        H = _hom_by_spin(m1, spun, m2)
+        H = _hom_by_spin(t2, _spun(t2), m1.transpose_module())
+        H = H.transpose(0, 2, 1)
+    else:
+        H = _hom_by_spin(m1, _spun(m1), m2)
     if not len(H):
         return []
     # free coordinates = last nonzero positions of the space's vectors:
@@ -298,8 +314,15 @@ class Decomposition:
 
 
 def _endo_field_degree(module, p):
-    """dim_Fp End(W) for irreducible W, with a check that the algebra is
-    a field: commutative and without zero divisors on a spanning set."""
+    """dim_Fp End(W) for irreducible W.
+
+    A Norton certificate with deg f = 1 (`module.norton_degree`) proves
+    End(W) = F_p: ker f(z) is a vector space over the division algebra
+    End(W), so dim End(W) divides deg f.  Otherwise End(W) = Hom(W, W)
+    is computed, with a check that the algebra is a field: commutative
+    and without zero divisors on a spanning set."""
+    if module.norton_degree == 1:
+        return 1
     E = hom_space(module, module)
     d = len(E)
     for i, a in enumerate(E):

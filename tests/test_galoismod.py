@@ -360,6 +360,40 @@ def test_hom_space_transposed_path(monkeypatch):
     assert sources == [sl2.dim]
 
 
+def test_hom_space_into_a_smaller_two_seed_target(monkeypatch):
+    # the target sl2 + 2 trivial lines (dim 5) is smaller than each
+    # source, and its transpose needs two seeds: it is spun all the same
+    p = 7
+    rng = np.random.default_rng(12)
+    sums = [M for M, _ in random_modules_at_7(rng)]
+    small = sums[1]
+    assert galoismod._standard_basis(small.transpose_module())[2] == 2
+    spun = []
+    spin_hom = galoismod._hom_by_spin
+
+    def spy(src, spun_src, tgt):
+        spun.append((src.dim, spun_src[2]))
+        return spin_hom(src, spun_src, tgt)
+
+    monkeypatch.setattr(galoismod, "_hom_by_spin", spy)
+    for big, dim_hom in ((sums[0], 2), (trivial_action(p, 6, 3), 12)):
+        spun.clear()
+        assert len(assert_hom_matches_reference(big, small)) == dim_hom
+        assert spun == [(small.dim, 2)]
+
+
+def test_hom_space_refuses_unaligned_modules():
+    # zipping the generator lists would answer from the shorter one and
+    # call a line with a sign isomorphic to the one-generator trivial line
+    line = MatrixModule(7, [[[1]]])
+    for other in (MatrixModule(7, [[[1]], [[6]]]), MatrixModule(5, [[[1]]])):
+        for m1, m2 in ((other, line), (line, other)):
+            with pytest.raises(GaloisModError, match="one prime"):
+                hom_space(m1, m2)
+            with pytest.raises(GaloisModError, match="one prime"):
+                modules_isomorphic(m1, m2)
+
+
 # -- Norton's certificate needs a one-line kernel (Holt-Rees)
 
 
@@ -414,6 +448,57 @@ def test_a_larger_kernel_certifies_nothing(monkeypatch):
     for seed in (3, 4, 6):
         with pytest.raises(GaloisModError, match="NORTON_TRIES = 1"):
             galoismod.find_proper_submodule(M, np.random.default_rng(seed))
+
+
+def endo_hom_calls(monkeypatch):
+    """The modules W that hom_space(W, W) is called on, kept in a list
+    as they are called."""
+    calls, hom = [], galoismod.hom_space
+
+    def spy(m1, m2):
+        if m1 is m2:
+            calls.append(m1)
+        return hom(m1, m2)
+
+    monkeypatch.setattr(galoismod, "hom_space", spy)
+    return calls
+
+
+def test_a_linear_certificate_gives_the_endo_field(monkeypatch):
+    # Schur: dim End(W) divides deg f, so deg f = 1 proves End(W) = F_p
+    # and Hom(W, W) is not built for it
+    calls = endo_hom_calls(monkeypatch)
+    p = 7
+    S3, _ = random_sum_module(s3_modules(p), p, np.random.default_rng(5))
+    degrees = []
+    for M in (sl2_adjoint_module(5), sl2_adjoint_module(p), S3):
+        for seed in range(20):
+            calls.clear()
+            dec = decompose(M, np.random.default_rng(seed))
+            assert all(c["endo_degree"] == 1 for c in dec.isotypic)
+            for c in dec.isotypic:
+                W = c["module"]
+                degrees.append(W.norton_degree)
+                assert W.norton_degree is not None
+                assert W.norton_degree != 1 or W not in calls
+                assert W.norton_degree == 1 or W in calls
+    assert 1 in degrees
+
+
+def test_a_quadratic_certificate_computes_the_endo_field(monkeypatch):
+    # C3 on F_25 (as in test_a_larger_kernel_certifies_nothing): only a
+    # z outside F_5 certifies it, with f quadratic, and End(W) = F_25 is
+    # computed from Hom(W, W)
+    calls = endo_hom_calls(monkeypatch)
+    p = 5
+    M = MatrixModule(p, [np.array([[0, p - 1], [1, p - 1]])])
+    for seed in (3, 4, 6):
+        calls.clear()
+        dec = decompose(M, np.random.default_rng(seed))
+        (c,) = dec.isotypic
+        assert c["module"].norton_degree == 2
+        assert c["endo_degree"] == 2
+        assert calls == [c["module"]]
 
 
 def test_one_dim_module_with_zero_draws(monkeypatch):
