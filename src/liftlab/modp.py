@@ -122,15 +122,16 @@ def kernel_basis(A, p):
 def rref_kernel(R, piv, p):
     """Basis (rows) of the right kernel of a matrix whose RREF is R with
     pivot columns piv: one row per free column, 1 at that column and
-    -R's column on the pivots.  R may lack its zero rows."""
+    -R's column on the pivots.  R may lack its zero rows: only its first
+    len(piv) rows are read."""
     cols = R.shape[1]
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    R = R[:len(piv)]
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        out[k, piv] = -R[:, fc] % p
+    piv = np.asarray(piv, dtype=np.intp)
+    isfree = np.ones(cols, dtype=bool)
+    isfree[piv] = False
+    free = np.flatnonzero(isfree)
+    out = np.zeros((free.size, cols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, piv] = (-R[:piv.size, free] % p).T
     return out
 
 

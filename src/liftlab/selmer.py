@@ -260,7 +260,13 @@ class SelmerSystem:
     coordinates); the dual system is derived as the pairing annihilator
     place by place.  ann_L and ann_L_perp hold, per place, the
     annihilators of L_v and L_v^perp that a Selmer computation tests
-    local blocks against."""
+    local blocks against.
+
+    A system belongs to one model, `model`, and its Selmer groups are
+    those of that model only.  They are computed (eliminated and checked
+    against the ledger) the first time they are read and kept: the
+    system's model and tables never change after construction, so the
+    kept groups cannot go stale."""
 
     def __init__(self, model, local_conditions):
         if len(local_conditions) != len(model.places):
@@ -270,12 +276,15 @@ class SelmerSystem:
                   for Lv, pl in zip(local_conditions, model.places)]
         self.L, self.L_perp, self.ann_L, self.ann_L_perp = \
             [[t[k] for t in tables] for k in range(4)]
+        self._groups = None
 
     def with_place(self, model2, Lq):
         """The system of model2, which is this system's model with one
         place appended, with condition Lq there.  The old places, their
         pairings and p are those of this system, so their tables are
-        carried over and only the new place is eliminated."""
+        carried over and only the new place is eliminated.  The new
+        system keeps no Selmer groups: they are computed when first
+        read."""
         model = self.model
         if model2.p != model.p or \
                 list(model2.places[:-1]) != list(model.places):
@@ -283,6 +292,7 @@ class SelmerSystem:
                               "by one place")
         new = copy.copy(self)
         new.model = model2
+        new._groups = None
         tables = _place_tables(Lq, model2.places[-1], model.p)
         new.L, new.L_perp, new.ann_L, new.ann_L_perp = \
             [old + [t] for old, t in zip(
@@ -317,7 +327,13 @@ def local_quotients(model, image, annihilators):
     """The map from the row space of `image` to the local quotients
     H^1_v / L_v: row i holds, place by place, the local block of class
     i tested against that place's annihilator (SelmerSystem.ann_L or
-    ann_L_perp), concatenated over the places."""
+    ann_L_perp), concatenated over the places.  The annihilators must
+    be those of a system of `model` (one per place of it); a list of
+    another length is refused, since pairing it with the model's blocks
+    would drop places."""
+    if len(annihilators) != len(model.places):
+        raise SelmerError("%d annihilators for a model of %d places"
+                          % (len(annihilators), len(model.places)))
     p = model.p
     return np.concatenate([modp.matmul(image[:, a:b], ann.T, p)
                            for (a, b), ann in zip(model.offsets(),
@@ -340,13 +356,30 @@ def selmer_compute(model, system):
     The report re-derives the Greenberg-Wiles ledger
     h1_L - h1_{L*} = sum_v (dim L_v - h0_v) - sum_inf h0_v
     and raises on mismatch (the synthetic model makes the identity a
-    theorem, so a mismatch means corrupted data, never tolerance)."""
+    theorem, so a mismatch means corrupted data, never tolerance).
+    `model` must be the system's own (system.model), or SelmerError is
+    raised.  The groups are computed on the system's first read and
+    kept; the bases are read-only and the report is a copy."""
     return _selmer_with_coeffs(model, system)[:3]
 
 
 def _selmer_with_coeffs(model, system):
     """selmer_compute's (sel, dual, report) followed by the coefficient
-    rows sel_coeff, dual_coeff with sel = sel_coeff A, dual = dual_coeff B."""
+    rows sel_coeff, dual_coeff with sel = sel_coeff A, dual = dual_coeff B,
+    read from the system, which computes them on its first read."""
+    if model is not system.model:
+        raise SelmerError("the model is not the Selmer system's own")
+    if system._groups is None:
+        system._groups = _eliminate_groups(system)
+    sel, dual, report, sel_coeff, dual_coeff = system._groups
+    return (sel, dual, dict(report, dims_L=list(report["dims_L"])),
+            sel_coeff, dual_coeff)
+
+
+def _eliminate_groups(system):
+    """The Selmer and dual Selmer groups of the system's model, checked
+    against the ledger, with their arrays made read-only."""
+    model = system.model
     p = model.p
     sel_coeff = _selmer_of(model, model.A, system.ann_L)
     dual_coeff = _selmer_of(model, model.B, system.ann_L_perp)
@@ -367,6 +400,8 @@ def _selmer_with_coeffs(model, system):
         "dims_L": system.dims(),
         "balanced": h1l == h1ld,
     }
+    for a in (sel, dual, sel_coeff, dual_coeff):
+        a.flags.writeable = False
     return sel, dual, report, sel_coeff, dual_coeff
 
 
@@ -683,8 +718,12 @@ def annihilation_loop(model, system, rng):
     non-decreasing step is a hard error.  So the loop takes at most as
     many steps as the starting dual dimension, and a start above
     ANNIHILATION_MAX_STEPS is refused (SelmerParameterError) before any
-    witness search.  Returns the trace of (h1_L, h1_L_perp) from the
-    start to (0, 0)."""
+    witness search.  `model` must be the system's own (system.model),
+    or SelmerError is raised.  The starting groups are the system's
+    kept ones, so a selmer_compute before the loop costs no second
+    elimination; each installed place makes a new system, whose groups
+    are eliminated and ledger-checked when the loop first reads them.
+    Returns the trace of (h1_L, h1_L_perp) from the start to (0, 0)."""
     sel, dual, rep, sel_coeff, dual_coeff = _selmer_with_coeffs(model, system)
     trace = [(rep["h1_L"], rep["h1_L_perp"])]
     if rep["h1_L_perp"] > ANNIHILATION_MAX_STEPS:

@@ -166,6 +166,53 @@ def test_kernel_basis_is_identity_on_free_columns(p, family, rows, cols,
     assert not np.any(A.astype(object) @ K.T.astype(object) % p)
 
 
+def reference_rref_kernel(R, piv, p):
+    """The kernel basis filled one free column at a time."""
+    cols = R.shape[1]
+    pivset = set(piv)
+    free = [c for c in range(cols) if c not in pivset]
+    out = np.zeros((len(free), cols), dtype=np.int64)
+    R = R[:len(piv)]
+    for k, fc in enumerate(free):
+        out[k, fc] = 1
+        out[k, piv] = -R[:, fc] % p
+    return out
+
+
+def _kernel_input(kind, p, rows, cols, rng):
+    """A rows x cols matrix whose RREF has a pivot in every column
+    (all-pivot), in none (no-pivot), has no rows at all (zero-row), or
+    one of the rref families with zero rows appended below it."""
+    if kind == "all-pivot":
+        A = np.vstack([np.eye(cols, dtype=np.int64),
+                       rng.integers(0, p, size=(rows, cols))])
+        return A[rng.permutation(A.shape[0])]
+    if kind == "no-pivot":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "zero-row":
+        return np.zeros((0, cols), dtype=np.int64)
+    A = _rref_input(kind, p, rows, cols, rng).astype(np.int64)
+    return np.vstack([A, np.zeros((2, cols), dtype=np.int64)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 7, 101] + LARGE_PRIMES),
+       st.sampled_from(["all-pivot", "no-pivot", "zero-row"] + FAMILIES),
+       st.integers(0, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_rref_kernel_reads_only_the_pivot_rows(p, kind, rows, cols, seed):
+    # R may lack its zero rows: the full RREF and the one trimmed to its
+    # pivot rows give the same kernel, the one the per-column loop fills
+    A = _kernel_input(kind, p, rows, cols, np.random.default_rng(seed))
+    R, piv = modp.rref(A, p)
+    want = reference_rref_kernel(R, piv, p)
+    for Rk in (R, R[:len(piv)]):
+        K = modp.rref_kernel(Rk, piv, p)
+        assert K.dtype == np.int64 and np.array_equal(K, want)
+    nfree = {"all-pivot": 0, "no-pivot": cols, "zero-row": cols}.get(
+        kind, cols - len(piv))
+    assert want.shape == (nfree, cols)
+
+
 # p - 1 = 2^25 - 40: 8 (p-1)^2 < 2^53 <= 9 (p-1)^2, so the product
 # goes through float64 up to inner dimension 8 and through int64 past it
 MATMUL_P = 33554393

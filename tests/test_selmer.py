@@ -618,3 +618,133 @@ def test_with_place_requires_an_extension():
     for model2 in (model, not_ext):
         with pytest.raises(sm.SelmerError, match="extend"):
             system.with_place(model2, Lq)
+
+
+# -- a system's groups are its own model's, computed once and kept
+
+
+def test_a_model_that_is_not_the_systems_own_is_refused():
+    # model2 extends model by the loop's witness place: each paired with
+    # the other's system used to report a wrong group, (3, 3) for
+    # model2 against its own (0, 0), and dims_L of 4 places for model
+    d, b = root_datum("A1")
+    model = sm.attach_adjoint_eta(sm.build_balanced_model(
+        d, b, 7, selmer_rank=1, seed=3))
+    system = sm.standard_balanced_system(model)
+    trace, model2, system2 = sm.annihilation_loop(
+        model, system, np.random.default_rng(0))
+    assert trace == [(1, 1), (0, 0)]
+    assert len(model.places) == 3 and len(model2.places) == 4
+    assert sm.selmer_compute(model2, system2)[2]["h1_L"] == 0
+    for m, s in ((model2, system), (model, system2)):
+        with pytest.raises(sm.SelmerError, match="own"):
+            sm.selmer_compute(m, s)
+        with pytest.raises(sm.SelmerError, match="own"):
+            sm.annihilation_loop(m, s, np.random.default_rng(0))
+        with pytest.raises(sm.SelmerError, match="annihilators"):
+            sm.local_quotients(m, m.A, s.ann_L)
+
+
+def fresh_groups(model, system):
+    """(sel, dual, sel_coeff, dual_coeff) eliminated from the local-
+    quotient maps, outside the groups a system keeps."""
+    p = model.p
+    coeffs = [modp.kernel_basis(sm.local_quotients(model, image, anns).T, p)
+              for image, anns in ((model.A, system.ann_L),
+                                  (model.B, system.ann_L_perp))]
+    return [c @ image % p for c, image in zip(coeffs, (model.A, model.B))] \
+        + coeffs
+
+
+def assert_kept_groups_are_fresh(system):
+    model = system.model
+    sel, dual, rep, sel_coeff, dual_coeff = sm._selmer_with_coeffs(model,
+                                                                   system)
+    got = (sel, dual, sel_coeff, dual_coeff)
+    for g, w in zip(got, fresh_groups(model, system)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert not g.flags.writeable
+    assert rep == {"h1_L": sel.shape[0], "h1_L_perp": dual.shape[0],
+                   "ledger": sel.shape[0] - dual.shape[0],
+                   "dims_L": system.dims(),
+                   "balanced": sel.shape[0] == dual.shape[0]}
+
+
+KEPT_CASES = [(name, n_trivial, p, rank)
+              for name, n_trivial in (("A1", 1), ("A1", 2), ("A2", 1),
+                                      ("B2", 1))
+              for p in (5, 7, 13) for rank in (1, 2)]
+
+
+@pytest.mark.parametrize("name,n_trivial,p,rank", KEPT_CASES)
+def test_kept_groups_match_a_fresh_computation(name, n_trivial, p, rank,
+                                               monkeypatch):
+    # every system the loop reads, the start, each one it extends and
+    # the last, keeps the groups a fresh elimination gives
+    real = sm.extend_model_at_witness
+    seen = []
+
+    def checked(model, system, witness, rng):
+        assert system._groups is not None     # the loop has read them
+        assert_kept_groups_are_fresh(system)
+        model2, system2 = real(model, system, witness, rng)
+        assert system2._groups is None
+        seen.append(system2)
+        return model2, system2
+
+    monkeypatch.setattr(sm, "extend_model_at_witness", checked)
+    d, b = root_datum(name)
+    model = sm.attach_adjoint_eta(sm.build_balanced_model(
+        d, b, p, n_trivial=n_trivial, selmer_rank=rank, seed=50 + rank))
+    system = sm.standard_balanced_system(model)
+    trace, model2, system2 = sm.annihilation_loop(
+        model, system, np.random.default_rng(p))
+    assert trace[-1] == (0, 0) and len(seen) == len(trace) - 1 >= rank
+    assert system2 is seen[-1] and system2.model is model2
+    assert_kept_groups_are_fresh(system2)
+
+
+def test_with_place_keeps_none_of_its_parents_groups():
+    model, system = _loop_model("A1", 7, seed=43)
+    sm.selmer_compute(model, system)
+    ext = sm.build_synthetic_model(
+        7, model.places + [sm.TrivialPlace(3)], arch_h0=model.arch_h0,
+        seed=1)
+    got = system.with_place(ext, np.zeros((0, 6), dtype=np.int64))
+    assert system._groups is not None and got._groups is None
+    assert sm.selmer_compute(ext, got)[2]["dims_L"] == system.dims() + [0]
+    assert_kept_groups_are_fresh(got)
+
+
+def test_kept_groups_are_handed_out_unchanged():
+    model, system = _loop_model("A2", 7, seed=40)
+    sel, dual, rep = sm.selmer_compute(model, system)
+    want = dict(rep, dims_L=list(rep["dims_L"]))
+    rep["h1_L"] = -1
+    rep["dims_L"].append(99)
+    assert sm.selmer_compute(model, system)[2] == want
+    for a in (sel, dual):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+    again = sm.selmer_compute(model, system)
+    assert again[0] is sel and again[1] is dual
+
+
+def test_start_groups_are_eliminated_once(monkeypatch):
+    # selmer_compute and the loop that follows it read the same kept
+    # groups: the start model's Selmer and dual Selmer group are
+    # eliminated once each
+    real = sm._selmer_of
+    calls = []
+
+    def spy(model, image, annihilators):
+        calls.append((model, image))
+        return real(model, image, annihilators)
+
+    monkeypatch.setattr(sm, "_selmer_of", spy)
+    model, system = _loop_model("A1", 7, seed=41)
+    sm.selmer_compute(model, system)
+    sm.annihilation_loop(model, system, np.random.default_rng(42))
+    start = [image for m, image in calls if m is model]
+    assert len(start) == 2
+    assert start[0] is model.A and start[1] is model.B
